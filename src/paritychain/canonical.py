@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+import string
 from dataclasses import dataclass
 
 from .core import (
+    Alphabet,
     AutomatonError,
     ChainRepresentation,
     CoBuchiAutomaton,
@@ -12,8 +15,9 @@ from .core import (
     Partition,
     PreconditionError,
     Transition,
+    complete_dpa,
 )
-from .graphs import _tarjan, reachable_states, scc_decompose, state_equivalence
+from .graphs import _scc_ids, reachable_states, scc_decompose, state_equivalence
 
 
 def is_structured(a: ParityAutomaton) -> tuple[bool, list[str]]:
@@ -51,6 +55,39 @@ def _restrict_to(a: ParityAutomaton, keep: list[int]) -> tuple[ParityAutomaton, 
         transitions=ts,
     )
     return out, remap
+
+
+def default_letter_names(count: int) -> tuple[str, ...]:
+    if count <= 26:
+        return tuple(string.ascii_lowercase[:count])
+    return tuple(f"l{i}" for i in range(count))
+
+
+def random_dpa(
+    states: int, colors: int, letters: int, seed: int,
+    letter_names: tuple[str, ...] | None = None,
+) -> ParityAutomaton:
+    """Reproducible random complete DPA.
+
+    Successor and color are drawn uniformly per (state, letter), the
+    result is pruned to the part reachable from state 0 (order-preserving
+    renumbering) and completed, so it is always a valid complete DPA and
+    byte-identical per seed.
+    """
+    if states < 1 or colors < 1 or letters < 1:
+        raise AutomatonError("states, colors, and letters must be positive")
+    names = default_letter_names(letters) if letter_names is None else letter_names
+    rng = random.Random(seed)
+    ts = tuple(
+        Transition(q, sym, rng.randrange(states), rng.randrange(colors))
+        for q in range(states)
+        for sym in range(letters)
+    )
+    a = ParityAutomaton(Alphabet(names), states, 0, ts)
+    reach = sorted(reachable_states(a, 0))
+    if len(reach) < states:
+        a, _ = _restrict_to(a, reach)
+    return complete_dpa(a)
 
 
 def structure_dpa_with_map(a: ParityAutomaton) -> tuple[ParityAutomaton, dict[int, int]]:
@@ -129,33 +166,33 @@ def streamline(a: ParityAutomaton) -> ParityAutomaton:
         raise PreconditionError("automaton is not structured: " + "; ".join(violations))
 
     new_color: dict[tuple[int, int], int] = {}
-    live: set[Transition] = set(a.transitions)
+    live = list(a.transitions)
     i = 0
     while live:
-        succ: dict[int, set[int]] = {}
+        succ: list[list[int]] = [[] for _ in range(a.state_count)]
         for t in live:
-            succ.setdefault(t.src, set()).add(t.dst)
-        nodes = sorted({t.src for t in live} | {t.dst for t in live})
-        comps = _tarjan(nodes, lambda q: sorted(succ.get(q, ())))
-        comp_of = {q: c for c, comp in enumerate(comps) for q in comp}
+            succ[t.src].append(t.dst)
+        comp = _scc_ids(a.state_count, succ)
+        internal: dict[int, list[Transition]] = {}
+        for t in live:
+            if comp[t.src] == comp[t.dst]:
+                internal.setdefault(comp[t.src], []).append(t)
+            else:
+                new_color[(t.src, t.sym)] = i
 
-        transient = {t for t in live if comp_of[t.src] != comp_of[t.dst]}
-        for t in transient:
-            new_color[(t.src, t.sym)] = i
-        live -= transient
-
+        live = []
         lowered = False
-        for comp_id in range(len(comps)):
-            internal = [t for t in live if comp_of[t.src] == comp_id == comp_of[t.dst]]
-            if not internal:
+        for ts in internal.values():
+            least = min(t.color for t in ts)
+            if least % 2 != i % 2:
+                live += ts
                 continue
-            least = min(t.color for t in internal)
-            if least % 2 == i % 2:
-                for t in internal:
-                    if t.color == least:
-                        new_color[(t.src, t.sym)] = i
-                        live.remove(t)
-                lowered = True
+            lowered = True
+            for t in ts:
+                if t.color == least:
+                    new_color[(t.src, t.sym)] = i
+                else:
+                    live.append(t)
         if not lowered:
             i += 1
 

@@ -1,20 +1,18 @@
-"""Command-line front end for the pipeline, plus the seeded random generator."""
+"""Command-line front end for the pipeline."""
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
-import string
 import sys
 from pathlib import Path
 
 from .canonical import (
-    _restrict_to,
     chain_stats,
     extract_chain,
     is_streamlined,
     is_structured,
+    random_dpa,
     streamline,
     structure_dpa_with_map,
 )
@@ -25,8 +23,6 @@ from .core import (
     LassoWord,
     ParityAutomaton,
     PreconditionError,
-    Transition,
-    complete_dpa,
     validate_dpa,
 )
 from .formats import FormatError, emit_native, letter_name, parse_hoa, parse_native
@@ -34,43 +30,9 @@ from .graphs import (
     dpa_language_equiv,
     dpa_lasso_run,
     gca_lasso_member,
-    reachable_states,
     scc_decompose,
     state_equivalence,
 )
-
-
-def default_letter_names(count: int) -> tuple[str, ...]:
-    if count <= 26:
-        return tuple(string.ascii_lowercase[:count])
-    return tuple(f"l{i}" for i in range(count))
-
-
-def random_dpa(
-    states: int, colors: int, letters: int, seed: int,
-    letter_names: tuple[str, ...] | None = None,
-) -> ParityAutomaton:
-    """Reproducible random complete DPA.
-
-    Successor and color are drawn uniformly per (state, letter), the
-    result is pruned to the part reachable from state 0 (order-preserving
-    renumbering) and completed, so it is always a valid complete DPA and
-    byte-identical per seed.
-    """
-    if states < 1 or colors < 1 or letters < 1:
-        raise AutomatonError("states, colors, and letters must be positive")
-    names = default_letter_names(letters) if letter_names is None else letter_names
-    rng = random.Random(seed)
-    ts = tuple(
-        Transition(q, sym, rng.randrange(states), rng.randrange(colors))
-        for q in range(states)
-        for sym in range(letters)
-    )
-    a = ParityAutomaton(Alphabet(names), states, 0, ts)
-    reach = sorted(reachable_states(a, 0))
-    if len(reach) < states:
-        a, _ = _restrict_to(a, reach)
-    return complete_dpa(a)
 
 
 # -- lasso words on the command line ------------------------------------------

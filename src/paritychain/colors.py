@@ -37,6 +37,7 @@ def coruns(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> tuple[CoRun, .
     """
     if equiv.state_count != a.state_count:
         raise AutomatonError("partition does not match the automaton's state count")
+    a.alphabet.check_letters(w.prefix + w.period)
     bound = len(w.prefix) + a.state_count * len(w.period)
     run = [a.initial]
     for k in range(bound):
@@ -104,6 +105,7 @@ def gfg_resolver_step(a: CoBuchiAutomaton, s: ResolverState, sym: int) -> Resolv
     state whose tracked position is minimal, ties broken by lowest state
     index; the choice among ties does not affect acceptance.
     """
+    a.alphabet.check_letters((sym,))
     tracked = dict(s.tracked)
     if s.current not in tracked or any(l > s.position for l in tracked.values()):
         raise AutomatonError("inconsistent resolver state")
@@ -149,6 +151,7 @@ def resolve_run(a: CoBuchiAutomaton, w: LassoWord) -> tuple[bool, tuple[int, ...
     inside the repeating configuration cycle (empty iff accepted).  On
     chain automata the verdict coincides with language membership.
     """
+    a.alphabet.check_letters(w.prefix + w.period)
     s = ResolverState.start(a)
     u_len, v_len = len(w.prefix), len(w.period)
     seen: dict[tuple, int] = {}

@@ -38,6 +38,15 @@ class Alphabet:
         except ValueError:
             raise AutomatonError(f"unknown letter {name!r}") from None
 
+    def check_letters(self, word) -> None:
+        """Reject a word (letter indices) with a letter outside the alphabet."""
+        for sym in word:
+            if not 0 <= sym < len(self.letters):
+                raise AutomatonError(
+                    f"letter index {sym} is out of range for an alphabet of "
+                    f"{len(self.letters)} letters"
+                )
+
 
 @dataclass(frozen=True, order=True)
 class Transition:
@@ -190,9 +199,6 @@ class LassoWord:
             return LassoWord(self.prefix[p:], self.period)
         k = (p - len(self.prefix)) % len(self.period)
         return LassoWord(self.period[k:], self.period)
-
-    def max_index(self) -> int:
-        return max(self.prefix + self.period)
 
 
 def normalize_lasso(w: LassoWord) -> LassoWord:

@@ -25,74 +25,64 @@ def _adjacency(a) -> list[list[int]]:
     return [sorted(s) for s in succ]
 
 
-def _tarjan(nodes, succ):
-    """Iterative Tarjan SCC; components are returned in pop (reverse
-    topological) order, deterministically for a fixed node/successor order."""
-    index: dict = {}
-    low: dict = {}
-    on_stack = set()
-    stack: list = []
-    comps: list[list] = []
+def _scc_ids(n: int, succ, roots=None) -> list[int]:
+    """Iterative Tarjan over nodes 0..n-1 with successor lists ``succ``.
+
+    Returns the component id of every node, -1 for nodes not reached from
+    ``roots`` (default: every node, ascending).  Ids count up in pop order,
+    which is reverse topological order of the condensation, and are
+    deterministic for a fixed root and successor order.
+    """
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    stack: list[int] = []
     counter = 0
-    for root in nodes:
-        if root in index:
+    count = 0
+    for root in range(n) if roots is None else roots:
+        if index[root] >= 0:
             continue
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(succ(root)))]
+        work = [(root, iter(succ[root]))]
         while work:
             node, it = work[-1]
-            advanced = False
             for nxt in it:
-                if nxt not in index:
+                if index[nxt] < 0:
                     index[nxt] = low[nxt] = counter
                     counter += 1
                     stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(succ(nxt))))
-                    advanced = True
+                    work.append((nxt, iter(succ[nxt])))
                     break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    q = stack.pop()
-                    on_stack.remove(q)
-                    comp.append(q)
-                    if q == node:
-                        break
-                comps.append(comp)
-    return comps
+                # visited and not yet in a component means on the stack
+                if comp[nxt] < 0 and index[nxt] < low[node]:
+                    low[node] = index[nxt]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                if low[node] == index[node]:
+                    while True:
+                        q = stack.pop()
+                        comp[q] = count
+                        if q == node:
+                            break
+                    count += 1
+    return comp
 
 
 @dataclass(frozen=True)
 class SccDecomposition:
-    """Maximal SCCs of the reachable part, listed in topological order.
-
-    The component id doubles as its rank (ids are assigned along a
-    topological numbering of the condensation), so ``rank`` is the
-    identity map; it is kept as an explicit field because callers consume
-    ranks, not ids.
-    """
+    """Maximal SCCs of the reachable part, listed in topological order."""
 
     sccs: tuple[tuple[int, ...], ...]
 
     @cached_property
     def scc_of(self) -> dict[int, int]:
         return {q: i for i, comp in enumerate(self.sccs) for q in comp}
-
-    @property
-    def rank(self) -> dict[int, int]:
-        return {i: i for i in range(len(self.sccs))}
 
 
 @dataclass(frozen=True)
@@ -123,28 +113,21 @@ def reachable_states(a, origin: int) -> frozenset[int]:
 
 def scc_decompose(a) -> SccDecomposition:
     """Maximal SCCs of the part reachable from the initial state."""
-    adj = _adjacency(a)
-    nodes = sorted(reachable_states(a, a.initial))
-    comps = _tarjan(nodes, lambda q: adj[q])
-    comps.reverse()
-    return SccDecomposition(sccs=tuple(tuple(sorted(c)) for c in comps))
+    comp = _scc_ids(a.state_count, _adjacency(a), sorted(reachable_states(a, a.initial)))
+    last = max(comp)
+    sccs: list[list[int]] = [[] for _ in range(last + 1)]
+    for q, c in enumerate(comp):
+        if c >= 0:
+            sccs[last - c].append(q)
+    return SccDecomposition(sccs=tuple(map(tuple, sccs)))
 
 
 def transient_elements(a) -> tuple[frozenset[Transition], frozenset[int]]:
     """Transitions and states that lie on no cycle of the full graph."""
-    adj = _adjacency(a)
-    comps = _tarjan(range(a.state_count), lambda q: adj[q])
-    comp_of = {q: i for i, comp in enumerate(comps) for q in comp}
-    transient_ts = frozenset(
-        t for t in a.transitions if comp_of[t.src] != comp_of[t.dst]
-    )
-    has_self_loop = {t.src for t in a.transitions if t.src == t.dst}
-    transient_states = frozenset(
-        comp[0]
-        for comp in comps
-        if len(comp) == 1 and comp[0] not in has_self_loop
-    )
-    return transient_ts, transient_states
+    comp = _scc_ids(a.state_count, _adjacency(a))
+    transient_ts = frozenset(t for t in a.transitions if comp[t.src] != comp[t.dst])
+    on_cycle = {t.src for t in a.transitions if comp[t.src] == comp[t.dst]}
+    return transient_ts, frozenset(range(a.state_count)) - on_cycle
 
 
 def dpa_lasso_run(a: ParityAutomaton, w: LassoWord, start: int | None = None) -> RunAnalysis:
@@ -155,6 +138,7 @@ def dpa_lasso_run(a: ParityAutomaton, w: LassoWord, start: int | None = None) ->
     """
     if start is not None and not 0 <= start < a.state_count:
         raise AutomatonError(f"state {start} out of range")
+    a.alphabet.check_letters(w.prefix + w.period)
     q = a.initial if start is None else start
     u, v = w.prefix, w.period
     states = [q]
@@ -194,104 +178,121 @@ def gca_lasso_member(a: CoBuchiAutomaton, w: LassoWord) -> bool:
     iff a cycle of accepting transitions is reachable there, since an
     accepting run is eventually trapped on such a cycle.
     """
-    u, v = w.prefix, w.period
-    length = len(u) + len(v)
-
-    def letter(p):
-        return u[p] if p < len(u) else v[p - len(u)]
-
-    def advance(p):
-        return p + 1 if p + 1 < length else len(u)
-
-    start = (a.initial, 0)
-    seen = {start}
-    todo = deque([start])
-    acc_adj: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    while todo:
-        q, p = todo.popleft()
-        nxt_p = advance(p)
-        for t in a.successors(q, letter(p)):
-            node = (t.dst, nxt_p)
+    letters = w.prefix + w.period
+    a.alphabet.check_letters(letters)
+    length = len(letters)
+    size = a.state_count * length  # node (q, p) is q * length + p
+    start = a.initial * length
+    seen = [False] * size
+    seen[start] = True
+    order = [start]
+    acc: list[list[int]] = [[] for _ in range(size)]
+    for node in order:  # BFS: ``order`` grows while it is scanned
+        q, p = divmod(node, length)
+        nxt_p = p + 1 if p + 1 < length else len(w.prefix)
+        for t in a.successors(q, letters[p]):
+            nxt = t.dst * length + nxt_p
             if t.color == 2:
-                acc_adj.setdefault((q, p), []).append(node)
-            if node not in seen:
-                seen.add(node)
-                todo.append(node)
-    comps = _tarjan(sorted(seen), lambda n: acc_adj.get(n, ()))
-    comp_of = {n: i for i, comp in enumerate(comps) for n in comp}
-    for src, dsts in acc_adj.items():
-        for dst in dsts:
-            if comp_of[src] == comp_of[dst]:
-                return True
-    return False
+                acc[node].append(nxt)
+            if not seen[nxt]:
+                seen[nxt] = True
+                order.append(nxt)
+    comp = _scc_ids(size, acc, order)
+    return any(comp[node] == comp[nxt] for node in order for nxt in acc[node])
 
 
 class _Product:
-    """Synchronous pair product of two complete DPAs, states flattened."""
+    """Synchronous pair product of two complete DPAs as flat int lists.
+
+    Node (qa, qb) is qa * |Qb| + qb; edge e = node * |Σ| + sym leads to
+    ``dst[e]`` and carries the colors ``ca[e]`` (of a) and ``cb[e]`` (of b).
+    """
 
     def __init__(self, a: ParityAutomaton, b: ParityAutomaton):
         if a.alphabet != b.alphabet:
             raise AutomatonError("automata must share one alphabet")
-        self.a, self.b = a, b
+        self.k = k = len(a.alphabet)
         self.size = a.state_count * b.state_count
-        n = b.state_count
-        self.edges: list[list[tuple[int, int, int, int]]] = [[] for _ in range(self.size)]
+        nb = b.state_count
+        rows_a = [a.step(q, sym) for q in range(a.state_count) for sym in range(k)]
+        rows_b = [b.step(q, sym) for q in range(nb) for sym in range(k)]
+        self.dst: list[int] = []
+        self.ca: list[int] = []
+        self.cb: list[int] = []
         for qa in range(a.state_count):
-            for qb in range(b.state_count):
-                node = qa * n + qb
-                for sym in range(len(a.alphabet)):
-                    ta = a.step(qa, sym)
-                    tb = b.step(qb, sym)
-                    dst = ta.dst * n + tb.dst
-                    self.edges[node].append((sym, dst, ta.color, tb.color))
+            for qb in range(nb):
+                for sym in range(k):
+                    ta, tb = rows_a[qa * k + sym], rows_b[qb * k + sym]
+                    self.dst.append(ta.dst * nb + tb.dst)
+                    self.ca.append(ta.color)
+                    self.cb.append(tb.color)
 
-    def full_successors(self, node):
-        return [dst for _, dst, _, _ in self.edges[node]]
+    def bad_sccs(self, c1: list[int], c2: list[int]) -> list[tuple[list[int], int, int]]:
+        """Node sets of the product SCCs holding a cycle whose minima under
+        ``c1`` and ``c2`` are even and odd, each with its minima (m1, m2).
 
-    def flagged_reachable_nodes(self, ca: int, cb: int) -> set[int]:
-        """Nodes from which a cycle with exact color minima (ca, cb) is
-        reachable; ca and cb are assumed to be of different parity."""
-        restricted: list[list[int]] = [[] for _ in range(self.size)]
-        for node in range(self.size):
-            for _, dst, c1, c2 in self.edges[node]:
-                if c1 >= ca and c2 >= cb:
-                    restricted[node].append(dst)
-        comps = _tarjan(range(self.size), lambda q: restricted[q])
-        comp_of = {q: i for i, comp in enumerate(comps) for q in comp}
-        hits_a = set()
-        hits_b = set()
-        for node in range(self.size):
-            for _, dst, c1, c2 in self.edges[node]:
-                if c1 >= ca and c2 >= cb and comp_of[node] == comp_of[dst]:
-                    if c1 == ca:
-                        hits_a.add(comp_of[node])
-                    if c2 == cb:
-                        hits_b.add(comp_of[node])
-        flagged = hits_a & hits_b
-        if not flagged:
-            return set()
-        targets = {q for q in range(self.size) if comp_of[q] in flagged}
-        reverse: list[list[int]] = [[] for _ in range(self.size)]
-        for node in range(self.size):
-            for _, dst, _, _ in self.edges[node]:
-                reverse[dst].append(node)
-        todo = deque(targets)
+        Nested SCC refinement (the Streett emptiness check): in every SCC
+        of the live edges take the internal minima m1 and m2.  If m1 is even
+        and m2 is odd the SCC is bad; else if m1 is odd its c1 = m1 edges
+        are dropped, else its c2 = m2 edges; repeat until no edge is live.
+        A dropped edge lies on no cycle with an even c1-minimum and an odd
+        c2-minimum, so every such cycle ends up in a bad SCC, and every
+        round raises a minimum of each SCC it keeps, so there are at most
+        as many rounds as distinct values in c1 and c2.  Inside a bad SCC the live edges are
+        exactly its internal edges with c1 >= m1 and c2 >= m2.
+        """
+        k, dst = self.k, self.dst
+        live = range(len(dst))
+        bad = []
+        while live:
+            succ: list[list[int]] = [[] for _ in range(self.size)]
+            for e in live:
+                succ[e // k].append(dst[e])
+            comp = _scc_ids(self.size, succ)
+            minima: dict[int, tuple[int, int]] = {}
+            internal = []
+            for e in live:
+                c = comp[e // k]
+                if c == comp[dst[e]]:
+                    internal.append(e)
+                    m1, m2 = minima.get(c, (c1[e], c2[e]))
+                    minima[c] = (min(m1, c1[e]), min(m2, c2[e]))
+            bad_ids = {c for c, (m1, m2) in minima.items() if m1 % 2 == 0 and m2 % 2 == 1}
+            members: dict[int, list[int]] = {c: [] for c in bad_ids}
+            for node, c in enumerate(comp):
+                if c in bad_ids:
+                    members[c].append(node)
+            bad += [(members[c], *minima[c]) for c in sorted(bad_ids)]
+            kept = []
+            for e in internal:
+                c = comp[e // k]
+                m1, m2 = minima[c]
+                if c in bad_ids or (c1[e] == m1 if m1 % 2 else c2[e] == m2):
+                    continue
+                kept.append(e)
+            live = kept
+        return bad
+
+    def path(self, start: int, goal, usable=None) -> list[int] | None:
+        """Edges of a shortest path from ``start`` to the first node that
+        passes ``goal``, over edges that pass ``usable`` (default: all).
+        Breadth first with letters in ascending order, so deterministic."""
+        k, dst = self.k, self.dst
+        prev = {start: -1}
+        todo = deque([start])
         while todo:
             node = todo.popleft()
-            for prev in reverse[node]:
-                if prev not in targets:
-                    targets.add(prev)
-                    todo.append(prev)
-        return targets
-
-
-def _parity_pairs(colors_a, colors_b):
-    return [
-        (ca, cb)
-        for ca in colors_a
-        for cb in colors_b
-        if (ca - cb) % 2 == 1
-    ]
+            if goal(node):
+                edges = []
+                while prev[node] >= 0:
+                    edges.append(prev[node])
+                    node = prev[node] // k
+                return edges[::-1]
+            for e in range(node * k, node * k + k):
+                if dst[e] not in prev and (usable is None or usable(e)):
+                    prev[dst[e]] = e
+                    todo.append(dst[e])
+        return None
 
 
 @lru_cache(maxsize=64)
@@ -299,23 +300,32 @@ def state_equivalence(a: ParityAutomaton) -> Partition:
     """Partition the states of a complete DPA by language equivalence.
 
     Two states disagree iff the pair product reaches, from their pair, a
-    cycle whose two color minima have different parity.  For every ordered
-    color pair (x, y) of different parity this is decided by restricting
-    the product to edges with colors >= (x, y) and flagging SCCs that
-    realize both minima exactly.  Results are cached per automaton, as the
-    partition is reused by structuring, chain extraction, and co-runs.
+    cycle whose two color minima have different parity.  One nested SCC
+    refinement of a x a finds the product SCCs holding a cycle with an even
+    first and an odd second minimum; (q, r) is inequivalent iff (q, r) or
+    (r, q) reaches one of them, as the product is symmetric.  Results are
+    cached per automaton, as the partition is reused by structuring, chain
+    extraction, and co-runs.
     """
     product = _Product(a, a)
-    n = a.state_count
-    inequivalent = set()
-    for ca, cb in _parity_pairs(a.colors, a.colors):
-        for node in product.flagged_reachable_nodes(ca, cb):
-            inequivalent.add((node // n, node % n))
+    n, k = a.state_count, product.k
+    marked = [False] * product.size
+    todo = [node for nodes, _, _ in product.bad_sccs(product.ca, product.cb) for node in nodes]
+    for node in todo:
+        marked[node] = True
+    pred: list[list[int]] = [[] for _ in range(product.size)]
+    for e, d in enumerate(product.dst):
+        pred[d].append(e // k)
+    while todo:
+        for prev in pred[todo.pop()]:
+            if not marked[prev]:
+                marked[prev] = True
+                todo.append(prev)
     reps: list[int] = []
     members: list[list[int]] = []
     for q in range(n):
         for idx, rep in enumerate(reps):
-            if (rep, q) not in inequivalent:
+            if not marked[rep * n + q] and not marked[q * n + rep]:
                 members[idx].append(q)
                 break
         else:
@@ -324,110 +334,52 @@ def state_equivalence(a: ParityAutomaton) -> Partition:
     return Partition(classes=tuple(tuple(c) for c in members))
 
 
-def _bfs_path(succ, sources, goal_test):
-    """Shortest path via BFS; returns node list or None.  Deterministic for
-    deterministic successor order."""
-    prev: dict[int, int | None] = {s: None for s in sources}
-    todo = deque(sources)
-    while todo:
-        node = todo.popleft()
-        if goal_test(node):
-            path = [node]
-            while prev[node] is not None:
-                node = prev[node]
-                path.append(node)
-            return list(reversed(path))
-        for nxt in succ(node):
-            if nxt not in prev:
-                prev[nxt] = node
-                todo.append(nxt)
-    return None
-
-
 def dpa_language_equiv(
     a: ParityAutomaton, b: ParityAutomaton
 ) -> tuple[bool, LassoWord | None]:
     """Decide L(a) = L(b); on inequality also return a witness lasso.
 
-    The witness stem is a shortest product path from the initial pair into
-    the first flagged SCC (color pairs in ascending order, then smallest
-    SCC entry node), and its period is a product cycle through one edge
-    realizing each of the two extremal colors, so the two runs' dominating
-    colors have different parity by construction.
+    The languages differ iff the a x b product reaches a bad SCC of the
+    nested refinement (see ``_Product.bad_sccs``) with a's colors first, or
+    one with b's colors first.  The witness stem is a shortest product path
+    from the initial pair to the nearest bad SCC (breadth first, letters
+    ascending; a's-colors-first SCCs are tried first), and its period is a
+    cycle inside that SCC through its lowest-numbered edge realizing m1
+    and its lowest-numbered edge realizing m2.  Every edge of the cycle has
+    colors >= (m1, m2), so the two runs' dominating colors are exactly m1
+    and m2, of different parity.
     """
     product = _Product(a, b)
     init = a.initial * b.state_count + b.initial
-    for ca, cb in sorted(_parity_pairs(a.colors, b.colors)):
-        nodes = product.flagged_reachable_nodes(ca, cb)
-        if init not in nodes:
-            continue
-        witness = _extract_witness(product, init, ca, cb)
-        return False, witness
+    for c1, c2 in ((product.ca, product.cb), (product.cb, product.ca)):
+        bad = product.bad_sccs(c1, c2)
+        owner = {node: i for i, (nodes, _, _) in enumerate(bad) for node in nodes}
+        stem = product.path(init, owner.__contains__)
+        if stem is not None:
+            end = product.dst[stem[-1]] if stem else init
+            return False, _witness(product, stem, end, bad[owner[end]], c1, c2)
     return True, None
 
 
-def _extract_witness(product: _Product, init: int, ca: int, cb: int) -> LassoWord:
-    restricted: list[list[tuple[int, int]]] = [[] for _ in range(product.size)]
-    realize_a: list[tuple[int, int, int]] = []
-    realize_b: list[tuple[int, int, int]] = []
-    for node in range(product.size):
-        for sym, dst, c1, c2 in product.edges[node]:
-            if c1 >= ca and c2 >= cb:
-                restricted[node].append((sym, dst))
-                if c1 == ca:
-                    realize_a.append((node, sym, dst))
-                if c2 == cb:
-                    realize_b.append((node, sym, dst))
-    comps = _tarjan(range(product.size), lambda q: [d for _, d in restricted[q]])
-    comp_of = {q: i for i, comp in enumerate(comps) for q in comp}
+def _witness(product: _Product, stem, anchor, scc, c1, c2) -> LassoWord:
+    """Lasso along ``stem`` into ``scc``, then around a cycle from ``anchor``
+    through the SCC's lowest-numbered m1-edge and m2-edge."""
+    nodes, m1, m2 = scc
+    inside = set(nodes)
+    k, dst = product.k, product.dst
 
-    def internal(edges, comp_id):
-        return sorted(
-            e for e in edges if comp_of[e[0]] == comp_id and comp_of[e[2]] == comp_id
-        )
+    def usable(e):
+        return dst[e] in inside and c1[e] >= m1 and c2[e] >= m2
 
-    flagged = sorted(
-        {comp_of[e[0]] for e in realize_a if comp_of[e[0]] == comp_of[e[2]]}
-        & {comp_of[e[0]] for e in realize_b if comp_of[e[0]] == comp_of[e[2]]}
-    )
-    best = None
-    for comp_id in flagged:  # smallest flagged reachable SCC id wins
-        stem_path = _bfs_path(
-            product.full_successors, [init], lambda q, c=comp_id: comp_of[q] == c
-        )
-        if stem_path is not None:
-            best = (comp_id, stem_path)
-            break
-    assert best is not None, "no reachable flagged SCC despite inequivalence"
-    comp_id, stem_path = best
-    edge_a = internal(realize_a, comp_id)[0]
-    edge_b = internal(realize_b, comp_id)[0]
-
-    def inner_succ(q):
-        return [d for _, d in restricted[q] if comp_of[d] == comp_id]
-
-    def inner_path(src, dst):
-        path = _bfs_path(inner_succ, [src], lambda q: q == dst)
-        assert path is not None, "SCC is strongly connected"
-        return path
-
-    def letters_along(path):
-        out = []
-        for here, nxt in zip(path, path[1:]):
-            sym = min(s for s, d in restricted[here] if d == nxt)
-            out.append(sym)
-        return out
-
-    anchor = stem_path[-1]
+    edges = [e for q in nodes for e in range(q * k, q * k + k) if usable(e)]
+    e1 = min(e for e in edges if c1[e] == m1)
+    e2 = min(e for e in edges if c2[e] == m2)
     period: list[int] = []
-    period += letters_along(inner_path(anchor, edge_a[0]))
-    period.append(edge_a[1])
-    period += letters_along(inner_path(edge_a[2], edge_b[0]))
-    period.append(edge_b[1])
-    period += letters_along(inner_path(edge_b[2], anchor))
-
-    stem = []
-    for here, nxt in zip(stem_path, stem_path[1:]):
-        sym = min(s for s, d, _, _ in product.edges[here] if d == nxt)
-        stem.append(sym)
-    return normalize_lasso(LassoWord(tuple(stem), tuple(period)))
+    here = anchor
+    for e in (e1, e2):
+        period += product.path(here, (e // k).__eq__, usable) + [e]
+        here = dst[e]
+    period += product.path(here, anchor.__eq__, usable)
+    return normalize_lasso(
+        LassoWord(tuple(e % k for e in stem), tuple(e % k for e in period))
+    )

@@ -1,12 +1,17 @@
-"""Independent brute-force oracles used to cross-check the library.
+"""Independent reference algorithms used to cross-check the library.
 
-These deliberately avoid the algorithms under test: no Tarjan SCCs and no
-per-color-pair flagging.  They explore walks of the relevant product
-graphs directly, which is exhaustive on the small instances the tests use.
+The brute-force oracles explore walks of the relevant product graphs
+directly, which is exhaustive on the small instances the tests use.  For
+larger instances, ``reference_partition`` and ``reference_equiv`` decide
+equivalence by flagging one restricted product per ordered color pair of
+different parity, not by the library's nested SCC refinement; they and
+``streamline_one_scc_per_pass`` share only the library's SCC routine.
 """
 
-from paritychain import LassoWord, ParityAutomaton, Transition
-from paritychain.graphs import _tarjan
+from collections import deque
+
+from paritychain import LassoWord, ParityAutomaton, Partition, Transition
+from paritychain.graphs import _scc_ids
 
 
 def _product_steps(a: ParityAutomaton, node):
@@ -111,18 +116,16 @@ def streamline_one_scc_per_pass(a: ParityAutomaton) -> ParityAutomaton:
     live = set(a.transitions)
     counter = 0
     while live:
-        succ: dict[int, set[int]] = {}
+        succ: list[list[int]] = [[] for _ in range(a.state_count)]
         for t in live:
-            succ.setdefault(t.src, set()).add(t.dst)
-        nodes = sorted({t.src for t in live} | {t.dst for t in live})
-        comps = _tarjan(nodes, lambda q: sorted(succ.get(q, ())))
-        comp_of = {q: c for c, comp in enumerate(comps) for q in comp}
+            succ[t.src].append(t.dst)
+        comp_of = _scc_ids(a.state_count, succ)
         transient = {t for t in live if comp_of[t.src] != comp_of[t.dst]}
         for t in transient:
             new_color[(t.src, t.sym)] = counter
         live -= transient
         lowered = False
-        for comp_id in range(len(comps)):
+        for comp_id in range(max(comp_of) + 1):
             internal = [t for t in live if comp_of[t.src] == comp_id == comp_of[t.dst]]
             if not internal:
                 continue
@@ -162,3 +165,63 @@ def minimal_lasso_brute(w: LassoWord) -> LassoWord:
             if candidate.head(probe) == reference:
                 return candidate
     return w
+
+
+def _flagged_nodes(a: ParityAutomaton, b: ParityAutomaton, ca: int, cb: int) -> set:
+    """Pairs (q, r) of the a x b product from which a cycle with exact color
+    minima (ca, cb) is reachable: restrict the product to edges with colors
+    >= (ca, cb), flag the SCCs with internal edges realizing both minima,
+    and close backwards over the full product."""
+    nb, k = b.state_count, len(a.alphabet)
+    size = a.state_count * nb
+    edges = []  # (src, dst, color in a, color in b), src = q * nb + r
+    for src in range(size):
+        q, r = divmod(src, nb)
+        for sym in range(k):
+            ta, tb = a.step(q, sym), b.step(r, sym)
+            edges.append((src, ta.dst * nb + tb.dst, ta.color, tb.color))
+    restricted = [(s, d, c1, c2) for s, d, c1, c2 in edges if c1 >= ca and c2 >= cb]
+    succ = [[] for _ in range(size)]
+    for s, d, _, _ in restricted:
+        succ[s].append(d)
+    comp = _scc_ids(size, succ)
+    inner = [(comp[s], c1, c2) for s, d, c1, c2 in restricted if comp[s] == comp[d]]
+    flagged = {c for c, c1, _ in inner if c1 == ca} & {c for c, _, c2 in inner if c2 == cb}
+    marked = {node for node in range(size) if comp[node] in flagged}
+    pred = [[] for _ in range(size)]
+    for s, d, _, _ in edges:
+        pred[d].append(s)
+    todo = deque(marked)
+    while todo:
+        for prev in pred[todo.popleft()]:
+            if prev not in marked:
+                marked.add(prev)
+                todo.append(prev)
+    return {divmod(node, nb) for node in marked}
+
+
+def _parity_pairs(a: ParityAutomaton, b: ParityAutomaton):
+    return [(ca, cb) for ca in a.colors for cb in b.colors if (ca - cb) % 2 == 1]
+
+
+def reference_partition(a: ParityAutomaton) -> Partition:
+    """Language-equivalence classes of a complete DPA, one flagging pass
+    per ordered color pair of different parity."""
+    inequivalent = set()
+    for ca, cb in _parity_pairs(a, a):
+        inequivalent |= _flagged_nodes(a, a, ca, cb)
+    classes: list[list[int]] = []
+    for q in range(a.state_count):
+        for members in classes:
+            if (members[0], q) not in inequivalent:
+                members.append(q)
+                break
+        else:
+            classes.append([q])
+    return Partition(tuple(map(tuple, classes)))
+
+
+def reference_equiv(a: ParityAutomaton, b: ParityAutomaton) -> bool:
+    """Whether L(a) = L(b), by the same per-color-pair flagging."""
+    init = (a.initial, b.initial)
+    return not any(init in _flagged_nodes(a, b, ca, cb) for ca, cb in _parity_pairs(a, b))

@@ -1,7 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
 
 import pytest
+
+import paritychain
 
 from conftest import flower_automaton, random_lasso
 from paritychain import (
@@ -103,6 +110,20 @@ class TestValidate:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/x.aut")
         assert code == 2
+
+    def test_module_entry_point_runs_without_warning(self):
+        # the package must not import its own CLI, or ``-m`` warns
+        fig1 = resources.files("paritychain") / "data" / "fig1.aut"
+        src = str(Path(paritychain.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "paritychain.cli",
+             "validate", str(fig1)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
 
 class TestPipeline:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import WORD_CA, WORD_CABB, random_lasso
+from conftest import WORD_CA, WORD_CABB, flower_automaton, random_lasso
 from oracles import gca_member_oracle
 from paritychain import (
     Alphabet,
@@ -157,3 +157,24 @@ class TestResolveRun:
                 assert accepted == member
                 assert accepted == (not rejects)
                 assert member == gca_member_oracle(level, w)
+
+
+def _letter_checked_calls():
+    s, equiv = prepared(flower_automaton())
+    level0 = extract_chain(s, equiv).levels[0]
+    bad = LassoWord((0,), (1, 5))
+    return {
+        "dpa_lasso_run": lambda: dpa_lasso_run(s, bad),
+        "gca_lasso_member": lambda: gca_lasso_member(level0, bad),
+        "coruns": lambda: coruns(s, equiv, bad),
+        "resolve_run": lambda: resolve_run(level0, bad),
+        "gfg_resolver_step": lambda: gfg_resolver_step(level0, ResolverState.start(level0), 5),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_letter_checked_calls()))
+def test_out_of_range_letter_rejected(entry):
+    # letter 5 over the flower's three letters; level 0 of the chain would
+    # otherwise be expected to accept every word
+    with pytest.raises(AutomatonError, match="letter index 5 .* alphabet of 3 letters"):
+        _letter_checked_calls()[entry]()

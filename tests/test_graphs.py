@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import WORD_AA, WORD_CA, WORD_CABB, random_lasso
-from oracles import gca_member_oracle, states_distinguishable
+from oracles import gca_member_oracle, reference_equiv, reference_partition, states_distinguishable
 from paritychain import (
     Alphabet,
     AutomatonError,
@@ -63,7 +63,7 @@ class TestSccDecompose:
     def test_rank_respects_reachability(self):
         scc = scc_decompose(two_state_chain())
         assert scc.sccs == ((0,), (1,))
-        assert scc.rank[scc.scc_of[0]] < scc.rank[scc.scc_of[1]]
+        assert scc.scc_of[0] < scc.scc_of[1]
 
     def test_single_self_loop_nontrivial(self):
         a = ParityAutomaton(Alphabet(("a",)), 1, 0, (T(0, 0, 0, 0),))
@@ -234,3 +234,62 @@ class TestLanguageEquivalence:
                 assert dpa_lasso_run(a, w).accepted == dpa_lasso_run(b, w).accepted
         else:
             assert dpa_lasso_run(a, witness).accepted != dpa_lasso_run(b, witness).accepted
+
+
+def _staircase(base: ParityAutomaton, copies: int, rng: random.Random) -> ParityAutomaton:
+    # copies of ``base`` in a row of SCCs; about one transition in three hops
+    # to the same target in the next copy, so equivalent states span SCCs
+    n = base.state_count
+    ts = tuple(
+        T(c * n + t.src, t.sym, (c + (c + 1 < copies and rng.randrange(3) == 0)) * n + t.dst, t.color)
+        for c in range(copies)
+        for t in base.transitions
+    )
+    return ParityAutomaton(base.alphabet, copies * n, base.initial, ts)
+
+
+def _blowup(base: ParityAutomaton, m: int, rng: random.Random) -> ParityAutomaton:
+    # state (q, j) -> q*m + j; each transition adds 0 or 1 to j mod m, so
+    # every class holds m copies of one base state
+    shift = {(t.src, t.sym): rng.randrange(2) for t in base.transitions}
+    ts = tuple(
+        T(t.src * m + j, t.sym, t.dst * m + (j + shift[(t.src, t.sym)]) % m, t.color)
+        for t in base.transitions
+        for j in range(m)
+    )
+    return ParityAutomaton(base.alphabet, base.state_count * m, base.initial * m, ts)
+
+
+def _color_flip(a: ParityAutomaton, rng: random.Random) -> ParityAutomaton:
+    least = min(t.color for t in a.transitions)
+    pick = rng.choice([t for t in a.transitions if t.color == least])
+    ts = tuple(T(t.src, t.sym, t.dst, t.color + (t == pick)) for t in a.transitions)
+    return ParityAutomaton(a.alphabet, a.state_count, a.initial, ts)
+
+
+def _medium_dpa(seed: int) -> ParityAutomaton:
+    rng = random.Random(900 + seed)
+    colors, letters = rng.randrange(2, 6), rng.randrange(1, 4)
+    kind = seed % 3
+    if kind == 0:  # one letter would prune to a short lasso
+        return random_dpa(rng.randrange(24, 81), colors, max(letters, 2), seed)
+    base = random_dpa(rng.randrange(6, 21), colors, letters, seed)
+    copies = max(rng.randrange(2, 5), -(-20 // base.state_count))  # 20-80 states
+    return (_staircase if kind == 1 else _blowup)(base, copies, rng)
+
+
+class TestMediumDifferential:
+    """Random, staircase and blow-up DPAs of 20-80 states against the
+    per-color-pair reference, where the walk oracles are too slow."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_partition_verdicts_and_witnesses(self, seed):
+        a = _medium_dpa(seed)
+        assert 20 <= a.state_count <= 80
+        assert state_equivalence(a) == reference_partition(a)
+        flipped = _color_flip(a, random.Random(seed))
+        for x, y in ((a, flipped), (flipped, a), (a, streamline(structure_dpa(a)))):
+            equal, witness = dpa_language_equiv(x, y)
+            assert equal == reference_equiv(x, y)
+            if not equal:
+                assert dpa_lasso_run(x, witness).accepted != dpa_lasso_run(y, witness).accepted
