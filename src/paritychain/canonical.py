@@ -149,18 +149,8 @@ def structure_dpa(a: ParityAutomaton) -> ParityAutomaton:
     return structure_dpa_with_map(a)[0]
 
 
-def streamline(a: ParityAutomaton) -> ParityAutomaton:
-    """Push transition colors down as far as the language allows.
-
-    Works on a coloring graph holding the not-yet-recolored transitions.
-    With a counter i starting at 0: transitions of the graph that lie on
-    no cycle get color i and are removed; then every SCC whose least
-    remaining color has the parity of i has those least-color transitions
-    recolored to i and removed, which restarts the scan without
-    incrementing; otherwise i increments.  Colors only ever decrease, the
-    edge structure is untouched, and the automaton's language (in fact the
-    dominating color's parity on every run) is preserved.
-    """
+def _streamlined_colors(a: ParityAutomaton) -> dict[tuple[int, int], int]:
+    """The (src, sym) -> color map of ``streamline``; see there."""
     ok, violations = is_structured(a)
     if not ok:
         raise PreconditionError("automaton is not structured: " + "; ".join(violations))
@@ -195,7 +185,22 @@ def streamline(a: ParityAutomaton) -> ParityAutomaton:
                     live.append(t)
         if not lowered:
             i += 1
+    return new_color
 
+
+def streamline(a: ParityAutomaton) -> ParityAutomaton:
+    """Push transition colors down as far as the language allows.
+
+    Works on a coloring graph holding the not-yet-recolored transitions.
+    With a counter i starting at 0: transitions of the graph that lie on
+    no cycle get color i and are removed; then every SCC whose least
+    remaining color has the parity of i has those least-color transitions
+    recolored to i and removed, which restarts the scan without
+    incrementing; otherwise i increments.  Colors only ever decrease, the
+    edge structure is untouched, and the automaton's language (in fact the
+    dominating color's parity on every run) is preserved.
+    """
+    new_color = _streamlined_colors(a)
     ts = tuple(
         Transition(t.src, t.sym, t.dst, new_color[(t.src, t.sym)])
         for t in a.transitions
@@ -205,7 +210,8 @@ def streamline(a: ParityAutomaton) -> ParityAutomaton:
 
 def is_streamlined(a: ParityAutomaton) -> bool:
     """Whether streamlining is a no-op, i.e. the colors are already minimal."""
-    return streamline(a).transitions == a.transitions
+    new_color = _streamlined_colors(a)
+    return all(new_color[(t.src, t.sym)] == t.color for t in a.transitions)
 
 
 def extract_chain(a: ParityAutomaton, equiv: Partition) -> ChainRepresentation:

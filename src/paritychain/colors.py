@@ -14,7 +14,7 @@ from .core import (
     Partition,
     PreconditionError,
 )
-from .graphs import dpa_lasso_run, gca_lasso_member
+from .graphs import gca_lasso_member
 
 
 @dataclass(frozen=True)
@@ -27,52 +27,107 @@ class CoRun:
     dominating_color: int
 
 
+def _dominating_colors(a: ParityAutomaton, equiv: Partition, w: LassoWord):
+    """Checks the partition and the word, then returns ``color(q, p)``: the
+    dominating color of the run of ``a`` from state q on ``w`` read from
+    position p, 0 <= p < |prefix| + |period|.
+
+    Nodes (q, p) form a functional graph (period positions wrap), so each
+    node is resolved once: walk until a resolved node or a node of this
+    walk; every node on the walk reaches that cycle and gets its least color.
+    """
+    if equiv.state_count != a.state_count:
+        raise AutomatonError("partition does not match the automaton's state count")
+    letters = w.prefix + w.period
+    a.alphabet.check_letters(letters)
+    length, u_len = len(letters), len(w.prefix)
+    table = [-1] * (a.state_count * length)  # node (q, p) is q * length + p; -2: on the walk
+
+    def color(q: int, p: int) -> int:
+        value = table[q * length + p]
+        if value >= 0:
+            return value
+        walk: list[int] = []
+        colors: list[int] = []
+        node = q * length + p
+        while table[node] == -1:
+            table[node] = -2
+            walk.append(node)
+            t = a.step(q, letters[p])
+            colors.append(t.color)
+            q, p = t.dst, (p + 1 if p + 1 < length else u_len)
+            node = q * length + p
+        value = min(colors[walk.index(node):]) if table[node] == -2 else table[node]
+        for n in walk:
+            table[n] = value
+        return value
+
+    return color
+
+
 def coruns(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> tuple[CoRun, ...]:
     """All co-runs of ``a`` on ``w`` with jump positions up to
     |prefix| + |Q|*|period|.
 
     Beyond that bound the (run state, suffix rotation) pairs repeat, so no
     further dominating colors can arise.  The jump to the run's own state
-    is included; it reproduces the plain run.
+    is included; it reproduces the plain run.  Each (jump target, word
+    position) node is resolved once, in one table shared by all co-runs.
     """
-    if equiv.state_count != a.state_count:
-        raise AutomatonError("partition does not match the automaton's state count")
-    a.alphabet.check_letters(w.prefix + w.period)
-    bound = len(w.prefix) + a.state_count * len(w.period)
+    color = _dominating_colors(a, equiv, w)
+    u_len, v_len = len(w.prefix), len(w.period)
+    bound = u_len + a.state_count * v_len
     run = [a.initial]
     for k in range(bound):
         run.append(a.step(run[-1], w.letter_at(k)).dst)
-    cache: dict[tuple[int, int], int] = {}
     out = []
     for p in range(1, bound + 1):
-        if p <= len(w.prefix):
-            suffix_key = p
-        else:
-            suffix_key = len(w.prefix) + (p - len(w.prefix)) % len(w.period)
+        position = p if p <= u_len else u_len + (p - u_len) % v_len
         for target in equiv.mates(run[p]):
-            key = (target, suffix_key)
-            if key not in cache:
-                cache[key] = dpa_lasso_run(
-                    a, w.suffix(suffix_key), start=target
-                ).dominating_color
-            out.append(CoRun(p, target, cache[key]))
+            out.append(CoRun(p, target, color(target, position)))
     return tuple(out)
 
 
 def corun_color(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> int:
     """The natural color of ``w`` for L(a): the maximal dominating color
-    over all co-runs of the streamlined automaton ``a``."""
+    over all co-runs of the streamlined automaton ``a``.
+
+    The run is followed from position 1 until its (state, word position)
+    node repeats; every co-run jumps at one of these nodes, so the answer
+    is the largest table color of a mate of the run state at any of them.
+    """
     if not is_streamlined(a):
         raise PreconditionError("natural colors are read off streamlined automata")
-    return max(cr.dominating_color for cr in coruns(a, equiv, w))
+    color = _dominating_colors(a, equiv, w)
+    letters = w.prefix + w.period
+    length, u_len = len(letters), len(w.prefix)
+    q, p = a.initial, 0
+    nodes: dict[tuple[int, int], None] = {}  # the run's nodes, in run order
+    while True:
+        q, p = a.step(q, letters[p]).dst, (p + 1 if p + 1 < length else u_len)
+        if (q, p) in nodes:
+            break
+        nodes[(q, p)] = None
+    return max(color(mate, p) for q, p in nodes for mate in equiv.mates(q))
 
 
 def natural_color_via_chain(c: ChainRepresentation, w: LassoWord) -> int:
-    """The maximal chain level that accepts ``w``; level 0 is universal."""
-    for i in range(len(c.levels) - 1, -1, -1):
-        if gca_lasso_member(c.levels[i], w):
-            return i
-    raise AutomatonError("chain level 0 must accept every word")
+    """The maximal chain level that accepts ``w``; level 0 is universal.
+
+    The levels are nested, L(A_{i+1}) included in L(A_i), so membership is
+    monotone in i and the top accepting level is found by bisection with
+    O(log |levels|) membership checks.
+    """
+    if not gca_lasso_member(c.levels[0], w):
+        raise AutomatonError("chain level 0 must accept every word")
+    lo, hi = 0, len(c.levels)  # level lo accepts; levels >= hi reject
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if gca_lasso_member(c.levels[mid], w):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 @dataclass(frozen=True)

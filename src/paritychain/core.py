@@ -290,19 +290,31 @@ class ValidationReport:
         return self.ok
 
 
+_MAX_VIOLATIONS = 10
+
+
 def validate_dpa(a: ParityAutomaton) -> ValidationReport:
-    """Check determinism and completeness; report every offending row."""
+    """Check determinism and completeness; report the first offending rows,
+    at most ``_MAX_VIOLATIONS`` of them, then how many more there are."""
     violations = []
+    more = 0
     for src in range(a.state_count):
         for sym in range(len(a.alphabet)):
             ts = a.rows.get((src, sym), ())
+            if len(ts) == 1:
+                continue
+            if len(violations) == _MAX_VIOLATIONS:
+                more += 1
+                continue
             letter = a.alphabet.letters[sym]
             if not ts:
                 violations.append(f"(state {src}, letter {letter!r}) has no transition")
-            elif len(ts) > 1:
+            else:
                 violations.append(
                     f"(state {src}, letter {letter!r}) has {len(ts)} transitions"
                 )
+    if more:
+        violations.append(f"... and {more} more")
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 

@@ -224,6 +224,11 @@ def _recover_aps(alphabet: Alphabet) -> list[str] | None:
     return aps
 
 
+# Nesting of parentheses and negations in a label; each level costs up to
+# three Python frames, so this stays well inside the default recursion limit.
+_MAX_LABEL_DEPTH = 100
+
+
 def _eval_label(tokens: list[_Token], valuation: int, ap_count: int) -> bool:
     pos = 0
 
@@ -238,28 +243,35 @@ def _eval_label(tokens: list[_Token], valuation: int, ap_count: int) -> bool:
     def peek_value():
         return tokens[pos].value if pos < len(tokens) else None
 
-    def parse_or():
-        value = parse_and()
+    def parse_or(depth):
+        value = parse_and(depth)
         while peek_value() == "|":
             take()
-            rhs = parse_and()
+            rhs = parse_and(depth)
             value = value or rhs
         return value
 
-    def parse_and():
-        value = parse_atom()
+    def parse_and(depth):
+        value = parse_atom(depth)
         while peek_value() == "&":
             take()
-            rhs = parse_atom()
+            rhs = parse_atom(depth)
             value = value and rhs
         return value
 
-    def parse_atom():
+    def deeper(depth, tok):
+        if depth >= _MAX_LABEL_DEPTH:
+            raise FormatError(
+                f"label nested deeper than {_MAX_LABEL_DEPTH} levels", tok.line, tok.column
+            )
+        return depth + 1
+
+    def parse_atom(depth):
         tok = take()
         if tok.value == "!":
-            return not parse_atom()
+            return not parse_atom(deeper(depth, tok))
         if tok.value == "(":
-            value = parse_or()
+            value = parse_or(deeper(depth, tok))
             closing = take()
             if closing.value != ")":
                 raise FormatError("expected ')'", closing.line, closing.column)
@@ -279,7 +291,7 @@ def _eval_label(tokens: list[_Token], valuation: int, ap_count: int) -> bool:
             f"unsupported label element {tok.value!r}", tok.line, tok.column
         )
 
-    result = parse_or()
+    result = parse_or(0)
     if pos != len(tokens):
         tok = tokens[pos]
         raise FormatError(f"trailing {tok.value!r} in label", tok.line, tok.column)

@@ -49,6 +49,18 @@ def flower() -> ParityAutomaton:
     return flower_automaton()
 
 
+def blowup(base: ParityAutomaton, m: int, rng: random.Random) -> ParityAutomaton:
+    """Mod-m blow-up: state (q, j) is q*m + j; each transition adds 0 or 1
+    to j mod m, so every class holds m copies of one base state."""
+    shift = {(t.src, t.sym): rng.randrange(2) for t in base.transitions}
+    ts = tuple(
+        T(t.src * m + j, t.sym, t.dst * m + (j + shift[(t.src, t.sym)]) % m, t.color)
+        for t in base.transitions
+        for j in range(m)
+    )
+    return ParityAutomaton(base.alphabet, base.state_count * m, base.initial * m, ts)
+
+
 def random_lasso(rng: random.Random, letters: int, max_len: int = 6) -> LassoWord:
     prefix = tuple(rng.randrange(letters) for _ in range(rng.randrange(0, max_len + 1)))
     period = tuple(rng.randrange(letters) for _ in range(rng.randrange(1, max_len + 1)))

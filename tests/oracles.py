@@ -6,11 +6,12 @@ larger instances, ``reference_partition`` and ``reference_equiv`` decide
 equivalence by flagging one restricted product per ordered color pair of
 different parity, not by the library's nested SCC refinement; they and
 ``streamline_one_scc_per_pass`` share only the library's SCC routine.
+``reference_coruns`` simulates one lasso run per co-run jump target.
 """
 
 from collections import deque
 
-from paritychain import LassoWord, ParityAutomaton, Partition, Transition
+from paritychain import CoRun, LassoWord, ParityAutomaton, Partition, Transition, dpa_lasso_run
 from paritychain.graphs import _scc_ids
 
 
@@ -225,3 +226,28 @@ def reference_equiv(a: ParityAutomaton, b: ParityAutomaton) -> bool:
     """Whether L(a) = L(b), by the same per-color-pair flagging."""
     init = (a.initial, b.initial)
     return not any(init in _flagged_nodes(a, b, ca, cb) for ca, cb in _parity_pairs(a, b))
+
+
+def reference_coruns(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> tuple:
+    """Co-runs with jump positions 1..|prefix| + |Q|*|period|, each jump's
+    dominating color read off a fresh ``dpa_lasso_run`` from the jump
+    target on the remaining word (one run per distinct target and suffix)."""
+    bound = len(w.prefix) + a.state_count * len(w.period)
+    run = [a.initial]
+    for k in range(bound):
+        run.append(a.step(run[-1], w.letter_at(k)).dst)
+    cache: dict[tuple[int, int], int] = {}
+    out = []
+    for p in range(1, bound + 1):
+        if p <= len(w.prefix):
+            suffix_key = p
+        else:
+            suffix_key = len(w.prefix) + (p - len(w.prefix)) % len(w.period)
+        for target in equiv.mates(run[p]):
+            key = (target, suffix_key)
+            if key not in cache:
+                cache[key] = dpa_lasso_run(
+                    a, w.suffix(suffix_key), start=target
+                ).dominating_color
+            out.append(CoRun(p, target, cache[key]))
+    return tuple(out)

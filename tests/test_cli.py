@@ -117,13 +117,33 @@ class TestValidate:
         src = str(Path(paritychain.__file__).parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "paritychain.cli",
-             "validate", str(fig1)],
-            capture_output=True, text=True, env=env, timeout=60,
+        for module in ("paritychain.cli", "paritychain"):
+            proc = subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-m", module,
+                 "validate", str(fig1)],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 0, module
+            assert proc.stderr == "", module
+
+    def test_deep_label_is_format_error(self, capsys, tmp_path):
+        deep = "(" * 3000 + "t" + ")" * 3000
+        path = tmp_path / "deep.hoa"
+        path.write_text(
+            "HOA: v1\nStates: 1\nStart: 0\nAP: 1 \"p\"\nacc-name: parity min even 1\n"
+            f"Acceptance: 1 Inf(0)\n--BODY--\nState: 0\n[{deep}] 0 {{0}}\n--END--\n"
         )
-        assert proc.returncode == 0
-        assert proc.stderr == ""
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2 and out == ""
+        assert "nested deeper than" in err and len(err) < 200
+
+    def test_violation_list_is_capped(self, capsys, tmp_path):
+        path = tmp_path / "empty.aut"
+        path.write_text(json.dumps({"kind": "dpa", "alphabet": ["a"], "states": 100_000,
+                                    "initial": 0, "transitions": []}))
+        code, out, _ = run(capsys, "validate", str(path), "--json")
+        assert code == 1 and len(out) < 2048
+        assert json.loads(out)["violations"][-1] == "... and 99990 more"
 
 
 class TestPipeline:

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from conftest import WORD_CA, WORD_CABB, flower_automaton, random_lasso
-from oracles import gca_member_oracle
+from conftest import WORD_CA, WORD_CABB, blowup, flower_automaton, random_lasso
+from oracles import gca_member_oracle, reference_coruns
 from paritychain import (
     Alphabet,
     AutomatonError,
@@ -81,6 +81,42 @@ def _run_state(a, w, position):
     for k in range(position):
         q = a.step(q, w.letter_at(k)).dst
     return q
+
+
+def _medium_streamlined(seed: int):
+    # random DPAs and mod-m blow-ups (classes of 2-5 mates), 20-80 states
+    rng = random.Random(700 + seed)
+    colors, letters = rng.randrange(2, 7), rng.randrange(2, 4)
+    if seed % 2 == 0:
+        a = random_dpa(rng.randrange(24, 81), colors, letters, seed)
+    else:
+        base = random_dpa(rng.randrange(5, 17), colors, letters, seed)
+        a = blowup(base, max(rng.randrange(2, 6), -(-20 // base.state_count)), rng)
+    s = streamline(structure_dpa(a))
+    return s, state_equivalence(s), rng
+
+
+class TestCorunDifferential:
+    """The co-run table against one lasso run per jump target, on automata
+    and words (prefix and period up to 12) past the small-case tests."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_coruns_color_and_chain_match_reference(self, seed):
+        s, equiv, rng = _medium_streamlined(seed)
+        assert 20 <= s.state_count <= 80
+        chain = extract_chain(s, equiv)
+        for _ in range(8):
+            w = random_lasso(rng, len(s.alphabet), max_len=12)
+            found = coruns(s, equiv, w)
+            assert found == reference_coruns(s, equiv, w)
+            color = corun_color(s, equiv, w)
+            assert color == max(cr.dominating_color for cr in found)
+            assert color == natural_color_via_chain(chain, w)
+            top_down = next(
+                i for i in range(len(chain.levels) - 1, -1, -1)
+                if gca_lasso_member(chain.levels[i], w)
+            )
+            assert color == top_down
 
 
 class TestNaturalColorViaChain:

@@ -62,6 +62,14 @@ class TestValidateDpa:
         assert not report.ok
         assert report.violations == ("(state 1, letter 'a') has 2 transitions",)
 
+    def test_violation_list_capped(self):
+        empty = ParityAutomaton(Alphabet(("a", "b")), 15, 0, ())
+        report = validate_dpa(empty)
+        assert not report.ok
+        assert report.violations[0] == "(state 0, letter 'a') has no transition"
+        assert report.violations[9] == "(state 4, letter 'b') has no transition"
+        assert report.violations[10:] == ("... and 20 more",)
+
     def test_out_of_range_rejected_on_construction(self):
         with pytest.raises(AutomatonError):
             ParityAutomaton(Alphabet(("a",)), 1, 0, (T(0, 0, 5, 0),))

@@ -186,6 +186,13 @@ class TestHoa:
         with pytest.raises(FormatError, match="declares 3 sets"):
             parse_hoa(text)
 
+    def test_label_nesting_limit(self):
+        accepted = parse_hoa(UNIVERSAL_1AP.replace("[t]", "[" + "!" * 100 + "t]"))
+        assert all(t.color == 0 for t in accepted.transitions)
+        deep = "(" * 3000 + "t" + ")" * 3000
+        with pytest.raises(FormatError, match="nested deeper than 100 levels"):
+            parse_hoa(UNIVERSAL_1AP.replace("[t]", f"[{deep}]"))
+
     def test_label_formula_expansion(self):
         text = """\
 HOA: v1

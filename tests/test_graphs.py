@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import WORD_AA, WORD_CA, WORD_CABB, random_lasso
+from conftest import WORD_AA, WORD_CA, WORD_CABB, blowup, random_lasso
 from oracles import gca_member_oracle, reference_equiv, reference_partition, states_distinguishable
 from paritychain import (
     Alphabet,
@@ -248,18 +248,6 @@ def _staircase(base: ParityAutomaton, copies: int, rng: random.Random) -> Parity
     return ParityAutomaton(base.alphabet, copies * n, base.initial, ts)
 
 
-def _blowup(base: ParityAutomaton, m: int, rng: random.Random) -> ParityAutomaton:
-    # state (q, j) -> q*m + j; each transition adds 0 or 1 to j mod m, so
-    # every class holds m copies of one base state
-    shift = {(t.src, t.sym): rng.randrange(2) for t in base.transitions}
-    ts = tuple(
-        T(t.src * m + j, t.sym, t.dst * m + (j + shift[(t.src, t.sym)]) % m, t.color)
-        for t in base.transitions
-        for j in range(m)
-    )
-    return ParityAutomaton(base.alphabet, base.state_count * m, base.initial * m, ts)
-
-
 def _color_flip(a: ParityAutomaton, rng: random.Random) -> ParityAutomaton:
     least = min(t.color for t in a.transitions)
     pick = rng.choice([t for t in a.transitions if t.color == least])
@@ -275,7 +263,7 @@ def _medium_dpa(seed: int) -> ParityAutomaton:
         return random_dpa(rng.randrange(24, 81), colors, max(letters, 2), seed)
     base = random_dpa(rng.randrange(6, 21), colors, letters, seed)
     copies = max(rng.randrange(2, 5), -(-20 // base.state_count))  # 20-80 states
-    return (_staircase if kind == 1 else _blowup)(base, copies, rng)
+    return (_staircase if kind == 1 else blowup)(base, copies, rng)
 
 
 class TestMediumDifferential:
