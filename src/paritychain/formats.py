@@ -27,6 +27,12 @@ class FormatError(ValueError):
         self.column = column
 
 
+# Stated input limits, checked before anything is allocated per state or per
+# letter: the letters of a HOA alphabet are all 2^|AP| valuations.
+_MAX_STATES = 1_000_000
+_MAX_APS = 16
+
+
 # -- native JSON format ------------------------------------------------------
 
 def _require(obj: dict, key: str, typ, where: str):
@@ -58,6 +64,8 @@ def parse_native(text: str, *, validate: bool = True):
     if not all(isinstance(x, str) for x in letters):
         raise FormatError("alphabet must be a list of strings")
     states = _require(obj, "states", int, "document")
+    if states > _MAX_STATES:
+        raise FormatError(f"document: {states} states exceed the limit of {_MAX_STATES}")
     initial = _require(obj, "initial", int, "document")
     raw_ts = _require(obj, "transitions", list, "document")
     transitions = []
@@ -341,6 +349,10 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
             if len(args) != 1 or args[0].kind != "int":
                 raise FormatError("States: takes one integer", tok.line, tok.column)
             states = int(args[0].value)
+            if states > _MAX_STATES:
+                raise FormatError(
+                    f"States: {states} exceeds the limit of {_MAX_STATES}", tok.line, tok.column
+                )
         elif name == "Start":
             if start is not None or len(args) != 1 or args[0].kind != "int":
                 raise FormatError(
@@ -351,6 +363,12 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
             if not args or args[0].kind != "int":
                 raise FormatError("AP: takes a count and names", tok.line, tok.column)
             count = int(args[0].value)
+            if count > _MAX_APS:
+                raise FormatError(
+                    f"AP: {count} propositions exceed the limit of {_MAX_APS}",
+                    tok.line,
+                    tok.column,
+                )
             if len(args) != count + 1 or any(t.kind != "string" for t in args[1:]):
                 raise FormatError(
                     f"AP: expects {count} quoted names", tok.line, tok.column

@@ -204,28 +204,57 @@ def gca_lasso_member(a: CoBuchiAutomaton, w: LassoWord) -> bool:
 class _Product:
     """Synchronous pair product of two complete DPAs as flat int lists.
 
-    Node (qa, qb) is qa * |Qb| + qb; edge e = node * |Σ| + sym leads to
-    ``dst[e]`` and carries the colors ``ca[e]`` (of a) and ``cb[e]`` (of b).
+    Without ``start`` the nodes are all pairs, (qa, qb) being node
+    qa * |Qb| + qb.  With a start pair only the pairs reachable from it are
+    built, numbered densely in ascending order of that same id, and
+    ``self.start`` is the start pair's node.  The renumbering is monotone,
+    so lowest-numbered choices, sorted node lists and letter-ascending
+    searches pick the same pairs and letters as on the all-pairs product.
+    Edge e = node * |Σ| + sym leads to ``dst[e]`` and carries the colors
+    ``ca[e]`` (of a) and ``cb[e]`` (of b).  Every row of both automata is
+    read either way, so an incomplete automaton raises even when its
+    missing row is unreachable.
     """
 
-    def __init__(self, a: ParityAutomaton, b: ParityAutomaton):
+    def __init__(self, a: ParityAutomaton, b: ParityAutomaton, start=None):
         if a.alphabet != b.alphabet:
             raise AutomatonError("automata must share one alphabet")
         self.k = k = len(a.alphabet)
-        self.size = a.state_count * b.state_count
         nb = b.state_count
         rows_a = [a.step(q, sym) for q in range(a.state_count) for sym in range(k)]
         rows_b = [b.step(q, sym) for q in range(nb) for sym in range(k)]
         self.dst: list[int] = []
         self.ca: list[int] = []
         self.cb: list[int] = []
-        for qa in range(a.state_count):
-            for qb in range(nb):
-                for sym in range(k):
-                    ta, tb = rows_a[qa * k + sym], rows_b[qb * k + sym]
-                    self.dst.append(ta.dst * nb + tb.dst)
-                    self.ca.append(ta.color)
-                    self.cb.append(tb.color)
+        if start is None:
+            self.size = a.state_count * nb
+            for qa in range(a.state_count):
+                for qb in range(nb):
+                    for sym in range(k):
+                        ta, tb = rows_a[qa * k + sym], rows_b[qb * k + sym]
+                        self.dst.append(ta.dst * nb + tb.dst)
+                        self.ca.append(ta.color)
+                        self.cb.append(tb.color)
+            return
+        pairs = [start[0] * nb + start[1]]
+        seen = set(pairs)
+        for pair in pairs:  # ``pairs`` grows while it is scanned
+            qa, qb = divmod(pair, nb)
+            for sym in range(k):
+                nxt = rows_a[qa * k + sym].dst * nb + rows_b[qb * k + sym].dst
+                if nxt not in seen:
+                    seen.add(nxt)
+                    pairs.append(nxt)
+        node_of = {pair: i for i, pair in enumerate(sorted(pairs))}
+        self.size = len(pairs)
+        self.start = node_of[pairs[0]]
+        for pair in node_of:
+            qa, qb = divmod(pair, nb)
+            for sym in range(k):
+                ta, tb = rows_a[qa * k + sym], rows_b[qb * k + sym]
+                self.dst.append(node_of[ta.dst * nb + tb.dst])
+                self.ca.append(ta.color)
+                self.cb.append(tb.color)
 
     def bad_sccs(self, c1: list[int], c2: list[int]) -> list[tuple[list[int], int, int]]:
         """Node sets of the product SCCs holding a cycle whose minima under
@@ -240,15 +269,25 @@ class _Product:
         round raises a minimum of each SCC it keeps, so there are at most
         as many rounds as distinct values in c1 and c2.  Inside a bad SCC the live edges are
         exactly its internal edges with c1 >= m1 and c2 >= m2.
+
+        Every round after the first runs Tarjan from the sources of live
+        edges only, ascending, and reads members off them: a bad SCC has a
+        live cycle through each of its nodes, so each one is such a source.
+        On a product built from a start pair the result is the all-pairs
+        one restricted to the reachable pairs, as the reachable part is
+        closed under edges.
         """
         k, dst = self.k, self.dst
         live = range(len(dst))
+        nodes = range(self.size)
+        succ: list[list[int]] = [[] for _ in range(self.size)]
         bad = []
         while live:
-            succ: list[list[int]] = [[] for _ in range(self.size)]
             for e in live:
                 succ[e // k].append(dst[e])
-            comp = _scc_ids(self.size, succ)
+            comp = _scc_ids(self.size, succ, nodes)
+            for node in nodes:  # the sources of live edges, so ``succ`` is empty again
+                succ[node].clear()
             minima: dict[int, tuple[int, int]] = {}
             internal = []
             for e in live:
@@ -259,9 +298,9 @@ class _Product:
                     minima[c] = (min(m1, c1[e]), min(m2, c2[e]))
             bad_ids = {c for c, (m1, m2) in minima.items() if m1 % 2 == 0 and m2 % 2 == 1}
             members: dict[int, list[int]] = {c: [] for c in bad_ids}
-            for node, c in enumerate(comp):
-                if c in bad_ids:
-                    members[c].append(node)
+            for node in nodes:
+                if comp[node] in bad_ids:
+                    members[comp[node]].append(node)
             bad += [(members[c], *minima[c]) for c in sorted(bad_ids)]
             kept = []
             for e in internal:
@@ -271,6 +310,7 @@ class _Product:
                     continue
                 kept.append(e)
             live = kept
+            nodes = sorted({e // k for e in kept})
         return bad
 
     def path(self, start: int, goal, usable=None) -> list[int] | None:
@@ -347,10 +387,12 @@ def dpa_language_equiv(
     cycle inside that SCC through its lowest-numbered edge realizing m1
     and its lowest-numbered edge realizing m2.  Every edge of the cycle has
     colors >= (m1, m2), so the two runs' dominating colors are exactly m1
-    and m2, of different parity.
+    and m2, of different parity.  Only the pairs reachable from the initial
+    pair are built (see ``_Product``); the witness is the one the all-pairs
+    product gives.
     """
-    product = _Product(a, b)
-    init = a.initial * b.state_count + b.initial
+    product = _Product(a, b, (a.initial, b.initial))
+    init = product.start
     for c1, c2 in ((product.ca, product.cb), (product.cb, product.ca)):
         bad = product.bad_sccs(c1, c2)
         owner = {node: i for i, (nodes, _, _) in enumerate(bad) for node in nodes}

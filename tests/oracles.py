@@ -7,12 +7,14 @@ equivalence by flagging one restricted product per ordered color pair of
 different parity, not by the library's nested SCC refinement; they and
 ``streamline_one_scc_per_pass`` share only the library's SCC routine.
 ``reference_coruns`` simulates one lasso run per co-run jump target.
+``full_product_equiv`` is the library's equivalence check on the product
+of all state pairs, which the reachable-pairs product must reproduce.
 """
 
 from collections import deque
 
 from paritychain import CoRun, LassoWord, ParityAutomaton, Partition, Transition, dpa_lasso_run
-from paritychain.graphs import _scc_ids
+from paritychain.graphs import _Product, _scc_ids, _witness
 
 
 def _product_steps(a: ParityAutomaton, node):
@@ -226,6 +228,22 @@ def reference_equiv(a: ParityAutomaton, b: ParityAutomaton) -> bool:
     """Whether L(a) = L(b), by the same per-color-pair flagging."""
     init = (a.initial, b.initial)
     return not any(init in _flagged_nodes(a, b, ca, cb) for ca, cb in _parity_pairs(a, b))
+
+
+def full_product_equiv(a: ParityAutomaton, b: ParityAutomaton) -> tuple:
+    """Verdict and witness of ``dpa_language_equiv`` computed on the
+    product of all |Qa|*|Qb| pairs, not only those reachable from the
+    initial pair."""
+    product = _Product(a, b)
+    init = a.initial * b.state_count + b.initial
+    for c1, c2 in ((product.ca, product.cb), (product.cb, product.ca)):
+        bad = product.bad_sccs(c1, c2)
+        owner = {node: i for i, (nodes, _, _) in enumerate(bad) for node in nodes}
+        stem = product.path(init, owner.__contains__)
+        if stem is not None:
+            end = product.dst[stem[-1]] if stem else init
+            return False, _witness(product, stem, end, bad[owner[end]], c1, c2)
+    return True, None
 
 
 def reference_coruns(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> tuple:

@@ -137,6 +137,20 @@ class TestValidate:
         assert code == 2 and out == ""
         assert "nested deeper than" in err and len(err) < 200
 
+    @pytest.mark.parametrize("name, text", [
+        ("aps.hoa", "HOA: v1\nStates: 1\nStart: 0\nAP: 64 " + " ".join(f'"p{j}"' for j in range(64))
+         + "\nacc-name: parity min even 1\nAcceptance: 1 Inf(0)\n--BODY--\nState: 0\n"
+         "[t] 0 {0}\n--END--\n"),
+        ("states.aut", json.dumps({"kind": "dpa", "alphabet": ["a"], "states": 10**9,
+                                   "initial": 0, "transitions": []})),
+    ])
+    def test_input_limits_are_format_errors(self, capsys, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2 and out == ""
+        assert "exceed" in err and "limit" in err and len(err) < 200
+
     def test_violation_list_is_capped(self, capsys, tmp_path):
         path = tmp_path / "empty.aut"
         path.write_text(json.dumps({"kind": "dpa", "alphabet": ["a"], "states": 100_000,

@@ -1,3 +1,4 @@
+import json
 from importlib import resources
 from pathlib import Path
 
@@ -105,6 +106,24 @@ State: 0
 [t] 0 {0}
 --END--
 """
+
+
+class TestInputLimits:
+    # each over-limit value would allocate 2^64 letters or 10^9 state rows
+    def test_ap_count(self):
+        names = " ".join(f'"p{j}"' for j in range(64))
+        with pytest.raises(FormatError, match="AP: 64 propositions exceed the limit of 16"):
+            parse_hoa(UNIVERSAL_1AP.replace('AP: 1 "go"', f"AP: 64 {names}"))
+
+    def test_hoa_state_count(self):
+        with pytest.raises(FormatError, match="States: 10+ exceeds the limit of 1000000"):
+            parse_hoa(UNIVERSAL_1AP.replace("States: 1", f"States: {10**9}"))
+
+    @pytest.mark.parametrize("kind", ["dpa", "ncw"])
+    def test_native_state_count(self, kind):
+        doc = {"kind": kind, "alphabet": ["a"], "states": 10**9, "initial": 0, "transitions": []}
+        with pytest.raises(FormatError, match="10+ states exceed the limit of 1000000"):
+            parse_native(json.dumps(doc))
 
 
 class TestHoa:

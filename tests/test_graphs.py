@@ -4,7 +4,13 @@ import random
 import pytest
 
 from conftest import WORD_AA, WORD_CA, WORD_CABB, blowup, random_lasso
-from oracles import gca_member_oracle, reference_equiv, reference_partition, states_distinguishable
+from oracles import (
+    full_product_equiv,
+    gca_member_oracle,
+    reference_equiv,
+    reference_partition,
+    states_distinguishable,
+)
 from paritychain import (
     Alphabet,
     AutomatonError,
@@ -25,6 +31,7 @@ from paritychain import (
     structure_dpa,
     transient_elements,
 )
+from paritychain.graphs import _Product
 
 T = Transition
 
@@ -218,8 +225,17 @@ class TestLanguageEquivalence:
 
     def test_alphabet_mismatch(self, flower):
         other = ParityAutomaton(Alphabet(("a",)), 1, 0, (T(0, 0, 0, 0),))
-        with pytest.raises(AutomatonError):
+        with pytest.raises(AutomatonError, match="^automata must share one alphabet$"):
             dpa_language_equiv(flower, other)
+
+    @pytest.mark.parametrize("partial_first", [True, False])
+    def test_unreachable_missing_row_rejected(self, partial_first):
+        # state 1 has no transition and is not reachable from state 0
+        partial = ParityAutomaton(Alphabet(("a",)), 2, 0, (T(0, 0, 0, 0),))
+        complete = ParityAutomaton(Alphabet(("a",)), 1, 0, (T(0, 0, 0, 0),))
+        pair = (partial, complete) if partial_first else (complete, partial)
+        with pytest.raises(AutomatonError, match="^state 1 on letter 'a': no transition$"):
+            dpa_language_equiv(*pair)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_witnesses_self_validate(self, seed):
@@ -267,7 +283,7 @@ def _medium_dpa(seed: int) -> ParityAutomaton:
 
 
 class TestMediumDifferential:
-    """Random, staircase and blow-up DPAs of 20-80 states against the
+    """Random, staircase and blow-up DPAs of 20-125 states against the
     per-color-pair reference, where the walk oracles are too slow."""
 
     @pytest.mark.parametrize("seed", range(40))
@@ -281,3 +297,60 @@ class TestMediumDifferential:
             assert equal == reference_equiv(x, y)
             if not equal:
                 assert dpa_lasso_run(x, witness).accepted != dpa_lasso_run(y, witness).accepted
+
+    @pytest.mark.parametrize("kind", ["staircase", "blowup"])
+    def test_partition_of_large_automata(self, kind):
+        # after the first refinement rounds only a few dozen of the 10^4
+        # product nodes keep live edges
+        rng = random.Random(kind)
+        base = random_dpa(25, 5, 2, 31)
+        a = (_staircase if kind == "staircase" else blowup)(base, 5, rng)
+        assert a.state_count >= 100
+        assert state_equivalence(a) == reference_partition(a)
+
+
+def _line(n: int) -> ParityAutomaton:
+    # state q loops on a with color q mod 6 and moves on b to q + 1 (the
+    # last state stays) with color 7q mod 6; all states are inequivalent
+    ts = [T(q, 0, q, q % 6) for q in range(n)]
+    ts += [T(q, 1, min(q + 1, n - 1), 7 * q % 6) for q in range(n)]
+    return ParityAutomaton(Alphabet(("a", "b")), n, 0, tuple(ts))
+
+
+def _moved_initial(a: ParityAutomaton, rng: random.Random) -> ParityAutomaton:
+    return ParityAutomaton(a.alphabet, a.state_count, rng.randrange(a.state_count), a.transitions)
+
+
+def _equiv_pair(seed: int) -> tuple[ParityAutomaton, ParityAutomaton]:
+    rng = random.Random(1700 + seed)
+    letters = rng.randrange(1, 4)
+    a = _moved_initial(random_dpa(rng.randrange(2, 25), rng.randrange(1, 6), letters, seed), rng)
+    kind = seed % 3
+    if kind == 0:  # unrelated, usually of another size
+        b = random_dpa(rng.randrange(2, 25), rng.randrange(1, 6), letters, 5000 + seed)
+        return a, _moved_initial(b, rng)
+    if kind == 1:
+        return a, _color_flip(a, rng)
+    b = blowup(a, rng.randrange(2, 4), rng)
+    return a, (_color_flip(b, rng) if rng.randrange(2) else b)
+
+
+class TestReachableProduct:
+    """``dpa_language_equiv`` builds only the pairs reachable from the
+    initial pair; verdicts and witnesses must be those of all pairs."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_full_product(self, seed):
+        a, b = _equiv_pair(seed)
+        for x, y in ((a, b), (b, a)):
+            result = dpa_language_equiv(x, y)
+            assert result[0] == reference_equiv(x, y)
+            assert result == full_product_equiv(x, y)
+
+    def test_line_product_holds_reachable_pairs_only(self):
+        a = _line(300)
+        # the loop on a at state 0 turns odd; both runs move in lockstep
+        ts = tuple(T(t.src, t.sym, t.dst, t.color + (t == T(0, 0, 0, 0))) for t in a.transitions)
+        flipped = ParityAutomaton(a.alphabet, 300, 0, ts)
+        assert _Product(a, flipped, (a.initial, flipped.initial)).size == 300
+        assert dpa_language_equiv(a, flipped) == (False, LassoWord((), (0,)))
