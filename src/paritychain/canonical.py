@@ -17,7 +17,7 @@ from .core import (
     Transition,
     complete_dpa,
 )
-from .graphs import _scc_ids, reachable_states, scc_decompose, state_equivalence
+from .graphs import _PARTITION, _memo, _scc_ids, reachable_states, scc_decompose, state_equivalence
 
 
 def is_structured(a: ParityAutomaton) -> tuple[bool, list[str]]:
@@ -94,22 +94,33 @@ def structure_dpa_with_map(a: ParityAutomaton) -> tuple[ParityAutomaton, dict[in
     """Like ``structure_dpa`` but also returns the id map original -> final
     for surviving states.  Ids are compacted order-preservingly whenever
     states are dropped, so an already-structured input maps identically.
+    The language-equivalence partition is computed once and carried by
+    the result, so asking ``state_equivalence`` for it costs nothing.
     """
     cur = a
     id_map = {q: q for q in range(a.state_count)}
+    partition = None
 
     def drop_unreachable():
-        nonlocal cur, id_map
+        nonlocal cur, id_map, partition
         reach = reachable_states(cur, cur.initial)
         if len(reach) == cur.state_count:
             return False
         cur, remap = _restrict_to(cur, sorted(reach))
         id_map = {orig: remap[q] for orig, q in id_map.items() if q in remap}
+        if partition is not None:
+            restricted = (tuple(remap[q] for q in c if q in remap) for c in partition.classes)
+            partition = Partition(tuple(c for c in restricted if c))
         return True
 
     for _ in range((a.state_count + 2) ** 2):
         changed = drop_unreachable()
-        partition = state_equivalence(cur)
+        # Computed once, after the first drop (an unreachable state may lack
+        # rows); redirects and drops keep every surviving state's language,
+        # so from then on it is only restricted and handed to each new ``cur``.
+        if partition is None:
+            partition = state_equivalence(cur)
+        _memo(cur, _PARTITION, lambda: partition)
         scc = scc_decompose(cur)
 
         def redirect(q: int) -> int:
@@ -150,7 +161,15 @@ def structure_dpa(a: ParityAutomaton) -> ParityAutomaton:
 
 
 def _streamlined_colors(a: ParityAutomaton) -> dict[tuple[int, int], int]:
-    """The (src, sym) -> color map of ``streamline``; see there."""
+    """The (src, sym) -> color map of ``streamline``; see there.  Memoized
+    on ``a`` (see ``graphs._memo``), so the precondition checks of
+    ``is_streamlined`` cost one pass per automaton; an unstructured ``a``
+    raises on every call.  Callers must not mutate the map."""
+    return _memo(a, "_streamlined_colors", lambda: _recolor(a))
+
+
+def _recolor(a: ParityAutomaton) -> dict[tuple[int, int], int]:
+    """``_streamlined_colors`` without the memo."""
     ok, violations = is_structured(a)
     if not ok:
         raise PreconditionError("automaton is not structured: " + "; ".join(violations))
@@ -198,14 +217,18 @@ def streamline(a: ParityAutomaton) -> ParityAutomaton:
     recolored to i and removed, which restarts the scan without
     incrementing; otherwise i increments.  Colors only ever decrease, the
     edge structure is untouched, and the automaton's language (in fact the
-    dominating color's parity on every run) is preserved.
+    dominating color's parity on every run) is preserved.  So every state
+    keeps its language, and the result carries ``a``'s partition: asking
+    ``state_equivalence`` for it costs nothing.
     """
     new_color = _streamlined_colors(a)
     ts = tuple(
         Transition(t.src, t.sym, t.dst, new_color[(t.src, t.sym)])
         for t in a.transitions
     )
-    return ParityAutomaton(a.alphabet, a.state_count, a.initial, ts)
+    out = ParityAutomaton(a.alphabet, a.state_count, a.initial, ts)
+    _memo(out, _PARTITION, lambda: state_equivalence(a))  # same edges, same languages
+    return out
 
 
 def is_streamlined(a: ParityAutomaton) -> bool:

@@ -55,6 +55,10 @@ def parse_native(text: str, *, validate: bool = True):
         obj = json.loads(text)
     except json.JSONDecodeError as err:
         raise FormatError(err.msg, line=err.lineno, column=err.colno) from None
+    except ValueError:  # past Python's int-string conversion limit
+        raise FormatError("integer literal too long") from None
+    except RecursionError:
+        raise FormatError("document nested too deeply") from None
     if not isinstance(obj, dict):
         raise FormatError("top-level value must be an object")
     kind = obj.get("kind")
@@ -203,6 +207,19 @@ class _TokenStream:
         return tok
 
 
+def _int(tok: _Token) -> int:
+    """The value of an integer token; a digit run past Python's int-string
+    conversion limit is a ``FormatError``, not a ``ValueError``."""
+    if tok.kind != "int":
+        raise FormatError(f"expected an integer, got {tok.value!r}", tok.line, tok.column)
+    try:
+        return int(tok.value)
+    except ValueError:
+        raise FormatError(
+            f"integer literal of {len(tok.value)} digits is too long", tok.line, tok.column
+        ) from None
+
+
 def _unquote(raw: str) -> str:
     return re.sub(r"\\(.)", r"\1", raw[1:-1])
 
@@ -289,7 +306,7 @@ def _eval_label(tokens: list[_Token], valuation: int, ap_count: int) -> bool:
         if tok.kind == "ident" and tok.value == "f":
             return False
         if tok.kind == "int":
-            index = int(tok.value)
+            index = _int(tok)
             if index >= ap_count:
                 raise FormatError(
                     f"AP index {index} out of range", tok.line, tok.column
@@ -325,7 +342,7 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
     states = None
     start = None
     aps: list[str] | None = None
-    acc_name: list[str] | None = None
+    acc_name: list[_Token] = []
     acc_sets = None
     while True:
         tok = stream.peek()
@@ -348,7 +365,7 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
         if name == "States":
             if len(args) != 1 or args[0].kind != "int":
                 raise FormatError("States: takes one integer", tok.line, tok.column)
-            states = int(args[0].value)
+            states = _int(args[0])
             if states > _MAX_STATES:
                 raise FormatError(
                     f"States: {states} exceeds the limit of {_MAX_STATES}", tok.line, tok.column
@@ -358,11 +375,11 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
                 raise FormatError(
                     "only a single initial state is supported", tok.line, tok.column
                 )
-            start = int(args[0].value)
+            start = _int(args[0])
         elif name == "AP":
             if not args or args[0].kind != "int":
                 raise FormatError("AP: takes a count and names", tok.line, tok.column)
-            count = int(args[0].value)
+            count = _int(args[0])
             if count > _MAX_APS:
                 raise FormatError(
                     f"AP: {count} propositions exceed the limit of {_MAX_APS}",
@@ -375,21 +392,22 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
                 )
             aps = [_unquote(t.value) for t in args[1:]]
         elif name == "acc-name":
-            acc_name = [t.value for t in args]
+            acc_name = args
         elif name == "Acceptance":
             if not args or args[0].kind != "int":
                 raise FormatError(
                     "Acceptance: takes a set count and a formula", tok.line, tok.column
                 )
-            acc_sets = int(args[0].value)
+            acc_sets = _int(args[0])
         # all other headers (properties:, name:, tool:, x-*...) are ignored
 
-    if acc_name is None or len(acc_name) != 4 or acc_name[:3] != ["parity", "min", "even"]:
+    names = [t.value for t in acc_name]
+    if len(names) != 4 or names[:3] != ["parity", "min", "even"]:
         raise FormatError(
             "unsupported acceptance: need acc-name: parity min even <k>, got "
-            + (" ".join(acc_name) if acc_name else "none")
+            + (" ".join(names) or "none")
         )
-    color_count = int(acc_name[3])
+    color_count = _int(acc_name[3])
     if acc_sets is not None and acc_sets != color_count:
         raise FormatError(
             f"Acceptance: declares {acc_sets} sets but acc-name: says {color_count}"
@@ -400,7 +418,10 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
         raise FormatError("missing Start: header")
     if aps is None:
         aps = []
-    alphabet = Alphabet(tuple(letter_name(aps, v) for v in range(2 ** len(aps))))
+    try:  # an empty AP name makes an empty letter name
+        alphabet = Alphabet(tuple(letter_name(aps, v) for v in range(2 ** len(aps))))
+    except AutomatonError as err:
+        raise FormatError(f"AP: {err}") from None
 
     rows: dict[tuple[int, int], list[tuple[int, int]]] = {}
     current = None
@@ -414,7 +435,7 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
             if nxt is not None and nxt.value == "[":
                 raise FormatError("state labels are not supported", nxt.line, nxt.column)
             state_tok = stream.expect("int")
-            current = int(state_tok.value)
+            current = _int(state_tok)
             if current in declared:
                 raise FormatError(
                     f"state {current} declared twice", state_tok.line, state_tok.column
@@ -439,7 +460,7 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
             while (nxt := stream.take()).value != "]":
                 label_tokens.append(nxt)
             dst_tok = stream.expect("int")
-            dst = int(dst_tok.value)
+            dst = _int(dst_tok)
             nxt = stream.peek()
             if nxt is not None and nxt.value == "&":
                 raise FormatError(
@@ -461,7 +482,7 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
                         nxt.line,
                         nxt.column,
                     )
-                sets.append(int(nxt.value))
+                sets.append(_int(nxt))
             if len(sets) != 1:
                 raise FormatError(
                     "each transition must carry exactly one acceptance set "

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .core import (
     AutomatonError,
@@ -335,7 +335,22 @@ class _Product:
         return None
 
 
-@lru_cache(maxsize=64)
+def _memo(a, key: str, compute):
+    """``a``'s value under ``key``, from ``compute()`` the first time.
+
+    The value is kept in ``a.__dict__``, as ``cached_property`` keeps
+    ``ParityAutomaton.rows``: it lives exactly as long as ``a`` and is never
+    shared with a value-equal copy.  Nothing is kept when ``compute`` raises.
+    """
+    memo = vars(a)
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+_PARTITION = "_partition"  # the memo key of ``state_equivalence``
+
+
 def state_equivalence(a: ParityAutomaton) -> Partition:
     """Partition the states of a complete DPA by language equivalence.
 
@@ -343,10 +358,16 @@ def state_equivalence(a: ParityAutomaton) -> Partition:
     cycle whose two color minima have different parity.  One nested SCC
     refinement of a x a finds the product SCCs holding a cycle with an even
     first and an odd second minimum; (q, r) is inequivalent iff (q, r) or
-    (r, q) reaches one of them, as the product is symmetric.  Results are
-    cached per automaton, as the partition is reused by structuring, chain
-    extraction, and co-runs.
+    (r, q) reaches one of them, as the product is symmetric.  The result is
+    memoized on ``a`` itself (see ``_memo``), and ``structure_dpa_with_map``
+    and ``streamline`` hand it forward to the automata they build, whose
+    states keep their languages, so one canonicalization computes it once.
     """
+    return _memo(a, _PARTITION, lambda: _partition(a))
+
+
+def _partition(a: ParityAutomaton) -> Partition:
+    """``state_equivalence`` without the memo."""
     product = _Product(a, a)
     n, k = a.state_count, product.k
     marked = [False] * product.size

@@ -1,8 +1,10 @@
+import gc
 import random
+import weakref
 
 import pytest
 
-from conftest import FLOWER_STREAMLINED_COLORS, random_lasso
+from conftest import FLOWER_STREAMLINED_COLORS, WORD_CA, random_lasso
 from paritychain import (
     Alphabet,
     AutomatonError,
@@ -10,6 +12,7 @@ from paritychain import (
     PreconditionError,
     Transition,
     chain_stats,
+    corun_color,
     dpa_lasso_run,
     extract_chain,
     gca_lasso_member,
@@ -84,6 +87,14 @@ class TestStructureDpa:
         a = ParityAutomaton(
             Alphabet(("a",)), 2, 0, (T(0, 0, 0, 0), T(1, 0, 0, 1))
         )
+        structured, id_map = structure_dpa_with_map(a)
+        assert structured == ParityAutomaton(Alphabet(("a",)), 1, 0, (T(0, 0, 0, 0),))
+        assert id_map == {0: 0}
+
+    def test_unreachable_missing_row(self):
+        # the partition needs every row, so it may only be computed once
+        # the unreachable state 1 (which has none) is dropped
+        a = ParityAutomaton(Alphabet(("a",)), 2, 0, (T(0, 0, 0, 0),))
         structured, id_map = structure_dpa_with_map(a)
         assert structured == ParityAutomaton(Alphabet(("a",)), 1, 0, (T(0, 0, 0, 0),))
         assert id_map == {0: 0}
@@ -251,6 +262,34 @@ class TestExtractChain:
         )
         with pytest.raises(AutomatonError, match="partition"):
             extract_chain(s, other)
+
+
+class TestMemo:
+    """Partitions and streamlined colors are memoized on the automaton
+    itself: the memo must neither keep it alive nor remember a failure."""
+
+    def test_automata_are_collected(self):
+        a = random_dpa(12, 4, 2, 5)
+        s = streamline(structure_dpa(a))
+        state_equivalence(a)
+        assert is_streamlined(s)
+        refs = [weakref.ref(a), weakref.ref(s)]
+        del a, s
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_preconditions_raise_on_every_call(self, flower):
+        unstructured = redirect_instance()
+        assert not is_streamlined(flower)  # structured, not streamlined
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="not structured"):
+                streamline(unstructured)
+            with pytest.raises(PreconditionError, match="not structured"):
+                corun_color(unstructured, state_equivalence(unstructured), WORD_CA)
+            with pytest.raises(PreconditionError, match="streamlined"):
+                extract_chain(flower, state_equivalence(flower))
+            with pytest.raises(PreconditionError, match="streamlined"):
+                corun_color(flower, state_equivalence(flower), WORD_CA)
 
 
 class TestChainStats:

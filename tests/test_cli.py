@@ -151,6 +151,21 @@ class TestValidate:
         assert code == 2 and out == ""
         assert "exceed" in err and "limit" in err and len(err) < 200
 
+    @pytest.mark.parametrize("name, text", [
+        ("long.hoa", "HOA: v1\nStates: " + "1" * 5000 + "\nStart: 0\nAP: 1 \"p\"\n"
+         "acc-name: parity min even 1\nAcceptance: 1 Inf(0)\n--BODY--\nState: 0\n"
+         "[t] 0 {0}\n--END--\n"),
+        ("long.aut", '{"kind": "dpa", "alphabet": ["a"], "states": ' + "1" * 5000
+         + ', "initial": 0, "transitions": []}'),
+    ], ids=["hoa", "native"])
+    def test_long_integer_is_format_error(self, capsys, tmp_path, name, text):
+        # 5000 digits pass Python's int-string conversion limit
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2 and out == ""
+        assert "integer literal" in err and "too long" in err and len(err) < 200
+
     def test_violation_list_is_capped(self, capsys, tmp_path):
         path = tmp_path / "empty.aut"
         path.write_text(json.dumps({"kind": "dpa", "alphabet": ["a"], "states": 100_000,

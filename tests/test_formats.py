@@ -3,6 +3,8 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import flower_automaton
 from paritychain import (
@@ -124,6 +126,85 @@ class TestInputLimits:
         doc = {"kind": kind, "alphabet": ["a"], "states": 10**9, "initial": 0, "transitions": []}
         with pytest.raises(FormatError, match="10+ states exceed the limit of 1000000"):
             parse_native(json.dumps(doc))
+
+    # past Python's 4300-digit int-string limit, which raises a plain ValueError
+    def test_long_hoa_integer(self):
+        with pytest.raises(FormatError, match="line 2, column 9: integer literal of 5000 digits"):
+            parse_hoa(UNIVERSAL_1AP.replace("States: 1", "States: " + "1" * 5000))
+        with pytest.raises(FormatError, match="integer literal of 5000 digits"):
+            parse_hoa(UNIVERSAL_1AP.replace("[t] 0", "[t] " + "1" * 5000))
+
+    @pytest.mark.parametrize("kind", ["dpa", "ncw"])
+    def test_long_native_integer(self, kind):
+        doc = json.dumps({"kind": kind, "alphabet": ["a"], "states": 1, "initial": 0,
+                          "transitions": []}).replace('"states": 1', '"states": ' + "1" * 5000)
+        with pytest.raises(FormatError, match="integer literal too long"):
+            parse_native(doc)
+
+    def test_deep_native_nesting(self):
+        with pytest.raises(FormatError, match="nested too deeply"):
+            parse_native("[" * 100_000)
+
+
+def _mutated(base: str):
+    """Documents made from ``base`` by a few deletions, insertions and
+    replacements of short runs of characters the grammars care about."""
+    pieces = st.text(st.sampled_from('0123456789-:[]{}()!&|"\\/* \nabtfHOA,'), max_size=6)
+    edits = st.lists(
+        st.tuples(st.integers(0, len(base)), st.integers(0, 3), pieces | st.just("9" * 4400)),
+        min_size=1, max_size=3,
+    )
+
+    def apply(edits):
+        text = base
+        for pos, cut, piece in edits:
+            pos = min(pos, len(text))
+            text = text[:pos] + piece + text[pos + cut:]
+        return text
+
+    return edits.map(apply)
+
+
+_FLOWER_NATIVE = emit_native(flower_automaton())
+_FLOWER_HOA = emit_hoa(random_dpa(3, 3, 2, 7))
+
+
+class TestParserFuzz:
+    """Any text, arbitrary or a mutated valid document, is either parsed or
+    rejected with a ``FormatError``; nothing else escapes either parser."""
+
+    @staticmethod
+    def _parse_all(text):
+        for parse in (parse_native, lambda t: parse_native(t, validate=False),
+                      parse_hoa, lambda t: parse_hoa(t, allow_incomplete=True)):
+            try:
+                parse(text)
+            except FormatError:
+                pass
+
+    # crashes found by fuzzing, or next to them
+    def test_empty_ap_name(self):
+        with pytest.raises(FormatError, match="AP: letter names must be non-empty"):
+            parse_hoa(UNIVERSAL_1AP.replace('"go"', '""'))
+
+    def test_non_integer_color_count(self):
+        with pytest.raises(FormatError, match="expected an integer, got 'x'"):
+            parse_hoa(UNIVERSAL_1AP.replace("parity min even 1", "parity min even x"))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.text(max_size=80))
+    def test_arbitrary_text(self, text):
+        self._parse_all(text)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_mutated(_FLOWER_NATIVE))
+    def test_mutated_native(self, text):
+        self._parse_all(text)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_mutated(_FLOWER_HOA) | _mutated(UNIVERSAL_1AP))
+    def test_mutated_hoa(self, text):
+        self._parse_all(text)
 
 
 class TestHoa:

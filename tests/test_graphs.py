@@ -29,8 +29,10 @@ from paritychain import (
     state_equivalence,
     streamline,
     structure_dpa,
+    structure_dpa_with_map,
     transient_elements,
 )
+from paritychain import graphs
 from paritychain.graphs import _Product
 
 T = Transition
@@ -307,6 +309,50 @@ class TestMediumDifferential:
         a = (_staircase if kind == "staircase" else blowup)(base, 5, rng)
         assert a.state_count >= 100
         assert state_equivalence(a) == reference_partition(a)
+
+
+def _fresh(a: ParityAutomaton) -> ParityAutomaton:
+    """A value-equal copy that carries nothing memoized."""
+    return ParityAutomaton(a.alphabet, a.state_count, a.initial, a.transitions)
+
+
+class TestCarriedPartition:
+    """Structuring and streamlining keep every surviving state's language,
+    so they hand the input's partition forward instead of recomputing it.
+    Inputs include unreachable states (initial state moved) and staircases,
+    whose redirects strand earlier copies, so drops happen before and
+    after the partition is first computed."""
+
+    @staticmethod
+    def _input(seed: int) -> ParityAutomaton:
+        a = _medium_dpa(seed)
+        return _moved_initial(a, random.Random(seed)) if seed % 2 else a
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_carried_partition_is_the_partition(self, seed, monkeypatch):
+        a = self._input(seed)
+        kernel = graphs._partition
+        computed = []
+        monkeypatch.setattr(graphs, "_partition", lambda x: computed.append(x) or kernel(x))
+        structured, _ = structure_dpa_with_map(a)
+        streamlined = streamline(structured)
+        carried = [state_equivalence(structured), state_equivalence(streamlined)]
+        extract_chain(streamlined, carried[1])
+        assert len(computed) == 1
+        monkeypatch.undo()
+        assert carried[0] == carried[1] == reference_partition(_fresh(structured))
+        assert carried[1] == state_equivalence(_fresh(streamlined))
+
+    def test_battery_drops_states_before_and_after_the_partition(self):
+        # a state dropped after the first drop was stranded by a redirect,
+        # so its removal restricts the carried partition
+        early = late = 0
+        for seed in range(24):
+            a = self._input(seed)
+            first = len(reachable_states(a, a.initial))
+            early += first < a.state_count
+            late += structure_dpa_with_map(a)[0].state_count < first
+        assert early >= 8 and late >= 8
 
 
 def _line(n: int) -> ParityAutomaton:
