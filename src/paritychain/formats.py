@@ -12,6 +12,7 @@ from .core import (
     CoBuchiAutomaton,
     ParityAutomaton,
     Transition,
+    _MAX_VIOLATIONS,
     validate_dpa,
 )
 
@@ -202,16 +203,25 @@ class _TokenStream:
         if tok.kind != kind or (value is not None and tok.value != value):
             want = value if value is not None else kind
             raise FormatError(
-                f"expected {want}, got {tok.value!r}", tok.line, tok.column
+                f"expected {want}, got {_clip(tok.value)!r}", tok.line, tok.column
             )
         return tok
+
+
+_MAX_SHOWN = 40  # characters of a token quoted in an error message
+
+
+def _clip(text: str) -> str:
+    """``text`` for an error message: its first ``_MAX_SHOWN`` characters,
+    then "...", so a huge token cannot make a huge message."""
+    return text if len(text) <= _MAX_SHOWN else text[:_MAX_SHOWN] + "..."
 
 
 def _int(tok: _Token) -> int:
     """The value of an integer token; a digit run past Python's int-string
     conversion limit is a ``FormatError``, not a ``ValueError``."""
     if tok.kind != "int":
-        raise FormatError(f"expected an integer, got {tok.value!r}", tok.line, tok.column)
+        raise FormatError(f"expected an integer, got {_clip(tok.value)!r}", tok.line, tok.column)
     try:
         return int(tok.value)
     except ValueError:
@@ -313,13 +323,13 @@ def _eval_label(tokens: list[_Token], valuation: int, ap_count: int) -> bool:
                 )
             return bool(valuation >> index & 1)
         raise FormatError(
-            f"unsupported label element {tok.value!r}", tok.line, tok.column
+            f"unsupported label element {_clip(tok.value)!r}", tok.line, tok.column
         )
 
     result = parse_or(0)
     if pos != len(tokens):
         tok = tokens[pos]
-        raise FormatError(f"trailing {tok.value!r} in label", tok.line, tok.column)
+        raise FormatError(f"trailing {_clip(tok.value)!r} in label", tok.line, tok.column)
     return result
 
 
@@ -350,12 +360,12 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
             raise FormatError("missing --BODY--")
         if tok.kind == "marker":
             if tok.value != "--BODY--":
-                raise FormatError(f"unexpected {tok.value}", tok.line, tok.column)
+                raise FormatError(f"unexpected {_clip(tok.value)}", tok.line, tok.column)
             stream.take()
             break
         if tok.kind != "header":
             raise FormatError(
-                f"expected a header item, got {tok.value!r}", tok.line, tok.column
+                f"expected a header item, got {_clip(tok.value)!r}", tok.line, tok.column
             )
         stream.take()
         args = []
@@ -405,7 +415,7 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
     if len(names) != 4 or names[:3] != ["parity", "min", "even"]:
         raise FormatError(
             "unsupported acceptance: need acc-name: parity min even <k>, got "
-            + (" ".join(names) or "none")
+            + (_clip(" ".join(names)) or "none")
         )
     color_count = _int(acc_name[3])
     if acc_sets is not None and acc_sets != color_count:
@@ -478,7 +488,7 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
             while (nxt := stream.take()).value != "}":
                 if nxt.kind != "int":
                     raise FormatError(
-                        f"expected acceptance set index, got {nxt.value!r}",
+                        f"expected acceptance set index, got {_clip(nxt.value)!r}",
                         nxt.line,
                         nxt.column,
                     )
@@ -502,26 +512,31 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
                 if _eval_label(label_tokens, valuation, len(aps)):
                     rows.setdefault((current, valuation), []).append((dst, color))
         else:
-            raise FormatError(f"unexpected {tok.value!r}", tok.line, tok.column)
+            raise FormatError(f"unexpected {_clip(tok.value)!r}", tok.line, tok.column)
 
     transitions = []
-    missing = []
-    for q in range(states):
-        for valuation in range(len(alphabet)):
-            entries = rows.get((q, valuation), [])
-            if len(entries) > 1:
-                raise FormatError(
-                    f"nondeterministic: state {q} has {len(entries)} transitions "
-                    f"on {alphabet.letters[valuation]}"
-                )
-            if not entries:
-                missing.append((q, alphabet.letters[valuation]))
-                continue
-            dst, color = entries[0]
-            transitions.append(Transition(q, valuation, dst, color))
-    if missing and not allow_incomplete:
+    for (q, valuation), entries in sorted(rows.items()):
+        if len(entries) > 1:
+            raise FormatError(
+                f"nondeterministic: state {q} has {len(entries)} transitions "
+                f"on {alphabet.letters[valuation]}"
+            )
+        dst, color = entries[0]
+        transitions.append(Transition(q, valuation, dst, color))
+    absent = states * len(alphabet) - len(rows)
+    if absent and not allow_incomplete:
+        # the first missing rows in order, as validate_dpa lists them; each
+        # step passes a present row or lists a missing one
+        missing = []
+        row = 0
+        while len(missing) < min(absent, _MAX_VIOLATIONS):
+            q, valuation = divmod(row, len(alphabet))
+            if (q, valuation) not in rows:
+                missing.append((q, _clip(alphabet.letters[valuation])))
+            row += 1
+        more = f" ... and {absent - len(missing)} more" if absent > len(missing) else ""
         raise FormatError(
-            f"incomplete rows: {missing}; parse with allow_incomplete=True "
+            f"incomplete rows: {missing}{more}; parse with allow_incomplete=True "
             "and apply complete_dpa"
         )
     try:

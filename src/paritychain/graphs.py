@@ -204,39 +204,25 @@ def gca_lasso_member(a: CoBuchiAutomaton, w: LassoWord) -> bool:
 class _Product:
     """Synchronous pair product of two complete DPAs as flat int lists.
 
-    Without ``start`` the nodes are all pairs, (qa, qb) being node
-    qa * |Qb| + qb.  With a start pair only the pairs reachable from it are
-    built, numbered densely in ascending order of that same id, and
-    ``self.start`` is the start pair's node.  The renumbering is monotone,
-    so lowest-numbered choices, sorted node lists and letter-ascending
-    searches pick the same pairs and letters as on the all-pairs product.
-    Edge e = node * |Σ| + sym leads to ``dst[e]`` and carries the colors
-    ``ca[e]`` (of a) and ``cb[e]`` (of b).  Every row of both automata is
-    read either way, so an incomplete automaton raises even when its
-    missing row is unreachable.
+    The nodes are the pairs reachable from the root pairs, numbered densely
+    in ascending order of the all-pairs id qa * |Qb| + qb; ``node_of`` maps
+    that id to the node.  The renumbering is monotone, so lowest-numbered
+    choices, sorted node lists and letter-ascending searches pick the same
+    pairs and letters as on the all-pairs product, which is the product
+    rooted at every pair.  Edge e = node * |Σ| + sym leads to ``dst[e]`` and
+    carries the colors ``ca[e]`` (of a) and ``cb[e]`` (of b).  Every row of
+    both automata is read first, so an incomplete automaton raises even
+    when its missing row is unreachable.
     """
 
-    def __init__(self, a: ParityAutomaton, b: ParityAutomaton, start=None):
+    def __init__(self, a: ParityAutomaton, b: ParityAutomaton, roots):
         if a.alphabet != b.alphabet:
             raise AutomatonError("automata must share one alphabet")
         self.k = k = len(a.alphabet)
         nb = b.state_count
         rows_a = [a.step(q, sym) for q in range(a.state_count) for sym in range(k)]
         rows_b = [b.step(q, sym) for q in range(nb) for sym in range(k)]
-        self.dst: list[int] = []
-        self.ca: list[int] = []
-        self.cb: list[int] = []
-        if start is None:
-            self.size = a.state_count * nb
-            for qa in range(a.state_count):
-                for qb in range(nb):
-                    for sym in range(k):
-                        ta, tb = rows_a[qa * k + sym], rows_b[qb * k + sym]
-                        self.dst.append(ta.dst * nb + tb.dst)
-                        self.ca.append(ta.color)
-                        self.cb.append(tb.color)
-            return
-        pairs = [start[0] * nb + start[1]]
+        pairs = list(dict.fromkeys(qa * nb + qb for qa, qb in roots))
         seen = set(pairs)
         for pair in pairs:  # ``pairs`` grows while it is scanned
             qa, qb = divmod(pair, nb)
@@ -245,9 +231,11 @@ class _Product:
                 if nxt not in seen:
                     seen.add(nxt)
                     pairs.append(nxt)
-        node_of = {pair: i for i, pair in enumerate(sorted(pairs))}
+        self.node_of = node_of = {pair: i for i, pair in enumerate(sorted(pairs))}
         self.size = len(pairs)
-        self.start = node_of[pairs[0]]
+        self.dst: list[int] = []
+        self.ca: list[int] = []
+        self.cb: list[int] = []
         for pair in node_of:
             qa, qb = divmod(pair, nb)
             for sym in range(k):
@@ -273,9 +261,8 @@ class _Product:
         Every round after the first runs Tarjan from the sources of live
         edges only, ascending, and reads members off them: a bad SCC has a
         live cycle through each of its nodes, so each one is such a source.
-        On a product built from a start pair the result is the all-pairs
-        one restricted to the reachable pairs, as the reachable part is
-        closed under edges.
+        The result is the all-pairs one restricted to the built pairs, as
+        they are closed under edges.
         """
         k, dst = self.k, self.dst
         live = range(len(dst))
@@ -355,21 +342,35 @@ def state_equivalence(a: ParityAutomaton) -> Partition:
     """Partition the states of a complete DPA by language equivalence.
 
     Two states disagree iff the pair product reaches, from their pair, a
-    cycle whose two color minima have different parity.  One nested SCC
-    refinement of a x a finds the product SCCs holding a cycle with an even
-    first and an odd second minimum; (q, r) is inequivalent iff (q, r) or
-    (r, q) reaches one of them, as the product is symmetric.  The result is
-    memoized on ``a`` itself (see ``_memo``), and ``structure_dpa_with_map``
-    and ``streamline`` hand it forward to the automata they build, whose
-    states keep their languages, so one canonicalization computes it once.
+    cycle whose two color minima have different parity.  A cheap pre-split
+    (see ``_presplit``) first separates states by their membership of a few
+    periodic words and refines that until it is closed under successors;
+    the nested SCC refinement of the product then runs only on the pairs
+    inside its blocks (see ``_partition``).  The result is memoized on
+    ``a`` itself (see ``_memo``), and ``structure_dpa_with_map`` and
+    ``streamline`` hand it forward to the automata they build, whose states
+    keep their languages, so one canonicalization computes it once.
     """
     return _memo(a, _PARTITION, lambda: _partition(a))
 
 
 def _partition(a: ParityAutomaton) -> Partition:
-    """``state_equivalence`` without the memo."""
-    product = _Product(a, a)
-    n, k = a.state_count, product.k
+    """``state_equivalence`` without the memo.
+
+    With transition-based acceptance the first color of a run does not
+    matter, so language equivalence is a right congruence: q ≡ r implies
+    δ(q, σ) ≡ δ(r, σ).  The pre-split is coarser than ≡ and closed under
+    successors, so states of different blocks are inequivalent and the
+    pairs inside the blocks are closed under product edges.  On them one
+    nested SCC refinement of a x a finds the product SCCs holding a cycle
+    with an even first and an odd second minimum, and (q, r) is
+    inequivalent iff (q, r) or (r, q) reaches one of them, as the product
+    is symmetric: exactly the marking of the all-pairs product, restricted
+    to these pairs.
+    """
+    n, k = a.state_count, len(a.alphabet)
+    blocks = _presplit(a)
+    product = _Product(a, a, [(q, r) for block in blocks for q in block for r in block])
     marked = [False] * product.size
     todo = [node for nodes, _, _ in product.bad_sccs(product.ca, product.cb) for node in nodes]
     for node in todo:
@@ -382,17 +383,133 @@ def _partition(a: ParityAutomaton) -> Partition:
             if not marked[prev]:
                 marked[prev] = True
                 todo.append(prev)
-    reps: list[int] = []
-    members: list[list[int]] = []
-    for q in range(n):
-        for idx, rep in enumerate(reps):
-            if not marked[rep * n + q] and not marked[q * n + rep]:
-                members[idx].append(q)
-                break
-        else:
-            reps.append(q)
-            members.append([q])
-    return Partition(classes=tuple(tuple(c) for c in members))
+    node_of = product.node_of
+    classes: list[list[int]] = []
+    for block in blocks:
+        members: list[list[int]] = []
+        for q in block:
+            for cls in members:
+                rep = cls[0]
+                if not marked[node_of[rep * n + q]] and not marked[node_of[q * n + rep]]:
+                    cls.append(q)
+                    break
+            else:
+                members.append([q])
+        classes += members
+    return Partition(classes=tuple(map(tuple, classes)))
+
+
+def _seed_words(k: int) -> list[tuple[int, ...]]:
+    """Periods of the pre-split's words: every period of length 1, every
+    period of two distinct letters up to rotation (on at most 16 letters,
+    so the list stays small), and 32 periods of length 3-12 drawn from a
+    fixed seed by a 64-bit linear congruential generator (its high bits)."""
+    words = [(s,) for s in range(k)]
+    if k <= 16:
+        words += [(s, t) for s in range(k) for t in range(s + 1, k)]
+    x = 2010
+
+    def draw(bound: int) -> int:
+        nonlocal x
+        x = (x * 6364136223846793005 + 1442695040888963407) % 2**64
+        return (x >> 33) % bound
+
+    words += [tuple(draw(k) for _ in range(3 + draw(10))) for _ in range(32)]
+    return words
+
+
+def _presplit(a: ParityAutomaton) -> list[list[int]]:
+    """Blocks, each ascending, of a partition of the states of ``a`` that is
+    coarser than language equivalence and closed under successors.  Every
+    row is read first, in (state, letter) order, so an incomplete automaton
+    raises the same error as the product would.
+
+    It is the coarsest partition closed under successors that separates
+    states by membership of v^ω for every ``_seed_words`` period v, a
+    language property, so language equivalence refines it.  All states run
+    through one period at once, which gives the functional graph
+    q -> δ(q, v) weighted by the least color on the way; membership is the
+    parity of the least weight on the cycle that q's walk reaches.
+
+    After each word the partition is refined by Hopcroft's algorithm, on
+    Valmari's refinable partition: a dequeued splitter B splits every block
+    by "the σ-successor lies in B", for each letter σ.  Of a block split
+    while not queued only the smaller half is queued, which suffices as the
+    partition is stable under the whole block already.  Words stop once
+    every block is a singleton.
+    """
+    n, k = a.state_count, len(a.alphabet)
+    rows = [a.step(q, sym) for q in range(n) for sym in range(k)]
+    dst_by = [[t.dst for t in rows[s::k]] for s in range(k)]
+    col_by = [[t.color for t in rows[s::k]] for s in range(k)]
+    pre = [[[] for _ in range(n)] for _ in range(k)]  # pre[s][q]: states whose s-successor is q
+    for d, ps in zip(dst_by, pre):
+        for q in range(n):
+            ps[d[q]].append(q)
+    # block b is elems[first[b]:last[b]], its marked states first, up to mid[b]
+    elems, loc, block = list(range(n)), list(range(n)), [0] * n
+    first, last, mid, queued = [0], [n], [0], [False]
+    work: list[int] = []
+
+    def split(marked):
+        """Split every block into its states in ``marked`` and the rest."""
+        touched = []
+        for r in marked:
+            b, i = block[r], loc[r]
+            j = mid[b]
+            if i < j:
+                continue
+            elems[i], elems[j] = elems[j], r
+            loc[elems[i]], loc[r] = i, j
+            if j == first[b]:
+                touched.append(b)
+            mid[b] = j + 1
+        for b in touched:
+            j = mid[b]
+            if j == last[b]:  # every state marked: no split
+                mid[b] = first[b]
+                continue
+            new = len(first)
+            first.append(first[b])
+            last.append(j)
+            mid.append(first[b])
+            first[b] = mid[b] = j
+            for r in elems[first[new]:j]:
+                block[r] = new
+            if queued[b] or j - first[new] <= last[b] - j:
+                queued.append(True)
+                work.append(new)
+            else:
+                queued.append(False)
+                queued[b] = True
+                work.append(b)
+
+    for v in _seed_words(k):
+        if len(first) == n:
+            break
+        least, end = col_by[v[0]], dst_by[v[0]]
+        for s in v[1:]:
+            d, c = dst_by[s], col_by[s]
+            least = [m if m < c[q] else c[q] for m, q in zip(least, end)]
+            end = [d[q] for q in end]
+        dom = [-1] * n  # -2: on the current walk
+        for start in range(n):
+            q, walk = start, []
+            while dom[q] == -1:
+                dom[q] = -2
+                walk.append(q)
+                q = end[q]
+            value = min(least[r] for r in walk[walk.index(q):]) if dom[q] == -2 else dom[q]
+            for r in walk:
+                dom[r] = value
+        split([q for q in range(n) if dom[q] % 2])
+        while work:
+            b = work.pop()
+            queued[b] = False
+            sources = elems[first[b]:last[b]]
+            for ps in pre:
+                split([r for q in sources for r in ps[q]])
+    return [sorted(elems[first[b]:last[b]]) for b in range(len(first))]
 
 
 def dpa_language_equiv(
@@ -412,8 +529,8 @@ def dpa_language_equiv(
     pair are built (see ``_Product``); the witness is the one the all-pairs
     product gives.
     """
-    product = _Product(a, b, (a.initial, b.initial))
-    init = product.start
+    product = _Product(a, b, [(a.initial, b.initial)])
+    init = product.node_of[a.initial * b.state_count + b.initial]
     for c1, c2 in ((product.ca, product.cb), (product.cb, product.ca)):
         bad = product.bad_sccs(c1, c2)
         owner = {node: i for i, (nodes, _, _) in enumerate(bad) for node in nodes}

@@ -7,8 +7,9 @@ equivalence by flagging one restricted product per ordered color pair of
 different parity, not by the library's nested SCC refinement; they and
 ``streamline_one_scc_per_pass`` share only the library's SCC routine.
 ``reference_coruns`` simulates one lasso run per co-run jump target.
-``full_product_equiv`` is the library's equivalence check on the product
-of all state pairs, which the reachable-pairs product must reproduce.
+``full_product_equiv`` and ``all_pairs_partition`` are the library's
+equivalence check and partition on the product of all state pairs, which
+the reachable-pairs product and the pre-split partition must reproduce.
 """
 
 from collections import deque
@@ -224,6 +225,38 @@ def reference_partition(a: ParityAutomaton) -> Partition:
     return Partition(tuple(map(tuple, classes)))
 
 
+def all_pairs_partition(a: ParityAutomaton) -> Partition:
+    """Language-equivalence classes from one nested SCC refinement of the
+    product of all |Q|^2 pairs: (q, r) is inequivalent iff (q, r) or (r, q)
+    reaches a bad SCC.  This is the library's kernel without the pre-split
+    that restricts it to the pairs inside blocks."""
+    n = a.state_count
+    product = _Product(a, a, [(q, r) for q in range(n) for r in range(n)])
+    marked = [False] * product.size
+    todo = [node for nodes, _, _ in product.bad_sccs(product.ca, product.cb) for node in nodes]
+    for node in todo:
+        marked[node] = True
+    pred: list[list[int]] = [[] for _ in range(product.size)]
+    for e, d in enumerate(product.dst):
+        pred[d].append(e // product.k)
+    while todo:
+        for prev in pred[todo.pop()]:
+            if not marked[prev]:
+                marked[prev] = True
+                todo.append(prev)
+    reps: list[int] = []
+    members: list[list[int]] = []
+    for q in range(n):
+        for idx, rep in enumerate(reps):
+            if not marked[rep * n + q] and not marked[q * n + rep]:
+                members[idx].append(q)
+                break
+        else:
+            reps.append(q)
+            members.append([q])
+    return Partition(tuple(map(tuple, members)))
+
+
 def reference_equiv(a: ParityAutomaton, b: ParityAutomaton) -> bool:
     """Whether L(a) = L(b), by the same per-color-pair flagging."""
     init = (a.initial, b.initial)
@@ -234,8 +267,8 @@ def full_product_equiv(a: ParityAutomaton, b: ParityAutomaton) -> tuple:
     """Verdict and witness of ``dpa_language_equiv`` computed on the
     product of all |Qa|*|Qb| pairs, not only those reachable from the
     initial pair."""
-    product = _Product(a, b)
-    init = a.initial * b.state_count + b.initial
+    product = _Product(a, b, [(q, r) for q in range(a.state_count) for r in range(b.state_count)])
+    init = product.node_of[a.initial * b.state_count + b.initial]
     for c1, c2 in ((product.ca, product.cb), (product.cb, product.ca)):
         bad = product.bad_sccs(c1, c2)
         owner = {node: i for i, (nodes, _, _) in enumerate(bad) for node in nodes}

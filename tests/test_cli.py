@@ -166,6 +166,16 @@ class TestValidate:
         assert code == 2 and out == ""
         assert "integer literal" in err and "too long" in err and len(err) < 200
 
+    def test_long_token_is_short_format_error(self, capsys, tmp_path):
+        path = tmp_path / "long.hoa"
+        path.write_text(
+            "HOA: v1\nStates: 1\nStart: 0\nAP: 1 \"p\"\nacc-name: parity min even \""
+            + "x" * 10**6 + "\"\nAcceptance: 1 Inf(0)\n--BODY--\nState: 0\n[t] 0 {0}\n--END--\n"
+        )
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2 and out == ""
+        assert "expected an integer" in err and len(err.encode()) < 200
+
     def test_violation_list_is_capped(self, capsys, tmp_path):
         path = tmp_path / "empty.aut"
         path.write_text(json.dumps({"kind": "dpa", "alphabet": ["a"], "states": 100_000,

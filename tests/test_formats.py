@@ -145,6 +145,46 @@ class TestInputLimits:
         with pytest.raises(FormatError, match="nested too deeply"):
             parse_native("[" * 100_000)
 
+    def test_missing_rows_capped(self):
+        # 1000 states x 1024 letters and one edge: every missing row used to
+        # be listed, a 46 MB message
+        names = " ".join(f'"p{j}"' for j in range(10))
+        text = UNIVERSAL_1AP.replace("States: 1", "States: 1000")
+        text = text.replace('AP: 1 "go"', f"AP: 10 {names}")
+        with pytest.raises(FormatError, match=r"incomplete rows: \[\(1, '!p0&!p1&") as err:
+            parse_hoa(text)
+        message = str(err.value)
+        assert len(message) < 1024
+        assert message.count("(1, ") == 10 and "... and 1022966 more;" in message
+        assert len(parse_hoa(text, allow_incomplete=True).transitions) == 1024
+
+    def test_few_missing_rows_listed_in_full(self):
+        text = UNIVERSAL_1AP.replace("States: 1", "States: 3")
+        with pytest.raises(FormatError) as err:
+            parse_hoa(text)
+        assert str(err.value) == (
+            "incomplete rows: [(1, '!go'), (1, 'go'), (2, '!go'), (2, 'go')]; "
+            "parse with allow_incomplete=True and apply complete_dpa"
+        )
+
+    def test_nondeterminism_reported_before_missing_rows(self):
+        text = UNIVERSAL_1AP.replace("States: 1", "States: 3").replace(
+            "[t] 0 {0}", "[t] 0 {0}\nState: 2\n[0] 0 {0}\n[t] 1 {0}"
+        )
+        with pytest.raises(FormatError, match="^nondeterministic: state 2 has 2 transitions on go$"):
+            parse_hoa(text)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("parity min even 1", 'parity min even "' + "x" * 10**6 + '"', "expected an integer, got "),
+        ("parity min even 1", '"' + "x" * 10**6 + '"', "need acc-name: parity min even <k>, got "),
+        ("[t] 0", "[" + "x" * 10**6 + "] 0", "unsupported label element "),
+        ("--END--", "--" + "x" * 10**6 + "--", "unexpected '--"),
+    ], ids=["acc-name-int", "acc-name", "label", "marker"])
+    def test_long_token_clipped_in_message(self, old, new, message):
+        with pytest.raises(FormatError, match=message) as err:
+            parse_hoa(UNIVERSAL_1AP.replace(old, new))
+        assert len(str(err.value)) < 200 and "x" * 30 + "..." in str(err.value)
+
 
 def _mutated(base: str):
     """Documents made from ``base`` by a few deletions, insertions and

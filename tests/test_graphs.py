@@ -5,6 +5,7 @@ import pytest
 
 from conftest import WORD_AA, WORD_CA, WORD_CABB, blowup, random_lasso
 from oracles import (
+    all_pairs_partition,
     full_product_equiv,
     gca_member_oracle,
     reference_equiv,
@@ -398,5 +399,104 @@ class TestReachableProduct:
         # the loop on a at state 0 turns odd; both runs move in lockstep
         ts = tuple(T(t.src, t.sym, t.dst, t.color + (t == T(0, 0, 0, 0))) for t in a.transitions)
         flipped = ParityAutomaton(a.alphabet, 300, 0, ts)
-        assert _Product(a, flipped, (a.initial, flipped.initial)).size == 300
+        assert _Product(a, flipped, [(a.initial, flipped.initial)]).size == 300
         assert dpa_language_equiv(a, flipped) == (False, LassoWord((), (0,)))
+
+
+def _needles(patterns: list[str]) -> ParityAutomaton:
+    """Disjoint union of one matcher over {a, b} per pattern w: state i has
+    read the longest prefix w[:i] that ends the input, and an edge completing
+    w has color 0, every other color 1, so each matcher accepts exactly the
+    words with infinitely many occurrences of w.  For the patterns a^i b^j
+    with i, j >= 10 no word v^ω with |v| <= 12 contains w at all, so every
+    state rejects every such word, while distinct patterns give distinct
+    languages."""
+    ts = []
+    for w in patterns:
+        offset = len(ts) // 2
+        for i in range(len(w)):
+            for sym, x in enumerate("ab"):
+                read = w[:i] + x
+                j = max(j for j in range(len(w)) if read.endswith(w[:j]))
+                ts.append(T(offset + i, sym, offset + j, 0 if read.endswith(w) else 1))
+    return ParityAutomaton(Alphabet(("a", "b")), len(ts) // 2, 0, tuple(ts))
+
+
+def _battery_dpa(seed: int) -> ParityAutomaton:
+    rng = random.Random(2600 + seed)
+    kind = seed % 5
+    if kind == 4:  # 200-300 states
+        size = seed // 5 % 4
+        if size == 3:
+            return _line(rng.randrange(200, 301))
+        if size == 0:
+            return random_dpa(rng.randrange(300, 380), rng.randrange(2, 8), 2, seed)
+        base = random_dpa(rng.randrange(50, 76), rng.randrange(2, 8), 2, seed)
+        return (_staircase if size == 1 else blowup)(base, 4, rng)
+    if kind == 3:
+        shapes = [(i, j) for i in range(10, 14) for j in range(10, 14)]
+        a = _needles(["a" * i + "b" * j for i, j in rng.sample(shapes, rng.randrange(2, 4))])
+        return blowup(a, 2, rng) if rng.randrange(2) else a
+    size = rng.randrange(4, 41 if kind == 0 else 21)
+    base = random_dpa(size, rng.randrange(2, 6), rng.randrange(2, 4), seed)
+    if kind == 0:
+        return base
+    return (_staircase if kind == 1 else blowup)(base, rng.randrange(2, 5), rng)
+
+
+class TestPresplit:
+    """``state_equivalence`` refines the product only on the pairs inside
+    the blocks of a cheap pre-split; it must equal the all-pairs kernel.
+    Random, staircase and blow-up DPAs of 4-160 states, pattern matchers
+    that no seed word tells apart, and DPAs of 200-300 states."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_partition_equals_all_pairs(self, seed):
+        a = _battery_dpa(seed)
+        assert state_equivalence(a) == all_pairs_partition(a)
+
+    def test_battery_exercises_the_product_stage(self):
+        # on these the pre-split alone would be wrong
+        coarse = 0
+        for seed in range(60):
+            a = _battery_dpa(seed)
+            coarse += len(graphs._presplit(a)) < len(state_equivalence(a).classes)
+        assert coarse >= 8
+
+    def test_presplit_is_closed_under_successors(self):
+        # a block split while queued must queue both halves; dropping that
+        # leaves a few of these 800 pre-splits open
+        for seed in range(800):
+            rng = random.Random(seed)
+            base = random_dpa(rng.randrange(4, 60), rng.randrange(2, 6), rng.randrange(1, 4), seed)
+            if seed % 3:
+                base = (_staircase if seed % 3 == 1 else blowup)(base, rng.randrange(2, 4), rng)
+            blocks = graphs._presplit(base)
+            block_of = {q: i for i, block in enumerate(blocks) for q in block}
+            assert sorted(block_of) == list(range(base.state_count))
+            for t in base.transitions:
+                for mate in blocks[block_of[t.src]]:
+                    assert block_of[base.step(mate, t.sym).dst] == block_of[t.dst], seed
+
+    def test_large_dpa_builds_only_in_block_pairs(self, monkeypatch):
+        built = []
+
+        class Recording(graphs._Product):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self.size)
+
+        a = random_dpa(2000, 8, 2, 5)
+        monkeypatch.setattr(graphs, "_Product", Recording)
+        classes = state_equivalence(a).classes
+        assert a.state_count == 1610
+        assert built == [sum(len(block) ** 2 for block in graphs._presplit(a))] == [1610]
+        assert classes == tuple((q,) for q in range(1610))
+
+    def test_incomplete_automaton_rejected(self):
+        # rows (1, a) and (2, b) are missing, and state 0 leads to state 2:
+        # the error names the first missing row in (state, letter) order
+        ts = (T(0, 0, 2, 0), T(0, 1, 2, 1), T(1, 1, 1, 0), T(2, 0, 0, 1))
+        a = ParityAutomaton(Alphabet(("a", "b")), 3, 0, ts)
+        with pytest.raises(AutomatonError, match="^state 1 on letter 'a': no transition$"):
+            state_equivalence(a)
