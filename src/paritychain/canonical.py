@@ -10,7 +10,6 @@ from .core import (
     Alphabet,
     AutomatonError,
     ChainRepresentation,
-    CoBuchiAutomaton,
     ParityAutomaton,
     Partition,
     PreconditionError,
@@ -234,45 +233,24 @@ def streamline(a: ParityAutomaton) -> ParityAutomaton:
 def is_streamlined(a: ParityAutomaton) -> bool:
     """Whether streamlining is a no-op, i.e. the colors are already minimal."""
     new_color = _streamlined_colors(a)
-    return all(new_color[(t.src, t.sym)] == t.color for t in a.transitions)
+    return _memo(
+        a, "_is_streamlined",
+        lambda: all(new_color[(t.src, t.sym)] == t.color for t in a.transitions),
+    )
 
 
 def extract_chain(a: ParityAutomaton, equiv: Partition) -> ChainRepresentation:
-    """Build the chain A_0..A_{cmax+1} of co-Buchi automata from a
-    streamlined DPA.
+    """The chain A_0..A_{cmax+1} of co-Buchi automata of a streamlined DPA,
+    as a view (see ``ChainRepresentation``): no level is built here.
 
-    Level i keeps every transition, accepting (color 2) when its color in
-    the source automaton is >= i and rejecting otherwise, and adds a
-    rejecting jump transition to every other state language-equivalent to
-    the deterministic target.  Levels are defined for every integer up to
-    cmax+1, so absent colors simply repeat the next occurring level.
+    Levels are defined for every integer up to cmax+1, so absent colors
+    simply repeat the next occurring level.
     """
     if equiv.state_count != a.state_count:
         raise AutomatonError("partition does not match the automaton's state count")
     if not is_streamlined(a):
         raise PreconditionError("chain extraction requires a streamlined automaton")
-    jumps = tuple(
-        Transition(t.src, t.sym, mate, 1)
-        for t in a.transitions
-        for mate in equiv.mates(t.dst)
-        if mate != t.dst
-    )
-    levels = []
-    for i in range(a.max_color + 2):
-        ts = tuple(
-            Transition(t.src, t.sym, t.dst, 2 if t.color >= i else 1)
-            for t in a.transitions
-        )
-        levels.append(
-            CoBuchiAutomaton(
-                alphabet=a.alphabet,
-                state_count=a.state_count,
-                initial=a.initial,
-                transitions=ts + jumps,
-                gfg_claimed=True,
-            )
-        )
-    return ChainRepresentation(levels=tuple(levels), source_color_max=a.max_color)
+    return ChainRepresentation(a, equiv)
 
 
 @dataclass(frozen=True)
@@ -284,16 +262,17 @@ class ChainLevelStats:
 
 
 def chain_stats(c: ChainRepresentation) -> tuple[ChainLevelStats, ...]:
-    """Per-level counts.  The jump set is level-independent by construction:
-    at level 0 the original transitions are all accepting, so the level-0
-    rejecting transitions are exactly the jumps."""
-    jump_count = sum(1 for t in c.levels[0].transitions if t.color == 1)
+    """Per-level counts, read off the source colors and the class sizes
+    without building a level: level i accepts the transitions of color
+    >= i, and every level has one jump per other mate of a target."""
+    a = c.source
+    jump_count = sum(len(c.partition.mates(t.dst)) - 1 for t in a.transitions)
     return tuple(
         ChainLevelStats(
             level=i,
-            states=lvl.state_count,
-            accepting_transitions=sum(1 for t in lvl.transitions if t.color == 2),
+            states=a.state_count,
+            accepting_transitions=sum(1 for t in a.transitions if t.color >= i),
             jump_transitions=jump_count,
         )
-        for i, lvl in enumerate(c.levels)
+        for i in range(a.max_color + 2)
     )

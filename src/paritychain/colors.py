@@ -14,7 +14,7 @@ from .core import (
     Partition,
     PreconditionError,
 )
-from .graphs import gca_lasso_member
+from .graphs import _cobuchi_rows
 
 
 @dataclass(frozen=True)
@@ -112,22 +112,34 @@ def corun_color(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> int:
 
 
 def natural_color_via_chain(c: ChainRepresentation, w: LassoWord) -> int:
-    """The maximal chain level that accepts ``w``; level 0 is universal.
+    """The maximal chain level that accepts ``w``, read off the chain's
+    source and partition in one pass; no level is built.
 
-    The levels are nested, L(A_{i+1}) included in L(A_i), so membership is
-    monotone in i and the top accepting level is found by bisection with
-    O(log |levels|) membership checks.
+    Every level has the same edges, the deterministic ones plus the jumps,
+    so every level reaches the same (state, word position) nodes.  Level i
+    accepts iff one of them lies on a cycle of deterministic edges of color
+    >= i, its only accepting edges (at most one per node).  Those cycles
+    are the ones the deterministic walks of the reachable nodes end in, so
+    the top accepting level is the largest dominating color of a reachable
+    node: one breadth-first search over every jump, then one table.
     """
-    if not gca_lasso_member(c.levels[0], w):
-        raise AutomatonError("chain level 0 must accept every word")
-    lo, hi = 0, len(c.levels)  # level lo accepts; levels >= hi reject
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if gca_lasso_member(c.levels[mid], w):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    a, equiv = c.source, c.partition
+    color = _dominating_colors(a, equiv, w)
+    letters = w.prefix + w.period
+    length, u_len = len(letters), len(w.prefix)
+    start = a.initial * length  # node (q, p) is q * length + p
+    seen = [False] * (a.state_count * length)
+    seen[start] = True
+    order = [start]
+    for node in order:  # BFS: ``order`` grows while it is scanned
+        q, p = divmod(node, length)
+        nxt_p = p + 1 if p + 1 < length else u_len
+        for mate in equiv.mates(a.step(q, letters[p]).dst):
+            nxt = mate * length + nxt_p
+            if not seen[nxt]:
+                seen[nxt] = True
+                order.append(nxt)
+    return max(color(*divmod(node, length)) for node in order)
 
 
 @dataclass(frozen=True)
@@ -151,6 +163,41 @@ class ResolverState:
                    tracked=((a.initial, 0),))
 
 
+def _advance(rows, k: int, groups, current: int, sym: int):
+    """One move of the strategy on rank groups: the states tracked after a
+    prefix, grouped by equal tracked position, groups in ascending position
+    order, each group ascending.  ``rows`` are ``graphs._cobuchi_rows``.
+
+    A state reached by an accepting transition joins the group of its
+    first such predecessor; every other successor joins a fresh group,
+    last, as its position is the new one.  Returns the new groups, the
+    index of the group each came from (``len(groups)``: the fresh one),
+    the strategy's next state and the color of the transition it took.
+    """
+    acc, succ = rows
+    rank: dict[int, int] = {}  # new tracked state -> index of its group
+    for j, group in enumerate(groups):
+        for q in group:
+            dst = acc[q * k + sym]
+            if dst >= 0:
+                rank.setdefault(dst, j)
+    for group in groups:
+        for q in group:
+            for dst in succ[q * k + sym]:
+                rank.setdefault(dst, len(groups))
+    buckets: list[list[int]] = [[] for _ in range(len(groups) + 1)]
+    for dst, j in rank.items():
+        buckets[j].append(dst)
+    sources = [j for j, bucket in enumerate(buckets) if bucket]
+    if not sources:
+        raise AutomatonError("resolver is stuck; the automaton is not complete")
+    new_groups = tuple(tuple(sorted(buckets[j])) for j in sources)
+    nxt = acc[current * k + sym]
+    if nxt >= 0:
+        return new_groups, sources, nxt, 2
+    return new_groups, sources, new_groups[0][0], 1
+
+
 def gfg_resolver_step(a: CoBuchiAutomaton, s: ResolverState, sym: int) -> ResolverState:
     """One move of the strategy 'follow the run longest through accepting
     transitions'.
@@ -158,45 +205,28 @@ def gfg_resolver_step(a: CoBuchiAutomaton, s: ResolverState, sym: int) -> Resolv
     An accepting transition from the current state is followed when it
     exists (there is at most one).  Otherwise the strategy restarts at a
     state whose tracked position is minimal, ties broken by lowest state
-    index; the choice among ties does not affect acceptance.
+    index; the choice among ties does not affect acceptance.  This is the
+    move ``resolve_run`` makes (see ``_advance``) on the rank groups of
+    ``s.tracked``, with the positions read back from the groups.
     """
     a.alphabet.check_letters((sym,))
     tracked = dict(s.tracked)
-    if s.current not in tracked or any(l > s.position for l in tracked.values()):
+    if (
+        s.current not in tracked
+        or any(not 0 <= q < a.state_count for q in tracked)
+        or any(pos > s.position for pos in tracked.values())
+    ):
         raise AutomatonError("inconsistent resolver state")
-    new_tracked: dict[int, int] = {}
-    for src, since in tracked.items():
-        for t in a.successors(src, sym):
-            if t.color == 2:
-                prev = new_tracked.get(t.dst, since)
-                new_tracked[t.dst] = min(prev, since)
-    for src in tracked:
-        for t in a.successors(src, sym):
-            if t.dst not in new_tracked:
-                new_tracked[t.dst] = s.position + 1
-    if not new_tracked:
-        raise AutomatonError("resolver is stuck; the automaton is not complete")
-    accepting = [t for t in a.successors(s.current, sym) if t.color == 2]
-    if accepting:
-        nxt, color = accepting[0].dst, 2
-    else:
-        nxt = min(new_tracked, key=lambda q: (new_tracked[q], q))
-        color = 1
-    return ResolverState(
-        position=s.position + 1,
-        current=nxt,
-        last_color=color,
-        tracked=tuple(sorted(new_tracked.items())),
-    )
-
-
-def _rank_groups(tracked):
-    # Absolute positions grow without bound; future choices depend only on
-    # the grouping of states by equal position and the group order.
     by_pos: dict[int, list[int]] = {}
-    for q, pos in tracked:
+    for q, pos in tracked.items():
         by_pos.setdefault(pos, []).append(q)
-    return tuple(tuple(sorted(qs)) for _, qs in sorted(by_pos.items()))
+    positions = sorted(by_pos) + [s.position + 1]
+    groups = tuple(tuple(sorted(by_pos[pos])) for pos in positions[:-1])
+    groups, sources, current, color = _advance(
+        _cobuchi_rows(a), len(a.alphabet), groups, s.current, sym
+    )
+    new_tracked = sorted((q, positions[j]) for group, j in zip(groups, sources) for q in group)
+    return ResolverState(s.position + 1, current, color, tuple(new_tracked))
 
 
 def resolve_run(a: CoBuchiAutomaton, w: LassoWord) -> tuple[bool, tuple[int, ...]]:
@@ -204,22 +234,26 @@ def resolve_run(a: CoBuchiAutomaton, w: LassoWord) -> tuple[bool, tuple[int, ...
 
     Returns the verdict and the positions of rejecting output transitions
     inside the repeating configuration cycle (empty iff accepted).  On
-    chain automata the verdict coincides with language membership.
+    chain automata the verdict coincides with language membership.  The
+    configuration is the strategy's state, its rank groups (see
+    ``_advance``: absolute positions grow without bound, and future moves
+    depend on the groups only) and the word position.
     """
-    a.alphabet.check_letters(w.prefix + w.period)
-    s = ResolverState.start(a)
-    u_len, v_len = len(w.prefix), len(w.period)
+    letters = w.prefix + w.period
+    a.alphabet.check_letters(letters)
+    rows, k = _cobuchi_rows(a), len(a.alphabet)
+    length, u_len = len(letters), len(w.prefix)
+    current, groups = a.initial, ((a.initial,),)
     seen: dict[tuple, int] = {}
-    emitted: list[int] = []
+    emitted: list[int] = []  # the color output at each position
+    p = 0  # the index in ``letters`` of the next letter; period positions wrap
     while True:
-        if s.position >= u_len:
-            key = (s.current, _rank_groups(s.tracked), (s.position - u_len) % v_len)
+        if len(emitted) >= u_len:
+            key = (current, groups, p)
             if key in seen:
-                first = seen[key]
-                rejects = tuple(
-                    p for p in range(first, s.position) if emitted[p] == 1
-                )
+                rejects = tuple(i for i in range(seen[key], len(emitted)) if emitted[i] == 1)
                 return not rejects, rejects
-            seen[key] = s.position
-        s = gfg_resolver_step(a, s, w.letter_at(s.position))
-        emitted.append(s.last_color)
+            seen[key] = len(emitted)
+        groups, _, current, color = _advance(rows, k, groups, current, letters[p])
+        emitted.append(color)
+        p = p + 1 if p + 1 < length else u_len

@@ -14,6 +14,15 @@ class PreconditionError(AutomatonError):
     """Raised when an operation is applied outside its stated precondition."""
 
 
+_MAX_SHOWN = 40  # characters of a name or token quoted in an error message
+
+
+def _clip(text: str) -> str:
+    """``text`` for an error message: its first ``_MAX_SHOWN`` characters,
+    then "...", so a huge name or token cannot make a huge message."""
+    return text if len(text) <= _MAX_SHOWN else text[:_MAX_SHOWN] + "..."
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Finite ordered alphabet; letters are addressed by their index."""
@@ -36,7 +45,7 @@ class Alphabet:
         try:
             return self.letters.index(name)
         except ValueError:
-            raise AutomatonError(f"unknown letter {name!r}") from None
+            raise AutomatonError(f"unknown letter {_clip(name)!r}") from None
 
     def check_letters(self, word) -> None:
         """Reject a word (letter indices) with a letter outside the alphabet."""
@@ -56,14 +65,29 @@ class Transition:
     color: int
 
 
-def _check_transitions(transitions, state_count, alphabet):
-    for t in transitions:
-        if not 0 <= t.src < state_count or not 0 <= t.dst < state_count:
+def _check_automaton(a) -> None:
+    """Sort the transitions of ``a``, so equal automata compare equal, and
+    check every state, letter and color against its range."""
+    object.__setattr__(a, "transitions", tuple(sorted(a.transitions)))
+    if a.state_count < 1:
+        raise AutomatonError("automaton needs at least one state")
+    if not 0 <= a.initial < a.state_count:
+        raise AutomatonError("initial state out of range")
+    for t in a.transitions:
+        if not 0 <= t.src < a.state_count or not 0 <= t.dst < a.state_count:
             raise AutomatonError(f"transition {t} has a state index out of range")
-        if not 0 <= t.sym < len(alphabet):
+        if not 0 <= t.sym < len(a.alphabet):
             raise AutomatonError(f"transition {t} has a letter index out of range")
         if t.color < 0:
             raise AutomatonError(f"transition {t} has a negative color")
+
+
+def _rows(a) -> dict[tuple[int, int], tuple[Transition, ...]]:
+    """The transitions of ``a`` by (src, sym)."""
+    rows: dict[tuple[int, int], list[Transition]] = {}
+    for t in a.transitions:
+        rows.setdefault((t.src, t.sym), []).append(t)
+    return {key: tuple(ts) for key, ts in rows.items()}
 
 
 @dataclass(frozen=True)
@@ -83,27 +107,17 @@ class ParityAutomaton:
     transitions: tuple[Transition, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "transitions", tuple(sorted(self.transitions)))
-        if self.state_count < 1:
-            raise AutomatonError("automaton needs at least one state")
-        if not 0 <= self.initial < self.state_count:
-            raise AutomatonError("initial state out of range")
-        _check_transitions(self.transitions, self.state_count, self.alphabet)
+        _check_automaton(self)
 
-    @cached_property
-    def rows(self) -> dict[tuple[int, int], tuple[Transition, ...]]:
-        rows: dict[tuple[int, int], list[Transition]] = {}
-        for t in self.transitions:
-            rows.setdefault((t.src, t.sym), []).append(t)
-        return {key: tuple(ts) for key, ts in rows.items()}
+    rows = cached_property(_rows)
 
     def step(self, src: int, sym: int) -> Transition:
         """The unique transition from ``src`` on letter ``sym``."""
         ts = self.rows.get((src, sym), ())
         if len(ts) != 1:
-            state, letter = src, self.alphabet.letters[sym]
+            letter = _clip(self.alphabet.letters[sym])
             kind = "no transition" if not ts else f"{len(ts)} transitions"
-            raise AutomatonError(f"state {state} on letter {letter!r}: {kind}")
+            raise AutomatonError(f"state {src} on letter {letter!r}: {kind}")
         return ts[0]
 
     @cached_property
@@ -135,12 +149,7 @@ class CoBuchiAutomaton:
     gfg_claimed: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "transitions", tuple(sorted(self.transitions)))
-        if self.state_count < 1:
-            raise AutomatonError("automaton needs at least one state")
-        if not 0 <= self.initial < self.state_count:
-            raise AutomatonError("initial state out of range")
-        _check_transitions(self.transitions, self.state_count, self.alphabet)
+        _check_automaton(self)
         seen_edges = set()
         accepting_rows = set()
         for t in self.transitions:
@@ -154,16 +163,11 @@ class CoBuchiAutomaton:
                 if (t.src, t.sym) in accepting_rows:
                     raise AutomatonError(
                         f"state {t.src} has two accepting transitions on letter "
-                        f"{self.alphabet.letters[t.sym]!r}"
+                        f"{_clip(self.alphabet.letters[t.sym])!r}"
                     )
                 accepting_rows.add((t.src, t.sym))
 
-    @cached_property
-    def rows(self) -> dict[tuple[int, int], tuple[Transition, ...]]:
-        rows: dict[tuple[int, int], list[Transition]] = {}
-        for t in self.transitions:
-            rows.setdefault((t.src, t.sym), []).append(t)
-        return {key: tuple(ts) for key, ts in rows.items()}
+    rows = cached_property(_rows)
 
     def successors(self, src: int, sym: int) -> tuple[Transition, ...]:
         return self.rows.get((src, sym), ())
@@ -259,26 +263,34 @@ class Partition:
 
 @dataclass(frozen=True)
 class ChainRepresentation:
-    """Chain of co-Buchi automata A_0..A_{cmax+1} over one state space."""
+    """Chain of co-Buchi automata A_0..A_{cmax+1} over one state space, as a
+    view of the streamlined DPA ``source`` and its ``partition``.
 
-    levels: tuple[CoBuchiAutomaton, ...]
-    source_color_max: int
+    Level i keeps every transition of ``source``, accepting (color 2) when
+    its color is >= i and rejecting otherwise, and adds a rejecting jump
+    transition to every other state language-equivalent to the
+    deterministic target.  So a level is fixed by (``source``,
+    ``partition``, i), and ``levels`` builds them on first access only.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(self.levels))
-        if len(self.levels) != self.source_color_max + 2:
-            raise AutomatonError(
-                f"chain must have source_color_max + 2 = {self.source_color_max + 2} "
-                f"levels, got {len(self.levels)}"
-            )
-        first = self.levels[0]
-        for level in self.levels:
-            if (
-                level.alphabet != first.alphabet
-                or level.state_count != first.state_count
-                or level.initial != first.initial
-            ):
-                raise AutomatonError("chain levels must share alphabet, states, initial")
+    source: ParityAutomaton
+    partition: Partition
+
+    @property
+    def source_color_max(self) -> int:
+        return self.source.max_color
+
+    @cached_property
+    def levels(self) -> tuple[CoBuchiAutomaton, ...]:
+        a, mates = self.source, self.partition.mates
+        jumps = tuple(Transition(t.src, t.sym, mate, 1)
+                      for t in a.transitions for mate in mates(t.dst) if mate != t.dst)
+        return tuple(
+            CoBuchiAutomaton(a.alphabet, a.state_count, a.initial, tuple(
+                Transition(t.src, t.sym, t.dst, 2 if t.color >= i else 1) for t in a.transitions
+            ) + jumps, gfg_claimed=True)
+            for i in range(a.max_color + 2)
+        )
 
 
 @dataclass(frozen=True)
@@ -306,7 +318,7 @@ def validate_dpa(a: ParityAutomaton) -> ValidationReport:
             if len(violations) == _MAX_VIOLATIONS:
                 more += 1
                 continue
-            letter = a.alphabet.letters[sym]
+            letter = _clip(a.alphabet.letters[sym])
             if not ts:
                 violations.append(f"(state {src}, letter {letter!r}) has no transition")
             else:
@@ -329,7 +341,7 @@ def complete_dpa(a: ParityAutomaton) -> ParityAutomaton:
         if len(ts) > 1:
             raise AutomatonError(
                 f"not deterministic: (state {src}, letter "
-                f"{a.alphabet.letters[sym]!r}) has {len(ts)} transitions"
+                f"{_clip(a.alphabet.letters[sym])!r}) has {len(ts)} transitions"
             )
     missing = [
         (src, sym)

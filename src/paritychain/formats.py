@@ -13,6 +13,7 @@ from .core import (
     ParityAutomaton,
     Transition,
     _MAX_VIOLATIONS,
+    _clip,
     validate_dpa,
 )
 
@@ -206,15 +207,6 @@ class _TokenStream:
                 f"expected {want}, got {_clip(tok.value)!r}", tok.line, tok.column
             )
         return tok
-
-
-_MAX_SHOWN = 40  # characters of a token quoted in an error message
-
-
-def _clip(text: str) -> str:
-    """``text`` for an error message: its first ``_MAX_SHOWN`` characters,
-    then "...", so a huge token cannot make a huge message."""
-    return text if len(text) <= _MAX_SHOWN else text[:_MAX_SHOWN] + "..."
 
 
 def _int(tok: _Token) -> int:
@@ -519,7 +511,7 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
         if len(entries) > 1:
             raise FormatError(
                 f"nondeterministic: state {q} has {len(entries)} transitions "
-                f"on {alphabet.letters[valuation]}"
+                f"on {_clip(alphabet.letters[valuation])}"
             )
         dst, color = entries[0]
         transitions.append(Transition(q, valuation, dst, color))

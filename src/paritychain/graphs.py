@@ -170,6 +170,25 @@ def dpa_lasso_run(a: ParityAutomaton, w: LassoWord, start: int | None = None) ->
     )
 
 
+def _cobuchi_rows(a: CoBuchiAutomaton) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Flat rows of ``a``, indexed by state * |Σ| + letter: the target of the
+    accepting transition (-1 if none; there is at most one) and the targets
+    of all transitions.  Memoized on ``a`` (see ``_memo``)."""
+
+    def build():
+        k = len(a.alphabet)
+        acc = [-1] * (a.state_count * k)
+        succ: list[tuple[int, ...]] = [()] * (a.state_count * k)
+        for t in a.transitions:
+            row = t.src * k + t.sym
+            succ[row] += (t.dst,)
+            if t.color == 2:
+                acc[row] = t.dst
+        return acc, succ
+
+    return _memo(a, "_cobuchi_rows", build)
+
+
 def gca_lasso_member(a: CoBuchiAutomaton, w: LassoWord) -> bool:
     """Whether some run of the co-Buchi automaton accepts the lasso word.
 
@@ -180,7 +199,8 @@ def gca_lasso_member(a: CoBuchiAutomaton, w: LassoWord) -> bool:
     """
     letters = w.prefix + w.period
     a.alphabet.check_letters(letters)
-    length = len(letters)
+    acc_row, succ_row = _cobuchi_rows(a)
+    k, length = len(a.alphabet), len(letters)
     size = a.state_count * length  # node (q, p) is q * length + p
     start = a.initial * length
     seen = [False] * size
@@ -190,10 +210,11 @@ def gca_lasso_member(a: CoBuchiAutomaton, w: LassoWord) -> bool:
     for node in order:  # BFS: ``order`` grows while it is scanned
         q, p = divmod(node, length)
         nxt_p = p + 1 if p + 1 < length else len(w.prefix)
-        for t in a.successors(q, letters[p]):
-            nxt = t.dst * length + nxt_p
-            if t.color == 2:
-                acc[node].append(nxt)
+        row = q * k + letters[p]
+        if acc_row[row] >= 0:
+            acc[node].append(acc_row[row] * length + nxt_p)
+        for dst in succ_row[row]:
+            nxt = dst * length + nxt_p
             if not seen[nxt]:
                 seen[nxt] = True
                 order.append(nxt)

@@ -10,11 +10,23 @@ different parity, not by the library's nested SCC refinement; they and
 ``full_product_equiv`` and ``all_pairs_partition`` are the library's
 equivalence check and partition on the product of all state pairs, which
 the reachable-pairs product and the pre-split partition must reproduce.
+``resolver_oracle_step`` and ``resolver_oracle`` are the GFG resolver
+stepped letter by letter on tracked positions and ``Transition`` rows,
+which the library's rank-group strategy must reproduce.
 """
 
 from collections import deque
 
-from paritychain import CoRun, LassoWord, ParityAutomaton, Partition, Transition, dpa_lasso_run
+from paritychain import (
+    AutomatonError,
+    CoRun,
+    LassoWord,
+    ParityAutomaton,
+    Partition,
+    ResolverState,
+    Transition,
+    dpa_lasso_run,
+)
 from paritychain.graphs import _Product, _scc_ids, _witness
 
 
@@ -302,3 +314,52 @@ def reference_coruns(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> tupl
                 ).dominating_color
             out.append(CoRun(p, target, cache[key]))
     return tuple(out)
+
+
+def resolver_oracle_step(a, s: ResolverState, sym: int) -> ResolverState:
+    """One move of the strategy 'follow the run longest through accepting
+    transitions' on a position map: every tracked state keeps the earliest
+    position from which some run prefix ending there is all-accepting."""
+    tracked = dict(s.tracked)
+    if s.current not in tracked or any(pos > s.position for pos in tracked.values()):
+        raise AutomatonError("inconsistent resolver state")
+    new_tracked: dict[int, int] = {}
+    for src, since in tracked.items():
+        for t in a.successors(src, sym):
+            if t.color == 2:
+                new_tracked[t.dst] = min(new_tracked.get(t.dst, since), since)
+    for src in tracked:
+        for t in a.successors(src, sym):
+            if t.dst not in new_tracked:
+                new_tracked[t.dst] = s.position + 1
+    if not new_tracked:
+        raise AutomatonError("resolver is stuck; the automaton is not complete")
+    accepting = [t for t in a.successors(s.current, sym) if t.color == 2]
+    if accepting:
+        nxt, color = accepting[0].dst, 2
+    else:
+        nxt, color = min(new_tracked, key=lambda q: (new_tracked[q], q)), 1
+    return ResolverState(s.position + 1, nxt, color, tuple(sorted(new_tracked.items())))
+
+
+def resolver_oracle(a, w: LassoWord) -> tuple[bool, tuple[int, ...]]:
+    """``resolve_run`` by ``resolver_oracle_step``: step until the state,
+    the grouping of tracked states by position and the period position
+    repeat, then report the rejecting outputs of the repeating cycle."""
+    s = ResolverState.start(a)
+    u_len, v_len = len(w.prefix), len(w.period)
+    seen: dict[tuple, int] = {}
+    emitted: list[int] = []
+    while True:
+        if s.position >= u_len:
+            by_pos: dict[int, list[int]] = {}
+            for q, pos in s.tracked:
+                by_pos.setdefault(pos, []).append(q)
+            groups = tuple(tuple(sorted(qs)) for _, qs in sorted(by_pos.items()))
+            key = (s.current, groups, (s.position - u_len) % v_len)
+            if key in seen:
+                rejects = tuple(p for p in range(seen[key], s.position) if emitted[p] == 1)
+                return not rejects, rejects
+            seen[key] = s.position
+        s = resolver_oracle_step(a, s, w.letter_at(s.position))
+        emitted.append(s.last_color)

@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from conftest import FLOWER_STREAMLINED_COLORS, WORD_CA, random_lasso
+from conftest import FLOWER_STREAMLINED_COLORS, WORD_CA, blowup, random_lasso
 from paritychain import (
     Alphabet,
     AutomatonError,
@@ -18,6 +18,7 @@ from paritychain import (
     gca_lasso_member,
     is_streamlined,
     is_structured,
+    natural_color_via_chain,
     random_dpa,
     state_equivalence,
     streamline,
@@ -316,3 +317,46 @@ class TestChainStats:
             accepting = [entry.accepting_transitions for entry in stats]
             assert accepting == sorted(accepting, reverse=True)
             assert len({entry.jump_transitions for entry in stats}) == 1
+
+
+def _view_input(seed: int):
+    """A streamlined small random DPA, or every third seed a mod-3 blow-up
+    of one, whose classes have 3 mates and so give the chain jumps."""
+    rng = random.Random(41 + seed)
+    a = random_dpa(rng.randrange(1, 9), rng.randrange(1, 6), rng.randrange(1, 4), seed)
+    if seed % 3 == 0:
+        a = blowup(a, 3, rng)
+    return streamline(structure_dpa(a))
+
+
+class TestChainView:
+    """``extract_chain`` returns a view; levels are built on first access."""
+
+    def test_levels_built_only_on_access(self, flower):
+        s = streamline(flower)
+        chain = extract_chain(s, state_equivalence(s))
+        assert "levels" not in vars(chain)
+        assert chain.source_color_max == s.max_color == 5
+        rng = random.Random(8)
+        for _ in range(10):
+            natural_color_via_chain(chain, random_lasso(rng, 3))
+        chain_stats(chain)
+        assert "levels" not in vars(chain)
+        levels = chain.levels
+        assert len(levels) == 7 and chain.levels is levels
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_stats_count_the_materialized_levels(self, seed):
+        s = _view_input(seed)
+        chain = extract_chain(s, state_equivalence(s))
+        stats = chain_stats(chain)
+        assert "levels" not in vars(chain)
+        assert len(stats) == len(chain.levels) == s.max_color + 2
+        for entry, level in zip(stats, chain.levels):
+            jumps = {(t.src, t.sym, t.dst) for t in level.transitions} - {
+                (t.src, t.sym, t.dst) for t in s.transitions
+            }
+            assert entry.states == level.state_count
+            assert entry.accepting_transitions == sum(t.color == 2 for t in level.transitions)
+            assert entry.jump_transitions == len(jumps)
+            assert len(level.transitions) == len(s.transitions) + len(jumps)

@@ -176,6 +176,17 @@ class TestValidate:
         assert code == 2 and out == ""
         assert "expected an integer" in err and len(err.encode()) < 200
 
+    def test_long_ap_name_is_short_format_error(self, capsys, tmp_path):
+        path = tmp_path / "long-ap.hoa"
+        path.write_text(
+            "HOA: v1\nStates: 1\nStart: 0\nAP: 1 \"" + "x" * 10**6 + "\"\n"
+            "acc-name: parity min even 1\nAcceptance: 1 Inf(0)\n--BODY--\n"
+            "State: 0\n[t] 0 {0}\n[0] 0 {0}\n--END--\n"
+        )
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2 and out == ""
+        assert "nondeterministic" in err and len(err.encode()) < 200
+
     def test_violation_list_is_capped(self, capsys, tmp_path):
         path = tmp_path / "empty.aut"
         path.write_text(json.dumps({"kind": "dpa", "alphabet": ["a"], "states": 100_000,

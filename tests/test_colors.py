@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import WORD_CA, WORD_CABB, blowup, flower_automaton, random_lasso
-from oracles import gca_member_oracle, reference_coruns
+from oracles import gca_member_oracle, reference_coruns, resolver_oracle, resolver_oracle_step
 from paritychain import (
     Alphabet,
     AutomatonError,
@@ -135,6 +135,20 @@ class TestNaturalColorViaChain:
         chain = extract_chain(s, equiv)
         assert natural_color_via_chain(chain, WORD_CABB) == 4
 
+    def test_jump_lifts_color_above_the_run(self):
+        # states 0 and 1 are equivalent; on (ab)^omega the run cycles through
+        # the color-0 b-edge of state 1, but jumping to state 1 before an
+        # a puts the co-run on the color-2 cycle 1 -a-> 0 -b-> 1
+        a = ParityAutomaton(Alphabet(("a", "b", "c")), 2, 0, (
+            T(0, 0, 1, 2), T(0, 1, 1, 2), T(0, 2, 0, 1),
+            T(1, 0, 0, 2), T(1, 1, 0, 0), T(1, 2, 0, 1),
+        ))
+        s, equiv = prepared(a)
+        assert s == a and equiv.classes == ((0, 1),)
+        w = LassoWord((1, 0), (0, 1))
+        assert dpa_lasso_run(s, w).dominating_color == 0
+        assert corun_color(s, equiv, w) == natural_color_via_chain(extract_chain(s, equiv), w) == 2
+
 
 class TestResolverStep:
     def test_fresh_state(self):
@@ -158,6 +172,13 @@ class TestResolverStep:
     def test_inconsistent_state_rejected(self):
         a = CoBuchiAutomaton(Alphabet(("a",)), 2, 0, (T(0, 0, 1, 2), T(1, 0, 1, 2)))
         bad = ResolverState(position=0, current=1, last_color=None, tracked=((0, 0),))
+        with pytest.raises(AutomatonError, match="inconsistent"):
+            gfg_resolver_step(a, bad, 0)
+
+    @pytest.mark.parametrize("state", [-1, 2])
+    def test_tracked_state_out_of_range_rejected(self, state):
+        a = CoBuchiAutomaton(Alphabet(("a",)), 2, 0, (T(0, 0, 1, 2), T(1, 0, 1, 2)))
+        bad = ResolverState(position=1, current=0, last_color=2, tracked=((state, 0), (0, 1)))
         with pytest.raises(AutomatonError, match="inconsistent"):
             gfg_resolver_step(a, bad, 0)
 
@@ -193,6 +214,61 @@ class TestResolveRun:
                 assert accepted == member
                 assert accepted == (not rejects)
                 assert member == gca_member_oracle(level, w)
+
+
+def _resolver_inputs(seed: int):
+    """Streamlined automata at the sizes the color benchmark uses: mod-4 and
+    mod-3 blow-ups of random 24- and 32-state DPAs, and random DPAs of 48
+    and 64 states; plus a small random DPA."""
+    rng = random.Random(900 + seed)
+    bases = (
+        blowup(random_dpa(24, 6, 2, seed), 4, rng),
+        blowup(random_dpa(32, 8, 2, seed), 3, rng),
+        random_dpa(48, 6, 2, seed),
+        random_dpa(64, 8, 3, seed),
+        random_dpa(rng.randrange(1, 7), rng.randrange(1, 6), rng.randrange(1, 5), seed),
+    )
+    return [prepared(a) for a in bases], rng
+
+
+class TestResolverDifferential:
+    """The rank-group resolver against the per-letter position-map oracle,
+    on every level of seeded chains."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_resolve_run_matches_oracle(self, seed):
+        inputs, rng = _resolver_inputs(seed)
+        for s, equiv in inputs:
+            chain = extract_chain(s, equiv)
+            for level in chain.levels:
+                for _ in range(5):
+                    w = random_lasso(rng, len(s.alphabet), max_len=12)
+                    assert resolve_run(level, w) == resolver_oracle(level, w)
+
+    def test_small_suites_match_oracle(self, flower):
+        rng = random.Random(31)
+        automata = [flower] + [
+            random_dpa(rng.randrange(1, 7), rng.randrange(1, 6), rng.randrange(1, 5), seed)
+            for seed in range(20)
+        ]
+        for a in automata:
+            s, equiv = prepared(a)
+            for level in extract_chain(s, equiv).levels:
+                for _ in range(4):
+                    w = random_lasso(rng, len(s.alphabet))
+                    assert resolve_run(level, w) == resolver_oracle(level, w)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_steps_match_oracle_states(self, seed):
+        inputs, rng = _resolver_inputs(seed)
+        for s, equiv in inputs:
+            for level in extract_chain(s, equiv).levels:
+                w = random_lasso(rng, len(s.alphabet), max_len=12)
+                mine = theirs = ResolverState.start(level)
+                for k in range(len(w.prefix) + 4 * len(w.period)):
+                    mine = gfg_resolver_step(level, mine, w.letter_at(k))
+                    theirs = resolver_oracle_step(level, theirs, w.letter_at(k))
+                    assert mine == theirs
 
 
 def _letter_checked_calls():

@@ -185,3 +185,46 @@ class TestCoBuchiInvariants:
             CoBuchiAutomaton(
                 Alphabet(("a",)), 1, 0, (T(0, 0, 0, 1), T(0, 0, 0, 1))
             )
+
+
+class TestLongLetterNames:
+    """A letter name of 1 MB (as a HOA AP name makes one) is clipped in every
+    message that names a letter."""
+
+    HUGE = "x" * 10**6
+
+    def alphabet(self):
+        return Alphabet((self.HUGE, "b"))
+
+    def assert_short(self, message):
+        assert len(message) < 200 and "x" * 30 + "..." in message
+
+    def test_step(self):
+        a = ParityAutomaton(self.alphabet(), 1, 0, (T(0, 1, 0, 0),))
+        with pytest.raises(AutomatonError, match="no transition") as err:
+            a.step(0, 0)
+        self.assert_short(str(err.value))
+
+    def test_two_accepting_transitions(self):
+        with pytest.raises(AutomatonError, match="two accepting") as err:
+            CoBuchiAutomaton(self.alphabet(), 2, 0, (T(0, 0, 0, 2), T(0, 0, 1, 2)))
+        self.assert_short(str(err.value))
+
+    def test_validate_dpa_listings(self):
+        a = ParityAutomaton(
+            self.alphabet(), 2, 0,
+            (T(0, 0, 0, 0), T(0, 0, 1, 0), T(0, 1, 0, 0), T(1, 1, 0, 0)),
+        )
+        doubled, missing = validate_dpa(a).violations
+        assert "has no transition" in missing and "has 2 transitions" in doubled
+        self.assert_short(missing)
+        self.assert_short(doubled)
+
+    def test_complete_dpa_and_index(self):
+        a = ParityAutomaton(self.alphabet(), 1, 0, (T(0, 0, 0, 0), T(0, 0, 0, 1)))
+        with pytest.raises(AutomatonError, match="not deterministic") as err:
+            complete_dpa(a)
+        self.assert_short(str(err.value))
+        with pytest.raises(AutomatonError, match="unknown letter") as err:
+            self.alphabet().index(self.HUGE + "y")
+        self.assert_short(str(err.value))

@@ -185,6 +185,14 @@ class TestInputLimits:
             parse_hoa(UNIVERSAL_1AP.replace(old, new))
         assert len(str(err.value)) < 200 and "x" * 30 + "..." in str(err.value)
 
+    def test_long_ap_name_clipped_in_nondeterminism(self):
+        text = UNIVERSAL_1AP.replace('"go"', '"' + "x" * 10**6 + '"').replace(
+            "[t] 0 {0}", "[t] 0 {0}\n[0] 0 {0}"
+        )
+        with pytest.raises(FormatError, match="^nondeterministic: state 0 has 2 transitions") as err:
+            parse_hoa(text)
+        assert len(str(err.value)) < 200 and "x" * 30 + "..." in str(err.value)
+
 
 def _mutated(base: str):
     """Documents made from ``base`` by a few deletions, insertions and
