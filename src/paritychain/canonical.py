@@ -16,7 +16,7 @@ from .core import (
     Transition,
     complete_dpa,
 )
-from .graphs import _PARTITION, _memo, _scc_ids, reachable_states, scc_decompose, state_equivalence
+from .graphs import _PARTITION, _memo, _refine, reachable_states, scc_decompose, state_equivalence
 
 
 def is_structured(a: ParityAutomaton) -> tuple[bool, list[str]]:
@@ -159,51 +159,49 @@ def structure_dpa(a: ParityAutomaton) -> ParityAutomaton:
     return structure_dpa_with_map(a)[0]
 
 
-def _streamlined_colors(a: ParityAutomaton) -> dict[tuple[int, int], int]:
-    """The (src, sym) -> color map of ``streamline``; see there.  Memoized
-    on ``a`` (see ``graphs._memo``), so the precondition checks of
-    ``is_streamlined`` cost one pass per automaton; an unstructured ``a``
-    raises on every call.  Callers must not mutate the map."""
+def _streamlined_colors(a: ParityAutomaton) -> list[int]:
+    """The colors of ``streamline``, aligned with ``a.transitions``; see
+    there.  Memoized on ``a`` (see ``graphs._memo``), so the precondition
+    checks of ``is_streamlined`` cost one pass per automaton; an
+    unstructured ``a`` raises on every call.  Callers must not mutate the
+    list."""
     return _memo(a, "_streamlined_colors", lambda: _recolor(a))
 
 
-def _recolor(a: ParityAutomaton) -> dict[tuple[int, int], int]:
-    """``_streamlined_colors`` without the memo."""
+def _recolor(a: ParityAutomaton) -> list[int]:
+    """``_streamlined_colors`` without the memo.  A structured automaton is
+    complete and deterministic, as its partition read every row, so its
+    sorted transition e leaves state e // |Σ|: the passes are the rounds of
+    ``_refine`` on transition indices, and a live one keeps its old color."""
     ok, violations = is_structured(a)
     if not ok:
         raise PreconditionError("automaton is not structured: " + "; ".join(violations))
-
-    new_color: dict[tuple[int, int], int] = {}
-    live = list(a.transitions)
+    color = [t.color for t in a.transitions]
     i = 0
-    while live:
-        succ: list[list[int]] = [[] for _ in range(a.state_count)]
-        for t in live:
-            succ[t.src].append(t.dst)
-        comp = _scc_ids(a.state_count, succ)
-        internal: dict[int, list[Transition]] = {}
-        for t in live:
-            if comp[t.src] == comp[t.dst]:
-                internal.setdefault(comp[t.src], []).append(t)
-            else:
-                new_color[(t.src, t.sym)] = i
 
-        live = []
+    def keep(sccs, leaving):
+        nonlocal i
+        for e in leaving:
+            color[e] = i
+        kept = []
         lowered = False
-        for ts in internal.values():
-            least = min(t.color for t in ts)
+        for edges in sccs:
+            least = min(color[e] for e in edges)
             if least % 2 != i % 2:
-                live += ts
+                kept += edges
                 continue
             lowered = True
-            for t in ts:
-                if t.color == least:
-                    new_color[(t.src, t.sym)] = i
+            for e in edges:
+                if color[e] == least:
+                    color[e] = i
                 else:
-                    live.append(t)
+                    kept.append(e)
         if not lowered:
             i += 1
-    return new_color
+        return kept
+
+    _refine(a.state_count, len(a.alphabet), [t.dst for t in a.transitions], range(len(color)), keep)
+    return color
 
 
 def streamline(a: ParityAutomaton) -> ParityAutomaton:
@@ -220,10 +218,8 @@ def streamline(a: ParityAutomaton) -> ParityAutomaton:
     keeps its language, and the result carries ``a``'s partition: asking
     ``state_equivalence`` for it costs nothing.
     """
-    new_color = _streamlined_colors(a)
     ts = tuple(
-        Transition(t.src, t.sym, t.dst, new_color[(t.src, t.sym)])
-        for t in a.transitions
+        Transition(t.src, t.sym, t.dst, c) for t, c in zip(a.transitions, _streamlined_colors(a))
     )
     out = ParityAutomaton(a.alphabet, a.state_count, a.initial, ts)
     _memo(out, _PARTITION, lambda: state_equivalence(a))  # same edges, same languages
@@ -232,10 +228,10 @@ def streamline(a: ParityAutomaton) -> ParityAutomaton:
 
 def is_streamlined(a: ParityAutomaton) -> bool:
     """Whether streamlining is a no-op, i.e. the colors are already minimal."""
-    new_color = _streamlined_colors(a)
+    colors = _streamlined_colors(a)
     return _memo(
         a, "_is_streamlined",
-        lambda: all(new_color[(t.src, t.sym)] == t.color for t in a.transitions),
+        lambda: all(c == t.color for t, c in zip(a.transitions, colors)),
     )
 
 

@@ -23,9 +23,12 @@ from .core import (
     LassoWord,
     ParityAutomaton,
     PreconditionError,
+    _clip,
     validate_dpa,
 )
-from .formats import FormatError, emit_native, letter_name, parse_hoa, parse_native
+from .formats import (
+    _MAX_APS, _MAX_STATES, FormatError, emit_native, letter_name, parse_hoa, parse_native,
+)
 from .graphs import (
     dpa_language_equiv,
     dpa_lasso_run,
@@ -41,12 +44,12 @@ def parse_lasso_text(text: str, alphabet: Alphabet) -> LassoWord:
     """Read the u:v syntax: letters comma-separated by name, or juxtaposed
     when all involved names are single characters."""
     if ":" not in text:
-        raise FormatError(f"lasso {text!r} must be written as prefix:period, e.g. :ab")
+        raise FormatError(f"lasso {_clip(text)!r} must be written as prefix:period, e.g. :ab")
     prefix_text, _, period_text = text.partition(":")
     prefix = _segment_letters(prefix_text, alphabet)
     period = _segment_letters(period_text, alphabet)
     if not period:
-        raise FormatError(f"lasso {text!r} has an empty period")
+        raise FormatError(f"lasso {_clip(text)!r} has an empty period")
     return LassoWord(prefix, period)
 
 
@@ -61,7 +64,7 @@ def _segment_letters(segment: str, alphabet: Alphabet) -> tuple[int, ...]:
         names = list(segment)
     else:
         raise FormatError(
-            f"cannot read {segment!r} over alphabet {list(alphabet.letters)}"
+            f"cannot read {_clip(segment)!r} over alphabet {_clip(str(list(alphabet.letters)))}"
         )
     return tuple(alphabet.index(name) for name in names)
 
@@ -247,6 +250,11 @@ def cmd_stats(args) -> int:
 
 
 def cmd_random(args) -> int:
+    # checked before anything is allocated per state or per letter
+    if args.aps is not None and not 0 <= args.aps <= _MAX_APS:
+        raise AutomatonError(f"--aps must be between 0 and {_MAX_APS}")
+    if args.states > _MAX_STATES:
+        raise AutomatonError(f"--states must be at most {_MAX_STATES}")
     if args.aps is not None:
         count = 2 ** args.aps
         names = tuple(

@@ -185,8 +185,9 @@ class LassoWord:
         object.__setattr__(self, "period", tuple(self.period))
         if not self.period:
             raise AutomatonError("lasso period must be non-empty")
-        if any(x < 0 for x in self.prefix + self.period):
-            raise AutomatonError("letter indices must be non-negative")
+        for x in self.prefix + self.period:
+            if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+                raise AutomatonError(f"letters must be non-negative ints, got {_clip(repr(x))}")
 
     def letter_at(self, k: int) -> int:
         if k < len(self.prefix):
@@ -238,15 +239,11 @@ class Partition:
     classes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        normalized = tuple(
-            sorted((tuple(sorted(c)) for c in self.classes), key=lambda c: c[0])
-        )
-        object.__setattr__(self, "classes", normalized)
-        members = [q for c in normalized for q in c]
-        if sorted(members) != list(range(len(members))) or len(members) == 0:
+        classes = [tuple(sorted(c)) for c in self.classes]
+        members = sorted(q for c in classes for q in c)
+        if not members or members != list(range(len(members))) or not all(classes):
             raise AutomatonError("classes must partition a dense state range 0..n-1")
-        if len(set(members)) != len(members):
-            raise AutomatonError("classes must be disjoint")
+        object.__setattr__(self, "classes", tuple(sorted(classes, key=lambda c: c[0])))
 
     @cached_property
     def class_of(self) -> dict[int, int]:

@@ -199,6 +199,14 @@ class _TokenStream:
         self.pos += 1
         return tok
 
+    def accept(self, value: str) -> bool:
+        """Take the next token if it is ``value``; whether it was."""
+        tok = self.peek()
+        if tok is None or tok.value != value:
+            return False
+        self.pos += 1
+        return True
+
     def expect(self, kind: str, value: str | None = None) -> _Token:
         tok = self.take()
         if tok.kind != kind or (value is not None and tok.value != value):
@@ -256,84 +264,72 @@ def _recover_aps(alphabet: Alphabet) -> list[str] | None:
 _MAX_LABEL_DEPTH = 100
 
 
-def _eval_label(tokens: list[_Token], valuation: int, ap_count: int) -> bool:
-    pos = 0
+class _LabelParser:
+    """Recursive descent over the label formula after an edge's ``[`` on the
+    parser's token stream, valued in sets of AP valuations: ``!`` is the
+    complement, ``&`` the intersection and ``|`` the union.  Methods, not
+    nested functions: mutually recursive closures would leave a reference
+    cycle per label for the cyclic collector."""
 
-    def take():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise FormatError("label formula ends unexpectedly")
-        tok = tokens[pos]
-        pos += 1
-        return tok
+    def __init__(self, stream: _TokenStream, ap_count: int):
+        self.stream, self.ap_count = stream, ap_count
+        self.every = frozenset(range(2**ap_count))
 
-    def peek_value():
-        return tokens[pos].value if pos < len(tokens) else None
+    def label(self) -> frozenset[int]:
+        """The valuations satisfying the formula, read through the closing ``]``."""
+        result = self.parse_or(0)
+        tok = self.stream.take()
+        if tok.value != "]":
+            raise FormatError(f"trailing {_clip(tok.value)!r} in label", tok.line, tok.column)
+        return result
 
-    def parse_or(depth):
-        value = parse_and(depth)
-        while peek_value() == "|":
-            take()
-            rhs = parse_and(depth)
-            value = value or rhs
+    def parse_or(self, depth: int) -> frozenset[int]:
+        value = self.parse_and(depth)
+        while self.stream.accept("|"):
+            value = value | self.parse_and(depth)
         return value
 
-    def parse_and(depth):
-        value = parse_atom(depth)
-        while peek_value() == "&":
-            take()
-            rhs = parse_atom(depth)
-            value = value and rhs
+    def parse_and(self, depth: int) -> frozenset[int]:
+        value = self.parse_atom(depth)
+        while self.stream.accept("&"):
+            value = value & self.parse_atom(depth)
         return value
 
-    def deeper(depth, tok):
-        if depth >= _MAX_LABEL_DEPTH:
+    def parse_atom(self, depth: int) -> frozenset[int]:
+        tok = self.stream.take()
+        if tok.value in ("!", "(") and depth >= _MAX_LABEL_DEPTH:
             raise FormatError(
                 f"label nested deeper than {_MAX_LABEL_DEPTH} levels", tok.line, tok.column
             )
-        return depth + 1
-
-    def parse_atom(depth):
-        tok = take()
         if tok.value == "!":
-            return not parse_atom(deeper(depth, tok))
+            return self.every - self.parse_atom(depth + 1)
         if tok.value == "(":
-            value = parse_or(deeper(depth, tok))
-            closing = take()
+            value = self.parse_or(depth + 1)
+            closing = self.stream.take()
             if closing.value != ")":
                 raise FormatError("expected ')'", closing.line, closing.column)
             return value
         if tok.kind == "ident" and tok.value == "t":
-            return True
+            return self.every
         if tok.kind == "ident" and tok.value == "f":
-            return False
+            return frozenset()
         if tok.kind == "int":
             index = _int(tok)
-            if index >= ap_count:
-                raise FormatError(
-                    f"AP index {index} out of range", tok.line, tok.column
-                )
-            return bool(valuation >> index & 1)
-        raise FormatError(
-            f"unsupported label element {_clip(tok.value)!r}", tok.line, tok.column
-        )
-
-    result = parse_or(0)
-    if pos != len(tokens):
-        tok = tokens[pos]
-        raise FormatError(f"trailing {_clip(tok.value)!r} in label", tok.line, tok.column)
-    return result
+            if index >= self.ap_count:
+                raise FormatError(f"AP index {index} out of range", tok.line, tok.column)
+            return frozenset(v for v in self.every if v >> index & 1)
+        raise FormatError(f"unsupported label element {_clip(tok.value)!r}", tok.line, tok.column)
 
 
 def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
     """Parse a HOA v1 document with acceptance "parity min even".
 
     The alphabet becomes all 2^|AP| valuations, named by the canonical
-    conjunction of (negated) AP names; label formulas are expanded per
-    valuation and the single acceptance-set index of each transition is
-    read as its color.  Determinism and completeness are enforced; with
-    ``allow_incomplete`` the partial automaton is returned so the caller
-    may apply complete_dpa.
+    conjunction of (negated) AP names; each label formula is parsed once
+    into the set of valuations satisfying it, and the single acceptance-set
+    index of each transition is read as its color.  Determinism and
+    completeness are enforced; with ``allow_incomplete`` the partial
+    automaton is returned so the caller may apply complete_dpa.
     """
     stream = _TokenStream(_tokenize_hoa(text))
     first = stream.expect("header", "HOA:")
@@ -458,9 +454,7 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
         elif tok.kind == "punct" and tok.value == "[":
             if current is None:
                 raise FormatError("edge outside any State:", tok.line, tok.column)
-            label_tokens = []
-            while (nxt := stream.take()).value != "]":
-                label_tokens.append(nxt)
+            label = _LabelParser(stream, len(aps)).label()
             dst_tok = stream.expect("int")
             dst = _int(dst_tok)
             nxt = stream.peek()
@@ -468,27 +462,19 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
                 raise FormatError(
                     "universal branching is not supported", nxt.line, nxt.column
                 )
-            if nxt is None or nxt.value != "{":
-                raise FormatError(
-                    "each transition must carry exactly one acceptance set "
-                    "(its color)",
-                    dst_tok.line,
-                    dst_tok.column,
-                )
-            stream.take()
             sets = []
-            while (nxt := stream.take()).value != "}":
-                if nxt.kind != "int":
-                    raise FormatError(
-                        f"expected acceptance set index, got {_clip(nxt.value)!r}",
-                        nxt.line,
-                        nxt.column,
-                    )
-                sets.append(_int(nxt))
+            if stream.accept("{"):
+                while (nxt := stream.take()).value != "}":
+                    if nxt.kind != "int":
+                        raise FormatError(
+                            f"expected acceptance set index, got {_clip(nxt.value)!r}",
+                            nxt.line,
+                            nxt.column,
+                        )
+                    sets.append(_int(nxt))
             if len(sets) != 1:
                 raise FormatError(
-                    "each transition must carry exactly one acceptance set "
-                    "(its color)",
+                    "each transition must carry exactly one acceptance set (its color)",
                     dst_tok.line,
                     dst_tok.column,
                 )
@@ -500,9 +486,8 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
                     dst_tok.line,
                     dst_tok.column,
                 )
-            for valuation in range(len(alphabet)):
-                if _eval_label(label_tokens, valuation, len(aps)):
-                    rows.setdefault((current, valuation), []).append((dst, color))
+            for valuation in label:
+                rows.setdefault((current, valuation), []).append((dst, color))
         else:
             raise FormatError(f"unexpected {_clip(tok.value)!r}", tok.line, tok.column)
 
@@ -553,14 +538,6 @@ def _parity_min_even_formula(k: int) -> str:
     return term(0)
 
 
-def _label_expr(valuation: int, ap_count: int) -> str:
-    if ap_count == 0:
-        return "t"
-    return "&".join(
-        str(j) if valuation >> j & 1 else f"!{j}" for j in range(ap_count)
-    )
-
-
 def emit_hoa(a) -> str:
     """Emit HOA v1: parity min even for DPAs, Fin(0) for co-Buchi automata.
 
@@ -592,17 +569,16 @@ def emit_hoa(a) -> str:
         lines.append(f"Acceptance: {k} {_parity_min_even_formula(k)}")
     lines.append("properties: trans-labels explicit-labels trans-acc")
     lines.append("--BODY--")
-    for q in range(a.state_count):
-        lines.append(f"State: {q}")
-        for t in a.transitions:
-            if t.src != q:
-                continue
-            label = _label_expr(t.sym, ap_count)
-            if is_ncw:
-                suffix = "" if t.color == 2 else " {0}"
-            else:
-                suffix = f" {{{t.color}}}"
-            lines.append(f"[{label}] {t.dst}{suffix}")
+    body = [[f"State: {q}"] for q in range(a.state_count)]
+    indices = [str(j) for j in range(ap_count)]
+    for t in a.transitions:
+        label = letter_name(indices, t.sym)
+        if is_ncw:
+            suffix = "" if t.color == 2 else " {0}"
+        else:
+            suffix = f" {{{t.color}}}"
+        body[t.src].append(f"[{label}] {t.dst}{suffix}")
+    lines += [line for state in body for line in state]
     lines.append("--END--")
     return "\n".join(lines) + "\n"
 

@@ -74,6 +74,34 @@ def _scc_ids(n: int, succ, roots=None) -> list[int]:
     return comp
 
 
+def _refine(n: int, k: int, dst: list[int], live, keep) -> None:
+    """Nested SCC refinement of the graph on nodes 0..n-1 whose edge e runs
+    from node e // k to ``dst[e]``, starting from the edges ``live``.
+
+    Each round runs Tarjan on the live edges from their sources, ascending,
+    groups the live edges inside an SCC by SCC and calls ``keep(sccs,
+    leaving)`` with those groups and the live edges between SCCs.  The
+    edges it returns stay live; rounds repeat until none is.
+    """
+    succ: list[list[int]] = [[] for _ in range(n)]
+    while live:
+        for e in live:
+            succ[e // k].append(dst[e])
+        sources = sorted({e // k for e in live})
+        comp = _scc_ids(n, succ, sources)
+        for node in sources:  # so ``succ`` is empty again
+            succ[node].clear()
+        sccs: dict[int, list[int]] = {}
+        leaving = []
+        for e in live:
+            c = comp[e // k]
+            if c == comp[dst[e]]:
+                sccs.setdefault(c, []).append(e)
+            else:
+                leaving.append(e)
+        live = keep(list(sccs.values()), leaving)
+
+
 @dataclass(frozen=True)
 class SccDecomposition:
     """Maximal SCCs of the reachable part, listed in topological order."""
@@ -279,46 +307,27 @@ class _Product:
         as many rounds as distinct values in c1 and c2.  Inside a bad SCC the live edges are
         exactly its internal edges with c1 >= m1 and c2 >= m2.
 
-        Every round after the first runs Tarjan from the sources of live
-        edges only, ascending, and reads members off them: a bad SCC has a
-        live cycle through each of its nodes, so each one is such a source.
-        The result is the all-pairs one restricted to the built pairs, as
-        they are closed under edges.
+        The rounds are those of ``_refine``.  A bad SCC has a live cycle
+        through each of its nodes, so its members are the sources of its
+        internal live edges.  The result is the all-pairs one restricted to
+        the built pairs, as they are closed under edges.
         """
-        k, dst = self.k, self.dst
-        live = range(len(dst))
-        nodes = range(self.size)
-        succ: list[list[int]] = [[] for _ in range(self.size)]
         bad = []
-        while live:
-            for e in live:
-                succ[e // k].append(dst[e])
-            comp = _scc_ids(self.size, succ, nodes)
-            for node in nodes:  # the sources of live edges, so ``succ`` is empty again
-                succ[node].clear()
-            minima: dict[int, tuple[int, int]] = {}
-            internal = []
-            for e in live:
-                c = comp[e // k]
-                if c == comp[dst[e]]:
-                    internal.append(e)
-                    m1, m2 = minima.get(c, (c1[e], c2[e]))
-                    minima[c] = (min(m1, c1[e]), min(m2, c2[e]))
-            bad_ids = {c for c, (m1, m2) in minima.items() if m1 % 2 == 0 and m2 % 2 == 1}
-            members: dict[int, list[int]] = {c: [] for c in bad_ids}
-            for node in nodes:
-                if comp[node] in bad_ids:
-                    members[comp[node]].append(node)
-            bad += [(members[c], *minima[c]) for c in sorted(bad_ids)]
+
+        def keep(sccs, leaving):
             kept = []
-            for e in internal:
-                c = comp[e // k]
-                m1, m2 = minima[c]
-                if c in bad_ids or (c1[e] == m1 if m1 % 2 else c2[e] == m2):
-                    continue
-                kept.append(e)
-            live = kept
-            nodes = sorted({e // k for e in kept})
+            for edges in sccs:
+                m1 = min(c1[e] for e in edges)
+                m2 = min(c2[e] for e in edges)
+                if m1 % 2 == 0 and m2 % 2 == 1:
+                    bad.append((sorted({e // self.k for e in edges}), m1, m2))
+                elif m1 % 2:
+                    kept += [e for e in edges if c1[e] != m1]
+                else:
+                    kept += [e for e in edges if c2[e] != m2]
+            return kept
+
+        _refine(self.size, self.k, self.dst, range(len(self.dst)), keep)
         return bad
 
     def path(self, start: int, goal, usable=None) -> list[int] | None:
@@ -452,12 +461,12 @@ def _presplit(a: ParityAutomaton) -> list[list[int]]:
     q -> δ(q, v) weighted by the least color on the way; membership is the
     parity of the least weight on the cycle that q's walk reaches.
 
-    After each word the partition is refined by Hopcroft's algorithm, on
-    Valmari's refinable partition: a dequeued splitter B splits every block
-    by "the σ-successor lies in B", for each letter σ.  Of a block split
-    while not queued only the smaller half is queued, which suffices as the
-    partition is stable under the whole block already.  Words stop once
-    every block is a singleton.
+    After each word the partition is refined by Hopcroft's algorithm: a
+    dequeued splitter B splits every block by "the σ-successor lies in B",
+    for each letter σ.  The smaller half of a split block takes a new id
+    and is queued; the larger keeps the old id, so it stays queued if it
+    was, and otherwise the partition is stable under the whole block
+    already.  Words stop once every block is a singleton.
     """
     n, k = a.state_count, len(a.alphabet)
     rows = [a.step(q, sym) for q in range(n) for sym in range(k)]
@@ -467,46 +476,27 @@ def _presplit(a: ParityAutomaton) -> list[list[int]]:
     for d, ps in zip(dst_by, pre):
         for q in range(n):
             ps[d[q]].append(q)
-    # block b is elems[first[b]:last[b]], its marked states first, up to mid[b]
-    elems, loc, block = list(range(n)), list(range(n)), [0] * n
-    first, last, mid, queued = [0], [n], [0], [False]
+    blocks: list[set[int]] = [set(range(n))]
+    block_of = [0] * n
     work: list[int] = []
 
     def split(marked):
         """Split every block into its states in ``marked`` and the rest."""
-        touched = []
+        parts: dict[int, set[int]] = {}
         for r in marked:
-            b, i = block[r], loc[r]
-            j = mid[b]
-            if i < j:
-                continue
-            elems[i], elems[j] = elems[j], r
-            loc[elems[i]], loc[r] = i, j
-            if j == first[b]:
-                touched.append(b)
-            mid[b] = j + 1
-        for b in touched:
-            j = mid[b]
-            if j == last[b]:  # every state marked: no split
-                mid[b] = first[b]
-                continue
-            new = len(first)
-            first.append(first[b])
-            last.append(j)
-            mid.append(first[b])
-            first[b] = mid[b] = j
-            for r in elems[first[new]:j]:
-                block[r] = new
-            if queued[b] or j - first[new] <= last[b] - j:
-                queued.append(True)
-                work.append(new)
-            else:
-                queued.append(False)
-                queued[b] = True
-                work.append(b)
+            parts.setdefault(block_of[r], set()).add(r)
+        for b, part in parts.items():
+            if len(part) < len(blocks[b]):  # else every state is marked: no split
+                blocks[b] -= part
+                if len(part) > len(blocks[b]):
+                    blocks[b], part = part, blocks[b]
+                for r in part:
+                    block_of[r] = len(blocks)
+                work.append(len(blocks))
+                blocks.append(part)
 
     for v in _seed_words(k):
-        if len(first) == n:
+        if len(blocks) == n:
             break
         least, end = col_by[v[0]], dst_by[v[0]]
         for s in v[1:]:
@@ -525,12 +515,10 @@ def _presplit(a: ParityAutomaton) -> list[list[int]]:
                 dom[r] = value
         split([q for q in range(n) if dom[q] % 2])
         while work:
-            b = work.pop()
-            queued[b] = False
-            sources = elems[first[b]:last[b]]
+            sources = list(blocks[work.pop()])
             for ps in pre:
                 split([r for q in sources for r in ps[q]])
-    return [sorted(elems[first[b]:last[b]]) for b in range(len(first))]
+    return [sorted(block) for block in blocks]
 
 
 def dpa_language_equiv(

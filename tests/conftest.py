@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from paritychain import (
     Alphabet,
@@ -65,3 +66,22 @@ def random_lasso(rng: random.Random, letters: int, max_len: int = 6) -> LassoWor
     prefix = tuple(rng.randrange(letters) for _ in range(rng.randrange(0, max_len + 1)))
     period = tuple(rng.randrange(letters) for _ in range(rng.randrange(1, max_len + 1)))
     return normalize_lasso(LassoWord(prefix, period))
+
+
+def mutated(base: str):
+    """Documents made from ``base`` by a few deletions, insertions and
+    replacements of short runs of characters the grammars care about."""
+    pieces = st.text(st.sampled_from('0123456789-:[]{}()!&|"\\/* \nabtfHOA,'), max_size=6)
+    edits = st.lists(
+        st.tuples(st.integers(0, len(base)), st.integers(0, 3), pieces | st.just("9" * 4400)),
+        min_size=1, max_size=3,
+    )
+
+    def apply(edits):
+        text = base
+        for pos, cut, piece in edits:
+            pos = min(pos, len(text))
+            text = text[:pos] + piece + text[pos + cut:]
+        return text
+
+    return edits.map(apply)

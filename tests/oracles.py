@@ -13,6 +13,8 @@ the reachable-pairs product and the pre-split partition must reproduce.
 ``resolver_oracle_step`` and ``resolver_oracle`` are the GFG resolver
 stepped letter by letter on tracked positions and ``Transition`` rows,
 which the library's rank-group strategy must reproduce.
+``eval_label_oracle`` evaluates a HOA label formula on one valuation at a
+time, which the parser's valuation sets must reproduce.
 """
 
 from collections import deque
@@ -27,6 +29,8 @@ from paritychain import (
     Transition,
     dpa_lasso_run,
 )
+from paritychain.core import _clip
+from paritychain.formats import _MAX_LABEL_DEPTH, FormatError, _int
 from paritychain.graphs import _Product, _scc_ids, _witness
 
 
@@ -363,3 +367,71 @@ def resolver_oracle(a, w: LassoWord) -> tuple[bool, tuple[int, ...]]:
             seen[key] = s.position
         s = resolver_oracle_step(a, s, w.letter_at(s.position))
         emitted.append(s.last_color)
+
+
+def eval_label_oracle(tokens, valuation: int, ap_count: int) -> bool:
+    """Whether ``valuation`` satisfies the label formula ``tokens`` (the
+    tokens between an edge's brackets), by recursive descent with the
+    parser's depth limit and messages."""
+    pos = 0
+
+    def take():
+        nonlocal pos
+        if pos >= len(tokens):
+            raise FormatError("label formula ends unexpectedly")
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def peek_value():
+        return tokens[pos].value if pos < len(tokens) else None
+
+    def parse_or(depth):
+        value = parse_and(depth)
+        while peek_value() == "|":
+            take()
+            rhs = parse_and(depth)
+            value = value or rhs
+        return value
+
+    def parse_and(depth):
+        value = parse_atom(depth)
+        while peek_value() == "&":
+            take()
+            rhs = parse_atom(depth)
+            value = value and rhs
+        return value
+
+    def deeper(depth, tok):
+        if depth >= _MAX_LABEL_DEPTH:
+            raise FormatError(
+                f"label nested deeper than {_MAX_LABEL_DEPTH} levels", tok.line, tok.column
+            )
+        return depth + 1
+
+    def parse_atom(depth):
+        tok = take()
+        if tok.value == "!":
+            return not parse_atom(deeper(depth, tok))
+        if tok.value == "(":
+            value = parse_or(deeper(depth, tok))
+            closing = take()
+            if closing.value != ")":
+                raise FormatError("expected ')'", closing.line, closing.column)
+            return value
+        if tok.kind == "ident" and tok.value == "t":
+            return True
+        if tok.kind == "ident" and tok.value == "f":
+            return False
+        if tok.kind == "int":
+            index = _int(tok)
+            if index >= ap_count:
+                raise FormatError(f"AP index {index} out of range", tok.line, tok.column)
+            return bool(valuation >> index & 1)
+        raise FormatError(f"unsupported label element {_clip(tok.value)!r}", tok.line, tok.column)
+
+    result = parse_or(0)
+    if pos != len(tokens):
+        tok = tokens[pos]
+        raise FormatError(f"trailing {_clip(tok.value)!r} in label", tok.line, tok.column)
+    return result

@@ -1,16 +1,21 @@
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import paritychain
 
-from conftest import flower_automaton, random_lasso
+from conftest import flower_automaton, mutated, random_lasso
 from paritychain import (
     LassoWord,
     corun_color,
@@ -360,6 +365,16 @@ class TestRandom:
                            "--letters", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("size, message", [
+        (["--aps", "-1"], "--aps must be between 0 and 16"),
+        (["--aps", "17"], "--aps must be between 0 and 16"),
+        (["--letters", "1", "--states", "1000001"], "--states must be at most 1000000"),
+    ], ids=["aps-negative", "aps-above-limit", "states-above-limit"])
+    def test_sizes_rejected_before_generation(self, capsys, size, message):
+        code, out, err = run(capsys, "random", "--states", "2", "--colors", "1", *size)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_letters_and_aps_exclusive(self, capsys):
         code, _, _ = run(capsys, "random", "--states", "2", "--colors", "1",
                          "--letters", "2", "--aps", "1")
@@ -381,6 +396,75 @@ class TestLassoSyntax:
         assert w == LassoWord((0,), (1, 0))
         assert format_lasso(w, alphabet) == "left:right,left"
 
+    def test_unreadable_lasso_over_large_alphabet_is_short_error(self, capsys, tmp_path):
+        # the alphabet of 10 APs has 1024 letters, which the message used to list
+        names = " ".join(f'"p{j}"' for j in range(10))
+        path = tmp_path / "aps.hoa"
+        path.write_text(
+            f"HOA: v1\nStates: 1\nStart: 0\nAP: 10 {names}\nacc-name: parity min even 1\n"
+            "Acceptance: 1 Inf(0)\n--BODY--\nState: 0\n[t] 0 {0}\n--END--\n"
+        )
+        code, out, err = run(capsys, "member", str(path), "--lasso", "zz:zz")
+        assert code == 2 and out == ""
+        assert "cannot read 'zz' over alphabet" in err and len(err) < 200
+
     def test_missing_colon(self, capsys, flower_file):
         code, _, err = run(capsys, "member", flower_file, "--lasso", "ca")
         assert code == 2
+
+
+_GOLDEN = Path(__file__).parent / "golden"
+_DOCUMENTS = [
+    (_GOLDEN / name).read_text()
+    for name in ("flower_streamlined.aut", "flower_chain_A5.aut", "universal2.hoa")
+] + [(resources.files("paritychain") / "data" / "fig1.aut").read_text()]
+_DOCUMENT = st.sampled_from(_DOCUMENTS) | st.sampled_from(_DOCUMENTS).flatmap(mutated)
+# FILE, OTHER, MISSING and OUT stand for paths in a fresh directory; the
+# numbers keep ``random`` small
+_TEMPLATES = [
+    ["validate", "FILE"], ["structure", "FILE", "--out", "OUT"], ["streamline", "FILE"],
+    ["chain", "FILE", "--out", "OUT"], ["color", "FILE", "--lasso", ":ca"],
+    ["member", "FILE", "--json", "--lasso", "a:b"], ["equiv", "FILE", "OTHER"], ["stats", "FILE"],
+    ["random", "--states", "3", "--colors", "2", "--letters", "2"],
+    ["random", "--states", "3", "--colors", "2", "--aps", "1", "--out", "OUT"],
+]
+_ARG = st.sampled_from([
+    "validate", "color", "random", "bogus", "--json", "--out", "--lasso", "--states",
+    "--colors", "--letters", "--aps", "--seed", "-h", "FILE", "OTHER", "MISSING", "OUT",
+    "-1", "0", "1", "2", "5", "17",
+]) | st.text(st.sampled_from("abc,:!&p0 "), max_size=8)
+
+
+@st.composite
+def _argv(draw):
+    """A pipeline command line with up to three tokens deleted, inserted or replaced."""
+    argv = list(draw(st.sampled_from(_TEMPLATES)))
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(argv)))
+        kind = draw(st.sampled_from(["delete", "insert", "replace"]))
+        if kind == "insert" or pos == len(argv):
+            argv.insert(pos, draw(_ARG))
+        elif kind == "delete":
+            del argv[pos]
+        else:
+            argv[pos] = draw(_ARG)
+    return argv
+
+
+class TestCliFuzz:
+    """``main`` on mutated argv and files returns 0, 1 or 2, raises
+    nothing and writes less than 1 KB to stderr."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_argv(), _DOCUMENT, _DOCUMENT)
+    def test_mutated_argv_and_files(self, args, doc, other):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {name: os.path.join(tmp, name) for name in ("FILE", "OTHER", "MISSING", "OUT")}
+            Path(paths["FILE"]).write_text(doc)
+            Path(paths["OTHER"]).write_text(other)
+            argv = [paths.get(arg, arg) for arg in args]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert len(err.getvalue().encode()) < 1024, argv

@@ -271,17 +271,27 @@ class TestResolverDifferential:
                     assert mine == theirs
 
 
+def _word_calls(word):
+    """Every call that reads a lasso word, each building ``word()`` itself."""
+    s, equiv = prepared(flower_automaton())
+    chain = extract_chain(s, equiv)
+    level0 = chain.levels[0]
+    return {
+        "dpa_lasso_run": lambda: dpa_lasso_run(s, word()),
+        "gca_lasso_member": lambda: gca_lasso_member(level0, word()),
+        "coruns": lambda: coruns(s, equiv, word()),
+        "corun_color": lambda: corun_color(s, equiv, word()),
+        "natural_color_via_chain": lambda: natural_color_via_chain(chain, word()),
+        "resolve_run": lambda: resolve_run(level0, word()),
+    }
+
+
 def _letter_checked_calls():
     s, equiv = prepared(flower_automaton())
     level0 = extract_chain(s, equiv).levels[0]
-    bad = LassoWord((0,), (1, 5))
-    return {
-        "dpa_lasso_run": lambda: dpa_lasso_run(s, bad),
-        "gca_lasso_member": lambda: gca_lasso_member(level0, bad),
-        "coruns": lambda: coruns(s, equiv, bad),
-        "resolve_run": lambda: resolve_run(level0, bad),
-        "gfg_resolver_step": lambda: gfg_resolver_step(level0, ResolverState.start(level0), 5),
-    }
+    calls = _word_calls(lambda: LassoWord((0,), (1, 5)))
+    calls["gfg_resolver_step"] = lambda: gfg_resolver_step(level0, ResolverState.start(level0), 5)
+    return calls
 
 
 @pytest.mark.parametrize("entry", sorted(_letter_checked_calls()))
@@ -290,3 +300,13 @@ def test_out_of_range_letter_rejected(entry):
     # otherwise be expected to accept every word
     with pytest.raises(AutomatonError, match="letter index 5 .* alphabet of 3 letters"):
         _letter_checked_calls()[entry]()
+
+
+@pytest.mark.parametrize("letter", [1.0, True, "a", None], ids=["float", "bool", "str", "none"])
+@pytest.mark.parametrize("entry", sorted(_word_calls(None)))
+def test_non_integer_letter_rejected(entry, letter):
+    # 1.0 and True used to be read as letter 1 by some entry points and to
+    # raise TypeError deep in the loops of others
+    for word in (lambda: LassoWord((), (letter,)), lambda: LassoWord((letter,), (0,))):
+        with pytest.raises(AutomatonError, match="letters must be non-negative ints"):
+            _word_calls(word)[entry]()

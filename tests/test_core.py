@@ -168,6 +168,13 @@ class TestPartition:
         with pytest.raises(AutomatonError):
             Partition(classes=((0,), (2,)))
 
+    @pytest.mark.parametrize("classes", [((0,), ()), ((),), (), ((0, 1), (1,))],
+                             ids=["empty-class", "only-empty", "no-class", "overlap"])
+    def test_malformed_classes_rejected(self, classes):
+        # an empty class used to raise IndexError while sorting the classes
+        with pytest.raises(AutomatonError, match="dense state range"):
+            Partition(classes=classes)
+
 
 class TestCoBuchiInvariants:
     def test_colors_restricted(self):

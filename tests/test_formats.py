@@ -1,4 +1,5 @@
 import json
+import random
 from importlib import resources
 from pathlib import Path
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flower_automaton
+from conftest import flower_automaton, mutated
+from oracles import eval_label_oracle
 from paritychain import (
     Alphabet,
     CoBuchiAutomaton,
@@ -26,6 +28,7 @@ from paritychain import (
     streamline,
     validate_dpa,
 )
+from paritychain.formats import _LabelParser, _tokenize_hoa, _TokenStream, letter_name
 
 T = Transition
 GOLDEN = Path(__file__).parent / "golden"
@@ -194,25 +197,6 @@ class TestInputLimits:
         assert len(str(err.value)) < 200 and "x" * 30 + "..." in str(err.value)
 
 
-def _mutated(base: str):
-    """Documents made from ``base`` by a few deletions, insertions and
-    replacements of short runs of characters the grammars care about."""
-    pieces = st.text(st.sampled_from('0123456789-:[]{}()!&|"\\/* \nabtfHOA,'), max_size=6)
-    edits = st.lists(
-        st.tuples(st.integers(0, len(base)), st.integers(0, 3), pieces | st.just("9" * 4400)),
-        min_size=1, max_size=3,
-    )
-
-    def apply(edits):
-        text = base
-        for pos, cut, piece in edits:
-            pos = min(pos, len(text))
-            text = text[:pos] + piece + text[pos + cut:]
-        return text
-
-    return edits.map(apply)
-
-
 _FLOWER_NATIVE = emit_native(flower_automaton())
 _FLOWER_HOA = emit_hoa(random_dpa(3, 3, 2, 7))
 
@@ -245,12 +229,12 @@ class TestParserFuzz:
         self._parse_all(text)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(_mutated(_FLOWER_NATIVE))
+    @given(mutated(_FLOWER_NATIVE))
     def test_mutated_native(self, text):
         self._parse_all(text)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(_mutated(_FLOWER_HOA) | _mutated(UNIVERSAL_1AP))
+    @given(mutated(_FLOWER_HOA) | mutated(UNIVERSAL_1AP))
     def test_mutated_hoa(self, text):
         self._parse_all(text)
 
@@ -358,6 +342,158 @@ State: 0
         a = parse_hoa(text)
         by_letter = {a.alphabet.letters[t.sym]: t.color for t in a.transitions}
         assert by_letter == {"!x&!y": 1, "x&!y": 0, "!x&y": 0, "x&y": 0}
+
+
+class TestHoaRejections:
+    """Every ``parse_hoa`` rejection of a one-edit ``UNIVERSAL_1AP``: the
+    message and the line it is reported at (None: no position)."""
+
+    @pytest.mark.parametrize("old, new, message, line", [
+        ("HOA: v1", "HOA: v2", "only HOA v1 is supported", 1),
+        ("--BODY--\nState: 0\n[t] 0 {0}\n--END--\n", "", "missing --BODY--", None),
+        ('AP: 1 "go"', 'AP: "go"', "AP: takes a count and names", 4),
+        ("Acceptance: 1 Inf(0)", "Acceptance: Inf(0)", "Acceptance: takes a set count", 6),
+        ("State: 0", "State: [t] 0", "state labels are not supported", 8),
+        ("{0}\n", "{0}\nState: 0\n", "state 0 declared twice", 10),
+        ("State: 0", "State: 1", "state 1 out of range", 8),
+        ("State: 0", "State: 0 {0}", "state-based acceptance is not supported", 8),
+        ("State: 0", "[t] 0 {0}\nState: 0", "edge outside any State:", 8),
+        ("[t] 0 {0}", "[t] 0&0 {0}", "universal branching is not supported", 9),
+        ("{0}", "{x}", "expected acceptance set index, got 'x'", 9),
+        ("{0}", "{0 0}", "exactly one acceptance set", 9),
+        ("{0}", "{1}", "acceptance set 1 out of range", 9),
+        ("[t]", "[1]", "AP index 1 out of range", 9),
+        ("[t]", "[(t]", "expected ')'", 9),
+        ("[t]", "[0 &]", "unsupported label element ']'", 9),
+        ("[t]", "[0 0]", "trailing '0' in label", 9),
+        ("[t]", "[f]", "incomplete rows: [(0, '!go'), (0, 'go')]", None),
+    ], ids=[
+        "version", "no-body", "ap-count", "acceptance-count", "state-label",
+        "state-twice", "state-range", "state-acceptance", "edge-outside-state",
+        "universal", "set-not-int", "two-sets", "set-range", "ap-index",
+        "unclosed-paren", "label-ends", "label-trailing", "false-label",
+    ])
+    def test_rejection(self, old, new, message, line):
+        assert old in UNIVERSAL_1AP
+        with pytest.raises(FormatError) as err:
+            parse_hoa(UNIVERSAL_1AP.replace(old, new))
+        assert message in str(err.value)
+        assert err.value.line == line
+
+
+def _hoa_body(a) -> str:
+    """The ``--BODY--`` part of ``emit_hoa(a)``, one transition scan per state."""
+    lines = []
+    ap_count = len(a.alphabet).bit_length() - 1
+    for q in range(a.state_count):
+        lines.append(f"State: {q}")
+        for t in a.transitions:
+            if t.src == q:
+                label = "&".join(str(j) if t.sym >> j & 1 else f"!{j}" for j in range(ap_count))
+                if isinstance(a, CoBuchiAutomaton):
+                    suffix = "" if t.color == 2 else " {0}"
+                else:
+                    suffix = f" {{{t.color}}}"
+                lines.append(f"[{label or 't'}] {t.dst}{suffix}")
+    return "--BODY--\n" + "\n".join(lines) + "\n--END--\n"
+
+
+class TestHoaBody:
+    """``emit_hoa`` lists every state, those without transitions too, with
+    its transitions in order, as a scan of all transitions per state does."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_dpa(self, seed):
+        a = random_dpa(12, 4, 2 ** (seed % 3 + 1), seed)
+        assert emit_hoa(a).endswith(_hoa_body(a))
+
+    def test_partial_ncw(self):
+        # state 1 has no transition and state 3, the last, has none either
+        a = CoBuchiAutomaton(Alphabet(("a", "b")), 4, 0, (
+            T(0, 0, 2, 2), T(0, 1, 0, 1), T(2, 1, 2, 2), T(2, 1, 0, 1),
+        ))
+        text = emit_hoa(a)
+        assert text.endswith(_hoa_body(a))
+        assert text.endswith(
+            "--BODY--\nState: 0\n[!0] 2\n[0] 0 {0}\nState: 1\nState: 2\n"
+            "[0] 0 {0}\n[0] 2\nState: 3\n--END--\n"
+        )
+
+
+_GOLDENS = ["flower_streamlined.aut", "flower_chain_A5.aut", "universal2.hoa"]
+
+
+class TestEmitParseFixpoint:
+    """Emitted text parses back to text-identical emission, in both formats."""
+
+    @pytest.mark.parametrize("name", _GOLDENS)
+    def test_goldens(self, name):
+        text = (GOLDEN / name).read_text()
+        if name.endswith(".hoa"):
+            assert emit_hoa(parse_hoa(text)) == text
+        else:
+            assert emit_native(parse_native(text)) == text
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 3), st.integers(1, 10), st.integers(1, 5), st.integers(0, 2**32))
+    def test_random_dpa(self, aps, states, colors, seed):
+        names = tuple(letter_name([f"p{j}" for j in range(aps)], v) for v in range(2**aps))
+        a = random_dpa(states, colors, 2**aps, seed, letter_names=names)
+        native, hoa = emit_native(a), emit_hoa(a)
+        assert parse_native(native) == parse_hoa(hoa) == a
+        assert emit_native(parse_native(native)) == native
+        assert emit_hoa(parse_hoa(hoa)) == hoa
+
+
+def _random_label(rng: random.Random, aps: int, depth: int) -> str:
+    """A label formula over ``aps`` APs; one atom in twenty is the AP index
+    just out of range."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.05:
+            return str(aps)
+        return rng.choice(["t", "f"] + [str(j) for j in range(aps)])
+    kind = rng.randrange(4)
+    if kind == 0:
+        return "!" + _random_label(rng, aps, depth - 1)
+    if kind == 1:
+        return "(" + _random_label(rng, aps, depth - 1) + ")"
+    op = " & " if kind == 2 else " | "
+    return _random_label(rng, aps, depth - 1) + op + _random_label(rng, aps, depth - 1)
+
+
+class TestLabelDifferential:
+    """The parser's valuation set of a label against the per-valuation
+    evaluator in ``oracles``: the same set, or the same error."""
+
+    @staticmethod
+    def _outcome(parse):
+        try:
+            return parse()
+        except FormatError as err:
+            return f"error: {err}"
+
+    def _check(self, label, aps):
+        tokens = _tokenize_hoa(label + "]")
+        stream = _TokenStream(tokens)
+        mine = self._outcome(lambda: _LabelParser(stream, aps).label())
+        theirs = self._outcome(lambda: frozenset(
+            v for v in range(2**aps) if eval_label_oracle(tokens[:-1], v, aps)))
+        assert mine == theirs, label
+        if not isinstance(mine, str):
+            assert stream.pos == len(tokens)  # read through the closing bracket
+
+    @pytest.mark.parametrize("aps", range(5))
+    def test_random_labels(self, aps):
+        rng = random.Random(aps)
+        for _ in range(150):
+            self._check(_random_label(rng, aps, rng.randrange(6)), aps)
+
+    @pytest.mark.parametrize("depth", [99, 100, 101])
+    def test_depth_limit(self, depth):
+        half = depth // 2
+        for label in ("!" * depth + "0", "(" * depth + "0" + ")" * depth,
+                      "!(" * half + "t" + ")" * half + " & " + "!" * depth + "0"):
+            self._check(label, 2)
 
 
 class TestDot:
