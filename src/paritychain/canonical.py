@@ -16,21 +16,21 @@ from .core import (
     Transition,
     complete_dpa,
 )
-from .graphs import _PARTITION, _memo, _refine, reachable_states, scc_decompose, state_equivalence
+from .graphs import (
+    _PARTITION, _dpa_rows, _memo, _refine, reachable_states, scc_decompose, state_equivalence,
+)
 
 
 def is_structured(a: ParityAutomaton) -> tuple[bool, list[str]]:
     """Check the two structuredness conditions: full reachability, and every
     language-equivalence class contained in a single maximal SCC."""
     violations = []
-    reach = reachable_states(a, a.initial)
-    unreachable = sorted(set(range(a.state_count)) - reach)
+    scc_of = scc_decompose(a).scc_of  # the reachable states
+    unreachable = sorted(set(range(a.state_count)) - scc_of.keys())
     if unreachable:
         violations.append(f"unreachable states {unreachable}")
-    partition = state_equivalence(a)
-    scc = scc_decompose(a)
-    for cid, members in enumerate(partition.classes):
-        scc_ids = sorted({scc.scc_of[q] for q in members if q in scc.scc_of})
+    for cid, members in enumerate(state_equivalence(a).classes):
+        scc_ids = sorted({scc_of[q] for q in members if q in scc_of})
         if len(scc_ids) > 1:
             violations.append(
                 f"equivalence class {cid} {members} spans SCCs {tuple(scc_ids)}"
@@ -38,14 +38,18 @@ def is_structured(a: ParityAutomaton) -> tuple[bool, list[str]]:
     return not violations, violations
 
 
-def _restrict_to(a: ParityAutomaton, keep: list[int]) -> tuple[ParityAutomaton, dict[int, int]]:
-    """Sub-automaton on ``keep`` (order preserved), with the old->new id map."""
+def _drop_unreachable(a: ParityAutomaton) -> tuple[ParityAutomaton, dict[int, int]]:
+    """``a`` on the states reachable from its initial state, renumbered
+    order-preservingly, with the old -> new id map of those states; ``a``
+    itself when every state is reachable."""
+    keep = sorted(reachable_states(a, a.initial))
     remap = {old: new for new, old in enumerate(keep)}
-    kept = set(keep)
-    ts = tuple(
+    if len(keep) == a.state_count:
+        return a, remap
+    ts = tuple(  # the successors of a reachable state are reachable
         Transition(remap[t.src], t.sym, remap[t.dst], t.color)
         for t in a.transitions
-        if t.src in kept and t.dst in kept
+        if t.src in remap
     )
     out = ParityAutomaton(
         alphabet=a.alphabet,
@@ -82,66 +86,47 @@ def random_dpa(
         for q in range(states)
         for sym in range(letters)
     )
-    a = ParityAutomaton(Alphabet(names), states, 0, ts)
-    reach = sorted(reachable_states(a, 0))
-    if len(reach) < states:
-        a, _ = _restrict_to(a, reach)
+    a, _ = _drop_unreachable(ParityAutomaton(Alphabet(names), states, 0, ts))
     return complete_dpa(a)
 
 
 def structure_dpa_with_map(a: ParityAutomaton) -> tuple[ParityAutomaton, dict[int, int]]:
     """Like ``structure_dpa`` but also returns the id map original -> final
-    for surviving states.  Ids are compacted order-preservingly whenever
-    states are dropped, so an already-structured input maps identically.
-    The language-equivalence partition is computed once and carried by
-    the result, so asking ``state_equivalence`` for it costs nothing.
+    for surviving states.  Ids are compacted order-preservingly, so an
+    already-structured input maps identically.  The language-equivalence
+    partition is computed once and carried by the result, so asking
+    ``state_equivalence`` for it costs nothing.
     """
-    cur = a
-    id_map = {q: q for q in range(a.state_count)}
-    partition = None
-
-    def drop_unreachable():
-        nonlocal cur, id_map, partition
-        reach = reachable_states(cur, cur.initial)
-        if len(reach) == cur.state_count:
-            return False
-        cur, remap = _restrict_to(cur, sorted(reach))
-        id_map = {orig: remap[q] for orig, q in id_map.items() if q in remap}
-        if partition is not None:
-            restricted = (tuple(remap[q] for q in c if q in remap) for c in partition.classes)
-            partition = Partition(tuple(c for c in restricted if c))
-        return True
-
+    # Dropped first, as an unreachable state may lack rows.  Redirects keep
+    # every state's language, and states that become unreachable stay
+    # outside ``scc_of`` until the end: dropping them each round would
+    # renumber the rest order-preservingly, which keeps Tarjan's order.
+    cur, first = _drop_unreachable(a)
+    partition = state_equivalence(cur)
     for _ in range((a.state_count + 2) ** 2):
-        changed = drop_unreachable()
-        # Computed once, after the first drop (an unreachable state may lack
-        # rows); redirects and drops keep every surviving state's language,
-        # so from then on it is only restricted and handed to each new ``cur``.
-        if partition is None:
-            partition = state_equivalence(cur)
-        _memo(cur, _PARTITION, lambda: partition)
-        scc = scc_decompose(cur)
-
-        def redirect(q: int) -> int:
-            members = partition.mates(q)
-            best_rank = max(scc.scc_of[m] for m in members)
-            if scc.scc_of[q] == best_rank:
-                return q
-            return min(m for m in members if scc.scc_of[m] == best_rank)
-
-        new_initial = redirect(cur.initial)
-        new_ts = tuple(
-            Transition(t.src, t.sym, redirect(t.dst), t.color) for t in cur.transitions
-        )
-        if new_initial != cur.initial or new_ts != cur.transitions:
-            cur = ParityAutomaton(cur.alphabet, cur.state_count, new_initial, new_ts)
-            changed = True
-        if not changed:
-            ok, violations = is_structured(cur)
-            if not ok:  # pragma: no cover - fixpoint implies structured
-                raise AutomatonError(f"structuring stalled: {violations}")
-            return cur, id_map
-    raise AutomatonError("structuring did not converge")  # pragma: no cover
+        scc_of = scc_decompose(cur).scc_of
+        to = list(range(cur.state_count))  # the redirect target of each state
+        for cls in partition.classes:
+            live = [q for q in cls if q in scc_of]
+            if live:
+                best = max(scc_of[q] for q in live)
+                rep = min(q for q in live if scc_of[q] == best)
+                for q in live:
+                    if scc_of[q] != best:
+                        to[q] = rep
+        ts = tuple(Transition(t.src, t.sym, to[t.dst], t.color) for t in cur.transitions)
+        if to[cur.initial] == cur.initial and ts == cur.transitions:
+            break
+        cur = ParityAutomaton(cur.alphabet, cur.state_count, to[cur.initial], ts)
+    else:
+        raise AutomatonError("structuring did not converge")  # pragma: no cover
+    out, last = _drop_unreachable(cur)
+    restricted = (tuple(last[q] for q in c if q in last) for c in partition.classes)
+    _memo(out, _PARTITION, lambda: Partition(tuple(c for c in restricted if c)))
+    ok, violations = is_structured(out)
+    if not ok:  # pragma: no cover - fixpoint implies structured
+        raise AutomatonError(f"structuring stalled: {violations}")
+    return out, {orig: last[q] for orig, q in first.items() if q in last}
 
 
 def structure_dpa(a: ParityAutomaton) -> ParityAutomaton:
@@ -150,8 +135,8 @@ def structure_dpa(a: ParityAutomaton) -> ParityAutomaton:
 
     Transitions into a class that has members in a later SCC are bent to a
     fixed representative there (the lowest-indexed member), the initial
-    state is re-seated the same way, unreachable states are dropped, and
-    this repeats until a fixpoint.  Redirected transitions keep their
+    state is re-seated the same way, and this repeats until a fixpoint,
+    on the reachable part; unreachable states are dropped.  Redirected transitions keep their
     colors; every redirect targets a language-equivalent state and only
     finitely many redirects can occur on any run, so the language is
     unchanged.
@@ -200,7 +185,7 @@ def _recolor(a: ParityAutomaton) -> list[int]:
             i += 1
         return kept
 
-    _refine(a.state_count, len(a.alphabet), [t.dst for t in a.transitions], range(len(color)), keep)
+    _refine(a.state_count, len(a.alphabet), _dpa_rows(a)[0], range(len(color)), keep)
     return color
 
 

@@ -27,7 +27,8 @@ from .core import (
     validate_dpa,
 )
 from .formats import (
-    _MAX_APS, _MAX_STATES, FormatError, emit_native, letter_name, parse_hoa, parse_native,
+    _MAX_APS, _MAX_ROWS, _MAX_STATES, FormatError, emit_native, letter_name, parse_hoa,
+    parse_native,
 )
 from .graphs import (
     dpa_language_equiv,
@@ -255,15 +256,15 @@ def cmd_random(args) -> int:
         raise AutomatonError(f"--aps must be between 0 and {_MAX_APS}")
     if args.states > _MAX_STATES:
         raise AutomatonError(f"--states must be at most {_MAX_STATES}")
+    count = 2 ** args.aps if args.aps is not None else args.letters
+    if args.states > 0 and args.states * count > _MAX_ROWS:
+        raise AutomatonError(f"--states x letters must be at most {_MAX_ROWS}")
+    names = None
     if args.aps is not None:
-        count = 2 ** args.aps
         names = tuple(
             letter_name([f"p{j}" for j in range(args.aps)], v) for v in range(count)
         )
-        a = random_dpa(args.states, args.colors, count, args.seed, letter_names=names)
-    else:
-        a = random_dpa(args.states, args.colors, args.letters, args.seed)
-    _write_automaton(args, a)
+    _write_automaton(args, random_dpa(args.states, args.colors, count, args.seed, names))
     return 0
 
 

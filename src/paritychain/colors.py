@@ -14,7 +14,7 @@ from .core import (
     Partition,
     PreconditionError,
 )
-from .graphs import _cobuchi_rows
+from .graphs import _cobuchi_rows, _dpa_rows, _least_on_cycle, _positions, _reach
 
 
 @dataclass(frozen=True)
@@ -28,41 +28,27 @@ class CoRun:
 
 
 def _dominating_colors(a: ParityAutomaton, equiv: Partition, w: LassoWord):
-    """Checks the partition and the word, then returns ``color(q, p)``: the
-    dominating color of the run of ``a`` from state q on ``w`` read from
-    position p, 0 <= p < |prefix| + |period|.
-
-    Nodes (q, p) form a functional graph (period positions wrap), so each
-    node is resolved once: walk until a resolved node or a node of this
-    walk; every node on the walk reaches that cycle and gets its least color.
+    """Checks the partition and the word, then returns ``(step, color)`` on
+    the nodes (q, p) = p * |Q| + q of ``a`` on ``w``, 0 <= p < |prefix| +
+    |period|: ``step(node)`` is the next node of the run and the color of
+    the transition to it, and ``color(node)`` is the dominating color of
+    the run from state q on ``w`` read from position p.  The nodes form a
+    functional graph, so one table resolves each node once (see
+    ``graphs._least_on_cycle``).
     """
     if equiv.state_count != a.state_count:
         raise AutomatonError("partition does not match the automaton's state count")
-    letters = w.prefix + w.period
-    a.alphabet.check_letters(letters)
-    length, u_len = len(letters), len(w.prefix)
-    table = [-1] * (a.state_count * length)  # node (q, p) is q * length + p; -2: on the walk
+    letters, after = _positions(a, w)
+    dst, col = _dpa_rows(a)
+    n, k = a.state_count, len(a.alphabet)
+    table = [-1] * (n * len(letters))
 
-    def color(q: int, p: int) -> int:
-        value = table[q * length + p]
-        if value >= 0:
-            return value
-        walk: list[int] = []
-        colors: list[int] = []
-        node = q * length + p
-        while table[node] == -1:
-            table[node] = -2
-            walk.append(node)
-            t = a.step(q, letters[p])
-            colors.append(t.color)
-            q, p = t.dst, (p + 1 if p + 1 < length else u_len)
-            node = q * length + p
-        value = min(colors[walk.index(node):]) if table[node] == -2 else table[node]
-        for n in walk:
-            table[n] = value
-        return value
+    def step(node):
+        p, q = divmod(node, n)
+        row = q * k + letters[p]
+        return after[p] * n + dst[row], col[row]
 
-    return color
+    return step, lambda node: _least_on_cycle(step, table, node)
 
 
 def coruns(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> tuple[CoRun, ...]:
@@ -74,17 +60,13 @@ def coruns(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> tuple[CoRun, .
     is included; it reproduces the plain run.  Each (jump target, word
     position) node is resolved once, in one table shared by all co-runs.
     """
-    color = _dominating_colors(a, equiv, w)
-    u_len, v_len = len(w.prefix), len(w.period)
-    bound = u_len + a.state_count * v_len
-    run = [a.initial]
-    for k in range(bound):
-        run.append(a.step(run[-1], w.letter_at(k)).dst)
+    step, color = _dominating_colors(a, equiv, w)
+    n, node = a.state_count, a.initial
     out = []
-    for p in range(1, bound + 1):
-        position = p if p <= u_len else u_len + (p - u_len) % v_len
-        for target in equiv.mates(run[p]):
-            out.append(CoRun(p, target, color(target, position)))
+    for jump in range(1, len(w.prefix) + n * len(w.period) + 1):
+        node = step(node)[0]
+        p, q = divmod(node, n)
+        out += [CoRun(jump, target, color(p * n + target)) for target in equiv.mates(q)]
     return tuple(out)
 
 
@@ -98,17 +80,13 @@ def corun_color(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> int:
     """
     if not is_streamlined(a):
         raise PreconditionError("natural colors are read off streamlined automata")
-    color = _dominating_colors(a, equiv, w)
-    letters = w.prefix + w.period
-    length, u_len = len(letters), len(w.prefix)
-    q, p = a.initial, 0
-    nodes: dict[tuple[int, int], None] = {}  # the run's nodes, in run order
-    while True:
-        q, p = a.step(q, letters[p]).dst, (p + 1 if p + 1 < length else u_len)
-        if (q, p) in nodes:
-            break
-        nodes[(q, p)] = None
-    return max(color(mate, p) for q, p in nodes for mate in equiv.mates(q))
+    step, color = _dominating_colors(a, equiv, w)
+    n, node = a.state_count, step(a.initial)[0]
+    nodes = set()  # the run's nodes
+    while node not in nodes:
+        nodes.add(node)
+        node = step(node)[0]
+    return max(color(node - node % n + mate) for node in nodes for mate in equiv.mates(node % n))
 
 
 def natural_color_via_chain(c: ChainRepresentation, w: LassoWord) -> int:
@@ -124,22 +102,14 @@ def natural_color_via_chain(c: ChainRepresentation, w: LassoWord) -> int:
     node: one breadth-first search over every jump, then one table.
     """
     a, equiv = c.source, c.partition
-    color = _dominating_colors(a, equiv, w)
-    letters = w.prefix + w.period
-    length, u_len = len(letters), len(w.prefix)
-    start = a.initial * length  # node (q, p) is q * length + p
-    seen = [False] * (a.state_count * length)
-    seen[start] = True
-    order = [start]
-    for node in order:  # BFS: ``order`` grows while it is scanned
-        q, p = divmod(node, length)
-        nxt_p = p + 1 if p + 1 < length else u_len
-        for mate in equiv.mates(a.step(q, letters[p]).dst):
-            nxt = mate * length + nxt_p
-            if not seen[nxt]:
-                seen[nxt] = True
-                order.append(nxt)
-    return max(color(*divmod(node, length)) for node in order)
+    step, color = _dominating_colors(a, equiv, w)
+    n = a.state_count
+
+    def succ(node):
+        p, q = divmod(step(node)[0], n)
+        return [p * n + mate for mate in equiv.mates(q)]
+
+    return max(map(color, _reach([a.initial], succ)))
 
 
 @dataclass(frozen=True)
@@ -239,10 +209,8 @@ def resolve_run(a: CoBuchiAutomaton, w: LassoWord) -> tuple[bool, tuple[int, ...
     ``_advance``: absolute positions grow without bound, and future moves
     depend on the groups only) and the word position.
     """
-    letters = w.prefix + w.period
-    a.alphabet.check_letters(letters)
-    rows, k = _cobuchi_rows(a), len(a.alphabet)
-    length, u_len = len(letters), len(w.prefix)
+    letters, after = _positions(a, w)
+    rows, k, u_len = _cobuchi_rows(a), len(a.alphabet), len(w.prefix)
     current, groups = a.initial, ((a.initial,),)
     seen: dict[tuple, int] = {}
     emitted: list[int] = []  # the color output at each position
@@ -256,4 +224,4 @@ def resolve_run(a: CoBuchiAutomaton, w: LassoWord) -> tuple[bool, tuple[int, ...
             seen[key] = len(emitted)
         groups, _, current, color = _advance(rows, k, groups, current, letters[p])
         emitted.append(color)
-        p = p + 1 if p + 1 < length else u_len
+        p = after[p]

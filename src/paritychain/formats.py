@@ -30,9 +30,11 @@ class FormatError(ValueError):
 
 
 # Stated input limits, checked before anything is allocated per state or per
-# letter: the letters of a HOA alphabet are all 2^|AP| valuations.
+# letter: the letters of a HOA alphabet are all 2^|AP| valuations, and every
+# (state, letter) row costs a check or a transition.
 _MAX_STATES = 1_000_000
 _MAX_APS = 16
+_MAX_ROWS = 2**20
 
 
 # -- native JSON format ------------------------------------------------------
@@ -72,6 +74,11 @@ def parse_native(text: str, *, validate: bool = True):
     states = _require(obj, "states", int, "document")
     if states > _MAX_STATES:
         raise FormatError(f"document: {states} states exceed the limit of {_MAX_STATES}")
+    if states * len(letters) > _MAX_ROWS:
+        raise FormatError(
+            f"document: {states} states x {len(letters)} letters exceed the limit of "
+            f"{_MAX_ROWS} rows"
+        )
     initial = _require(obj, "initial", int, "document")
     raw_ts = _require(obj, "transitions", list, "document")
     transitions = []
@@ -416,6 +423,10 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
         raise FormatError("missing Start: header")
     if aps is None:
         aps = []
+    if states * 2 ** len(aps) > _MAX_ROWS:
+        raise FormatError(
+            f"States: {states} x 2^{len(aps)} valuations exceed the limit of {_MAX_ROWS} rows"
+        )
     try:  # an empty AP name makes an empty letter name
         alphabet = Alphabet(tuple(letter_name(aps, v) for v in range(2 ** len(aps))))
     except AutomatonError as err:

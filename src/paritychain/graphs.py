@@ -25,6 +25,43 @@ def _adjacency(a) -> list[list[int]]:
     return [sorted(s) for s in succ]
 
 
+def _reach(roots, succ) -> list[int]:
+    """The nodes reachable from ``roots`` through ``succ(node)``, each once,
+    in breadth-first order: the roots first, in their order."""
+    order = list(dict.fromkeys(roots))
+    seen = set(order)
+    for node in order:  # ``order`` grows while it is scanned
+        for nxt in succ(node):
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+    return order
+
+
+def _least_on_cycle(step, table: list[int], node: int) -> int:
+    """The least weight on the cycle that the walk from ``node`` reaches in
+    the functional graph ``step(node) -> (next node, weight)``.
+
+    ``table`` holds that value for the nodes resolved so far, which are
+    answered at once, and -1 for the others; every node of the walk gets the
+    value of the resolved node or of the cycle it ends in, so each node is
+    walked once over all calls.
+    """
+    if table[node] >= 0:
+        return table[node]
+    walk: list[int] = []
+    weights: list[int] = []
+    while table[node] == -1:
+        table[node] = -2  # on the current walk
+        walk.append(node)
+        node, weight = step(node)
+        weights.append(weight)
+    value = min(weights[walk.index(node):]) if table[node] == -2 else table[node]
+    for n in walk:
+        table[n] = value
+    return value
+
+
 def _scc_ids(n: int, succ, roots=None) -> list[int]:
     """Iterative Tarjan over nodes 0..n-1 with successor lists ``succ``.
 
@@ -127,21 +164,13 @@ def reachable_states(a, origin: int) -> frozenset[int]:
     """Forward-reachable state set from ``origin``, inclusive."""
     if not 0 <= origin < a.state_count:
         raise AutomatonError(f"state {origin} out of range")
-    adj = _adjacency(a)
-    seen = {origin}
-    todo = deque([origin])
-    while todo:
-        q = todo.popleft()
-        for nxt in adj[q]:
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return frozenset(seen)
+    return frozenset(_reach([origin], _adjacency(a).__getitem__))
 
 
 def scc_decompose(a) -> SccDecomposition:
     """Maximal SCCs of the part reachable from the initial state."""
-    comp = _scc_ids(a.state_count, _adjacency(a), sorted(reachable_states(a, a.initial)))
+    adj = _adjacency(a)
+    comp = _scc_ids(a.state_count, adj, sorted(_reach([a.initial], adj.__getitem__)))
     last = max(comp)
     sccs: list[list[int]] = [[] for _ in range(last + 1)]
     for q, c in enumerate(comp):
@@ -162,40 +191,59 @@ def dpa_lasso_run(a: ParityAutomaton, w: LassoWord, start: int | None = None) ->
     """Simulate the unique run of a complete DPA on an ultimately periodic word.
 
     The run enters its cycle within |prefix| + |Q|*|period| steps; the cycle
-    is detected as the first repetition of a (state, period position) pair.
+    is detected as the first repetition of a (state, word position) node.
     """
     if start is not None and not 0 <= start < a.state_count:
         raise AutomatonError(f"state {start} out of range")
-    a.alphabet.check_letters(w.prefix + w.period)
-    q = a.initial if start is None else start
-    u, v = w.prefix, w.period
+    letters, after = _positions(a, w)
+    q, p = a.initial if start is None else start, 0
     states = [q]
     colors: list[int] = []
-    for sym in u:
-        t = a.step(q, sym)
+    seen: dict[tuple[int, int], int] = {}  # (state, word position) -> step
+    while (q, p) not in seen:
+        seen[(q, p)] = len(colors)
+        t = a.step(q, letters[p])
         colors.append(t.color)
-        q = t.dst
+        q, p = t.dst, after[p]
         states.append(q)
-    seen: dict[tuple[int, int], int] = {}
-    k = len(u)
-    while True:
-        phase = (k - len(u)) % len(v)
-        if (q, phase) in seen:
-            first = seen[(q, phase)]
-            break
-        seen[(q, phase)] = k
-        t = a.step(q, v[phase])
-        colors.append(t.color)
-        q = t.dst
-        states.append(q)
-        k += 1
-    dominating = min(colors[first:k])
+    first = seen[(q, p)]
+    dominating = min(colors[first:])
     return RunAnalysis(
         stem_states=tuple(states[:first]),
-        cycle_states=tuple(states[first:k]),
+        cycle_states=tuple(states[first:-1]),
         dominating_color=dominating,
         accepted=dominating % 2 == 0,
     )
+
+
+def _positions(a, w: LassoWord) -> tuple[tuple[int, ...], list[int]]:
+    """The letters of ``w`` at its positions 0..|prefix|+|period|-1, checked
+    against the alphabet of ``a``, and ``after[p]``, the position that
+    follows p: the last one wraps to |prefix|, the start of the period."""
+    letters = w.prefix + w.period
+    a.alphabet.check_letters(letters)
+    return letters, [*range(1, len(letters)), len(w.prefix)]
+
+
+def _dpa_rows(a: ParityAutomaton) -> tuple[list[int], list[int]]:
+    """Flat rows of a complete DPA, indexed by state * |Σ| + letter: the
+    target and the color of each row's transition.  Memoized on ``a`` (see
+    ``_memo``); callers must not mutate the lists.
+
+    ``a`` is complete and deterministic exactly when its sorted transition
+    e is row e.  Otherwise every row is read with ``a.step``, in (state,
+    letter) order, so the first bad row raises its error.
+    """
+
+    def build():
+        k, ts = len(a.alphabet), a.transitions
+        if len(ts) != a.state_count * k or any(t.src * k + t.sym != e for e, t in enumerate(ts)):
+            for q in range(a.state_count):
+                for sym in range(k):
+                    a.step(q, sym)
+        return [t.dst for t in ts], [t.color for t in ts]
+
+    return _memo(a, "_dpa_rows", build)
 
 
 def _cobuchi_rows(a: CoBuchiAutomaton) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -223,31 +271,28 @@ def gca_lasso_member(a: CoBuchiAutomaton, w: LassoWord) -> bool:
     Works on the finite product of automaton states with word positions
     0..|prefix|+|period|-1 (period positions wrap): the word is accepted
     iff a cycle of accepting transitions is reachable there, since an
-    accepting run is eventually trapped on such a cycle.
+    accepting run is eventually trapped on such a cycle.  A node has at
+    most one accepting edge, so these edges form a functional graph once
+    every node without one loops to itself: with weight 1 on the accepting
+    edges and 0 on those loops, a node lies on an accepting cycle iff it
+    lies on a cycle of least weight 1, and such a cycle is reachable iff
+    some reachable node walks into one.
     """
-    letters = w.prefix + w.period
-    a.alphabet.check_letters(letters)
+    letters, after = _positions(a, w)
     acc_row, succ_row = _cobuchi_rows(a)
-    k, length = len(a.alphabet), len(letters)
-    size = a.state_count * length  # node (q, p) is q * length + p
-    start = a.initial * length
-    seen = [False] * size
-    seen[start] = True
-    order = [start]
-    acc: list[list[int]] = [[] for _ in range(size)]
-    for node in order:  # BFS: ``order`` grows while it is scanned
-        q, p = divmod(node, length)
-        nxt_p = p + 1 if p + 1 < length else len(w.prefix)
-        row = q * k + letters[p]
-        if acc_row[row] >= 0:
-            acc[node].append(acc_row[row] * length + nxt_p)
-        for dst in succ_row[row]:
-            nxt = dst * length + nxt_p
-            if not seen[nxt]:
-                seen[nxt] = True
-                order.append(nxt)
-    comp = _scc_ids(size, acc, order)
-    return any(comp[node] == comp[nxt] for node in order for nxt in acc[node])
+    n, k = a.state_count, len(a.alphabet)  # node (q, p) is p * n + q
+
+    def succ(node):
+        p, q = divmod(node, n)
+        return [after[p] * n + dst for dst in succ_row[q * k + letters[p]]]
+
+    def accepting(node):
+        p, q = divmod(node, n)
+        dst = acc_row[q * k + letters[p]]
+        return (after[p] * n + dst, 1) if dst >= 0 else (node, 0)
+
+    table = [-1] * (n * len(letters))
+    return any(_least_on_cycle(accepting, table, node) for node in _reach([a.initial], succ))
 
 
 class _Product:
@@ -260,8 +305,8 @@ class _Product:
     pairs and letters as on the all-pairs product, which is the product
     rooted at every pair.  Edge e = node * |Σ| + sym leads to ``dst[e]`` and
     carries the colors ``ca[e]`` (of a) and ``cb[e]`` (of b).  Every row of
-    both automata is read first, so an incomplete automaton raises even
-    when its missing row is unreachable.
+    both automata is read first (see ``_dpa_rows``), so an incomplete
+    automaton raises even when its missing row is unreachable.
     """
 
     def __init__(self, a: ParityAutomaton, b: ParityAutomaton, roots):
@@ -269,29 +314,19 @@ class _Product:
             raise AutomatonError("automata must share one alphabet")
         self.k = k = len(a.alphabet)
         nb = b.state_count
-        rows_a = [a.step(q, sym) for q in range(a.state_count) for sym in range(k)]
-        rows_b = [b.step(q, sym) for q in range(nb) for sym in range(k)]
-        pairs = list(dict.fromkeys(qa * nb + qb for qa, qb in roots))
-        seen = set(pairs)
-        for pair in pairs:  # ``pairs`` grows while it is scanned
-            qa, qb = divmod(pair, nb)
-            for sym in range(k):
-                nxt = rows_a[qa * k + sym].dst * nb + rows_b[qb * k + sym].dst
-                if nxt not in seen:
-                    seen.add(nxt)
-                    pairs.append(nxt)
-        self.node_of = node_of = {pair: i for i, pair in enumerate(sorted(pairs))}
+        dst_a, col_a = _dpa_rows(a)
+        dst_b, col_b = _dpa_rows(b)
+
+        def succ(pair):
+            ra, rb = pair // nb * k, pair % nb * k
+            return [dst_a[ra + sym] * nb + dst_b[rb + sym] for sym in range(k)]
+
+        pairs = sorted(_reach((qa * nb + qb for qa, qb in roots), succ))
+        self.node_of = node_of = {pair: i for i, pair in enumerate(pairs)}
         self.size = len(pairs)
-        self.dst: list[int] = []
-        self.ca: list[int] = []
-        self.cb: list[int] = []
-        for pair in node_of:
-            qa, qb = divmod(pair, nb)
-            for sym in range(k):
-                ta, tb = rows_a[qa * k + sym], rows_b[qb * k + sym]
-                self.dst.append(node_of[ta.dst * nb + tb.dst])
-                self.ca.append(ta.color)
-                self.cb.append(tb.color)
+        self.dst = [node_of[nxt] for pair in pairs for nxt in succ(pair)]
+        self.ca = [col_a[pair // nb * k + sym] for pair in pairs for sym in range(k)]
+        self.cb = [col_b[pair % nb * k + sym] for pair in pairs for sym in range(k)]
 
     def bad_sccs(self, c1: list[int], c2: list[int]) -> list[tuple[list[int], int, int]]:
         """Node sets of the product SCCs holding a cycle whose minima under
@@ -401,18 +436,11 @@ def _partition(a: ParityAutomaton) -> Partition:
     n, k = a.state_count, len(a.alphabet)
     blocks = _presplit(a)
     product = _Product(a, a, [(q, r) for block in blocks for q in block for r in block])
-    marked = [False] * product.size
-    todo = [node for nodes, _, _ in product.bad_sccs(product.ca, product.cb) for node in nodes]
-    for node in todo:
-        marked[node] = True
     pred: list[list[int]] = [[] for _ in range(product.size)]
     for e, d in enumerate(product.dst):
         pred[d].append(e // k)
-    while todo:
-        for prev in pred[todo.pop()]:
-            if not marked[prev]:
-                marked[prev] = True
-                todo.append(prev)
+    bad = [node for nodes, _, _ in product.bad_sccs(product.ca, product.cb) for node in nodes]
+    marked = set(_reach(bad, pred.__getitem__))
     node_of = product.node_of
     classes: list[list[int]] = []
     for block in blocks:
@@ -420,7 +448,7 @@ def _partition(a: ParityAutomaton) -> Partition:
         for q in block:
             for cls in members:
                 rep = cls[0]
-                if not marked[node_of[rep * n + q]] and not marked[node_of[q * n + rep]]:
+                if node_of[rep * n + q] not in marked and node_of[q * n + rep] not in marked:
                     cls.append(q)
                     break
             else:
@@ -451,7 +479,7 @@ def _seed_words(k: int) -> list[tuple[int, ...]]:
 def _presplit(a: ParityAutomaton) -> list[list[int]]:
     """Blocks, each ascending, of a partition of the states of ``a`` that is
     coarser than language equivalence and closed under successors.  Every
-    row is read first, in (state, letter) order, so an incomplete automaton
+    row is read first (see ``_dpa_rows``), so an incomplete automaton
     raises the same error as the product would.
 
     It is the coarsest partition closed under successors that separates
@@ -469,9 +497,9 @@ def _presplit(a: ParityAutomaton) -> list[list[int]]:
     already.  Words stop once every block is a singleton.
     """
     n, k = a.state_count, len(a.alphabet)
-    rows = [a.step(q, sym) for q in range(n) for sym in range(k)]
-    dst_by = [[t.dst for t in rows[s::k]] for s in range(k)]
-    col_by = [[t.color for t in rows[s::k]] for s in range(k)]
+    dst, col = _dpa_rows(a)
+    dst_by = [dst[s::k] for s in range(k)]
+    col_by = [col[s::k] for s in range(k)]
     pre = [[[] for _ in range(n)] for _ in range(k)]  # pre[s][q]: states whose s-successor is q
     for d, ps in zip(dst_by, pre):
         for q in range(n):
@@ -503,16 +531,10 @@ def _presplit(a: ParityAutomaton) -> list[list[int]]:
             d, c = dst_by[s], col_by[s]
             least = [m if m < c[q] else c[q] for m, q in zip(least, end)]
             end = [d[q] for q in end]
-        dom = [-1] * n  # -2: on the current walk
-        for start in range(n):
-            q, walk = start, []
-            while dom[q] == -1:
-                dom[q] = -2
-                walk.append(q)
-                q = end[q]
-            value = min(least[r] for r in walk[walk.index(q):]) if dom[q] == -2 else dom[q]
-            for r in walk:
-                dom[r] = value
+        step = list(zip(end, least)).__getitem__
+        dom = [-1] * n
+        for q in range(n):
+            _least_on_cycle(step, dom, q)
         split([q for q in range(n) if dom[q] % 2])
         while work:
             sources = list(blocks[work.pop()])

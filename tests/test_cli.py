@@ -148,6 +148,12 @@ class TestValidate:
          "[t] 0 {0}\n--END--\n"),
         ("states.aut", json.dumps({"kind": "dpa", "alphabet": ["a"], "states": 10**9,
                                    "initial": 0, "transitions": []})),
+        # 2^19 + 1 states x 2 letters, one row past the limit
+        ("rows.hoa", "HOA: v1\nStates: 524289\nStart: 0\nAP: 1 \"p\"\n"
+         "acc-name: parity min even 1\nAcceptance: 1 Inf(0)\n--BODY--\nState: 0\n"
+         "[t] 0 {0}\n--END--\n"),
+        ("rows.aut", json.dumps({"kind": "dpa", "alphabet": ["a", "b"], "states": 2**19 + 1,
+                                 "initial": 0, "transitions": []})),
     ])
     def test_input_limits_are_format_errors(self, capsys, tmp_path, name, text):
         path = tmp_path / name
@@ -369,7 +375,8 @@ class TestRandom:
         (["--aps", "-1"], "--aps must be between 0 and 16"),
         (["--aps", "17"], "--aps must be between 0 and 16"),
         (["--letters", "1", "--states", "1000001"], "--states must be at most 1000000"),
-    ], ids=["aps-negative", "aps-above-limit", "states-above-limit"])
+        (["--letters", "524289"], "--states x letters must be at most 1048576"),
+    ], ids=["aps-negative", "aps-above-limit", "states-above-limit", "rows-above-limit"])
     def test_sizes_rejected_before_generation(self, capsys, size, message):
         code, out, err = run(capsys, "random", "--states", "2", "--colors", "1", *size)
         assert code == 2 and out == ""

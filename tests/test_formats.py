@@ -130,6 +130,25 @@ class TestInputLimits:
         with pytest.raises(FormatError, match="10+ states exceed the limit of 1000000"):
             parse_native(json.dumps(doc))
 
+    # 2^20 rows are accepted; one state more is refused before any row is read
+    @pytest.mark.parametrize("states, refused", [(2**19, False), (2**19 + 1, True)])
+    def test_hoa_row_count(self, states, refused):
+        with pytest.raises(FormatError) as err:
+            parse_hoa(UNIVERSAL_1AP.replace("States: 1", f"States: {states}"))
+        message = str(err.value)
+        assert message.startswith("States: ") == refused
+        assert ("x 2^1 valuations exceed the limit of 1048576 rows" in message) == refused
+
+    @pytest.mark.parametrize("states", [2**19, 2**19 + 1])
+    def test_native_row_count(self, states):
+        doc = json.dumps({"kind": "dpa", "alphabet": ["a", "b"], "states": states,
+                          "initial": 0, "transitions": []})
+        if states * 2 <= 2**20:
+            assert parse_native(doc, validate=False).state_count == states
+        else:
+            with pytest.raises(FormatError, match="2 letters exceed the limit of 1048576 rows"):
+                parse_native(doc, validate=False)
+
     # past Python's 4300-digit int-string limit, which raises a plain ValueError
     def test_long_hoa_integer(self):
         with pytest.raises(FormatError, match="line 2, column 9: integer literal of 5000 digits"):

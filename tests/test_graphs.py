@@ -166,6 +166,24 @@ class TestGcaLassoMember:
                 w = random_lasso(rng, len(a.alphabet), max_len=4)
                 assert gca_lasso_member(level, w) == gca_member_oracle(level, w)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_partial_ncw_matches_cycle_probing_oracle(self, seed):
+        # rows without a transition, rows with rejecting edges only, and a
+        # last state without any transition: dead ends of the accepting edges
+        rng = random.Random(seed)
+        n, k = rng.randrange(2, 7), rng.randrange(1, 4)
+        ts = []
+        for q in range(n - 1):
+            for sym in range(k):
+                targets = rng.sample(range(n), rng.randrange(3))
+                accepting = rng.random() < 0.6  # the first target, if any
+                ts += [T(q, sym, d, 2 if accepting and i == 0 else 1)
+                       for i, d in enumerate(targets)]
+        a = CoBuchiAutomaton(Alphabet(("a", "b", "c")[:k]), n, 0, tuple(ts))
+        for _ in range(30):
+            w = random_lasso(rng, k, max_len=4)
+            assert gca_lasso_member(a, w) == gca_member_oracle(a, w)
+
 
 class TestStateEquivalence:
     def test_duplicated_state_joins_its_original(self, flower):
@@ -499,4 +517,11 @@ class TestPresplit:
         ts = (T(0, 0, 2, 0), T(0, 1, 2, 1), T(1, 1, 1, 0), T(2, 0, 0, 1))
         a = ParityAutomaton(Alphabet(("a", "b")), 3, 0, ts)
         with pytest.raises(AutomatonError, match="^state 1 on letter 'a': no transition$"):
+            state_equivalence(a)
+
+    def test_nondeterministic_automaton_rejected(self):
+        # |Q| x |Σ| transitions, but row (0, b) has two and row (1, b) none
+        ts = (T(0, 0, 1, 0), T(0, 1, 0, 1), T(0, 1, 1, 1), T(1, 0, 0, 0))
+        a = ParityAutomaton(Alphabet(("a", "b")), 2, 0, ts)
+        with pytest.raises(AutomatonError, match="^state 0 on letter 'b': 2 transitions$"):
             state_equivalence(a)
