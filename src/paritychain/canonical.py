@@ -17,7 +17,7 @@ from .core import (
     complete_dpa,
 )
 from .graphs import (
-    _PARTITION, _dpa_rows, _memo, _refine, reachable_states, scc_decompose, state_equivalence,
+    _PARTITION, _memo, _refine, reachable_states, scc_decompose, state_equivalence,
 )
 
 
@@ -185,7 +185,7 @@ def _recolor(a: ParityAutomaton) -> list[int]:
             i += 1
         return kept
 
-    _refine(a.state_count, len(a.alphabet), _dpa_rows(a)[0], range(len(color)), keep)
+    _refine(a.state_count, len(a.alphabet), a.flat[0], range(len(color)), keep)
     return color
 
 

@@ -14,7 +14,7 @@ from .core import (
     Partition,
     PreconditionError,
 )
-from .graphs import _cobuchi_rows, _dpa_rows, _least_on_cycle, _positions, _reach
+from .graphs import _least_on_cycle, _positions, _reach
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ def _dominating_colors(a: ParityAutomaton, equiv: Partition, w: LassoWord):
     if equiv.state_count != a.state_count:
         raise AutomatonError("partition does not match the automaton's state count")
     letters, after = _positions(a, w)
-    dst, col = _dpa_rows(a)
+    dst, col = a.flat
     n, k = a.state_count, len(a.alphabet)
     table = [-1] * (n * len(letters))
 
@@ -133,10 +133,10 @@ class ResolverState:
                    tracked=((a.initial, 0),))
 
 
-def _advance(rows, k: int, groups, current: int, sym: int):
+def _advance(a: CoBuchiAutomaton, groups, current: int, sym: int):
     """One move of the strategy on rank groups: the states tracked after a
     prefix, grouped by equal tracked position, groups in ascending position
-    order, each group ascending.  ``rows`` are ``graphs._cobuchi_rows``.
+    order, each group ascending, stepped on ``CoBuchiAutomaton.flat``.
 
     A state reached by an accepting transition joins the group of its
     first such predecessor; every other successor joins a fresh group,
@@ -144,7 +144,7 @@ def _advance(rows, k: int, groups, current: int, sym: int):
     index of the group each came from (``len(groups)``: the fresh one),
     the strategy's next state and the color of the transition it took.
     """
-    acc, succ = rows
+    (acc, succ), k = a.flat, len(a.alphabet)
     rank: dict[int, int] = {}  # new tracked state -> index of its group
     for j, group in enumerate(groups):
         for q in group:
@@ -192,9 +192,7 @@ def gfg_resolver_step(a: CoBuchiAutomaton, s: ResolverState, sym: int) -> Resolv
         by_pos.setdefault(pos, []).append(q)
     positions = sorted(by_pos) + [s.position + 1]
     groups = tuple(tuple(sorted(by_pos[pos])) for pos in positions[:-1])
-    groups, sources, current, color = _advance(
-        _cobuchi_rows(a), len(a.alphabet), groups, s.current, sym
-    )
+    groups, sources, current, color = _advance(a, groups, s.current, sym)
     new_tracked = sorted((q, positions[j]) for group, j in zip(groups, sources) for q in group)
     return ResolverState(s.position + 1, current, color, tuple(new_tracked))
 
@@ -210,7 +208,7 @@ def resolve_run(a: CoBuchiAutomaton, w: LassoWord) -> tuple[bool, tuple[int, ...
     depend on the groups only) and the word position.
     """
     letters, after = _positions(a, w)
-    rows, k, u_len = _cobuchi_rows(a), len(a.alphabet), len(w.prefix)
+    u_len = len(w.prefix)
     current, groups = a.initial, ((a.initial,),)
     seen: dict[tuple, int] = {}
     emitted: list[int] = []  # the color output at each position
@@ -222,6 +220,6 @@ def resolve_run(a: CoBuchiAutomaton, w: LassoWord) -> tuple[bool, tuple[int, ...
                 rejects = tuple(i for i in range(seen[key], len(emitted)) if emitted[i] == 1)
                 return not rejects, rejects
             seen[key] = len(emitted)
-        groups, _, current, color = _advance(rows, k, groups, current, letters[p])
+        groups, _, current, color = _advance(a, groups, current, letters[p])
         emitted.append(color)
         p = after[p]

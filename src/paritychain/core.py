@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 
 class AutomatonError(ValueError):
@@ -82,16 +85,47 @@ def _check_automaton(a) -> None:
             raise AutomatonError(f"transition {t} has a negative color")
 
 
-def _rows(a) -> dict[tuple[int, int], tuple[Transition, ...]]:
-    """The transitions of ``a`` by (src, sym)."""
-    rows: dict[tuple[int, int], list[Transition]] = {}
-    for t in a.transitions:
-        rows.setdefault((t.src, t.sym), []).append(t)
-    return {key: tuple(ts) for key, ts in rows.items()}
+def _bad_rows(keys: list[int], rows: int, k: int):
+    """(src, sym, count) for every row r = src * k + sym below ``rows`` that
+    does not hold exactly one of the sorted row ``keys``, in row order,
+    lazily.  When key e is e for every e, every row holds one key, and
+    nothing is counted."""
+    if len(keys) != rows or keys != list(range(rows)):
+        counts = Counter(keys)
+        yield from ((r // k, r % k, c) for r in range(rows) if (c := counts.get(r, 0)) != 1)
+
+
+def _how_many(count: int) -> str:
+    return f"{count} transitions" if count else "no transition"
+
+
+class _Rows:
+    """The one row index of both automaton classes.  The transitions are
+    sorted, so row r = src * |Σ| + sym, the transitions from src on sym, is
+    one slice of them, found by bisection in their row keys."""
+
+    @cached_property
+    def _keys(self) -> list[int]:
+        k = len(self.alphabet)
+        return [t.src * k + t.sym for t in self.transitions]
+
+    def row(self, src: int, sym: int) -> tuple[Transition, ...]:
+        """The transitions from ``src`` on letter ``sym``."""
+        k = len(self.alphabet)
+        if not (0 <= src < self.state_count and 0 <= sym < k):
+            raise AutomatonError(f"row {_clip(repr((src, sym)))} is out of range: "
+                                 f"{self.state_count} states, {k} letters")
+        r, keys = src * k + sym, self._keys
+        return self.transitions[bisect_left(keys, r):bisect_right(keys, r)]
+
+    def bad_rows(self):
+        """(src, sym, count) for every row that does not hold exactly one
+        transition, in row order, lazily (see ``_bad_rows``)."""
+        return _bad_rows(self._keys, self.state_count * len(self.alphabet), len(self.alphabet))
 
 
 @dataclass(frozen=True)
-class ParityAutomaton:
+class ParityAutomaton(_Rows):
     """Transition-colored parity automaton, min-even acceptance.
 
     States are dense indices 0..state_count-1.  The class stores an edge
@@ -109,16 +143,24 @@ class ParityAutomaton:
     def __post_init__(self):
         _check_automaton(self)
 
-    rows = cached_property(_rows)
-
     def step(self, src: int, sym: int) -> Transition:
         """The unique transition from ``src`` on letter ``sym``."""
-        ts = self.rows.get((src, sym), ())
+        ts = self.row(src, sym)
         if len(ts) != 1:
             letter = _clip(self.alphabet.letters[sym])
-            kind = "no transition" if not ts else f"{len(ts)} transitions"
-            raise AutomatonError(f"state {src} on letter {letter!r}: {kind}")
+            raise AutomatonError(f"state {src} on letter {letter!r}: {_how_many(len(ts))}")
         return ts[0]
+
+    @cached_property
+    def flat(self) -> tuple[list[int], list[int]]:
+        """Flat rows of a complete DPA, indexed by state * |Σ| + letter: the
+        target and the color of each row's transition, sorted transition e
+        being row e.  On any other automaton the first bad row raises its
+        ``step`` error, reachable or not.  Callers must not mutate the
+        lists."""
+        for src, sym, _ in self.bad_rows():
+            self.step(src, sym)
+        return [t.dst for t in self.transitions], [t.color for t in self.transitions]
 
     @cached_property
     def colors(self) -> tuple[int, ...]:
@@ -132,7 +174,7 @@ class ParityAutomaton:
 
 
 @dataclass(frozen=True)
-class CoBuchiAutomaton:
+class CoBuchiAutomaton(_Rows):
     """Nondeterministic co-Buchi automaton with transition colors 1 and 2.
 
     Color 2 marks accepting transitions; a run accepts when it eventually
@@ -167,10 +209,21 @@ class CoBuchiAutomaton:
                     )
                 accepting_rows.add((t.src, t.sym))
 
-    rows = cached_property(_rows)
-
     def successors(self, src: int, sym: int) -> tuple[Transition, ...]:
-        return self.rows.get((src, sym), ())
+        return self.row(src, sym)
+
+    @cached_property
+    def flat(self) -> tuple[list[int], list[tuple[int, ...]]]:
+        """Flat rows, indexed by state * |Σ| + letter: the target of the
+        accepting transition (-1 if none; there is at most one) and the
+        targets of all transitions.  Callers must not mutate the lists."""
+        acc = [-1] * (self.state_count * len(self.alphabet))
+        succ: list[tuple[int, ...]] = [()] * len(acc)
+        for r, t in zip(self._keys, self.transitions):
+            succ[r] += (t.dst,)
+            if t.color == 2:
+                acc[r] = t.dst
+        return acc, succ
 
 
 @dataclass(frozen=True)
@@ -305,23 +358,12 @@ _MAX_VIOLATIONS = 10
 def validate_dpa(a: ParityAutomaton) -> ValidationReport:
     """Check determinism and completeness; report the first offending rows,
     at most ``_MAX_VIOLATIONS`` of them, then how many more there are."""
-    violations = []
-    more = 0
-    for src in range(a.state_count):
-        for sym in range(len(a.alphabet)):
-            ts = a.rows.get((src, sym), ())
-            if len(ts) == 1:
-                continue
-            if len(violations) == _MAX_VIOLATIONS:
-                more += 1
-                continue
-            letter = _clip(a.alphabet.letters[sym])
-            if not ts:
-                violations.append(f"(state {src}, letter {letter!r}) has no transition")
-            else:
-                violations.append(
-                    f"(state {src}, letter {letter!r}) has {len(ts)} transitions"
-                )
+    bad = a.bad_rows()
+    violations = [
+        f"(state {src}, letter {_clip(a.alphabet.letters[sym])!r}) has {_how_many(count)}"
+        for src, sym, count in islice(bad, _MAX_VIOLATIONS)
+    ]
+    more = sum(1 for _ in bad)
     if more:
         violations.append(f"... and {more} more")
     return ValidationReport(ok=not violations, violations=tuple(violations))
@@ -334,22 +376,17 @@ def complete_dpa(a: ParityAutomaton) -> ParityAutomaton:
     (color 1 self-loops), so words that previously had no run are
     rejected; complete inputs are returned unchanged.
     """
-    for (src, sym), ts in a.rows.items():
-        if len(ts) > 1:
+    sink = a.state_count
+    extra = []
+    for src, sym, count in a.bad_rows():
+        if count:
             raise AutomatonError(
                 f"not deterministic: (state {src}, letter "
-                f"{_clip(a.alphabet.letters[sym])!r}) has {len(ts)} transitions"
+                f"{_clip(a.alphabet.letters[sym])!r}) has {count} transitions"
             )
-    missing = [
-        (src, sym)
-        for src in range(a.state_count)
-        for sym in range(len(a.alphabet))
-        if (src, sym) not in a.rows
-    ]
-    if not missing:
+        extra.append(Transition(src, sym, sink, 1))
+    if not extra:
         return a
-    sink = a.state_count
-    extra = [Transition(src, sym, sink, 1) for src, sym in missing]
     extra += [Transition(sink, sym, sink, 1) for sym in range(len(a.alphabet))]
     return ParityAutomaton(
         alphabet=a.alphabet,

@@ -13,6 +13,7 @@ from .core import (
     ParityAutomaton,
     Transition,
     _MAX_VIOLATIONS,
+    _bad_rows,
     _clip,
     validate_dpa,
 )
@@ -432,7 +433,7 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
     except AutomatonError as err:
         raise FormatError(f"AP: {err}") from None
 
-    rows: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    body: list[tuple[int, int, int, int]] = []  # (state, valuation, dst, color)
     current = None
     declared = set()
     while True:
@@ -497,42 +498,34 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
                     dst_tok.line,
                     dst_tok.column,
                 )
-            for valuation in label:
-                rows.setdefault((current, valuation), []).append((dst, color))
+            body += [(current, valuation, dst, color) for valuation in label]
         else:
             raise FormatError(f"unexpected {_clip(tok.value)!r}", tok.line, tok.column)
 
-    transitions = []
-    for (q, valuation), entries in sorted(rows.items()):
-        if len(entries) > 1:
+    body.sort()
+    k = len(alphabet)
+    missing, more = [], 0
+    for q, valuation, count in _bad_rows([q * k + v for q, v, _, _ in body], states * k, k):
+        if count:
             raise FormatError(
-                f"nondeterministic: state {q} has {len(entries)} transitions "
+                f"nondeterministic: state {q} has {count} transitions "
                 f"on {_clip(alphabet.letters[valuation])}"
             )
-        dst, color = entries[0]
-        transitions.append(Transition(q, valuation, dst, color))
-    absent = states * len(alphabet) - len(rows)
-    if absent and not allow_incomplete:
-        # the first missing rows in order, as validate_dpa lists them; each
-        # step passes a present row or lists a missing one
-        missing = []
-        row = 0
-        while len(missing) < min(absent, _MAX_VIOLATIONS):
-            q, valuation = divmod(row, len(alphabet))
-            if (q, valuation) not in rows:
-                missing.append((q, _clip(alphabet.letters[valuation])))
-            row += 1
-        more = f" ... and {absent - len(missing)} more" if absent > len(missing) else ""
+        if len(missing) < _MAX_VIOLATIONS:
+            missing.append((q, _clip(alphabet.letters[valuation])))
+        else:
+            more += 1
+    if missing and not allow_incomplete:
         raise FormatError(
-            f"incomplete rows: {missing}{more}; parse with allow_incomplete=True "
-            "and apply complete_dpa"
+            f"incomplete rows: {missing}{f' ... and {more} more' if more else ''}; "
+            "parse with allow_incomplete=True and apply complete_dpa"
         )
     try:
         return ParityAutomaton(
             alphabet=alphabet,
             state_count=states,
             initial=start,
-            transitions=tuple(transitions),
+            transitions=tuple(Transition(*e) for e in body),
         )
     except AutomatonError as err:
         raise FormatError(str(err)) from None

@@ -225,46 +225,6 @@ def _positions(a, w: LassoWord) -> tuple[tuple[int, ...], list[int]]:
     return letters, [*range(1, len(letters)), len(w.prefix)]
 
 
-def _dpa_rows(a: ParityAutomaton) -> tuple[list[int], list[int]]:
-    """Flat rows of a complete DPA, indexed by state * |Σ| + letter: the
-    target and the color of each row's transition.  Memoized on ``a`` (see
-    ``_memo``); callers must not mutate the lists.
-
-    ``a`` is complete and deterministic exactly when its sorted transition
-    e is row e.  Otherwise every row is read with ``a.step``, in (state,
-    letter) order, so the first bad row raises its error.
-    """
-
-    def build():
-        k, ts = len(a.alphabet), a.transitions
-        if len(ts) != a.state_count * k or any(t.src * k + t.sym != e for e, t in enumerate(ts)):
-            for q in range(a.state_count):
-                for sym in range(k):
-                    a.step(q, sym)
-        return [t.dst for t in ts], [t.color for t in ts]
-
-    return _memo(a, "_dpa_rows", build)
-
-
-def _cobuchi_rows(a: CoBuchiAutomaton) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Flat rows of ``a``, indexed by state * |Σ| + letter: the target of the
-    accepting transition (-1 if none; there is at most one) and the targets
-    of all transitions.  Memoized on ``a`` (see ``_memo``)."""
-
-    def build():
-        k = len(a.alphabet)
-        acc = [-1] * (a.state_count * k)
-        succ: list[tuple[int, ...]] = [()] * (a.state_count * k)
-        for t in a.transitions:
-            row = t.src * k + t.sym
-            succ[row] += (t.dst,)
-            if t.color == 2:
-                acc[row] = t.dst
-        return acc, succ
-
-    return _memo(a, "_cobuchi_rows", build)
-
-
 def gca_lasso_member(a: CoBuchiAutomaton, w: LassoWord) -> bool:
     """Whether some run of the co-Buchi automaton accepts the lasso word.
 
@@ -279,7 +239,7 @@ def gca_lasso_member(a: CoBuchiAutomaton, w: LassoWord) -> bool:
     some reachable node walks into one.
     """
     letters, after = _positions(a, w)
-    acc_row, succ_row = _cobuchi_rows(a)
+    acc_row, succ_row = a.flat
     n, k = a.state_count, len(a.alphabet)  # node (q, p) is p * n + q
 
     def succ(node):
@@ -304,9 +264,9 @@ class _Product:
     choices, sorted node lists and letter-ascending searches pick the same
     pairs and letters as on the all-pairs product, which is the product
     rooted at every pair.  Edge e = node * |Σ| + sym leads to ``dst[e]`` and
-    carries the colors ``ca[e]`` (of a) and ``cb[e]`` (of b).  Every row of
-    both automata is read first (see ``_dpa_rows``), so an incomplete
-    automaton raises even when its missing row is unreachable.
+    carries the colors ``ca[e]`` (of a) and ``cb[e]`` (of b).  Both automata
+    are read through ``ParityAutomaton.flat``, so an incomplete automaton
+    raises even when its missing row is unreachable.
     """
 
     def __init__(self, a: ParityAutomaton, b: ParityAutomaton, roots):
@@ -314,8 +274,8 @@ class _Product:
             raise AutomatonError("automata must share one alphabet")
         self.k = k = len(a.alphabet)
         nb = b.state_count
-        dst_a, col_a = _dpa_rows(a)
-        dst_b, col_b = _dpa_rows(b)
+        dst_a, col_a = a.flat
+        dst_b, col_b = b.flat
 
         def succ(pair):
             ra, rb = pair // nb * k, pair % nb * k
@@ -391,7 +351,7 @@ def _memo(a, key: str, compute):
     """``a``'s value under ``key``, from ``compute()`` the first time.
 
     The value is kept in ``a.__dict__``, as ``cached_property`` keeps
-    ``ParityAutomaton.rows``: it lives exactly as long as ``a`` and is never
+    ``ParityAutomaton.flat``: it lives exactly as long as ``a`` and is never
     shared with a value-equal copy.  Nothing is kept when ``compute`` raises.
     """
     memo = vars(a)
@@ -478,9 +438,9 @@ def _seed_words(k: int) -> list[tuple[int, ...]]:
 
 def _presplit(a: ParityAutomaton) -> list[list[int]]:
     """Blocks, each ascending, of a partition of the states of ``a`` that is
-    coarser than language equivalence and closed under successors.  Every
-    row is read first (see ``_dpa_rows``), so an incomplete automaton
-    raises the same error as the product would.
+    coarser than language equivalence and closed under successors.  It reads
+    ``ParityAutomaton.flat``, so an incomplete automaton raises the same
+    error as the product would.
 
     It is the coarsest partition closed under successors that separates
     states by membership of v^ω for every ``_seed_words`` period v, a
@@ -497,7 +457,7 @@ def _presplit(a: ParityAutomaton) -> list[list[int]]:
     already.  Words stop once every block is a singleton.
     """
     n, k = a.state_count, len(a.alphabet)
-    dst, col = _dpa_rows(a)
+    dst, col = a.flat
     dst_by = [dst[s::k] for s in range(k)]
     col_by = [col[s::k] for s in range(k)]
     pre = [[[] for _ in range(n)] for _ in range(k)]  # pre[s][q]: states whose s-successor is q

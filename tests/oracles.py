@@ -15,6 +15,10 @@ stepped letter by letter on tracked positions and ``Transition`` rows,
 which the library's rank-group strategy must reproduce.
 ``eval_label_oracle`` evaluates a HOA label formula on one valuation at a
 time, which the parser's valuation sets must reproduce.
+``row_scan_*`` answer every row question from a dict of the transitions
+keyed by (state, letter), which the sorted-key row index of the automata
+must reproduce: the bad rows, the step and successors, the first row error
+of the flat rows, and the ``validate_dpa`` and ``complete_dpa`` results.
 """
 
 from collections import deque
@@ -27,9 +31,10 @@ from paritychain import (
     Partition,
     ResolverState,
     Transition,
+    ValidationReport,
     dpa_lasso_run,
 )
-from paritychain.core import _clip
+from paritychain.core import _MAX_VIOLATIONS, _clip
 from paritychain.formats import _MAX_LABEL_DEPTH, FormatError, _int
 from paritychain.graphs import _Product, _scc_ids, _witness
 
@@ -435,3 +440,85 @@ def eval_label_oracle(tokens, valuation: int, ap_count: int) -> bool:
         tok = tokens[pos]
         raise FormatError(f"trailing {_clip(tok.value)!r} in label", tok.line, tok.column)
     return result
+
+
+def _row_dict(a) -> dict[tuple[int, int], tuple[Transition, ...]]:
+    """The transitions of ``a`` by (src, sym)."""
+    rows: dict[tuple[int, int], list[Transition]] = {}
+    for t in a.transitions:
+        rows.setdefault((t.src, t.sym), []).append(t)
+    return {key: tuple(ts) for key, ts in rows.items()}
+
+
+def row_scan_bad_rows(a) -> list[tuple[int, int, int]]:
+    """(src, sym, count) for every row that does not hold one transition."""
+    rows = _row_dict(a)
+    return [(q, sym, len(rows.get((q, sym), ())))
+            for q in range(a.state_count) for sym in range(len(a.alphabet))
+            if len(rows.get((q, sym), ())) != 1]
+
+
+def row_scan_successors(a, src: int, sym: int) -> tuple[Transition, ...]:
+    return _row_dict(a).get((src, sym), ())
+
+
+def row_scan_step(a: ParityAutomaton, src: int, sym: int) -> Transition:
+    """The unique transition of a row, or the ``step`` error of a bad one."""
+    ts = _row_dict(a).get((src, sym), ())
+    if len(ts) != 1:
+        letter = _clip(a.alphabet.letters[sym])
+        kind = "no transition" if not ts else f"{len(ts)} transitions"
+        raise AutomatonError(f"state {src} on letter {letter!r}: {kind}")
+    return ts[0]
+
+
+def row_scan_flat(a: ParityAutomaton) -> tuple[list[int], list[int]]:
+    """Targets and colors of every row in (state, letter) order; the first
+    bad row raises its ``step`` error."""
+    steps = [row_scan_step(a, q, sym)
+             for q in range(a.state_count) for sym in range(len(a.alphabet))]
+    return [t.dst for t in steps], [t.color for t in steps]
+
+
+def row_scan_validate(a: ParityAutomaton) -> ValidationReport:
+    rows = _row_dict(a)
+    violations = []
+    more = 0
+    for src in range(a.state_count):
+        for sym in range(len(a.alphabet)):
+            ts = rows.get((src, sym), ())
+            if len(ts) == 1:
+                continue
+            if len(violations) == _MAX_VIOLATIONS:
+                more += 1
+                continue
+            letter = _clip(a.alphabet.letters[sym])
+            if not ts:
+                violations.append(f"(state {src}, letter {letter!r}) has no transition")
+            else:
+                violations.append(f"(state {src}, letter {letter!r}) has {len(ts)} transitions")
+    if more:
+        violations.append(f"... and {more} more")
+    return ValidationReport(ok=not violations, violations=tuple(violations))
+
+
+def row_scan_complete(a: ParityAutomaton) -> ParityAutomaton:
+    rows = _row_dict(a)
+    for (src, sym), ts in rows.items():
+        if len(ts) > 1:
+            raise AutomatonError(
+                f"not deterministic: (state {src}, letter "
+                f"{_clip(a.alphabet.letters[sym])!r}) has {len(ts)} transitions"
+            )
+    missing = [
+        (src, sym)
+        for src in range(a.state_count)
+        for sym in range(len(a.alphabet))
+        if (src, sym) not in rows
+    ]
+    if not missing:
+        return a
+    sink = a.state_count
+    extra = [Transition(src, sym, sink, 1) for src, sym in missing]
+    extra += [Transition(sink, sym, sink, 1) for sym in range(len(a.alphabet))]
+    return ParityAutomaton(a.alphabet, a.state_count + 1, a.initial, a.transitions + tuple(extra))

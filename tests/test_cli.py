@@ -131,6 +131,17 @@ class TestValidate:
             assert proc.returncode == 0, module
             assert proc.stderr == "", module
 
+    def test_library_does_not_import_cli(self):
+        src = str(Path(paritychain.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, paritychain; print('paritychain.cli' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
     def test_deep_label_is_format_error(self, capsys, tmp_path):
         deep = "(" * 3000 + "t" + ")" * 3000
         path = tmp_path / "deep.hoa"

@@ -1,8 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import minimal_lasso_brute
+from oracles import (
+    minimal_lasso_brute,
+    row_scan_bad_rows,
+    row_scan_complete,
+    row_scan_flat,
+    row_scan_step,
+    row_scan_successors,
+    row_scan_validate,
+)
 from paritychain import (
     Alphabet,
     AutomatonError,
@@ -235,3 +245,121 @@ class TestLongLetterNames:
         with pytest.raises(AutomatonError, match="unknown letter") as err:
             self.alphabet().index(self.HUGE + "y")
         self.assert_short(str(err.value))
+
+
+class TestRowRange:
+    """``row``, ``step`` and ``successors`` reject a state or letter outside
+    the automaton instead of reading another state's row."""
+
+    DPA = ParityAutomaton(Alphabet(("a", "b")), 2, 0,
+                          (T(0, 0, 1, 0), T(0, 1, 0, 0), T(1, 0, 1, 1), T(1, 1, 0, 0)))
+    NCW = CoBuchiAutomaton(Alphabet(("a", "b")), 2, 0,
+                           (T(0, 0, 1, 2), T(0, 1, 0, 1), T(1, 0, 1, 1), T(1, 1, 0, 2)))
+
+    @pytest.mark.parametrize("src, sym", [(0, 2), (0, -1), (-1, 0), (2, 0), (10**300, 0)],
+                             ids=["letter-k", "letter-negative", "state-negative", "state-n",
+                                  "state-huge"])
+    def test_rejected(self, src, sym):
+        for call in (self.DPA.step, self.DPA.row, self.NCW.successors, self.NCW.row):
+            with pytest.raises(AutomatonError, match="out of range") as err:
+                call(src, sym)
+            assert len(str(err.value)) < 200
+
+    def test_in_range_rows(self):
+        assert self.DPA.step(1, 0) == T(1, 0, 1, 1)
+        assert self.NCW.successors(0, 0) == (T(0, 0, 1, 2),)
+
+
+def _outcome(f, *args):
+    """``f(*args)``, or the type and text of the ``AutomatonError`` it raises."""
+    try:
+        return f(*args)
+    except AutomatonError as err:
+        return type(err), str(err)
+
+
+def _partial_dpa(seed: int) -> ParityAutomaton:
+    """Seeded DPA whose rows hold 0-3 transitions; some states hold none,
+    and the last state, which no transition enters, misses its first row."""
+    rng = random.Random(seed)
+    n, k = rng.randint(1, 7), rng.randint(1, 3)
+    ts = []
+    for q in range(n):
+        empty = rng.random() < 0.15
+        for sym in range(k):
+            count = 0 if empty else rng.choice((0, 1, 1, 1, 1, 2, 3))
+            ts += [T(q, sym, rng.randrange(n), rng.randrange(4)) for _ in range(count)]
+    ts += [T(n, sym, rng.randrange(n), 0) for sym in range(1, k)]
+    rng.shuffle(ts)
+    return ParityAutomaton(Alphabet(tuple("abc"[:k])), n + 1, 0, tuple(ts))
+
+
+def _partial_ncw(seed: int) -> CoBuchiAutomaton:
+    """Seeded co-Buchi automaton whose rows hold 0-3 distinct targets, at
+    most one of them accepting."""
+    rng = random.Random(seed)
+    n, k = rng.randint(1, 6), rng.randint(1, 3)
+    ts = []
+    for q in range(n):
+        for sym in range(k):
+            targets = rng.sample(range(n), rng.randint(0, min(n, 3)))
+            accepting = rng.choice(targets + [None])
+            ts += [T(q, sym, d, 2 if d == accepting else 1) for d in targets]
+    return CoBuchiAutomaton(Alphabet(tuple("abc"[:k])), n, 0, tuple(ts))
+
+
+class TestRowScanOracle:
+    """Every row question is answered as a scan of a (state, letter) dict
+    answers it (``oracles.row_scan_*``), on seeded partial and
+    nondeterministic automata."""
+
+    SEEDS = range(300)
+
+    def test_seeds_cover_every_row_fault(self):
+        counts = set()
+        empty_states = unreachable_missing = capped = 0
+        for seed in self.SEEDS:
+            a = _partial_dpa(seed)
+            bad = row_scan_bad_rows(a)
+            counts |= {count for _, _, count in bad}
+            sources = {t.src for t in a.transitions}
+            empty_states += any(q not in sources for q in range(a.state_count - 1))
+            unreachable_missing += (a.state_count - 1, 0, 0) in bad
+            capped += len(bad) > 10
+        assert counts == {0, 2, 3}
+        assert empty_states and capped and unreachable_missing == len(self.SEEDS)
+
+    def test_dpa_rows(self):
+        for seed in self.SEEDS:
+            a = _partial_dpa(seed)
+            assert list(a.bad_rows()) == row_scan_bad_rows(a), seed
+            assert validate_dpa(a) == row_scan_validate(a), seed
+            assert _outcome(complete_dpa, a) == _outcome(row_scan_complete, a), seed
+            assert _outcome(lambda: a.flat) == _outcome(row_scan_flat, a), seed
+            for q in range(a.state_count):
+                for sym in range(len(a.alphabet)):
+                    assert _outcome(a.step, q, sym) == _outcome(row_scan_step, a, q, sym), seed
+
+    def test_complete_dpas_and_one_row_short(self):
+        completed = 0
+        for seed in self.SEEDS:
+            if any(count for _, _, count in row_scan_bad_rows(_partial_dpa(seed))):
+                continue
+            done = complete_dpa(_partial_dpa(seed))
+            assert list(done.bad_rows()) == [] and done.flat == row_scan_flat(done), seed
+            completed += 1
+            ts = done.transitions
+            for short in (ts[1:], ts[:-1], ts[:-1] + (ts[-2],)):
+                a = ParityAutomaton(done.alphabet, done.state_count, 0, short)
+                assert list(a.bad_rows()) == row_scan_bad_rows(a), seed
+                assert validate_dpa(a) == row_scan_validate(a), seed
+                assert _outcome(lambda: a.flat) == _outcome(row_scan_flat, a), seed
+        assert completed
+
+    def test_ncw_successors(self):
+        for seed in self.SEEDS:
+            a = _partial_ncw(seed)
+            assert list(a.bad_rows()) == row_scan_bad_rows(a), seed
+            for q in range(a.state_count):
+                for sym in range(len(a.alphabet)):
+                    assert a.successors(q, sym) == row_scan_successors(a, q, sym), seed

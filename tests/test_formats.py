@@ -399,6 +399,25 @@ class TestHoaRejections:
         assert message in str(err.value)
         assert err.value.line == line
 
+    @pytest.mark.parametrize("edits, message", [
+        ([("States: 1", "States: 2"), ("[t] 0 {0}", "[t] 0 {0}\nState: 1\n[0] 7 {0}")],
+         "incomplete rows: [(1, '!go')]; parse with allow_incomplete=True and apply "
+         "complete_dpa"),
+        ([("Start: 0", "Start: 7"), ("[t] 0 {0}", "[t] 0 {0}\n[0] 0 {0}")],
+         "nondeterministic: state 0 has 2 transitions on go"),
+        ([("[t] 0 {0}", "[t] 0 {0}\n[0] 9 {0}")],
+         "nondeterministic: state 0 has 2 transitions on go"),
+    ], ids=["target-range-and-missing-row", "start-range-and-doubled-row",
+            "target-range-and-doubled-row"])
+    def test_row_fault_reported_before_range_fault(self, edits, message):
+        text = UNIVERSAL_1AP
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        with pytest.raises(FormatError) as err:
+            parse_hoa(text)
+        assert str(err.value) == message
+
 
 def _hoa_body(a) -> str:
     """The ``--BODY--`` part of ``emit_hoa(a)``, one transition scan per state."""
