@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 
 
 class AutomatonError(ValueError):
@@ -85,14 +83,24 @@ def _check_automaton(a) -> None:
             raise AutomatonError(f"transition {t} has a negative color")
 
 
-def _bad_rows(keys: list[int], rows: int, k: int):
-    """(src, sym, count) for every row r = src * k + sym below ``rows`` that
-    does not hold exactly one of the sorted row ``keys``, in row order,
-    lazily.  When key e is e for every e, every row holds one key, and
-    nothing is counted."""
-    if len(keys) != rows or keys != list(range(rows)):
-        counts = Counter(keys)
-        yield from ((r // k, r % k, c) for r in range(rows) if (c := counts.get(r, 0)) != 1)
+def _bad_rows(keys: list[int], rows: int):
+    """Runs (first, stop, count), in row order and lazily, of the rows
+    below ``rows`` that do not hold exactly one of the sorted row ``keys``:
+    rows first..stop-1 each hold ``count`` keys.  A gap between consecutive
+    keys is one run of count 0, and a row with two keys or more a run of
+    one, so the cost grows with the keys, not with the rows.  When key e is
+    e for every e, every row holds one key, and nothing is yielded."""
+    if len(keys) == rows and keys == list(range(rows)):
+        return
+    ext = [-1, *keys, rows]  # a key before the first row and one after the last
+    after = 0  # the index in ``ext`` after the last repeated key yielded
+    for i in [i for i, (x, y) in enumerate(zip(ext, ext[1:]), 1) if y - x != 1]:
+        x, y = ext[i - 1], ext[i]
+        if x < y:
+            yield x + 1, y, 0
+        elif i >= after:
+            after = bisect_right(ext, y, i)
+            yield y, y + 1, after - i + 1
 
 
 def _how_many(count: int) -> str:
@@ -118,10 +126,17 @@ class _Rows:
         r, keys = src * k + sym, self._keys
         return self.transitions[bisect_left(keys, r):bisect_right(keys, r)]
 
+    def _bad_runs(self):
+        """The runs of rows that do not hold exactly one transition (see
+        ``_bad_rows``)."""
+        return _bad_rows(self._keys, self.state_count * len(self.alphabet))
+
     def bad_rows(self):
         """(src, sym, count) for every row that does not hold exactly one
-        transition, in row order, lazily (see ``_bad_rows``)."""
-        return _bad_rows(self._keys, self.state_count * len(self.alphabet), len(self.alphabet))
+        transition, in row order, lazily."""
+        k = len(self.alphabet)
+        return ((r // k, r % k, count)
+                for first, stop, count in self._bad_runs() for r in range(first, stop))
 
 
 @dataclass(frozen=True)
@@ -158,8 +173,8 @@ class ParityAutomaton(_Rows):
         being row e.  On any other automaton the first bad row raises its
         ``step`` error, reachable or not.  Callers must not mutate the
         lists."""
-        for src, sym, _ in self.bad_rows():
-            self.step(src, sym)
+        for first, _, _ in self._bad_runs():
+            self.step(*divmod(first, len(self.alphabet)))
         return [t.dst for t in self.transitions], [t.color for t in self.transitions]
 
     @cached_property
@@ -358,12 +373,15 @@ _MAX_VIOLATIONS = 10
 def validate_dpa(a: ParityAutomaton) -> ValidationReport:
     """Check determinism and completeness; report the first offending rows,
     at most ``_MAX_VIOLATIONS`` of them, then how many more there are."""
-    bad = a.bad_rows()
-    violations = [
-        f"(state {src}, letter {_clip(a.alphabet.letters[sym])!r}) has {_how_many(count)}"
-        for src, sym, count in islice(bad, _MAX_VIOLATIONS)
-    ]
-    more = sum(1 for _ in bad)
+    k = len(a.alphabet)
+    violations, more = [], 0
+    for first, stop, count in a._bad_runs():
+        shown = min(stop, first + _MAX_VIOLATIONS - len(violations))
+        violations += [
+            f"(state {r // k}, letter {_clip(a.alphabet.letters[r % k])!r}) has {_how_many(count)}"
+            for r in range(first, shown)
+        ]
+        more += stop - shown
     if more:
         violations.append(f"... and {more} more")
     return ValidationReport(ok=not violations, violations=tuple(violations))
@@ -376,18 +394,18 @@ def complete_dpa(a: ParityAutomaton) -> ParityAutomaton:
     (color 1 self-loops), so words that previously had no run are
     rejected; complete inputs are returned unchanged.
     """
-    sink = a.state_count
+    k, sink = len(a.alphabet), a.state_count
     extra = []
-    for src, sym, count in a.bad_rows():
+    for first, stop, count in a._bad_runs():
         if count:
             raise AutomatonError(
-                f"not deterministic: (state {src}, letter "
-                f"{_clip(a.alphabet.letters[sym])!r}) has {count} transitions"
+                f"not deterministic: (state {first // k}, letter "
+                f"{_clip(a.alphabet.letters[first % k])!r}) has {count} transitions"
             )
-        extra.append(Transition(src, sym, sink, 1))
+        extra += [Transition(r // k, r % k, sink, 1) for r in range(first, stop)]
     if not extra:
         return a
-    extra += [Transition(sink, sym, sink, 1) for sym in range(len(a.alphabet))]
+    extra += [Transition(sink, sym, sink, 1) for sym in range(k)]
     return ParityAutomaton(
         alphabet=a.alphabet,
         state_count=a.state_count + 1,

@@ -505,16 +505,15 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
     body.sort()
     k = len(alphabet)
     missing, more = [], 0
-    for q, valuation, count in _bad_rows([q * k + v for q, v, _, _ in body], states * k, k):
+    for first, stop, count in _bad_rows([q * k + v for q, v, _, _ in body], states * k):
         if count:
             raise FormatError(
-                f"nondeterministic: state {q} has {count} transitions "
-                f"on {_clip(alphabet.letters[valuation])}"
+                f"nondeterministic: state {first // k} has {count} transitions "
+                f"on {_clip(alphabet.letters[first % k])}"
             )
-        if len(missing) < _MAX_VIOLATIONS:
-            missing.append((q, _clip(alphabet.letters[valuation])))
-        else:
-            more += 1
+        shown = min(stop, first + _MAX_VIOLATIONS - len(missing))
+        missing += [(r // k, _clip(alphabet.letters[r % k])) for r in range(first, shown)]
+        more += stop - shown
     if missing and not allow_incomplete:
         raise FormatError(
             f"incomplete rows: {missing}{f' ... and {more} more' if more else ''}; "

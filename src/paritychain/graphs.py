@@ -364,15 +364,16 @@ _PARTITION = "_partition"  # the memo key of ``state_equivalence``
 
 
 def state_equivalence(a: ParityAutomaton) -> Partition:
-    """Partition the states of a complete DPA by language equivalence.
+    """Partition the states of a complete DPA by language equivalence ≡.
 
-    Two states disagree iff the pair product reaches, from their pair, a
-    cycle whose two color minima have different parity.  A cheap pre-split
-    (see ``_presplit``) first separates states by their membership of a few
-    periodic words and refines that until it is closed under successors;
-    the nested SCC refinement of the product then runs only on the pairs
-    inside its blocks (see ``_partition``).  The result is memoized on
-    ``a`` itself (see ``_memo``), and ``structure_dpa_with_map`` and
+    Two cheap partitions sandwich ≡: the coarsest bisimulation is finer
+    (see ``_bisimulation``), and a pre-split by membership of a few
+    periodic words is coarser (see ``_presplit``); both are closed under
+    successors.  ``_partition`` quotients by the first, pre-splits the
+    quotient and runs the pair product only inside the pre-split's blocks,
+    so its cost grows with the number of bisimulation classes and the
+    sizes of the blocks, not with |Q|².  The result is memoized on ``a``
+    itself (see ``_memo``), and ``structure_dpa_with_map`` and
     ``streamline`` hand it forward to the automata they build, whose states
     keep their languages, so one canonicalization computes it once.
     """
@@ -382,19 +383,39 @@ def state_equivalence(a: ParityAutomaton) -> Partition:
 def _partition(a: ParityAutomaton) -> Partition:
     """``state_equivalence`` without the memo.
 
+    Bisimilar states read the same color sequence on every word, so they
+    are language equivalent, and the quotient by the bisimulation (see
+    ``_quotient``) keeps every state's language: its ≡ classes, each
+    lifted to the union of its bisimulation blocks, are those of ``a``.
+    When every block is a singleton the quotient is ``a`` itself, and the
+    pre-split reuses the preimage lists of the bisimulation.  ``a.flat``
+    is read first, so an incomplete or nondeterministic automaton raises
+    the ``step`` error of its first bad row.
+    """
+    pre = _preimages(a)
+    bisimilar = _bisimulation(a, pre)
+    if len(bisimilar) == a.state_count:
+        return Partition(tuple(map(tuple, _in_block_classes(a, _presplit(a, pre)))))
+    blocks = sorted(map(sorted, bisimilar))
+    quotient = _quotient(a, blocks)
+    classes = _in_block_classes(quotient, _presplit(quotient, _preimages(quotient)))
+    return Partition(tuple(tuple(q for c in cls for q in blocks[c]) for cls in classes))
+
+
+def _in_block_classes(a: ParityAutomaton, blocks: list[list[int]]) -> list[list[int]]:
+    """The ≡ classes of ``a``, from ``blocks``: a partition coarser than ≡
+    and closed under successors.
+
     With transition-based acceptance the first color of a run does not
-    matter, so language equivalence is a right congruence: q ≡ r implies
-    δ(q, σ) ≡ δ(r, σ).  The pre-split is coarser than ≡ and closed under
-    successors, so states of different blocks are inequivalent and the
-    pairs inside the blocks are closed under product edges.  On them one
-    nested SCC refinement of a x a finds the product SCCs holding a cycle
-    with an even first and an odd second minimum, and (q, r) is
-    inequivalent iff (q, r) or (r, q) reaches one of them, as the product
-    is symmetric: exactly the marking of the all-pairs product, restricted
-    to these pairs.
+    matter, so ≡ is a right congruence: q ≡ r implies δ(q, σ) ≡ δ(r, σ).
+    States of different blocks are inequivalent, and the pairs inside the
+    blocks are closed under product edges.  On them one nested SCC
+    refinement of a x a finds the product SCCs holding a cycle with an even
+    first and an odd second minimum, and (q, r) is inequivalent iff (q, r)
+    or (r, q) reaches one of them, as the product is symmetric: exactly the
+    marking of the all-pairs product, restricted to these pairs.
     """
     n, k = a.state_count, len(a.alphabet)
-    blocks = _presplit(a)
     product = _Product(a, a, [(q, r) for block in blocks for q in block for r in block])
     pred: list[list[int]] = [[] for _ in range(product.size)]
     for e, d in enumerate(product.dst):
@@ -414,56 +435,37 @@ def _partition(a: ParityAutomaton) -> Partition:
             else:
                 members.append([q])
         classes += members
-    return Partition(classes=tuple(map(tuple, classes)))
+    return classes
 
 
-def _seed_words(k: int) -> list[tuple[int, ...]]:
-    """Periods of the pre-split's words: every period of length 1, every
-    period of two distinct letters up to rotation (on at most 16 letters,
-    so the list stays small), and 32 periods of length 3-12 drawn from a
-    fixed seed by a 64-bit linear congruential generator (its high bits)."""
-    words = [(s,) for s in range(k)]
-    if k <= 16:
-        words += [(s, t) for s in range(k) for t in range(s + 1, k)]
-    x = 2010
-
-    def draw(bound: int) -> int:
-        nonlocal x
-        x = (x * 6364136223846793005 + 1442695040888963407) % 2**64
-        return (x >> 33) % bound
-
-    words += [tuple(draw(k) for _ in range(3 + draw(10))) for _ in range(32)]
-    return words
-
-
-def _presplit(a: ParityAutomaton) -> list[list[int]]:
-    """Blocks, each ascending, of a partition of the states of ``a`` that is
-    coarser than language equivalence and closed under successors.  It reads
-    ``ParityAutomaton.flat``, so an incomplete automaton raises the same
-    error as the product would.
-
-    It is the coarsest partition closed under successors that separates
-    states by membership of v^ω for every ``_seed_words`` period v, a
-    language property, so language equivalence refines it.  All states run
-    through one period at once, which gives the functional graph
-    q -> δ(q, v) weighted by the least color on the way; membership is the
-    parity of the least weight on the cycle that q's walk reaches.
-
-    After each word the partition is refined by Hopcroft's algorithm: a
-    dequeued splitter B splits every block by "the σ-successor lies in B",
-    for each letter σ.  The smaller half of a split block takes a new id
-    and is queued; the larger keeps the old id, so it stays queued if it
-    was, and otherwise the partition is stable under the whole block
-    already.  Words stop once every block is a singleton.
-    """
+def _preimages(a: ParityAutomaton) -> list[list[list[int]]]:
+    """``pre[s][q]``: the states whose s-successor is q, ascending.  Reads
+    ``ParityAutomaton.flat``, so an incomplete automaton raises."""
     n, k = a.state_count, len(a.alphabet)
-    dst, col = a.flat
-    dst_by = [dst[s::k] for s in range(k)]
-    col_by = [col[s::k] for s in range(k)]
-    pre = [[[] for _ in range(n)] for _ in range(k)]  # pre[s][q]: states whose s-successor is q
-    for d, ps in zip(dst_by, pre):
-        for q in range(n):
-            ps[d[q]].append(q)
+    dst = a.flat[0]
+    pre: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(k)]
+    for s, ps in enumerate(pre):
+        for q, d in enumerate(dst[s::k]):
+            ps[d].append(q)
+    return pre
+
+
+def _coarsest(pre: list[list[list[int]]], seeds) -> list[set[int]]:
+    """The coarsest partition of the states closed under successors that
+    separates every state set of ``seeds`` from the other states, by
+    Hopcroft's refinement on the preimage lists ``pre`` (see
+    ``_preimages``).
+
+    Each seed splits every block into its states in the set and the rest.
+    Then a dequeued splitter B splits every block by "the σ-successor lies
+    in B", for each letter σ, until the queue is empty.  The smaller half
+    of a split block takes a new id and is queued; the larger keeps the old
+    id, so it stays queued if it was, and otherwise the partition is
+    stable under the whole block already.  Each state so joins a queued
+    splitter at most log2 |Q| times.  ``seeds`` is read lazily, and no more
+    of it once every block is a singleton.
+    """
+    n = len(pre[0])
     blocks: list[set[int]] = [set(range(n))]
     block_of = [0] * n
     work: list[int] = []
@@ -483,24 +485,112 @@ def _presplit(a: ParityAutomaton) -> list[list[int]]:
                 work.append(len(blocks))
                 blocks.append(part)
 
-    for v in _seed_words(k):
-        if len(blocks) == n:
-            break
-        least, end = col_by[v[0]], dst_by[v[0]]
-        for s in v[1:]:
-            d, c = dst_by[s], col_by[s]
-            least = [m if m < c[q] else c[q] for m, q in zip(least, end)]
-            end = [d[q] for q in end]
-        step = list(zip(end, least)).__getitem__
-        dom = [-1] * n
-        for q in range(n):
-            _least_on_cycle(step, dom, q)
-        split([q for q in range(n) if dom[q] % 2])
+    for marked in seeds:
+        split(marked)
         while work:
             sources = list(blocks[work.pop()])
             for ps in pre:
                 split([r for q in sources for r in ps[q]])
-    return [sorted(block) for block in blocks]
+        if len(blocks) == n:
+            break
+    return blocks
+
+
+def _bisimulation(a: ParityAutomaton, pre) -> list[set[int]]:
+    """The blocks of the coarsest bisimulation of ``a``, the fine side of
+    the sandwich of ``state_equivalence``: the coarsest partition closed
+    under successors whose states in a block have equal colors on every
+    letter.  Bisimilar states read the same color sequence on every word,
+    so the bisimulation is finer than language equivalence.  Its seeds
+    are the classes of equal per-letter color signatures (Moore-machine
+    minimisation, with the colors as outputs); ``pre`` are the preimage
+    lists of ``a`` (see ``_preimages``)."""
+    k = len(a.alphabet)
+    col = a.flat[1]
+    signatures: dict[tuple[int, ...], list[int]] = {}
+    for q, signature in enumerate(zip(*(col[s::k] for s in range(k)))):
+        signatures.setdefault(signature, []).append(q)
+    return _coarsest(pre, signatures.values())
+
+
+def _quotient(a: ParityAutomaton, blocks: list[list[int]]) -> ParityAutomaton:
+    """The quotient of ``a`` by a bisimulation with ``blocks``: state c is
+    block c, and its rows are those of the block's least state, with the
+    targets replaced by their blocks."""
+    k = len(a.alphabet)
+    dst, col = a.flat
+    block_of = [0] * a.state_count
+    for c, block in enumerate(blocks):
+        for q in block:
+            block_of[q] = c
+    ts = tuple(Transition(c, s, block_of[dst[block[0] * k + s]], col[block[0] * k + s])
+               for c, block in enumerate(blocks) for s in range(k))
+    return ParityAutomaton(a.alphabet, len(blocks), block_of[a.initial], ts)
+
+
+def _draw_periods() -> tuple[tuple[int, ...], ...]:
+    """32 periods of length 3-12 drawn from a fixed seed by a 64-bit linear
+    congruential generator, as the draws (its high bits) that pick their
+    letters: draw d picks letter d mod |Σ|."""
+    x = 2010
+
+    def draw() -> int:
+        nonlocal x
+        x = (x * 6364136223846793005 + 1442695040888963407) % 2**64
+        return x >> 33
+
+    return tuple(tuple(draw() for _ in range(3 + draw() % 10)) for _ in range(32))
+
+
+_PERIOD_DRAWS = _draw_periods()
+
+
+def _seed_words(k: int) -> list[tuple[int, ...]]:
+    """Periods of the pre-split's words: every period of length 1, every
+    period of two distinct letters up to rotation (on at most 16 letters,
+    so the list stays small), and the 32 drawn periods of
+    ``_draw_periods``."""
+    words = [(s,) for s in range(k)]
+    if k <= 16:
+        words += [(s, t) for s in range(k) for t in range(s + 1, k)]
+    return words + [tuple(d % k for d in period) for period in _PERIOD_DRAWS]
+
+
+def _presplit(a: ParityAutomaton, pre) -> list[list[int]]:
+    """Blocks, each ascending, of the coarse side of the sandwich of
+    ``state_equivalence``: a partition of the states of ``a`` that is
+    coarser than language equivalence ≡ and closed under successors.
+    ``pre`` are the preimage lists of ``a`` (see ``_preimages``).
+
+    It is the coarsest partition closed under successors that separates
+    states by membership of v^ω for every ``_seed_words`` period v, a
+    language property, so ≡ refines it.  All states run through one period
+    at once, which gives the functional graph q -> δ(q, v) weighted by the
+    least color on the way; membership is the parity of the least weight
+    on the cycle that q's walk reaches.  The words are the seeds of
+    ``_coarsest``, so they stop once every block is a singleton: on a
+    bisimulation quotient, once the two sides of the sandwich meet.
+    """
+    n, k = a.state_count, len(a.alphabet)
+    dst, col = a.flat
+    dst_by = [dst[s::k] for s in range(k)]
+    col_by = [col[s::k] for s in range(k)]
+
+    def rejecting_states():
+        for v in _seed_words(k):
+            least, end = col_by[v[0]], dst_by[v[0]]
+            for s in v[1:]:
+                d, c = dst_by[s], col_by[s]
+                least = [m if m < c[q] else c[q] for m, q in zip(least, end)]
+                end = [d[q] for q in end]
+            step = list(zip(end, least)).__getitem__
+            dom = [-1] * n
+            for q in range(n):
+                if dom[q] < 0:
+                    _least_on_cycle(step, dom, q)
+            yield [q for q in range(n) if dom[q] % 2]
+
+    return [sorted(block) for block in _coarsest(pre, rejecting_states())]
 
 
 def dpa_language_equiv(

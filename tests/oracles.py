@@ -10,6 +10,10 @@ different parity, not by the library's nested SCC refinement; they and
 ``full_product_equiv`` and ``all_pairs_partition`` are the library's
 equivalence check and partition on the product of all state pairs, which
 the reachable-pairs product and the pre-split partition must reproduce.
+``direct_partition`` is the pre-split partition of the automaton itself,
+which the partition of its bisimulation quotient must reproduce, and
+``moore_bisimulation`` the coarsest bisimulation by naive rounds, which
+Hopcroft's refinement must reproduce.
 ``resolver_oracle_step`` and ``resolver_oracle`` are the GFG resolver
 stepped letter by letter on tracked positions and ``Transition`` rows,
 which the library's rank-group strategy must reproduce.
@@ -36,7 +40,7 @@ from paritychain import (
 )
 from paritychain.core import _MAX_VIOLATIONS, _clip
 from paritychain.formats import _MAX_LABEL_DEPTH, FormatError, _int
-from paritychain.graphs import _Product, _scc_ids, _witness
+from paritychain.graphs import _Product, _preimages, _presplit, _reach, _scc_ids, _witness
 
 
 def _product_steps(a: ParityAutomaton, node):
@@ -276,6 +280,59 @@ def all_pairs_partition(a: ParityAutomaton) -> Partition:
             reps.append(q)
             members.append([q])
     return Partition(tuple(map(tuple, members)))
+
+
+def direct_partition(a: ParityAutomaton) -> Partition:
+    """Language-equivalence classes from the pre-split of ``a`` itself and
+    one nested SCC refinement of the product on the pairs inside its
+    blocks.  This is the library's partition without the bisimulation
+    quotient that shrinks ``a`` first."""
+    n, k = a.state_count, len(a.alphabet)
+    blocks = _presplit(a, _preimages(a))
+    product = _Product(a, a, [(q, r) for block in blocks for q in block for r in block])
+    pred: list[list[int]] = [[] for _ in range(product.size)]
+    for e, d in enumerate(product.dst):
+        pred[d].append(e // k)
+    bad = [node for nodes, _, _ in product.bad_sccs(product.ca, product.cb) for node in nodes]
+    marked = set(_reach(bad, pred.__getitem__))
+    node_of = product.node_of
+    classes: list[list[int]] = []
+    for block in blocks:
+        members: list[list[int]] = []
+        for q in block:
+            for cls in members:
+                rep = cls[0]
+                if node_of[rep * n + q] not in marked and node_of[q * n + rep] not in marked:
+                    cls.append(q)
+                    break
+            else:
+                members.append([q])
+        classes += members
+    return Partition(tuple(map(tuple, classes)))
+
+
+def moore_bisimulation(a: ParityAutomaton) -> set[frozenset[int]]:
+    """Blocks of the coarsest bisimulation of a complete DPA by naive Moore
+    rounds: states start grouped by their colors on every letter, and each
+    round regroups them by their group and the groups of their successors,
+    until the number of groups stops growing."""
+    n, k = a.state_count, len(a.alphabet)
+    rows = [[a.step(q, sym) for sym in range(k)] for q in range(n)]
+
+    def numbered(keys):
+        ids: dict = {}
+        return [ids.setdefault(key, len(ids)) for key in keys]
+
+    group = numbered(tuple(t.color for t in row) for row in rows)
+    while True:
+        finer = numbered((group[q], *(group[t.dst] for t in rows[q])) for q in range(n))
+        if max(finer) == max(group):
+            break
+        group = finer
+    blocks: dict[int, set[int]] = {}
+    for q, g in enumerate(group):
+        blocks.setdefault(g, set()).add(q)
+    return {frozenset(block) for block in blocks.values()}
 
 
 def reference_equiv(a: ParityAutomaton, b: ParityAutomaton) -> bool:

@@ -6,8 +6,10 @@ import pytest
 from conftest import WORD_AA, WORD_CA, WORD_CABB, blowup, random_lasso
 from oracles import (
     all_pairs_partition,
+    direct_partition,
     full_product_equiv,
     gca_member_oracle,
+    moore_bisimulation,
     reference_equiv,
     reference_partition,
     states_distinguishable,
@@ -462,6 +464,19 @@ def _battery_dpa(seed: int) -> ParityAutomaton:
     return (_staircase if kind == 1 else blowup)(base, rng.randrange(2, 5), rng)
 
 
+def _refinement_dpa(seed: int) -> ParityAutomaton:
+    # random DPAs of 4-60 states, and staircases and blow-ups of them
+    rng = random.Random(seed)
+    base = random_dpa(rng.randrange(4, 60), rng.randrange(2, 6), rng.randrange(1, 4), seed)
+    if seed % 3:
+        base = (_staircase if seed % 3 == 1 else blowup)(base, rng.randrange(2, 4), rng)
+    return base
+
+
+def _presplit(a: ParityAutomaton) -> list[list[int]]:
+    return graphs._presplit(a, graphs._preimages(a))
+
+
 class TestPresplit:
     """``state_equivalence`` refines the product only on the pairs inside
     the blocks of a cheap pre-split; it must equal the all-pairs kernel.
@@ -471,25 +486,22 @@ class TestPresplit:
     @pytest.mark.parametrize("seed", range(60))
     def test_partition_equals_all_pairs(self, seed):
         a = _battery_dpa(seed)
-        assert state_equivalence(a) == all_pairs_partition(a)
+        assert state_equivalence(a) == direct_partition(a) == all_pairs_partition(a)
 
     def test_battery_exercises_the_product_stage(self):
         # on these the pre-split alone would be wrong
         coarse = 0
         for seed in range(60):
             a = _battery_dpa(seed)
-            coarse += len(graphs._presplit(a)) < len(state_equivalence(a).classes)
+            coarse += len(_presplit(a)) < len(state_equivalence(a).classes)
         assert coarse >= 8
 
     def test_presplit_is_closed_under_successors(self):
         # a block split while queued must queue both halves; dropping that
         # leaves a few of these 800 pre-splits open
         for seed in range(800):
-            rng = random.Random(seed)
-            base = random_dpa(rng.randrange(4, 60), rng.randrange(2, 6), rng.randrange(1, 4), seed)
-            if seed % 3:
-                base = (_staircase if seed % 3 == 1 else blowup)(base, rng.randrange(2, 4), rng)
-            blocks = graphs._presplit(base)
+            base = _refinement_dpa(seed)
+            blocks = _presplit(base)
             block_of = {q: i for i, block in enumerate(blocks) for q in block}
             assert sorted(block_of) == list(range(base.state_count))
             for t in base.transitions:
@@ -508,7 +520,7 @@ class TestPresplit:
         monkeypatch.setattr(graphs, "_Product", Recording)
         classes = state_equivalence(a).classes
         assert a.state_count == 1610
-        assert built == [sum(len(block) ** 2 for block in graphs._presplit(a))] == [1610]
+        assert built == [sum(len(block) ** 2 for block in _presplit(a))] == [1610]
         assert classes == tuple((q,) for q in range(1610))
 
     def test_incomplete_automaton_rejected(self):
@@ -525,3 +537,75 @@ class TestPresplit:
         a = ParityAutomaton(Alphabet(("a", "b")), 2, 0, ts)
         with pytest.raises(AutomatonError, match="^state 0 on letter 'b': 2 transitions$"):
             state_equivalence(a)
+
+
+def _quotient_of(a: ParityAutomaton) -> ParityAutomaton:
+    """``a`` quotiented by its coarsest bisimulation: the automaton whose
+    pre-split and product ``state_equivalence`` computes."""
+    blocks = graphs._bisimulation(a, graphs._preimages(a))
+    return graphs._quotient(a, sorted(map(sorted, blocks)))
+
+
+def _blowup_of_50() -> ParityAutomaton:
+    # 30 classes of 50 states, each class inside one SCC
+    return blowup(random_dpa(40, 6, 2, 3), 50, random.Random("blowup/3"))
+
+
+class TestBisimulationQuotient:
+    """``state_equivalence`` pre-splits and refines the quotient of a DPA by
+    its coarsest bisimulation, which is finer than language equivalence,
+    and lifts the classes back; it must equal the direct partition."""
+
+    def test_bisimulation_sandwiches_language_equivalence(self):
+        # on the automata of the pre-split closure test
+        for seed in range(800):
+            a = _refinement_dpa(seed)
+            k = len(a.alphabet)
+            dst, col = a.flat
+            blocks = graphs._bisimulation(a, graphs._preimages(a))
+            assert {frozenset(block) for block in blocks} == moore_bisimulation(a), seed
+            block_of = {q: i for i, block in enumerate(blocks) for q in block}
+            class_of = state_equivalence(a).class_of
+            for block in blocks:
+                q = min(block)
+                for r in block:
+                    assert col[r * k:r * k + k] == col[q * k:q * k + k], seed
+                    assert ([block_of[d] for d in dst[r * k:r * k + k]]
+                            == [block_of[d] for d in dst[q * k:q * k + k]]), seed
+                    assert class_of[r] == class_of[q], seed
+
+    def test_battery_exercises_the_product_stage_on_the_quotient(self):
+        # the pre-split of the quotient alone would be wrong on these
+        coarse = 0
+        for seed in range(60):
+            a = _battery_dpa(seed)
+            quotient = _quotient_of(a)
+            coarse += len(_presplit(quotient)) < len(state_equivalence(a).classes)
+        assert coarse >= 8
+
+    @pytest.mark.parametrize("kind", ["blowup", "staircase", "line"])
+    def test_large_automata_match_the_direct_partition(self, kind):
+        if kind == "blowup":
+            a = _blowup_of_50()
+        elif kind == "staircase":
+            a = _staircase(random_dpa(100, 6, 2, 3), 20, random.Random("staircase/3"))
+        else:
+            a = _line(300)
+        assert a.state_count >= 1000 or kind == "line"
+        assert state_equivalence(a) == direct_partition(a)
+
+    def test_blowup_builds_only_quotient_pairs(self, monkeypatch):
+        built = []
+
+        class Recording(graphs._Product):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self.size)
+
+        a = _blowup_of_50()
+        quotient = _quotient_of(a)
+        blocks = _presplit(quotient)
+        monkeypatch.setattr(graphs, "_Product", Recording)
+        classes = state_equivalence(a).classes
+        assert a.state_count == 1500 and quotient.state_count == len(classes) == 30
+        assert sum(built) <= sum(len(block) ** 2 for block in blocks) <= 30 ** 2
