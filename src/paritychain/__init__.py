@@ -50,7 +50,6 @@ from .graphs import (
     reachable_states,
     scc_decompose,
     state_equivalence,
-    transient_elements,
 )
 
 __all__ = [
@@ -96,6 +95,5 @@ __all__ = [
     "streamline",
     "structure_dpa",
     "structure_dpa_with_map",
-    "transient_elements",
     "validate_dpa",
 ]

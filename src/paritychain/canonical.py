@@ -47,9 +47,7 @@ def _drop_unreachable(a: ParityAutomaton) -> tuple[ParityAutomaton, dict[int, in
     if len(keep) == a.state_count:
         return a, remap
     ts = tuple(  # the successors of a reachable state are reachable
-        Transition(remap[t.src], t.sym, remap[t.dst], t.color)
-        for t in a.transitions
-        if t.src in remap
+        Transition(remap[s], y, remap[d], c) for s, y, d, c in a.transitions if s in remap
     )
     out = ParityAutomaton(
         alphabet=a.alphabet,
@@ -114,7 +112,7 @@ def structure_dpa_with_map(a: ParityAutomaton) -> tuple[ParityAutomaton, dict[in
                 for q in live:
                     if scc_of[q] != best:
                         to[q] = rep
-        ts = tuple(Transition(t.src, t.sym, to[t.dst], t.color) for t in cur.transitions)
+        ts = tuple(Transition(s, y, to[d], c) for s, y, d, c in cur.transitions)
         if to[cur.initial] == cur.initial and ts == cur.transitions:
             break
         cur = ParityAutomaton(cur.alphabet, cur.state_count, to[cur.initial], ts)
@@ -161,7 +159,7 @@ def _recolor(a: ParityAutomaton) -> list[int]:
     ok, violations = is_structured(a)
     if not ok:
         raise PreconditionError("automaton is not structured: " + "; ".join(violations))
-    color = [t.color for t in a.transitions]
+    color = a.flat[1].copy()
     i = 0
 
     def keep(sccs, leaving):
@@ -204,7 +202,7 @@ def streamline(a: ParityAutomaton) -> ParityAutomaton:
     ``state_equivalence`` for it costs nothing.
     """
     ts = tuple(
-        Transition(t.src, t.sym, t.dst, c) for t, c in zip(a.transitions, _streamlined_colors(a))
+        Transition(s, y, d, c) for (s, y, d, _), c in zip(a.transitions, _streamlined_colors(a))
     )
     out = ParityAutomaton(a.alphabet, a.state_count, a.initial, ts)
     _memo(out, _PARTITION, lambda: state_equivalence(a))  # same edges, same languages
@@ -216,7 +214,7 @@ def is_streamlined(a: ParityAutomaton) -> bool:
     colors = _streamlined_colors(a)
     return _memo(
         a, "_is_streamlined",
-        lambda: all(c == t.color for t, c in zip(a.transitions, colors)),
+        lambda: a.flat[1] == colors,
     )
 
 
@@ -247,12 +245,12 @@ def chain_stats(c: ChainRepresentation) -> tuple[ChainLevelStats, ...]:
     without building a level: level i accepts the transitions of color
     >= i, and every level has one jump per other mate of a target."""
     a = c.source
-    jump_count = sum(len(c.partition.mates(t.dst)) - 1 for t in a.transitions)
+    jump_count = sum(len(c.partition.mates(d)) - 1 for _, _, d, _ in a.transitions)
     return tuple(
         ChainLevelStats(
             level=i,
             states=a.state_count,
-            accepting_transitions=sum(1 for t in a.transitions if t.color >= i),
+            accepting_transitions=sum(1 for _, _, _, c in a.transitions if c >= i),
             jump_transitions=jump_count,
         )
         for i in range(a.max_color + 2)

@@ -5,6 +5,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress, pairwise, starmap
+from operator import eq, getitem, itemgetter
+from typing import NamedTuple
 
 
 class AutomatonError(ValueError):
@@ -58,26 +61,56 @@ class Alphabet:
                 )
 
 
-@dataclass(frozen=True, order=True)
-class Transition:
+class Transition(NamedTuple):
+    """One row (src, sym, dst, color); a tuple, so it orders, hashes and
+    compares equal like the plain 4-tuple of its fields."""
+
     src: int
     sym: int
     dst: int
     color: int
 
 
+# Field getters of a row; _ROW and _EDGE give its (src, sym) and (src, sym, dst).
+_SYM, _DST, _COLOR = itemgetter(1), itemgetter(2), itemgetter(3)
+_ROW, _EDGE = itemgetter(0, 1), itemgetter(0, 1, 2)
+
+
 def _check_automaton(a) -> None:
     """Sort the transitions of ``a``, so equal automata compare equal, and
-    check every state, letter and color against its range."""
-    object.__setattr__(a, "transitions", tuple(sorted(a.transitions)))
+    check every state, letter and color against its range.
+
+    Every row must be a ``Transition`` of ints, so ``bool``, ``float`` and
+    plain tuples are rejected.  The checks run by column, with builtins: the
+    sorted sources need only their first and last entry tested.  Only when
+    a column check fails are the rows walked one by one, to name the first
+    offender in sorted order."""
     if a.state_count < 1:
         raise AutomatonError("automaton needs at least one state")
     if not 0 <= a.initial < a.state_count:
         raise AutomatonError("initial state out of range")
-    for t in a.transitions:
-        if not 0 <= t.src < a.state_count or not 0 <= t.dst < a.state_count:
+    ts = tuple(a.transitions)
+    if not set(map(type, ts)) <= {Transition}:
+        i, t = next((i, t) for i, t in enumerate(ts) if type(t) is not Transition)
+        raise AutomatonError(f"transition {i} is not a Transition: {_clip(repr(t))}")
+    if not set(map(type, chain.from_iterable(ts))) <= {int}:
+        i, name, x = next((i, name, x) for i, t in enumerate(ts)
+                          for name, x in zip(Transition._fields, t) if type(x) is not int)
+        raise AutomatonError(f"transition {i} has a {name} that is not an int: {_clip(repr(x))}")
+    ts = tuple(sorted(ts))
+    object.__setattr__(a, "transitions", ts)
+    if not ts:
+        return
+    n, k = a.state_count, len(a.alphabet)
+    if (0 <= ts[0].src and ts[-1].src < n
+            and 0 <= min(map(_DST, ts)) and max(map(_DST, ts)) < n
+            and 0 <= min(map(_SYM, ts)) and max(map(_SYM, ts)) < k
+            and min(map(_COLOR, ts)) >= 0):
+        return
+    for t in ts:
+        if not 0 <= t.src < n or not 0 <= t.dst < n:
             raise AutomatonError(f"transition {t} has a state index out of range")
-        if not 0 <= t.sym < len(a.alphabet):
+        if not 0 <= t.sym < k:
             raise AutomatonError(f"transition {t} has a letter index out of range")
         if t.color < 0:
             raise AutomatonError(f"transition {t} has a negative color")
@@ -115,7 +148,7 @@ class _Rows:
     @cached_property
     def _keys(self) -> list[int]:
         k = len(self.alphabet)
-        return [t.src * k + t.sym for t in self.transitions]
+        return [s * k + y for s, y, _, _ in self.transitions]
 
     def row(self, src: int, sym: int) -> tuple[Transition, ...]:
         """The transitions from ``src`` on letter ``sym``."""
@@ -175,11 +208,11 @@ class ParityAutomaton(_Rows):
         lists."""
         for first, _, _ in self._bad_runs():
             self.step(*divmod(first, len(self.alphabet)))
-        return [t.dst for t in self.transitions], [t.color for t in self.transitions]
+        return list(map(_DST, self.transitions)), list(map(_COLOR, self.transitions))
 
     @cached_property
     def colors(self) -> tuple[int, ...]:
-        return tuple(sorted({t.color for t in self.transitions}))
+        return tuple(sorted(set(map(_COLOR, self.transitions))))
 
     @property
     def max_color(self) -> int:
@@ -207,9 +240,17 @@ class CoBuchiAutomaton(_Rows):
 
     def __post_init__(self):
         _check_automaton(self)
+        # By column: the rows are sorted, so a repeated edge, or a second
+        # accepting row on one letter, sits next to its twin.  The rows are
+        # walked only to name the first offender.
+        ts = self.transitions
+        accepting = compress(map(_ROW, ts), map((2).__eq__, map(_COLOR, ts)))
+        if (set(map(_COLOR, ts)) <= {1, 2} and not any(starmap(eq, pairwise(map(_EDGE, ts))))
+                and not any(starmap(eq, pairwise(accepting)))):
+            return
         seen_edges = set()
         accepting_rows = set()
-        for t in self.transitions:
+        for t in ts:
             if t.color not in (1, 2):
                 raise AutomatonError(f"co-Buchi colors must be 1 or 2, got {t.color}")
             edge = (t.src, t.sym, t.dst)
@@ -234,10 +275,10 @@ class CoBuchiAutomaton(_Rows):
         targets of all transitions.  Callers must not mutate the lists."""
         acc = [-1] * (self.state_count * len(self.alphabet))
         succ: list[tuple[int, ...]] = [()] * len(acc)
-        for r, t in zip(self._keys, self.transitions):
-            succ[r] += (t.dst,)
-            if t.color == 2:
-                acc[r] = t.dst
+        for r, (_, _, d, c) in zip(self._keys, self.transitions):
+            succ[r] += (d,)
+            if c == 2:
+                acc[r] = d
         return acc, succ
 
 
@@ -348,12 +389,16 @@ class ChainRepresentation:
     @cached_property
     def levels(self) -> tuple[CoBuchiAutomaton, ...]:
         a, mates = self.source, self.partition.mates
-        jumps = tuple(Transition(t.src, t.sym, mate, 1)
-                      for t in a.transitions for mate in mates(t.dst) if mate != t.dst)
+        jumps = tuple(Transition(s, y, mate, 1)
+                      for s, y, d, _ in a.transitions for mate in mates(d) if mate != d)
+        # the rejecting and the accepting copy of every row: level i takes
+        # copy[c >= i], so the levels share their rows
+        copies = [(Transition(s, y, d, 1), Transition(s, y, d, 2)) for s, y, d, _ in a.transitions]
+        colors = list(map(_COLOR, a.transitions))
         return tuple(
-            CoBuchiAutomaton(a.alphabet, a.state_count, a.initial, tuple(
-                Transition(t.src, t.sym, t.dst, 2 if t.color >= i else 1) for t in a.transitions
-            ) + jumps, gfg_claimed=True)
+            CoBuchiAutomaton(a.alphabet, a.state_count, a.initial,
+                             tuple(map(getitem, copies, map(i.__le__, colors))) + jumps,
+                             gfg_claimed=True)
             for i in range(a.max_color + 2)
         )
 

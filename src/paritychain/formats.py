@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import (
     Alphabet,
@@ -82,19 +83,18 @@ def parse_native(text: str, *, validate: bool = True):
         )
     initial = _require(obj, "initial", int, "document")
     raw_ts = _require(obj, "transitions", list, "document")
-    transitions = []
-    for idx, item in enumerate(raw_ts):
-        if not isinstance(item, dict):
-            raise FormatError(f"transition {idx} must be an object")
-        where = f"transition {idx}"
-        transitions.append(
-            Transition(
-                src=_require(item, "src", int, where),
-                sym=_require(item, "sym", int, where),
-                dst=_require(item, "dst", int, where),
-                color=_require(item, "col", int, where),
-            )
-        )
+    try:  # by column; the items are walked one by one only to name an offender
+        transitions = [Transition(t["src"], t["sym"], t["dst"], t["col"]) for t in raw_ts]
+    except (KeyError, TypeError):
+        transitions = []
+    fields = chain.from_iterable(transitions)
+    if len(transitions) < len(raw_ts) or not set(map(type, fields)) <= {int}:
+        for idx, item in enumerate(raw_ts):
+            if not isinstance(item, dict):
+                raise FormatError(f"transition {idx} must be an object")
+            where = f"transition {idx}"
+            for key in ("src", "sym", "dst", "col"):
+                _require(item, key, int, where)
     try:
         if kind == "ncw":
             gfg = obj.get("gfg", False)
@@ -133,11 +133,9 @@ def emit_native(a) -> str:
     if is_ncw:
         lines.append(f'  "gfg": {json.dumps(a.gfg_claimed)},')
     lines.append('  "transitions": [')
-    body = [
-        f'    {{"src": {t.src}, "sym": {t.sym}, "dst": {t.dst}, "col": {t.color}}}'
-        for t in a.transitions
-    ]
-    lines.append(",\n".join(body))
+    lines.append(",\n".join(
+        '    {"src": %d, "sym": %d, "dst": %d, "col": %d}' % t for t in a.transitions
+    ))
     lines.append("  ]")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -524,7 +522,7 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
             alphabet=alphabet,
             state_count=states,
             initial=start,
-            transitions=tuple(Transition(*e) for e in body),
+            transitions=tuple(map(Transition._make, body)),
         )
     except AutomatonError as err:
         raise FormatError(str(err)) from None
@@ -574,13 +572,12 @@ def emit_hoa(a) -> str:
     lines.append("--BODY--")
     body = [[f"State: {q}"] for q in range(a.state_count)]
     indices = [str(j) for j in range(ap_count)]
-    for t in a.transitions:
-        label = letter_name(indices, t.sym)
+    for s, y, d, c in a.transitions:
         if is_ncw:
-            suffix = "" if t.color == 2 else " {0}"
+            suffix = "" if c == 2 else " {0}"
         else:
-            suffix = f" {{{t.color}}}"
-        body[t.src].append(f"[{label}] {t.dst}{suffix}")
+            suffix = f" {{{c}}}"
+        body[s].append(f"[{letter_name(indices, y)}] {d}{suffix}")
     lines += [line for state in body for line in state]
     lines.append("--END--")
     return "\n".join(lines) + "\n"
@@ -601,9 +598,9 @@ def emit_dot(a) -> str:
     for q in range(a.state_count):
         lines.append(f"  s{q};")
     lines.append(f"  init -> s{a.initial};")
-    for t in a.transitions:
-        name = a.alphabet.letters[t.sym].replace("\\", "\\\\").replace('"', '\\"')
-        style = ", style=bold" if is_ncw and t.color == 2 else ""
-        lines.append(f'  s{t.src} -> s{t.dst} [label="{name}/{t.color}"{style}];')
+    for s, y, d, c in a.transitions:
+        name = a.alphabet.letters[y].replace("\\", "\\\\").replace('"', '\\"')
+        style = ", style=bold" if is_ncw and c == 2 else ""
+        lines.append(f'  s{s} -> s{d} [label="{name}/{c}"{style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

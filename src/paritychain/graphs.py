@@ -1,4 +1,4 @@
-"""Graph and language primitives: SCCs, transients, lasso runs, equivalence."""
+"""Graph and language primitives: SCCs, lasso runs, equivalence."""
 
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ from .core import (
 def _adjacency(a) -> list[list[int]]:
     """Deduplicated successor lists, colors ignored, deterministic order."""
     succ = [set() for _ in range(a.state_count)]
-    for t in a.transitions:
-        succ[t.src].add(t.dst)
+    for s, _, d, _ in a.transitions:
+        succ[s].add(d)
     return [sorted(s) for s in succ]
 
 
@@ -177,14 +177,6 @@ def scc_decompose(a) -> SccDecomposition:
         if c >= 0:
             sccs[last - c].append(q)
     return SccDecomposition(sccs=tuple(map(tuple, sccs)))
-
-
-def transient_elements(a) -> tuple[frozenset[Transition], frozenset[int]]:
-    """Transitions and states that lie on no cycle of the full graph."""
-    comp = _scc_ids(a.state_count, _adjacency(a))
-    transient_ts = frozenset(t for t in a.transitions if comp[t.src] != comp[t.dst])
-    on_cycle = {t.src for t in a.transitions if comp[t.src] == comp[t.dst]}
-    return transient_ts, frozenset(range(a.state_count)) - on_cycle
 
 
 def dpa_lasso_run(a: ParityAutomaton, w: LassoWord, start: int | None = None) -> RunAnalysis:
@@ -413,10 +405,13 @@ def _in_block_classes(a: ParityAutomaton, blocks: list[list[int]]) -> list[list[
     refinement of a x a finds the product SCCs holding a cycle with an even
     first and an odd second minimum, and (q, r) is inequivalent iff (q, r)
     or (r, q) reaches one of them, as the product is symmetric: exactly the
-    marking of the all-pairs product, restricted to these pairs.
+    marking of the all-pairs product, restricted to these pairs.  A
+    singleton block is its own class, so the product is rooted only at the
+    pairs of the larger blocks.
     """
     n, k = a.state_count, len(a.alphabet)
-    product = _Product(a, a, [(q, r) for block in blocks for q in block for r in block])
+    product = _Product(a, a, [(q, r) for block in blocks if len(block) > 1
+                              for q in block for r in block])
     pred: list[list[int]] = [[] for _ in range(product.size)]
     for e, d in enumerate(product.dst):
         pred[d].append(e // k)

@@ -17,6 +17,8 @@ Hopcroft's refinement must reproduce.
 ``resolver_oracle_step`` and ``resolver_oracle`` are the GFG resolver
 stepped letter by letter on tracked positions and ``Transition`` rows,
 which the library's rank-group strategy must reproduce.
+``transient_elements`` lists the transitions and states on no cycle of
+the full graph.
 ``eval_label_oracle`` evaluates a HOA label formula on one valuation at a
 time, which the parser's valuation sets must reproduce.
 ``row_scan_*`` answer every row question from a dict of the transitions
@@ -40,7 +42,17 @@ from paritychain import (
 )
 from paritychain.core import _MAX_VIOLATIONS, _clip
 from paritychain.formats import _MAX_LABEL_DEPTH, FormatError, _int
-from paritychain.graphs import _Product, _preimages, _presplit, _reach, _scc_ids, _witness
+from paritychain.graphs import (
+    _Product, _adjacency, _preimages, _presplit, _reach, _scc_ids, _witness,
+)
+
+
+def transient_elements(a) -> tuple[frozenset[Transition], frozenset[int]]:
+    """Transitions and states that lie on no cycle of the full graph."""
+    comp = _scc_ids(a.state_count, _adjacency(a))
+    transient_ts = frozenset(t for t in a.transitions if comp[t.src] != comp[t.dst])
+    on_cycle = {t.src for t in a.transitions if comp[t.src] == comp[t.dst]}
+    return transient_ts, frozenset(range(a.state_count)) - on_cycle
 
 
 def _product_steps(a: ParityAutomaton, node):

@@ -8,10 +8,12 @@ from conftest import FLOWER_STREAMLINED_COLORS, WORD_CA, blowup, random_lasso
 from paritychain import (
     Alphabet,
     AutomatonError,
+    CoBuchiAutomaton,
     ParityAutomaton,
     PreconditionError,
     Transition,
     chain_stats,
+    complete_dpa,
     corun_color,
     dpa_lasso_run,
     extract_chain,
@@ -25,6 +27,7 @@ from paritychain import (
     structure_dpa,
     structure_dpa_with_map,
 )
+from paritychain import graphs
 
 T = Transition
 
@@ -360,3 +363,36 @@ class TestChainView:
             assert entry.accepting_transitions == sum(t.color == 2 for t in level.transitions)
             assert entry.jump_transitions == len(jumps)
             assert len(level.transitions) == len(s.transitions) + len(jumps)
+
+
+def _rebuilt(a):
+    """``a`` built again by its public constructor from its own rows,
+    given in reverse."""
+    rows = tuple(a.transitions)[::-1]
+    if isinstance(a, CoBuchiAutomaton):
+        return CoBuchiAutomaton(a.alphabet, a.state_count, a.initial, rows, a.gfg_claimed)
+    return ParityAutomaton(a.alphabet, a.state_count, a.initial, rows)
+
+
+class TestProductsPassTheConstructor:
+    """Every automaton the pipeline builds holds sorted ``Transition`` rows
+    of ints in range: rebuilt through the public constructor, with every
+    check it makes, it compares equal."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_pipeline_products(self, seed):
+        rng = random.Random(300 + seed)
+        generated = random_dpa(rng.randrange(1, 12), rng.randrange(1, 6), rng.randrange(1, 4), seed)
+        a = blowup(generated, 3, rng) if seed % 3 == 0 else generated
+        structured = structure_dpa(a)
+        streamlined = streamline(structured)
+        partial = ParityAutomaton(a.alphabet, a.state_count, a.initial, a.transitions[1:])
+        blocks = sorted(map(sorted, graphs._bisimulation(a, graphs._preimages(a))))
+        chain = extract_chain(streamlined, state_equivalence(streamlined))
+        products = [generated, structured, streamlined, complete_dpa(partial),
+                    graphs._quotient(a, blocks), *chain.levels]
+        for b in products:
+            assert set(map(type, b.transitions)) == {Transition}
+            assert b.transitions == tuple(sorted(b.transitions))
+            rebuilt = _rebuilt(b)
+            assert type(rebuilt) is type(b) and rebuilt == b

@@ -204,6 +204,118 @@ class TestCoBuchiInvariants:
             )
 
 
+class TestTransitionContract:
+    """``Transition`` is a 4-tuple with named fields: it orders, hashes and
+    prints as it did as a frozen dataclass, and equals the plain tuple."""
+
+    def test_fields_and_order(self):
+        t = T(1, 0, 3, 2)
+        assert T._fields == ("src", "sym", "dst", "color")
+        assert (t.src, t.sym, t.dst, t.color) == (1, 0, 3, 2)
+        assert T(src=1, sym=0, dst=3, color=2) == t
+
+    def test_ordering_is_field_by_field(self):
+        rows = [T(1, 0, 0, 0), T(0, 1, 0, 0), T(0, 0, 2, 0), T(0, 0, 1, 5), T(0, 0, 1, 4)]
+        assert sorted(rows) == [T(0, 0, 1, 4), T(0, 0, 1, 5), T(0, 0, 2, 0), T(0, 1, 0, 0),
+                                T(1, 0, 0, 0)]
+        assert T(0, 0, 1, 5) < T(0, 0, 2, 0) < T(0, 1, 0, 0)
+
+    def test_hash_and_repr(self):
+        assert hash(T(0, 0, 5, 1)) == hash((0, 0, 5, 1))
+        assert repr(T(0, 0, 5, 1)) == "Transition(src=0, sym=0, dst=5, color=1)"
+        assert str(T(0, 0, 5, 1)) == "Transition(src=0, sym=0, dst=5, color=1)"
+
+    def test_equals_plain_tuple(self):
+        assert T(0, 1, 2, 3) == (0, 1, 2, 3)
+        assert {T(0, 1, 2, 3)} == {(0, 1, 2, 3)}
+        assert T(0, 1, 2, 3) != (0, 1, 2, 4)
+
+
+class TestColumnChecks:
+    """The range checks run by column; a failing one names the first
+    offending transition in sorted order, with the text of the row walk."""
+
+    LETTERS = Alphabet(("a", "b"))
+    ROWS = (T(0, 0, 1, 2), T(0, 1, 0, 1), T(1, 0, 1, 1), T(1, 1, 0, 2))  # valid in both classes
+    STATE = "has a state index out of range"
+    LETTER = "has a letter index out of range"
+
+    @pytest.mark.parametrize("cls", [ParityAutomaton, CoBuchiAutomaton])
+    @pytest.mark.parametrize("row, problem", [
+        (T(-1, 0, 0, 1), STATE), (T(2, 0, 0, 1), STATE),
+        (T(1, 0, -1, 1), STATE), (T(0, 0, 2, 1), STATE),
+        (T(1, -1, 0, 1), LETTER), (T(0, 2, 1, 1), LETTER),
+        (T(1, 0, 0, -1), "has a negative color"),
+    ], ids=["src-negative", "src-n", "dst-negative", "dst-n", "sym-negative", "sym-k",
+            "color-negative"])
+    def test_one_fault(self, cls, row, problem):
+        with pytest.raises(AutomatonError) as err:
+            cls(self.LETTERS, 2, 0, self.ROWS + (row,))
+        assert str(err.value) == f"transition {row!r} {problem}"
+
+    @pytest.mark.parametrize("cls", [ParityAutomaton, CoBuchiAutomaton])
+    def test_first_offender_in_sorted_order(self, cls):
+        late, early = T(1, 0, 5, 1), T(0, 1, 0, -1)
+        with pytest.raises(AutomatonError) as err:
+            cls(self.LETTERS, 2, 0, (late,) + self.ROWS + (early,))
+        assert str(err.value) == "transition Transition(src=0, sym=1, dst=0, color=-1) " \
+                                 "has a negative color"
+        with pytest.raises(AutomatonError) as err:
+            cls(self.LETTERS, 2, 0, (T(0, 5, 0, 1), T(0, 1, 9, 1)))
+        assert str(err.value) == "transition Transition(src=0, sym=1, dst=9, color=1) " \
+                                 "has a state index out of range"
+
+    def test_large_color_is_a_parity_color(self):
+        a = ParityAutomaton(self.LETTERS, 2, 0, self.ROWS[1:] + (T(0, 0, 1, 10**6),))
+        assert a.max_color == 10**6
+
+    @pytest.mark.parametrize("rows, message", [
+        ((T(1, 0, 1, 3),), "co-Buchi colors must be 1 or 2, got 3"),
+        ((T(1, 0, 0, 0),), "co-Buchi colors must be 1 or 2, got 0"),
+        ((T(0, 0, 1, 1),), "duplicate transition (0, 0, 1)"),
+        ((T(1, 1, 0, 2),), "duplicate transition (1, 1, 0)"),
+        ((T(0, 0, 0, 2),), "state 0 has two accepting transitions on letter 'a'"),
+        ((T(1, 1, 1, 2), T(0, 1, 1, 3)), "co-Buchi colors must be 1 or 2, got 3"),
+        ((T(1, 1, 1, 2), T(1, 0, 1, 2)), "duplicate transition (1, 0, 1)"),
+    ], ids=["color-3", "color-0", "duplicate-edge", "duplicate-row", "two-accepting",
+            "two-faults-color-first", "two-faults-duplicate-first"])
+    def test_cobuchi_faults(self, rows, message):
+        with pytest.raises(AutomatonError) as err:
+            CoBuchiAutomaton(self.LETTERS, 2, 0, self.ROWS + rows)
+        assert str(err.value) == message
+
+    def test_empty_automata(self):
+        for cls in (ParityAutomaton, CoBuchiAutomaton):
+            assert cls(self.LETTERS, 1, 0, ()).transitions == ()
+
+
+class TestIllTypedRows:
+    """Rows must be ``Transition``s of ints: a plain tuple, a float, a bool
+    or a string is an ``AutomatonError``, not an ``AttributeError``, a
+    ``TypeError`` or an automaton whose emitted text cannot be parsed."""
+
+    LETTERS = Alphabet(("a",))
+
+    @pytest.mark.parametrize("cls", [ParityAutomaton, CoBuchiAutomaton])
+    @pytest.mark.parametrize("rows, message", [
+        (((0, 0, 0, 1),), "transition 0 is not a Transition: (0, 0, 0, 1)"),
+        ((T(0, 0, 0, 1), [0, 0, 0, 1]), "transition 1 is not a Transition: [0, 0, 0, 1]"),
+        ((T(0.0, 0, 0, 1),), "transition 0 has a src that is not an int: 0.0"),
+        ((T(0, 0, 0, 1.5),), "transition 0 has a color that is not an int: 1.5"),
+        ((T(0, True, 0, 1),), "transition 0 has a sym that is not an int: True"),
+        ((T(0, 0, 0, 1), T(0, 0, "0", 1)), "transition 1 has a dst that is not an int: '0'"),
+    ], ids=["tuple", "list", "float-src", "float-color", "bool-sym", "str-dst"])
+    def test_rejected(self, cls, rows, message):
+        with pytest.raises(AutomatonError) as err:
+            cls(self.LETTERS, 1, 0, rows)
+        assert str(err.value) == message
+
+    def test_message_clipped(self):
+        with pytest.raises(AutomatonError) as err:
+            ParityAutomaton(self.LETTERS, 1, 0, (T(0, 0, 0, "x" * 10**6),))
+        assert str(err.value) == "transition 0 has a color that is not an int: '" + "x" * 39 + "..."
+
+
 class TestLongLetterNames:
     """A letter name of 1 MB (as a HOA AP name makes one) is clipped in every
     message that names a letter."""

@@ -88,6 +88,27 @@ class TestNative:
             parse_native(text)
         assert not validate_dpa(parse_native(text, validate=False)).ok
 
+    @pytest.mark.parametrize("item, message", [
+        ('[0, 0, 0, 0]', "transition 1 must be an object"),
+        ('"t"', "transition 1 must be an object"),
+        ('{"src": 0, "sym": 0, "dst": 0}', "transition 1: missing field 'col'"),
+        ('{"src": 0, "sym": true, "dst": 0, "col": 0}',
+         "transition 1: field 'sym' must be of type int"),
+        ('{"src": 0, "sym": 0, "dst": 0.0, "col": 0}',
+         "transition 1: field 'dst' must be of type int"),
+        ('{"src": "0", "sym": 0, "dst": 0, "col": 0}',
+         "transition 1: field 'src' must be of type int"),
+        ('{"src": 0, "sym": 0, "dst": 9, "col": 0}',
+         "transition Transition(src=0, sym=0, dst=9, color=0) has a state index out of range"),
+    ], ids=["list", "string", "missing", "bool", "float", "string-field", "out-of-range"])
+    def test_transition_item_errors(self, item, message):
+        # the second item is the faulty one; the first is fine
+        text = ('{"kind": "dpa", "alphabet": ["a"], "states": 1, "initial": 0, "transitions": '
+                f'[{{"src": 0, "sym": 0, "dst": 0, "col": 0}}, {item}]}}')
+        with pytest.raises(FormatError) as err:
+            parse_native(text)
+        assert str(err.value) == message
+
     def test_streamlined_golden_bytes(self, flower):
         expected = (GOLDEN / "flower_streamlined.aut").read_text()
         assert emit_native(streamline(flower)) == expected
