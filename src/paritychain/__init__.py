@@ -18,10 +18,8 @@ from .canonical import (
 )
 from .colors import (
     CoRun,
-    ResolverState,
     corun_color,
     coruns,
-    gfg_resolver_step,
     natural_color_via_chain,
     resolve_run,
 )
@@ -64,7 +62,6 @@ __all__ = [
     "ParityAutomaton",
     "Partition",
     "PreconditionError",
-    "ResolverState",
     "RunAnalysis",
     "SccDecomposition",
     "Transition",
@@ -80,7 +77,6 @@ __all__ = [
     "emit_native",
     "extract_chain",
     "gca_lasso_member",
-    "gfg_resolver_step",
     "is_streamlined",
     "is_structured",
     "natural_color_via_chain",

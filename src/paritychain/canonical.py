@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 import string
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     Alphabet,
@@ -232,8 +232,7 @@ def extract_chain(a: ParityAutomaton, equiv: Partition) -> ChainRepresentation:
     return ChainRepresentation(a, equiv)
 
 
-@dataclass(frozen=True)
-class ChainLevelStats:
+class ChainLevelStats(NamedTuple):
     level: int
     states: int
     accepting_transitions: int

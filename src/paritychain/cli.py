@@ -27,7 +27,7 @@ from .core import (
     validate_dpa,
 )
 from .formats import (
-    _MAX_APS, _MAX_ROWS, _MAX_STATES, FormatError, emit_native, letter_name, parse_hoa,
+    _MAX_APS, _MAX_ROWS, _MAX_STATES, FormatError, emit_native, letter_names, parse_hoa,
     parse_native,
 )
 from .graphs import (
@@ -261,9 +261,7 @@ def cmd_random(args) -> int:
         raise AutomatonError(f"--states x letters must be at most {_MAX_ROWS}")
     names = None
     if args.aps is not None:
-        names = tuple(
-            letter_name([f"p{j}" for j in range(args.aps)], v) for v in range(count)
-        )
+        names = letter_names([f"p{j}" for j in range(args.aps)])
     _write_automaton(args, random_dpa(args.states, args.colors, count, args.seed, names))
     return 0
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .canonical import is_streamlined
 from .core import (
@@ -17,8 +17,7 @@ from .core import (
 from .graphs import _least_on_cycle, _positions, _reach
 
 
-@dataclass(frozen=True)
-class CoRun:
+class CoRun(NamedTuple):
     """A run that switches once, at jump_position > 0, to a language
     equivalent state and then continues deterministically."""
 
@@ -112,27 +111,6 @@ def natural_color_via_chain(c: ChainRepresentation, w: LassoWord) -> int:
     return max(map(color, _reach([a.initial], succ)))
 
 
-@dataclass(frozen=True)
-class ResolverState:
-    """State of the GFG strategy after some input prefix.
-
-    ``tracked`` maps every state reachable on the prefix to the earliest
-    position from which some run prefix ending there takes accepting
-    transitions only.  ``current`` and ``last_color`` are the strategy's
-    output: the state it moved to and the color of the transition taken.
-    """
-
-    position: int
-    current: int
-    last_color: int | None
-    tracked: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def start(cls, a: CoBuchiAutomaton) -> "ResolverState":
-        return cls(position=0, current=a.initial, last_color=None,
-                   tracked=((a.initial, 0),))
-
-
 def _advance(a: CoBuchiAutomaton, groups, current: int, sym: int):
     """One move of the strategy on rank groups: the states tracked after a
     prefix, grouped by equal tracked position, groups in ascending position
@@ -166,35 +144,6 @@ def _advance(a: CoBuchiAutomaton, groups, current: int, sym: int):
     if nxt >= 0:
         return new_groups, sources, nxt, 2
     return new_groups, sources, new_groups[0][0], 1
-
-
-def gfg_resolver_step(a: CoBuchiAutomaton, s: ResolverState, sym: int) -> ResolverState:
-    """One move of the strategy 'follow the run longest through accepting
-    transitions'.
-
-    An accepting transition from the current state is followed when it
-    exists (there is at most one).  Otherwise the strategy restarts at a
-    state whose tracked position is minimal, ties broken by lowest state
-    index; the choice among ties does not affect acceptance.  This is the
-    move ``resolve_run`` makes (see ``_advance``) on the rank groups of
-    ``s.tracked``, with the positions read back from the groups.
-    """
-    a.alphabet.check_letters((sym,))
-    tracked = dict(s.tracked)
-    if (
-        s.current not in tracked
-        or any(not 0 <= q < a.state_count for q in tracked)
-        or any(pos > s.position for pos in tracked.values())
-    ):
-        raise AutomatonError("inconsistent resolver state")
-    by_pos: dict[int, list[int]] = {}
-    for q, pos in tracked.items():
-        by_pos.setdefault(pos, []).append(q)
-    positions = sorted(by_pos) + [s.position + 1]
-    groups = tuple(tuple(sorted(by_pos[pos])) for pos in positions[:-1])
-    groups, sources, current, color = _advance(a, groups, s.current, sym)
-    new_tracked = sorted((q, positions[j]) for group, j in zip(groups, sources) for q in group)
-    return ResolverState(s.position + 1, current, color, tuple(new_tracked))
 
 
 def resolve_run(a: CoBuchiAutomaton, w: LassoWord) -> tuple[bool, tuple[int, ...]]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, pairwise, starmap
 from operator import eq, getitem, itemgetter
@@ -27,14 +26,44 @@ def _clip(text: str) -> str:
     return text if len(text) <= _MAX_SHOWN else text[:_MAX_SHOWN] + "..."
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _Frozen:
+    """Base of the records that check their fields on construction or keep
+    a memo in their ``__dict__``: equal when of one class with equal
+    ``_fields``, hashed and shown by them, and read-only once built, as
+    frozen dataclasses are.  Each ``__init__`` sets its fields through
+    ``__dict__``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Alphabet(_Frozen):
     """Finite ordered alphabet; letters are addressed by their index."""
 
-    letters: tuple[str, ...]
+    _fields = ("letters",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
+    def __init__(self, letters: tuple[str, ...]):
+        self.__dict__["letters"] = tuple(letters)
         if not self.letters:
             raise AutomatonError("alphabet must be non-empty")
         if any(not isinstance(name, str) or not name for name in self.letters):
@@ -80,11 +109,16 @@ def _check_automaton(a) -> None:
     """Sort the transitions of ``a``, so equal automata compare equal, and
     check every state, letter and color against its range.
 
-    Every row must be a ``Transition`` of ints, so ``bool``, ``float`` and
-    plain tuples are rejected.  The checks run by column, with builtins: the
-    sorted sources need only their first and last entry tested.  Only when
-    a column check fails are the rows walked one by one, to name the first
-    offender in sorted order."""
+    The state count, the initial state and every field of every row must be
+    ints (``type(x) is int``), and every row a ``Transition``, so ``bool``,
+    ``float`` and plain tuples are rejected.  The row checks run by column,
+    with builtins: the sorted sources need only their first and last entry
+    tested.  Only when a column check fails are the rows walked one by one,
+    to name the first offender in sorted order."""
+    for name in ("state_count", "initial"):
+        x = getattr(a, name)
+        if type(x) is not int:
+            raise AutomatonError(f"{name} is not an int: {_clip(repr(x))}")
     if a.state_count < 1:
         raise AutomatonError("automaton needs at least one state")
     if not 0 <= a.initial < a.state_count:
@@ -98,7 +132,7 @@ def _check_automaton(a) -> None:
                           for name, x in zip(Transition._fields, t) if type(x) is not int)
         raise AutomatonError(f"transition {i} has a {name} that is not an int: {_clip(repr(x))}")
     ts = tuple(sorted(ts))
-    object.__setattr__(a, "transitions", ts)
+    a.__dict__["transitions"] = ts
     if not ts:
         return
     n, k = a.state_count, len(a.alphabet)
@@ -172,8 +206,7 @@ class _Rows:
                 for first, stop, count in self._bad_runs() for r in range(first, stop))
 
 
-@dataclass(frozen=True)
-class ParityAutomaton(_Rows):
+class ParityAutomaton(_Frozen, _Rows):
     """Transition-colored parity automaton, min-even acceptance.
 
     States are dense indices 0..state_count-1.  The class stores an edge
@@ -183,12 +216,12 @@ class ParityAutomaton(_Rows):
     Transitions are kept sorted, so equal automata compare equal.
     """
 
-    alphabet: Alphabet
-    state_count: int
-    initial: int
-    transitions: tuple[Transition, ...]
+    _fields = ("alphabet", "state_count", "initial", "transitions")
 
-    def __post_init__(self):
+    def __init__(self, alphabet: Alphabet, state_count: int, initial: int,
+                 transitions: tuple[Transition, ...]):
+        self.__dict__.update(alphabet=alphabet, state_count=state_count, initial=initial,
+                             transitions=transitions)
         _check_automaton(self)
 
     def step(self, src: int, sym: int) -> Transition:
@@ -221,8 +254,7 @@ class ParityAutomaton(_Rows):
         return self.colors[-1]
 
 
-@dataclass(frozen=True)
-class CoBuchiAutomaton(_Rows):
+class CoBuchiAutomaton(_Frozen, _Rows):
     """Nondeterministic co-Buchi automaton with transition colors 1 and 2.
 
     Color 2 marks accepting transitions; a run accepts when it eventually
@@ -232,13 +264,12 @@ class CoBuchiAutomaton(_Rows):
     enforced here on construction.
     """
 
-    alphabet: Alphabet
-    state_count: int
-    initial: int
-    transitions: tuple[Transition, ...]
-    gfg_claimed: bool = False
+    _fields = ("alphabet", "state_count", "initial", "transitions", "gfg_claimed")
 
-    def __post_init__(self):
+    def __init__(self, alphabet: Alphabet, state_count: int, initial: int,
+                 transitions: tuple[Transition, ...], gfg_claimed: bool = False):
+        self.__dict__.update(alphabet=alphabet, state_count=state_count, initial=initial,
+                             transitions=transitions, gfg_claimed=gfg_claimed)
         _check_automaton(self)
         # By column: the rows are sorted, so a repeated edge, or a second
         # accepting row on one letter, sits next to its twin.  The rows are
@@ -282,37 +313,18 @@ class CoBuchiAutomaton(_Rows):
         return acc, succ
 
 
-@dataclass(frozen=True)
-class LassoWord:
+class LassoWord(_Frozen):
     """Ultimately periodic word prefix . period^omega, letters as indices."""
 
-    prefix: tuple[int, ...]
-    period: tuple[int, ...]
+    _fields = ("prefix", "period")
 
-    def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(self.prefix))
-        object.__setattr__(self, "period", tuple(self.period))
+    def __init__(self, prefix: tuple[int, ...], period: tuple[int, ...]):
+        self.__dict__.update(prefix=tuple(prefix), period=tuple(period))
         if not self.period:
             raise AutomatonError("lasso period must be non-empty")
         for x in self.prefix + self.period:
             if not isinstance(x, int) or isinstance(x, bool) or x < 0:
                 raise AutomatonError(f"letters must be non-negative ints, got {_clip(repr(x))}")
-
-    def letter_at(self, k: int) -> int:
-        if k < len(self.prefix):
-            return self.prefix[k]
-        return self.period[(k - len(self.prefix)) % len(self.period)]
-
-    def head(self, n: int) -> tuple[int, ...]:
-        """The first ``n`` letters of the infinite word."""
-        return tuple(self.letter_at(k) for k in range(n))
-
-    def suffix(self, p: int) -> "LassoWord":
-        """The lasso obtained by dropping the first ``p`` letters."""
-        if p <= len(self.prefix):
-            return LassoWord(self.prefix[p:], self.period)
-        k = (p - len(self.prefix)) % len(self.period)
-        return LassoWord(self.period[k:], self.period)
 
 
 def normalize_lasso(w: LassoWord) -> LassoWord:
@@ -337,22 +349,21 @@ def normalize_lasso(w: LassoWord) -> LassoWord:
     return LassoWord(tuple(prefix), tuple(period))
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Frozen):
     """Partition of the state set 0..n-1 into language-equivalence classes.
 
     Classes are kept sorted by their smallest member, members sorted
     ascending, so the class ids are deterministic.
     """
 
-    classes: tuple[tuple[int, ...], ...]
+    _fields = ("classes",)
 
-    def __post_init__(self):
-        classes = [tuple(sorted(c)) for c in self.classes]
+    def __init__(self, classes: tuple[tuple[int, ...], ...]):
+        classes = [tuple(sorted(c)) for c in classes]
         members = sorted(q for c in classes for q in c)
         if not members or members != list(range(len(members))) or not all(classes):
             raise AutomatonError("classes must partition a dense state range 0..n-1")
-        object.__setattr__(self, "classes", tuple(sorted(classes, key=lambda c: c[0])))
+        self.__dict__["classes"] = tuple(sorted(classes, key=lambda c: c[0]))
 
     @cached_property
     def class_of(self) -> dict[int, int]:
@@ -367,8 +378,7 @@ class Partition:
         return self.classes[self.class_of[q]]
 
 
-@dataclass(frozen=True)
-class ChainRepresentation:
+class ChainRepresentation(_Frozen):
     """Chain of co-Buchi automata A_0..A_{cmax+1} over one state space, as a
     view of the streamlined DPA ``source`` and its ``partition``.
 
@@ -379,8 +389,10 @@ class ChainRepresentation:
     ``partition``, i), and ``levels`` builds them on first access only.
     """
 
-    source: ParityAutomaton
-    partition: Partition
+    _fields = ("source", "partition")
+
+    def __init__(self, source: ParityAutomaton, partition: Partition):
+        self.__dict__.update(source=source, partition=partition)
 
     @property
     def source_color_max(self) -> int:
@@ -403,8 +415,7 @@ class ChainRepresentation:
         )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple[str, ...] = ()
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .core import (
     Alphabet,
@@ -143,8 +143,7 @@ def emit_native(a) -> str:
 
 # -- HOA v1 subset -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     value: str
     line: int
@@ -240,13 +239,17 @@ def _unquote(raw: str) -> str:
     return re.sub(r"\\(.)", r"\1", raw[1:-1])
 
 
-def letter_name(aps: list[str], valuation: int) -> str:
-    """Canonical conjunction naming one alphabet letter per AP valuation."""
+def letter_names(aps: list[str]) -> tuple[str, ...]:
+    """The canonical conjunction naming each AP valuation, indexed by
+    valuation (bit j set: AP j holds): ``p0&!p1`` is valuation 1.  Built by
+    doubling, each AP appending its literal to every name of the APs before
+    it, so each name costs one concatenation per AP."""
     if not aps:
-        return "t"
-    return "&".join(
-        ap if valuation >> j & 1 else "!" + ap for j, ap in enumerate(aps)
-    )
+        return ("t",)
+    names = ["!" + aps[0], aps[0]]
+    for ap in aps[1:]:
+        names = [n + "&!" + ap for n in names] + [n + "&" + ap for n in names]
+    return tuple(names)
 
 
 def _recover_aps(alphabet: Alphabet) -> list[str] | None:
@@ -259,10 +262,7 @@ def _recover_aps(alphabet: Alphabet) -> list[str] | None:
     if len(parts) != ap_count or not all(p.startswith("!") and len(p) > 1 for p in parts):
         return None
     aps = [p[1:] for p in parts]
-    for valuation, name in enumerate(alphabet.letters):
-        if name != letter_name(aps, valuation):
-            return None
-    return aps
+    return aps if alphabet.letters == letter_names(aps) else None
 
 
 # Nesting of parentheses and negations in a label; each level costs up to
@@ -427,7 +427,7 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
             f"States: {states} x 2^{len(aps)} valuations exceed the limit of {_MAX_ROWS} rows"
         )
     try:  # an empty AP name makes an empty letter name
-        alphabet = Alphabet(tuple(letter_name(aps, v) for v in range(2 ** len(aps))))
+        alphabet = Alphabet(letter_names(aps))
     except AutomatonError as err:
         raise FormatError(f"AP: {err}") from None
 
@@ -571,13 +571,13 @@ def emit_hoa(a) -> str:
     lines.append("properties: trans-labels explicit-labels trans-acc")
     lines.append("--BODY--")
     body = [[f"State: {q}"] for q in range(a.state_count)]
-    indices = [str(j) for j in range(ap_count)]
+    labels = letter_names([str(j) for j in range(ap_count)])
     for s, y, d, c in a.transitions:
         if is_ncw:
             suffix = "" if c == 2 else " {0}"
         else:
             suffix = f" {{{c}}}"
-        body[s].append(f"[{letter_name(indices, y)}] {d}{suffix}")
+        body[s].append(f"[{labels[y]}] {d}{suffix}")
     lines += [line for state in body for line in state]
     lines.append("--END--")
     return "\n".join(lines) + "\n"

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .core import (
     AutomatonError,
@@ -13,6 +13,7 @@ from .core import (
     ParityAutomaton,
     Partition,
     Transition,
+    _Frozen,
     normalize_lasso,
 )
 
@@ -139,19 +140,20 @@ def _refine(n: int, k: int, dst: list[int], live, keep) -> None:
         live = keep(list(sccs.values()), leaving)
 
 
-@dataclass(frozen=True)
-class SccDecomposition:
+class SccDecomposition(_Frozen):
     """Maximal SCCs of the reachable part, listed in topological order."""
 
-    sccs: tuple[tuple[int, ...], ...]
+    _fields = ("sccs",)
+
+    def __init__(self, sccs: tuple[tuple[int, ...], ...]):
+        self.__dict__["sccs"] = sccs
 
     @cached_property
     def scc_of(self) -> dict[int, int]:
         return {q: i for i, comp in enumerate(self.sccs) for q in comp}
 
 
-@dataclass(frozen=True)
-class RunAnalysis:
+class RunAnalysis(NamedTuple):
     """Shape of the unique run of a DPA on a lasso word."""
 
     stem_states: tuple[int, ...]

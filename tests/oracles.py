@@ -16,7 +16,9 @@ which the partition of its bisimulation quotient must reproduce, and
 Hopcroft's refinement must reproduce.
 ``resolver_oracle_step`` and ``resolver_oracle`` are the GFG resolver
 stepped letter by letter on tracked positions and ``Transition`` rows,
-which the library's rank-group strategy must reproduce.
+which the library's rank-group strategy must reproduce; ``gfg_resolver_step``
+is one move of that strategy (``colors._advance``) on a ``ResolverState``.
+``letter_at``, ``head`` and ``suffix`` read a lasso word letter by letter.
 ``transient_elements`` lists the transitions and states on no cycle of
 the full graph.
 ``eval_label_oracle`` evaluates a HOA label formula on one valuation at a
@@ -28,23 +30,45 @@ of the flat rows, and the ``validate_dpa`` and ``complete_dpa`` results.
 """
 
 from collections import deque
+from typing import NamedTuple
 
 from paritychain import (
     AutomatonError,
+    CoBuchiAutomaton,
     CoRun,
     LassoWord,
     ParityAutomaton,
     Partition,
-    ResolverState,
     Transition,
     ValidationReport,
     dpa_lasso_run,
 )
+from paritychain.colors import _advance
 from paritychain.core import _MAX_VIOLATIONS, _clip
 from paritychain.formats import _MAX_LABEL_DEPTH, FormatError, _int
 from paritychain.graphs import (
-    _Product, _adjacency, _preimages, _presplit, _reach, _scc_ids, _witness,
+    _Product, _adjacency, _positions, _preimages, _presplit, _reach, _scc_ids, _witness,
 )
+
+
+def letter_at(w: LassoWord, k: int) -> int:
+    """Letter ``k`` of the infinite word ``w``."""
+    if k < len(w.prefix):
+        return w.prefix[k]
+    return w.period[(k - len(w.prefix)) % len(w.period)]
+
+
+def head(w: LassoWord, n: int) -> tuple[int, ...]:
+    """The first ``n`` letters of the infinite word ``w``."""
+    return tuple(letter_at(w, k) for k in range(n))
+
+
+def suffix(w: LassoWord, p: int) -> LassoWord:
+    """The lasso obtained by dropping the first ``p`` letters of ``w``."""
+    if p <= len(w.prefix):
+        return LassoWord(w.prefix[p:], w.period)
+    k = (p - len(w.prefix)) % len(w.period)
+    return LassoWord(w.period[k:], w.period)
 
 
 def transient_elements(a) -> tuple[frozenset[Transition], frozenset[int]]:
@@ -196,14 +220,14 @@ def minimal_lasso_brute(w: LassoWord) -> LassoWord:
     same infinite word, found by trying every cut of an unrolled prefix."""
     total = len(w.prefix) + len(w.period)
     probe = total * total + total
-    reference = w.head(probe)
+    reference = head(w, probe)
     for period_len in range(1, len(w.period) + 1):
         for prefix_len in range(0, total + 1):
             candidate = LassoWord(
                 reference[:prefix_len],
                 reference[prefix_len:prefix_len + period_len],
             )
-            if candidate.head(probe) == reference:
+            if head(candidate, probe) == reference:
                 return candidate
     return w
 
@@ -376,7 +400,7 @@ def reference_coruns(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> tupl
     bound = len(w.prefix) + a.state_count * len(w.period)
     run = [a.initial]
     for k in range(bound):
-        run.append(a.step(run[-1], w.letter_at(k)).dst)
+        run.append(a.step(run[-1], letter_at(w, k)).dst)
     cache: dict[tuple[int, int], int] = {}
     out = []
     for p in range(1, bound + 1):
@@ -388,10 +412,54 @@ def reference_coruns(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> tupl
             key = (target, suffix_key)
             if key not in cache:
                 cache[key] = dpa_lasso_run(
-                    a, w.suffix(suffix_key), start=target
+                    a, suffix(w, suffix_key), start=target
                 ).dominating_color
             out.append(CoRun(p, target, cache[key]))
     return tuple(out)
+
+
+class ResolverState(NamedTuple):
+    """State of the GFG strategy after some input prefix.
+
+    ``tracked`` maps every state reachable on the prefix to the earliest
+    position from which some run prefix ending there takes accepting
+    transitions only.  ``current`` and ``last_color`` are the strategy's
+    output: the state it moved to and the color of the transition taken.
+    """
+
+    position: int
+    current: int
+    last_color: int | None
+    tracked: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def start(cls, a: CoBuchiAutomaton) -> "ResolverState":
+        return cls(position=0, current=a.initial, last_color=None,
+                   tracked=((a.initial, 0),))
+
+
+def gfg_resolver_step(a: CoBuchiAutomaton, s: ResolverState, sym: int) -> ResolverState:
+    """One move of the strategy 'follow the run longest through accepting
+    transitions', as ``resolve_run`` makes it: ``colors._advance`` on the
+    rank groups of ``s.tracked``, with the positions read back from the
+    groups.  The letter is checked as ``resolve_run`` checks a word, by
+    ``graphs._positions``."""
+    _positions(a, LassoWord((), (sym,)))
+    tracked = dict(s.tracked)
+    if (
+        s.current not in tracked
+        or any(not 0 <= q < a.state_count for q in tracked)
+        or any(pos > s.position for pos in tracked.values())
+    ):
+        raise AutomatonError("inconsistent resolver state")
+    by_pos: dict[int, list[int]] = {}
+    for q, pos in tracked.items():
+        by_pos.setdefault(pos, []).append(q)
+    positions = sorted(by_pos) + [s.position + 1]
+    groups = tuple(tuple(sorted(by_pos[pos])) for pos in positions[:-1])
+    groups, sources, current, color = _advance(a, groups, s.current, sym)
+    new_tracked = sorted((q, positions[j]) for group, j in zip(groups, sources) for q in group)
+    return ResolverState(s.position + 1, current, color, tuple(new_tracked))
 
 
 def resolver_oracle_step(a, s: ResolverState, sym: int) -> ResolverState:
@@ -439,7 +507,7 @@ def resolver_oracle(a, w: LassoWord) -> tuple[bool, tuple[int, ...]]:
                 rejects = tuple(p for p in range(seen[key], s.position) if emitted[p] == 1)
                 return not rejects, rejects
             seen[key] = s.position
-        s = resolver_oracle_step(a, s, w.letter_at(s.position))
+        s = resolver_oracle_step(a, s, letter_at(w, s.position))
         emitted.append(s.last_color)
 
 

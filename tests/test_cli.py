@@ -142,6 +142,20 @@ class TestValidate:
         )
         assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
+    def test_cli_does_not_import_dataclasses(self):
+        # importing ``dataclasses`` (and the ``inspect`` it pulls in) is a large
+        # share of every CLI process's start-up; -S keeps ``site`` from
+        # importing modules first
+        src = str(Path(paritychain.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys, paritychain.cli; print('dataclasses' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
     def test_deep_label_is_format_error(self, capsys, tmp_path):
         deep = "(" * 3000 + "t" + ")" * 3000
         path = tmp_path / "deep.hoa"

@@ -3,7 +3,15 @@ import random
 import pytest
 
 from conftest import WORD_CA, WORD_CABB, blowup, flower_automaton, random_lasso
-from oracles import gca_member_oracle, reference_coruns, resolver_oracle, resolver_oracle_step
+from oracles import (
+    ResolverState,
+    gca_member_oracle,
+    gfg_resolver_step,
+    letter_at,
+    reference_coruns,
+    resolver_oracle,
+    resolver_oracle_step,
+)
 from paritychain import (
     Alphabet,
     AutomatonError,
@@ -11,14 +19,12 @@ from paritychain import (
     LassoWord,
     ParityAutomaton,
     PreconditionError,
-    ResolverState,
     Transition,
     corun_color,
     coruns,
     dpa_lasso_run,
     extract_chain,
     gca_lasso_member,
-    gfg_resolver_step,
     natural_color_via_chain,
     random_dpa,
     resolve_run,
@@ -79,7 +85,7 @@ class TestCorunColor:
 def _run_state(a, w, position):
     q = a.initial
     for k in range(position):
-        q = a.step(q, w.letter_at(k)).dst
+        q = a.step(q, letter_at(w, k)).dst
     return q
 
 
@@ -266,8 +272,8 @@ class TestResolverDifferential:
                 w = random_lasso(rng, len(s.alphabet), max_len=12)
                 mine = theirs = ResolverState.start(level)
                 for k in range(len(w.prefix) + 4 * len(w.period)):
-                    mine = gfg_resolver_step(level, mine, w.letter_at(k))
-                    theirs = resolver_oracle_step(level, theirs, w.letter_at(k))
+                    mine = gfg_resolver_step(level, mine, letter_at(w, k))
+                    theirs = resolver_oracle_step(level, theirs, letter_at(w, k))
                     assert mine == theirs
 
 

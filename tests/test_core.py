@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    head,
     minimal_lasso_brute,
     row_scan_bad_rows,
     row_scan_complete,
@@ -12,20 +15,24 @@ from oracles import (
     row_scan_step,
     row_scan_successors,
     row_scan_validate,
+    suffix,
 )
 from paritychain import (
     Alphabet,
     AutomatonError,
+    ChainRepresentation,
     CoBuchiAutomaton,
     LassoWord,
     ParityAutomaton,
     Partition,
+    SccDecomposition,
     Transition,
     complete_dpa,
     dpa_lasso_run,
     normalize_lasso,
     validate_dpa,
 )
+from paritychain.graphs import _positions
 
 T = Transition
 
@@ -49,6 +56,7 @@ class TestAlphabet:
 class TestValidateDpa:
     def test_flower_is_valid(self, flower):
         assert validate_dpa(flower).ok
+        assert validate_dpa(flower) == (True, ())
 
     def test_missing_transition_named(self, flower):
         broken = ParityAutomaton(
@@ -59,6 +67,7 @@ class TestValidateDpa:
         )
         report = validate_dpa(broken)
         assert not report.ok
+        assert not report  # the truth value is ``ok``, not the tuple's length
         assert report.violations == ("(state 1, letter 'a') has no transition",)
 
     def test_duplicate_transition_named(self, flower):
@@ -155,16 +164,23 @@ class TestNormalizeLasso:
         probe = (len(w.prefix) + len(w.period)) * (
             len(n.prefix) + len(n.period)
         ) + max(len(w.prefix), len(n.prefix))
-        assert w.head(probe) == n.head(probe)
+        assert head(w, probe) == head(n, probe)
         assert normalize_lasso(n) == n
         assert n == minimal_lasso_brute(w)
 
 
 class TestLassoWord:
     def test_suffix_matches_letter_stream(self):
+        # the letter stream the library reads: _positions' letters, stepped by after
         w = LassoWord((0, 1), (2, 0, 1))
+        letters, after = _positions(ParityAutomaton(Alphabet(("a", "b", "c")), 1, 0, ()), w)
+        stream, p = [], 0
+        for _ in range(22):
+            stream.append(letters[p])
+            p = after[p]
+        assert head(w, 22) == tuple(stream)
         for p in range(10):
-            assert w.suffix(p).head(12) == w.head(12 + p)[p:]
+            assert head(suffix(w, p), 12) == tuple(stream[p:p + 12])
 
 
 class TestPartition:
@@ -314,6 +330,67 @@ class TestIllTypedRows:
         with pytest.raises(AutomatonError) as err:
             ParityAutomaton(self.LETTERS, 1, 0, (T(0, 0, 0, "x" * 10**6),))
         assert str(err.value) == "transition 0 has a color that is not an int: '" + "x" * 39 + "..."
+
+    @pytest.mark.parametrize("cls", [ParityAutomaton, CoBuchiAutomaton])
+    @pytest.mark.parametrize("state_count, initial, message", [
+        (2.0, 0, "state_count is not an int: 2.0"),
+        (True, 0, "state_count is not an int: True"),
+        (2, 0.0, "initial is not an int: 0.0"),
+        (2, False, "initial is not an int: False"),
+    ], ids=["float-states", "bool-states", "float-initial", "bool-initial"])
+    def test_state_count_and_initial(self, cls, state_count, initial, message):
+        # a float state count used to be emitted as "states": 2.0, which
+        # parse_native rejects, and initial=False as "initial": False
+        with pytest.raises(AutomatonError) as err:
+            cls(self.LETTERS, state_count, initial, (T(0, 0, 1, 1), T(1, 0, 0, 1)))
+        assert str(err.value) == message
+
+
+_DPA = ParityAutomaton(Alphabet(("a", "b")), 2, 0,
+                       (T(1, 0, 0, 1), T(0, 0, 1, 2), T(0, 1, 0, 0), T(1, 1, 1, 3)))
+_DPA_REPR = ("ParityAutomaton(alphabet=Alphabet(letters=('a', 'b')), state_count=2, initial=0, "
+             "transitions=(Transition(src=0, sym=0, dst=1, color=2), "
+             "Transition(src=0, sym=1, dst=0, color=0), Transition(src=1, sym=0, dst=0, color=1), "
+             "Transition(src=1, sym=1, dst=1, color=3)))")
+_FROZEN = {  # class -> (arguments, the repr the frozen dataclass printed)
+    Alphabet: ((("a", "b"),), "Alphabet(letters=('a', 'b'))"),
+    ParityAutomaton: ((_DPA.alphabet, 2, 0, _DPA.transitions), _DPA_REPR),
+    CoBuchiAutomaton: (
+        (Alphabet(("a",)), 2, 1, (T(1, 0, 0, 1), T(0, 0, 1, 2)), True),
+        "CoBuchiAutomaton(alphabet=Alphabet(letters=('a',)), state_count=2, initial=1, "
+        "transitions=(Transition(src=0, sym=0, dst=1, color=2), "
+        "Transition(src=1, sym=0, dst=0, color=1)), gfg_claimed=True)"),
+    LassoWord: (([0], (1, 0)), "LassoWord(prefix=(0,), period=(1, 0))"),
+    Partition: ((((2, 1), (0,)),), "Partition(classes=((0,), (1, 2)))"),
+    ChainRepresentation: (
+        (_DPA, Partition(((0,), (1,)))),
+        f"ChainRepresentation(source={_DPA_REPR}, partition=Partition(classes=((0,), (1,))))"),
+    SccDecomposition: ((((0,), (1, 2)),), "SccDecomposition(sccs=((0,), (1, 2)))"),
+}
+
+
+@pytest.mark.parametrize("cls", list(_FROZEN), ids=lambda cls: cls.__name__)
+def test_frozen_record_contract(cls):
+    """The checked and memoizing records behave as the frozen dataclasses
+    they replace: repr, equality and hash by field, read-only fields, and
+    pickle and copy round trips."""
+    args, expected = _FROZEN[cls]
+    x, y = cls(*args), cls(*args)
+    assert repr(x) == expected
+    assert x == y and hash(x) == hash(y) and x is not y
+    other = type("Other", (cls,), {})(*args)  # same fields, another class
+    assert x != other and other != x
+    assert x != tuple(getattr(x, f) for f in cls._fields)
+    field = cls._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(x, field, None)
+    with pytest.raises(AttributeError):
+        delattr(x, field)
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert repr(x) == expected and x == y
+    for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert twin == x and hash(twin) == hash(x) and type(twin) is cls
 
 
 class TestLongLetterNames:

@@ -28,7 +28,7 @@ from paritychain import (
     streamline,
     validate_dpa,
 )
-from paritychain.formats import _LabelParser, _tokenize_hoa, _TokenStream, letter_name
+from paritychain.formats import _LabelParser, _tokenize_hoa, _TokenStream, letter_names
 
 T = Transition
 GOLDEN = Path(__file__).parent / "golden"
@@ -287,6 +287,15 @@ class TestHoa:
         assert all(t.color == 0 for t in a.transitions)
         assert validate_dpa(a).ok
 
+    @pytest.mark.parametrize("count", range(9))
+    def test_letter_names_match_per_valuation_formula(self, count):
+        aps = [f"a{j}" for j in range(count)]
+        expected = tuple(
+            "&".join(ap if v >> j & 1 else "!" + ap for j, ap in enumerate(aps)) or "t"
+            for v in range(2**count)
+        )
+        assert letter_names(aps) == expected
+
     def test_min_odd_rejected(self):
         text = UNIVERSAL_1AP.replace("min even", "min odd")
         with pytest.raises(FormatError, match="unsupported acceptance"):
@@ -496,7 +505,7 @@ class TestEmitParseFixpoint:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(1, 3), st.integers(1, 10), st.integers(1, 5), st.integers(0, 2**32))
     def test_random_dpa(self, aps, states, colors, seed):
-        names = tuple(letter_name([f"p{j}" for j in range(aps)], v) for v in range(2**aps))
+        names = letter_names([f"p{j}" for j in range(aps)])
         a = random_dpa(states, colors, 2**aps, seed, letter_names=names)
         native, hoa = emit_native(a), emit_hoa(a)
         assert parse_native(native) == parse_hoa(hoa) == a

@@ -9,6 +9,7 @@ from oracles import (
     direct_partition,
     full_product_equiv,
     gca_member_oracle,
+    letter_at,
     moore_bisimulation,
     reference_equiv,
     reference_partition,
@@ -114,7 +115,7 @@ class TestDpaLassoRun:
         assert run.dominating_color == color
         assert run.accepted is accepted
         assert min(
-            flower.step(q, word.letter_at(len(run.stem_states) + i)).color
+            flower.step(q, letter_at(word, len(run.stem_states) + i)).color
             for i, q in enumerate(run.cycle_states)
         ) == color
 
