@@ -14,6 +14,7 @@ from .core import (
     Partition,
     PreconditionError,
     Transition,
+    _expect,
     complete_dpa,
 )
 from .graphs import (
@@ -225,6 +226,7 @@ def extract_chain(a: ParityAutomaton, equiv: Partition) -> ChainRepresentation:
     Levels are defined for every integer up to cmax+1, so absent colors
     simply repeat the next occurring level.
     """
+    _expect(ParityAutomaton, a)
     if equiv.state_count != a.state_count:
         raise AutomatonError("partition does not match the automaton's state count")
     if not is_streamlined(a):
@@ -243,6 +245,7 @@ def chain_stats(c: ChainRepresentation) -> tuple[ChainLevelStats, ...]:
     """Per-level counts, read off the source colors and the class sizes
     without building a level: level i accepts the transitions of color
     >= i, and every level has one jump per other mate of a target."""
+    _expect(ChainRepresentation, c)
     a = c.source
     jump_count = sum(len(c.partition.mates(d)) - 1 for _, _, d, _ in a.transitions)
     return tuple(

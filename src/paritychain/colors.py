@@ -13,8 +13,9 @@ from .core import (
     ParityAutomaton,
     Partition,
     PreconditionError,
+    _expect,
 )
-from .graphs import _least_on_cycle, _positions, _reach
+from .graphs import _least_on_cycle, _memo, _positions, _reach
 
 
 class CoRun(NamedTuple):
@@ -59,6 +60,7 @@ def coruns(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> tuple[CoRun, .
     is included; it reproduces the plain run.  Each (jump target, word
     position) node is resolved once, in one table shared by all co-runs.
     """
+    _expect(ParityAutomaton, a)
     step, color = _dominating_colors(a, equiv, w)
     n, node = a.state_count, a.initial
     out = []
@@ -77,6 +79,7 @@ def corun_color(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> int:
     node repeats; every co-run jumps at one of these nodes, so the answer
     is the largest table color of a mate of the run state at any of them.
     """
+    _expect(ParityAutomaton, a)
     if not is_streamlined(a):
         raise PreconditionError("natural colors are read off streamlined automata")
     step, color = _dominating_colors(a, equiv, w)
@@ -100,6 +103,7 @@ def natural_color_via_chain(c: ChainRepresentation, w: LassoWord) -> int:
     the top accepting level is the largest dominating color of a reachable
     node: one breadth-first search over every jump, then one table.
     """
+    _expect(ChainRepresentation, c)
     a, equiv = c.source, c.partition
     step, color = _dominating_colors(a, equiv, w)
     n = a.state_count
@@ -127,19 +131,25 @@ def _advance(a: CoBuchiAutomaton, groups, current: int, sym: int):
     for j, group in enumerate(groups):
         for q in group:
             dst = acc[q * k + sym]
-            if dst >= 0:
-                rank.setdefault(dst, j)
+            if dst >= 0 and dst not in rank:
+                rank[dst] = j
+    fresh = len(groups)
     for group in groups:
         for q in group:
             for dst in succ[q * k + sym]:
-                rank.setdefault(dst, len(groups))
-    buckets: list[list[int]] = [[] for _ in range(len(groups) + 1)]
-    for dst, j in rank.items():
-        buckets[j].append(dst)
-    sources = [j for j, bucket in enumerate(buckets) if bucket]
-    if not sources:
+                if dst not in rank:
+                    rank[dst] = fresh
+    if not rank:
         raise AutomatonError("resolver is stuck; the automaton is not complete")
-    new_groups = tuple(tuple(sorted(buckets[j])) for j in sources)
+    grouped: list[tuple[int, ...]] = []
+    sources: list[int] = []
+    for j, dst in sorted(zip(rank.values(), rank)):  # by group, then by state
+        if sources and sources[-1] == j:
+            grouped[-1] += (dst,)
+        else:
+            sources.append(j)
+            grouped.append((dst,))
+    new_groups = tuple(grouped)
     nxt = acc[current * k + sym]
     if nxt >= 0:
         return new_groups, sources, nxt, 2
@@ -155,20 +165,76 @@ def resolve_run(a: CoBuchiAutomaton, w: LassoWord) -> tuple[bool, tuple[int, ...
     configuration is the strategy's state, its rank groups (see
     ``_advance``: absolute positions grow without bound, and future moves
     depend on the groups only) and the word position.
+
+    The groups' step depends on neither the strategy's state nor the word,
+    so it is read from a move table memoized on ``a`` (see ``graphs._memo``
+    and ``_Moves``): each rank-group configuration met, once, with the
+    configuration each letter moved it to, a missing move filled by
+    ``_advance``.  Every word asked of ``a`` shares it, and it dies with
+    ``a``; it holds at most one configuration per transition and is
+    emptied when full.  The strategy's own move is made per step, as
+    ``_advance`` makes it.  A first query on a fresh automaton calls
+    ``_advance`` at most once per step, as without the table, and fills
+    the table as it goes.
     """
+    _expect(CoBuchiAutomaton, a)
     letters, after = _positions(a, w)
+    acc, k = a.flat[0], len(a.alphabet)
+    table = _memo(a, _MOVES, lambda: _Moves(k, len(a.transitions)))
     u_len = len(w.prefix)
-    current, groups = a.initial, ((a.initial,),)
+    current, entry = a.initial, table.entry(((a.initial,),))
     seen: dict[tuple, int] = {}
     emitted: list[int] = []  # the color output at each position
     p = 0  # the index in ``letters`` of the next letter; period positions wrap
     while True:
         if len(emitted) >= u_len:
-            key = (current, groups, p)
+            key = (current, entry[k], p)  # by value: a restart renews the entries
             if key in seen:
                 rejects = tuple(i for i in range(seen[key], len(emitted)) if emitted[i] == 1)
                 return not rejects, rejects
             seen[key] = len(emitted)
-        groups, _, current, color = _advance(a, groups, current, letters[p])
-        emitted.append(color)
+        sym = letters[p]
+        nxt = entry[sym]
+        if nxt is None:
+            nxt = entry[sym] = table.entry(_advance(a, entry[k], current, sym)[0])
+        entry = nxt
+        dst = acc[current * k + sym]
+        if dst >= 0:
+            current = dst
+            emitted.append(2)
+        else:
+            current = entry[k][0][0]
+            emitted.append(1)
         p = after[p]
+
+
+_MOVES = "_moves"  # the memo key of the move table of ``resolve_run``
+
+
+class _Moves(dict):
+    """The move table of ``resolve_run`` on one automaton with ``k`` letters
+    and ``size`` transitions: each rank-group configuration maps to its
+    entry, the entries that letters 0..k-1 move it to (None until a word
+    takes that move) and then the configuration.  Entries link to entries,
+    so a known move costs one list index.
+
+    It holds at most ``size`` configurations (one if ``size`` is 0): a new
+    one empties a full table first.  A word still holding an entry from
+    before that follows its links, which stay right.  ``setdefault`` keeps
+    the first of two racing writers, so threads sharing a table can at
+    worst compute a move twice, and racing misses can each add one
+    configuration past the bound until the next miss empties the table.
+    A copy (pickle, deepcopy) starts empty, as the links can nest deeper
+    than either recurses.
+    """
+
+    def __init__(self, k: int, size: int):
+        self.blank, self.size = (None,) * k, max(size, 1)
+
+    def __reduce__(self):
+        return _Moves, (len(self.blank), self.size)
+
+    def entry(self, groups: tuple) -> list:
+        if len(self) >= self.size and groups not in self:
+            self.clear()
+        return self.setdefault(groups, [*self.blank, groups])

@@ -26,6 +26,13 @@ def _clip(text: str) -> str:
     return text if len(text) <= _MAX_SHOWN else text[:_MAX_SHOWN] + "..."
 
 
+def _expect(cls: type, x) -> None:
+    """Reject an argument ``x`` that is not a ``cls`` before any of it is
+    read, so the wrong automaton class fails at the boundary."""
+    if not isinstance(x, cls):
+        raise AutomatonError(f"expected a {cls.__name__}, got a {_clip(type(x).__name__)}")
+
+
 class _Frozen:
     """Base of the records that check their fields on construction or keep
     a memo in their ``__dict__``: equal when of one class with equal

@@ -14,6 +14,7 @@ from .core import (
     Partition,
     Transition,
     _Frozen,
+    _expect,
     normalize_lasso,
 )
 
@@ -187,6 +188,7 @@ def dpa_lasso_run(a: ParityAutomaton, w: LassoWord, start: int | None = None) ->
     The run enters its cycle within |prefix| + |Q|*|period| steps; the cycle
     is detected as the first repetition of a (state, word position) node.
     """
+    _expect(ParityAutomaton, a)
     if start is not None and not 0 <= start < a.state_count:
         raise AutomatonError(f"state {start} out of range")
     letters, after = _positions(a, w)
@@ -232,6 +234,7 @@ def gca_lasso_member(a: CoBuchiAutomaton, w: LassoWord) -> bool:
     lies on a cycle of least weight 1, and such a cycle is reachable iff
     some reachable node walks into one.
     """
+    _expect(CoBuchiAutomaton, a)
     letters, after = _positions(a, w)
     acc_row, succ_row = a.flat
     n, k = a.state_count, len(a.alphabet)  # node (q, p) is p * n + q
@@ -371,6 +374,7 @@ def state_equivalence(a: ParityAutomaton) -> Partition:
     ``streamline`` hand it forward to the automata they build, whose states
     keep their languages, so one canonicalization computes it once.
     """
+    _expect(ParityAutomaton, a)
     return _memo(a, _PARTITION, lambda: _partition(a))
 
 
@@ -607,6 +611,8 @@ def dpa_language_equiv(
     pair are built (see ``_Product``); the witness is the one the all-pairs
     product gives.
     """
+    _expect(ParityAutomaton, a)
+    _expect(ParityAutomaton, b)
     product = _Product(a, b, [(a.initial, b.initial)])
     init = product.node_of[a.initial * b.state_count + b.initial]
     for c1, c2 in ((product.ca, product.cb), (product.cb, product.ca)):

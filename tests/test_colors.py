@@ -1,4 +1,8 @@
+import copy
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -20,8 +24,10 @@ from paritychain import (
     ParityAutomaton,
     PreconditionError,
     Transition,
+    chain_stats,
     corun_color,
     coruns,
+    dpa_language_equiv,
     dpa_lasso_run,
     extract_chain,
     gca_lasso_member,
@@ -275,6 +281,130 @@ class TestResolverDifferential:
                     mine = gfg_resolver_step(level, mine, letter_at(w, k))
                     theirs = resolver_oracle_step(level, theirs, letter_at(w, k))
                     assert mine == theirs
+
+
+def _moves(level):
+    """The configurations in the move table ``resolve_run`` keeps on ``level``."""
+    return vars(level).get("_moves", {})
+
+
+def _config_rich():
+    """4 states and 10 transitions, but 68 reachable rank-group configurations."""
+    return CoBuchiAutomaton(Alphabet(("a", "b")), 4, 0, (
+        T(0, 0, 3, 1), T(0, 1, 1, 2), T(0, 1, 2, 1), T(1, 0, 0, 2), T(1, 1, 3, 2),
+        T(2, 0, 2, 1), T(2, 1, 0, 2), T(2, 1, 1, 1), T(3, 0, 1, 2), T(3, 1, 2, 2),
+    ))
+
+
+class TestMoveTable:
+    """``resolve_run`` reads the groups' step from a table kept on the level
+    and shared by every word asked of it; the answers must not depend on
+    what earlier words left there, on copies, or on restarts."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_warm_level_matches_oracle(self, seed):
+        # five chains per seed: two blow-ups, three random DPAs
+        inputs, rng = _resolver_inputs(seed)
+        for s, equiv in inputs:
+            for level in extract_chain(s, equiv).levels:
+                words = [random_lasso(rng, len(s.alphabet), max_len=8) for _ in range(200)]
+                answers = [resolver_oracle(level, w) for w in words]
+                assert [resolve_run(level, w) for w in words] == answers
+                assert 0 < len(_moves(level)) <= len(level.transitions)
+                rebuilt = CoBuchiAutomaton(level.alphabet, level.state_count, level.initial,
+                                           level.transitions, gfg_claimed=True)
+                copies = (copy.deepcopy(level), pickle.loads(pickle.dumps(level)), rebuilt)
+                for other in copies:
+                    assert other == level and _moves(other) == {}  # a copy starts cold
+                    assert [resolve_run(other, w) for w in words[:40]] == answers[:40]
+                assert [resolve_run(level, w) for w in words[:40]] == answers[:40]
+
+    def test_table_bounded_by_transitions_across_restarts(self):
+        a = _config_rich()
+        rng = random.Random(5)
+        restarts, size = 0, 0
+        for _ in range(300):
+            w = random_lasso(rng, 2, max_len=10)
+            assert resolve_run(a, w) == resolver_oracle(a, w)
+            restarts += len(_moves(a)) < size
+            size = len(_moves(a))
+            assert size <= len(a.transitions)
+        assert restarts >= 5
+
+    def test_threads_sharing_a_table_get_the_oracle_answers(self):
+        # more threads than cores, switching often, on a table that restarts
+        a = _config_rich()
+        rng = random.Random(8)
+        words = [random_lasso(rng, 2, max_len=10) for _ in range(60)]
+        answers = [resolver_oracle(a, w) for w in words]
+        results: dict[int, list] = {}
+
+        def ask(i):
+            results[i] = [resolve_run(a, w) for w in words[i:] + words[:i]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(results.get(i) == answers[i:] + answers[:i] for i in range(6))
+
+    def test_stuck_resolver_raises_on_every_call_and_stores_no_move(self):
+        # state 1 has no transition on a
+        a = CoBuchiAutomaton(Alphabet(("a", "b")), 2, 0,
+                             (T(0, 0, 1, 2), T(0, 1, 0, 1), T(1, 1, 0, 1)))
+        w = LassoWord((), (0,))
+        stuck = "^resolver is stuck; the automaton is not complete$"
+        for call in (resolve_run, resolve_run, resolver_oracle):
+            with pytest.raises(AutomatonError, match=stuck):
+                call(a, w)
+        table = _moves(a)
+        assert sorted(table) == [((0,),), ((1,),)]
+        assert table[((0,),)][0] is table[((1,),)] and table[((1,),)][:2] == [None, None]
+        assert resolve_run(a, LassoWord((), (1,))) == resolver_oracle(a, LassoWord((), (1,)))
+
+
+def _wrong_class_calls():
+    """Every entry point that takes one automaton class, called with
+    another: (expected class, given class, call)."""
+    s, equiv = prepared(flower_automaton())
+    level0, w = extract_chain(s, equiv).levels[0], WORD_CA
+    dpa, gca, chain = "ParityAutomaton", "CoBuchiAutomaton", "ChainRepresentation"
+    return {
+        "resolve_run": (gca, dpa, lambda: resolve_run(s, w)),
+        "gca_lasso_member": (gca, dpa, lambda: gca_lasso_member(s, w)),
+        "dpa_lasso_run": (dpa, gca, lambda: dpa_lasso_run(level0, w)),
+        "dpa_language_equiv[a]": (dpa, gca, lambda: dpa_language_equiv(level0, s)),
+        "dpa_language_equiv[b]": (dpa, gca, lambda: dpa_language_equiv(s, level0)),
+        "state_equivalence": (dpa, gca, lambda: state_equivalence(level0)),
+        "extract_chain": (dpa, gca, lambda: extract_chain(level0, equiv)),
+        "corun_color": (dpa, gca, lambda: corun_color(level0, equiv, w)),
+        "coruns": (dpa, gca, lambda: coruns(level0, equiv, w)),
+        "natural_color_via_chain": (chain, dpa, lambda: natural_color_via_chain(s, w)),
+        "chain_stats": (chain, dpa, lambda: chain_stats(s)),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_wrong_class_calls()))
+def test_wrong_automaton_class_rejected(entry):
+    # these used to end in a TypeError or AttributeError deep in a loop, or
+    # in a misleading row error
+    expected, given, call = _wrong_class_calls()[entry]
+    with pytest.raises(AutomatonError, match=f"^expected a {expected}, got a {given}$"):
+        call()
+
+
+def test_wrong_class_message_is_clipped():
+    huge = type("Q" * 10_000, (), {})()
+    with pytest.raises(AutomatonError) as err:
+        resolve_run(huge, WORD_CA)
+    assert len(str(err.value)) < 100
 
 
 def _word_calls(word):
