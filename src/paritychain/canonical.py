@@ -149,7 +149,10 @@ def _streamlined_colors(a: ParityAutomaton) -> list[int]:
     checks of ``is_streamlined`` cost one pass per automaton; an
     unstructured ``a`` raises on every call.  Callers must not mutate the
     list."""
-    return _memo(a, "_streamlined_colors", lambda: _recolor(a))
+    return _memo(a, _STREAMLINED, lambda: _recolor(a))
+
+
+_STREAMLINED = "_streamlined_colors"  # the memo key of ``_streamlined_colors``
 
 
 def _recolor(a: ParityAutomaton) -> list[int]:
@@ -200,13 +203,15 @@ def streamline(a: ParityAutomaton) -> ParityAutomaton:
     edge structure is untouched, and the automaton's language (in fact the
     dominating color's parity on every run) is preserved.  So every state
     keeps its language, and the result carries ``a``'s partition: asking
-    ``state_equivalence`` for it costs nothing.
+    ``state_equivalence`` for it costs nothing.  Streamlining is idempotent,
+    so the result also carries its own colors as its streamlined colors,
+    and ``is_streamlined`` on it runs no pass.
     """
-    ts = tuple(
-        Transition(s, y, d, c) for (s, y, d, _), c in zip(a.transitions, _streamlined_colors(a))
-    )
+    colors = _streamlined_colors(a)
+    ts = tuple(Transition(s, y, d, c) for (s, y, d, _), c in zip(a.transitions, colors))
     out = ParityAutomaton(a.alphabet, a.state_count, a.initial, ts)
     _memo(out, _PARTITION, lambda: state_equivalence(a))  # same edges, same languages
+    _memo(out, _STREAMLINED, lambda: colors)
     return out
 
 

@@ -15,7 +15,7 @@ from .core import (
     PreconditionError,
     _expect,
 )
-from .graphs import _least_on_cycle, _memo, _positions, _reach
+from .graphs import _least_on_cycle, _memo, _positions
 
 
 class CoRun(NamedTuple):
@@ -61,6 +61,8 @@ def coruns(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> tuple[CoRun, .
     position) node is resolved once, in one table shared by all co-runs.
     """
     _expect(ParityAutomaton, a)
+    _expect(Partition, equiv)
+    _expect(LassoWord, w)
     step, color = _dominating_colors(a, equiv, w)
     n, node = a.state_count, a.initial
     out = []
@@ -71,24 +73,73 @@ def coruns(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> tuple[CoRun, .
     return tuple(out)
 
 
+def _natural_color(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> int:
+    """The largest dominating color of ``a`` on ``w`` from the mates of the
+    run's (state, word position) nodes at positions >= 1, after checking
+    the partition and the word.
+
+    The run steps make the nodes (q, p) = p * |Q| + q a functional graph.
+    The run is walked from position 1 until a node repeats; then a walk
+    starts at each mate of each run node and goes on until it meets a node
+    walked before.  The dominating color of a start is the least color on
+    the cycle its walk ends in, and a walk that meets its own node has
+    closed a new cycle; so the answer is the largest least color of the
+    cycles closed.  Each node is walked once, and each cycle once more.
+    """
+    if equiv.state_count != a.state_count:
+        raise AutomatonError("partition does not match the automaton's state count")
+    letters, after = _positions(a, w)
+    dst, col = a.flat
+    n, k = a.state_count, len(a.alphabet)
+    walk_of = [0] * (n * len(letters))  # the walk that met each node first, 0 if none
+    run = []  # the run's nodes (p, q), walk 1
+    p, q = after[0], dst[a.initial * k + letters[0]]
+    node = p * n + q
+    while not walk_of[node]:
+        walk_of[node] = 1
+        run.append((p, q))
+        q, p = dst[q * k + letters[p]], after[p]
+        node = p * n + q
+    closed = [(p, q)]  # a node on each cycle closed
+    walk = 1
+    for p0, q0 in run:
+        for q in equiv.mates(q0):
+            p, node = p0, p0 * n + q
+            walk += 1
+            while not walk_of[node]:
+                walk_of[node] = walk
+                q, p = dst[q * k + letters[p]], after[p]
+                node = p * n + q
+            if walk_of[node] == walk:
+                closed.append((p, q))
+    best = 0
+    for p0, q0 in closed:
+        row = q0 * k + letters[p0]
+        least = col[row]
+        q, p = dst[row], after[p0]
+        while p != p0 or q != q0:
+            row = q * k + letters[p]
+            least = min(least, col[row])
+            q, p = dst[row], after[p]
+        best = max(best, least)
+    return best
+
+
 def corun_color(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> int:
     """The natural color of ``w`` for L(a): the maximal dominating color
     over all co-runs of the streamlined automaton ``a``.
 
-    The run is followed from position 1 until its (state, word position)
-    node repeats; every co-run jumps at one of these nodes, so the answer
-    is the largest table color of a mate of the run state at any of them.
+    Every co-run jumps at a node of the run from position 1 on, to a mate
+    of the run's state there, and then follows the run steps; so the
+    answer is the largest dominating color from those mates, which one
+    walk of each mate finds (see ``_natural_color``).
     """
     _expect(ParityAutomaton, a)
+    _expect(Partition, equiv)
+    _expect(LassoWord, w)
     if not is_streamlined(a):
         raise PreconditionError("natural colors are read off streamlined automata")
-    step, color = _dominating_colors(a, equiv, w)
-    n, node = a.state_count, step(a.initial)[0]
-    nodes = set()  # the run's nodes
-    while node not in nodes:
-        nodes.add(node)
-        node = step(node)[0]
-    return max(color(node - node % n + mate) for node in nodes for mate in equiv.mates(node % n))
+    return _natural_color(a, equiv, w)
 
 
 def natural_color_via_chain(c: ChainRepresentation, w: LassoWord) -> int:
@@ -101,18 +152,15 @@ def natural_color_via_chain(c: ChainRepresentation, w: LassoWord) -> int:
     >= i, its only accepting edges (at most one per node).  Those cycles
     are the ones the deterministic walks of the reachable nodes end in, so
     the top accepting level is the largest dominating color of a reachable
-    node: one breadth-first search over every jump, then one table.
+    node.  The language partition is a right congruence: a mate of a
+    state steps to a mate of the state's successor.  So the nodes the
+    jumps reach are exactly the mates of the run's nodes, and the answer
+    is the one ``corun_color`` reads (see ``_natural_color``); the start
+    node adds nothing, as it walks into the run's own cycle.
     """
     _expect(ChainRepresentation, c)
-    a, equiv = c.source, c.partition
-    step, color = _dominating_colors(a, equiv, w)
-    n = a.state_count
-
-    def succ(node):
-        p, q = divmod(step(node)[0], n)
-        return [p * n + mate for mate in equiv.mates(q)]
-
-    return max(map(color, _reach([a.initial], succ)))
+    _expect(LassoWord, w)
+    return _natural_color(c.source, c.partition, w)
 
 
 def _advance(a: CoBuchiAutomaton, groups, current: int, sym: int):
@@ -178,6 +226,7 @@ def resolve_run(a: CoBuchiAutomaton, w: LassoWord) -> tuple[bool, tuple[int, ...
     the table as it goes.
     """
     _expect(CoBuchiAutomaton, a)
+    _expect(LassoWord, w)
     letters, after = _positions(a, w)
     acc, k = a.flat[0], len(a.alphabet)
     table = _memo(a, _MOVES, lambda: _Moves(k, len(a.transitions)))

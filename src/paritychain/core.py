@@ -26,11 +26,13 @@ def _clip(text: str) -> str:
     return text if len(text) <= _MAX_SHOWN else text[:_MAX_SHOWN] + "..."
 
 
-def _expect(cls: type, x) -> None:
-    """Reject an argument ``x`` that is not a ``cls`` before any of it is
-    read, so the wrong automaton class fails at the boundary."""
+def _expect(cls: type | tuple[type, ...], x) -> None:
+    """Reject an argument ``x`` that is not a ``cls`` (or not one of a tuple
+    of classes) before any of it is read, so the wrong class fails at the
+    boundary."""
     if not isinstance(x, cls):
-        raise AutomatonError(f"expected a {cls.__name__}, got a {_clip(type(x).__name__)}")
+        names = " or ".join(c.__name__ for c in cls) if isinstance(cls, tuple) else cls.__name__
+        raise AutomatonError(f"expected a {names}, got a {_clip(type(x).__name__)}")
 
 
 class _Frozen:
@@ -38,12 +40,19 @@ class _Frozen:
     a memo in their ``__dict__``: equal when of one class with equal
     ``_fields``, hashed and shown by them, and read-only once built, as
     frozen dataclasses are.  Each ``__init__`` sets its fields through
-    ``__dict__``."""
+    ``_set``."""
 
     _fields: tuple[str, ...] = ()
 
+    def _set(self, **fields) -> None:
+        """Set fields past ``__setattr__``.  No field touches ``__dict__``, so
+        CPython 3.11+ builds none until a memo asks for it: a record without
+        one, such as a ``LassoWord``, takes about 90 bytes in place of 240."""
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
     def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
+        return tuple(map(self.__getattribute__, self._fields))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -70,7 +79,7 @@ class Alphabet(_Frozen):
     _fields = ("letters",)
 
     def __init__(self, letters: tuple[str, ...]):
-        self.__dict__["letters"] = tuple(letters)
+        self._set(letters=tuple(letters))
         if not self.letters:
             raise AutomatonError("alphabet must be non-empty")
         if any(not isinstance(name, str) or not name for name in self.letters):
@@ -139,7 +148,7 @@ def _check_automaton(a) -> None:
                           for name, x in zip(Transition._fields, t) if type(x) is not int)
         raise AutomatonError(f"transition {i} has a {name} that is not an int: {_clip(repr(x))}")
     ts = tuple(sorted(ts))
-    a.__dict__["transitions"] = ts
+    object.__setattr__(a, "transitions", ts)
     if not ts:
         return
     n, k = a.state_count, len(a.alphabet)
@@ -227,8 +236,8 @@ class ParityAutomaton(_Frozen, _Rows):
 
     def __init__(self, alphabet: Alphabet, state_count: int, initial: int,
                  transitions: tuple[Transition, ...]):
-        self.__dict__.update(alphabet=alphabet, state_count=state_count, initial=initial,
-                             transitions=transitions)
+        self._set(alphabet=alphabet, state_count=state_count, initial=initial,
+                  transitions=transitions)
         _check_automaton(self)
 
     def step(self, src: int, sym: int) -> Transition:
@@ -275,8 +284,8 @@ class CoBuchiAutomaton(_Frozen, _Rows):
 
     def __init__(self, alphabet: Alphabet, state_count: int, initial: int,
                  transitions: tuple[Transition, ...], gfg_claimed: bool = False):
-        self.__dict__.update(alphabet=alphabet, state_count=state_count, initial=initial,
-                             transitions=transitions, gfg_claimed=gfg_claimed)
+        self._set(alphabet=alphabet, state_count=state_count, initial=initial,
+                  transitions=transitions, gfg_claimed=gfg_claimed)
         _check_automaton(self)
         # By column: the rows are sorted, so a repeated edge, or a second
         # accepting row on one letter, sits next to its twin.  The rows are
@@ -320,13 +329,16 @@ class CoBuchiAutomaton(_Frozen, _Rows):
         return acc, succ
 
 
+_AUTOMATA = (ParityAutomaton, CoBuchiAutomaton)  # either class, for ``_expect``
+
+
 class LassoWord(_Frozen):
     """Ultimately periodic word prefix . period^omega, letters as indices."""
 
     _fields = ("prefix", "period")
 
     def __init__(self, prefix: tuple[int, ...], period: tuple[int, ...]):
-        self.__dict__.update(prefix=tuple(prefix), period=tuple(period))
+        self._set(prefix=tuple(prefix), period=tuple(period))
         if not self.period:
             raise AutomatonError("lasso period must be non-empty")
         for x in self.prefix + self.period:
@@ -370,7 +382,7 @@ class Partition(_Frozen):
         members = sorted(q for c in classes for q in c)
         if not members or members != list(range(len(members))) or not all(classes):
             raise AutomatonError("classes must partition a dense state range 0..n-1")
-        self.__dict__["classes"] = tuple(sorted(classes, key=lambda c: c[0]))
+        self._set(classes=tuple(sorted(classes, key=lambda c: c[0])))
 
     @cached_property
     def class_of(self) -> dict[int, int]:
@@ -399,7 +411,7 @@ class ChainRepresentation(_Frozen):
     _fields = ("source", "partition")
 
     def __init__(self, source: ParityAutomaton, partition: Partition):
-        self.__dict__.update(source=source, partition=partition)
+        self._set(source=source, partition=partition)
 
     @property
     def source_color_max(self) -> int:
@@ -436,6 +448,7 @@ _MAX_VIOLATIONS = 10
 def validate_dpa(a: ParityAutomaton) -> ValidationReport:
     """Check determinism and completeness; report the first offending rows,
     at most ``_MAX_VIOLATIONS`` of them, then how many more there are."""
+    _expect(ParityAutomaton, a)
     k = len(a.alphabet)
     violations, more = [], 0
     for first, stop, count in a._bad_runs():
@@ -457,6 +470,7 @@ def complete_dpa(a: ParityAutomaton) -> ParityAutomaton:
     (color 1 self-loops), so words that previously had no run are
     rejected; complete inputs are returned unchanged.
     """
+    _expect(ParityAutomaton, a)
     k, sink = len(a.alphabet), a.state_count
     extra = []
     for first, stop, count in a._bad_runs():

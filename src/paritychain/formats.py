@@ -13,9 +13,11 @@ from .core import (
     CoBuchiAutomaton,
     ParityAutomaton,
     Transition,
+    _AUTOMATA,
     _MAX_VIOLATIONS,
     _bad_rows,
     _clip,
+    _expect,
     validate_dpa,
 )
 
@@ -124,6 +126,7 @@ def parse_native(text: str, *, validate: bool = True):
 
 def emit_native(a) -> str:
     """Canonical serialization; byte-identical for equal automata."""
+    _expect(_AUTOMATA, a)
     is_ncw = isinstance(a, CoBuchiAutomaton)
     lines = ["{"]
     lines.append(f'  "kind": {json.dumps("ncw" if is_ncw else "dpa")},')
@@ -547,6 +550,7 @@ def emit_hoa(a) -> str:
     parse_hoa and synthesizing p0, p1, ... otherwise.  The GFG claim
     travels in the ignorable extra header "x-gfg: t".
     """
+    _expect(_AUTOMATA, a)
     size = len(a.alphabet)
     if size & (size - 1):
         raise FormatError(
@@ -588,6 +592,7 @@ def emit_hoa(a) -> str:
 def emit_dot(a) -> str:
     """Graphviz export: one node per state, one edge per transition labeled
     letter/color; accepting co-Buchi edges are bold.  Stable byte output."""
+    _expect(_AUTOMATA, a)
     is_ncw = isinstance(a, CoBuchiAutomaton)
     lines = [
         "digraph automaton {",

@@ -13,6 +13,7 @@ from .core import (
     ParityAutomaton,
     Partition,
     Transition,
+    _AUTOMATA,
     _Frozen,
     _expect,
     normalize_lasso,
@@ -147,7 +148,7 @@ class SccDecomposition(_Frozen):
     _fields = ("sccs",)
 
     def __init__(self, sccs: tuple[tuple[int, ...], ...]):
-        self.__dict__["sccs"] = sccs
+        self._set(sccs=sccs)
 
     @cached_property
     def scc_of(self) -> dict[int, int]:
@@ -172,6 +173,7 @@ def reachable_states(a, origin: int) -> frozenset[int]:
 
 def scc_decompose(a) -> SccDecomposition:
     """Maximal SCCs of the part reachable from the initial state."""
+    _expect(_AUTOMATA, a)
     adj = _adjacency(a)
     comp = _scc_ids(a.state_count, adj, sorted(_reach([a.initial], adj.__getitem__)))
     last = max(comp)
@@ -189,6 +191,7 @@ def dpa_lasso_run(a: ParityAutomaton, w: LassoWord, start: int | None = None) ->
     is detected as the first repetition of a (state, word position) node.
     """
     _expect(ParityAutomaton, a)
+    _expect(LassoWord, w)
     if start is not None and not 0 <= start < a.state_count:
         raise AutomatonError(f"state {start} out of range")
     letters, after = _positions(a, w)
@@ -235,6 +238,7 @@ def gca_lasso_member(a: CoBuchiAutomaton, w: LassoWord) -> bool:
     some reachable node walks into one.
     """
     _expect(CoBuchiAutomaton, a)
+    _expect(LassoWord, w)
     letters, after = _positions(a, w)
     acc_row, succ_row = a.flat
     n, k = a.state_count, len(a.alphabet)  # node (q, p) is p * n + q

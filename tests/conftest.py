@@ -62,6 +62,19 @@ def blowup(base: ParityAutomaton, m: int, rng: random.Random) -> ParityAutomaton
     return ParityAutomaton(base.alphabet, base.state_count * m, base.initial * m, ts)
 
 
+def staircase(base: ParityAutomaton, copies: int, rng: random.Random) -> ParityAutomaton:
+    """Copies of ``base`` in a row of SCCs; about one transition in three
+    hops to the same target in the next copy, so equivalent states span
+    SCCs."""
+    n = base.state_count
+    ts = tuple(
+        T(c * n + t.src, t.sym, (c + (c + 1 < copies and rng.randrange(3) == 0)) * n + t.dst, t.color)
+        for c in range(copies)
+        for t in base.transitions
+    )
+    return ParityAutomaton(base.alphabet, copies * n, base.initial, ts)
+
+
 def random_lasso(rng: random.Random, letters: int, max_len: int = 6) -> LassoWord:
     prefix = tuple(rng.randrange(letters) for _ in range(rng.randrange(0, max_len + 1)))
     period = tuple(rng.randrange(letters) for _ in range(rng.randrange(1, max_len + 1)))

@@ -7,6 +7,11 @@ equivalence by flagging one restricted product per ordered color pair of
 different parity, not by the library's nested SCC refinement; they and
 ``streamline_one_scc_per_pass`` share only the library's SCC routine.
 ``reference_coruns`` simulates one lasso run per co-run jump target.
+``chain_color_oracle`` is the top accepting chain level by a breadth-first
+search over every jump from every reached (state, word position) node, and
+``table_corun_color`` the natural color as the largest entry of the co-run
+table at the mates of the run's nodes; the library's one walk per mate must
+reproduce both.
 ``full_product_equiv`` and ``all_pairs_partition`` are the library's
 equivalence check and partition on the product of all state pairs, which
 the reachable-pairs product and the pre-split partition must reproduce.
@@ -34,6 +39,7 @@ from typing import NamedTuple
 
 from paritychain import (
     AutomatonError,
+    ChainRepresentation,
     CoBuchiAutomaton,
     CoRun,
     LassoWord,
@@ -43,11 +49,12 @@ from paritychain import (
     ValidationReport,
     dpa_lasso_run,
 )
-from paritychain.colors import _advance
+from paritychain.colors import _advance, _dominating_colors
 from paritychain.core import _MAX_VIOLATIONS, _clip
 from paritychain.formats import _MAX_LABEL_DEPTH, FormatError, _int
 from paritychain.graphs import (
-    _Product, _adjacency, _positions, _preimages, _presplit, _reach, _scc_ids, _witness,
+    _Product, _adjacency, _least_on_cycle, _positions, _preimages, _presplit, _reach, _scc_ids,
+    _witness,
 )
 
 
@@ -416,6 +423,42 @@ def reference_coruns(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> tupl
                 ).dominating_color
             out.append(CoRun(p, target, cache[key]))
     return tuple(out)
+
+
+def chain_color_oracle(c: ChainRepresentation, w: LassoWord) -> int:
+    """The top level of ``c`` that accepts ``w``: the largest dominating
+    color of a (state, word position) node reached from the initial node
+    through the deterministic edges and every jump, found by listing every
+    mate of every successor of every reached node.  It relies on no
+    congruence of the partition; steps are read through ``a.step``."""
+    a, equiv = c.source, c.partition
+    letters, after = _positions(a, w)
+    n = a.state_count  # node (q, p) is p * n + q
+
+    def step(node):
+        p, q = divmod(node, n)
+        t = a.step(q, letters[p])
+        return after[p] * n + t.dst, t.color
+
+    def succ(node):
+        p, q = divmod(step(node)[0], n)
+        return [p * n + mate for mate in equiv.mates(q)]
+
+    table = [-1] * (n * len(letters))
+    return max(_least_on_cycle(step, table, node) for node in _reach([a.initial], succ))
+
+
+def table_corun_color(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> int:
+    """The natural color as the largest dominating color in the co-run
+    table (``colors._dominating_colors``) at a mate of a run node from
+    position 1 on."""
+    step, color = _dominating_colors(a, equiv, w)
+    n, node = a.state_count, step(a.initial)[0]
+    nodes = set()  # the run's nodes
+    while node not in nodes:
+        nodes.add(node)
+        node = step(node)[0]
+    return max(color(node - node % n + mate) for node in nodes for mate in equiv.mates(node % n))
 
 
 class ResolverState(NamedTuple):

@@ -4,7 +4,9 @@ import weakref
 
 import pytest
 
-from conftest import FLOWER_STREAMLINED_COLORS, WORD_CA, blowup, random_lasso
+from conftest import (
+    FLOWER_STREAMLINED_COLORS, WORD_CA, blowup, flower_automaton, random_lasso, staircase,
+)
 from paritychain import (
     Alphabet,
     AutomatonError,
@@ -27,7 +29,7 @@ from paritychain import (
     structure_dpa,
     structure_dpa_with_map,
 )
-from paritychain import graphs
+from paritychain import canonical, graphs
 
 T = Transition
 
@@ -294,6 +296,50 @@ class TestMemo:
                 extract_chain(flower, state_equivalence(flower))
             with pytest.raises(PreconditionError, match="streamlined"):
                 corun_color(flower, state_equivalence(flower), WORD_CA)
+
+
+def _idempotence_input(i: int) -> ParityAutomaton:
+    """Seeded random DPAs of 1-12 states, and blow-ups (classes of 2-4
+    mates) and staircases (classes across SCCs) of them."""
+    rng = random.Random(3100 + i)
+    a = random_dpa(rng.randrange(1, 13), rng.randrange(1, 7), rng.randrange(1, 4), i)
+    if i % 3 == 1:
+        return blowup(a, rng.randrange(2, 5), rng)
+    if i % 3 == 2:
+        return staircase(a, rng.randrange(2, 4), rng)
+    return a
+
+
+class TestCarriedStreamlinedColors:
+    """``streamline`` hands its own colors forward as its streamlined
+    colors, so the precondition of ``extract_chain`` on its output runs no
+    recoloring pass; that is sound because streamlining is idempotent."""
+
+    @pytest.mark.parametrize("chunk", range(8))
+    def test_streamlining_is_idempotent(self, chunk):
+        # 8 x 150 inputs, each recolored without the memo
+        for i in range(chunk * 150, (chunk + 1) * 150):
+            s = streamline(structure_dpa(_idempotence_input(i)))
+            assert canonical._recolor(s) == s.flat[1]
+
+    def test_one_recolor_through_the_pipeline(self, monkeypatch):
+        kernel = canonical._recolor
+        calls = []
+        monkeypatch.setattr(canonical, "_recolor", lambda a: calls.append(a) or kernel(a))
+        rng = random.Random(12)
+        for a in (flower_automaton(), random_dpa(40, 6, 2, 3),
+                  blowup(random_dpa(12, 5, 2, 4), 3, rng), staircase(random_dpa(8, 4, 2, 5), 3, rng)):
+            calls.clear()
+            s = streamline(structure_dpa(a))
+            extract_chain(s, state_equivalence(s))
+            assert len(calls) == 1
+            # a value-equal copy carries nothing and computes its own verdict
+            fresh = ParityAutomaton(s.alphabet, s.state_count, s.initial, s.transitions)
+            assert is_streamlined(fresh) and len(calls) == 2
+            raised = ParityAutomaton(s.alphabet, s.state_count, s.initial, tuple(
+                T(src, y, d, c + (i == 0)) for i, (src, y, d, c) in enumerate(s.transitions)
+            ))
+            assert not is_streamlined(raised) and len(calls) == 3
 
 
 class TestChainStats:

@@ -9,12 +9,14 @@ import pytest
 from conftest import WORD_CA, WORD_CABB, blowup, flower_automaton, random_lasso
 from oracles import (
     ResolverState,
+    chain_color_oracle,
     gca_member_oracle,
     gfg_resolver_step,
     letter_at,
     reference_coruns,
     resolver_oracle,
     resolver_oracle_step,
+    table_corun_color,
 )
 from paritychain import (
     Alphabet,
@@ -25,18 +27,24 @@ from paritychain import (
     PreconditionError,
     Transition,
     chain_stats,
+    complete_dpa,
     corun_color,
     coruns,
     dpa_language_equiv,
     dpa_lasso_run,
+    emit_dot,
+    emit_hoa,
+    emit_native,
     extract_chain,
     gca_lasso_member,
     natural_color_via_chain,
     random_dpa,
     resolve_run,
+    scc_decompose,
     state_equivalence,
     streamline,
     structure_dpa,
+    validate_dpa,
 )
 
 T = Transition
@@ -150,16 +158,68 @@ class TestNaturalColorViaChain:
     def test_jump_lifts_color_above_the_run(self):
         # states 0 and 1 are equivalent; on (ab)^omega the run cycles through
         # the color-0 b-edge of state 1, but jumping to state 1 before an
-        # a puts the co-run on the color-2 cycle 1 -a-> 0 -b-> 1
+        # a puts the co-run on the color-2 cycle 1 -a-> 0 -b-> 1, which the
+        # run never enters: a mate's cycle, not the run's, sets the color
         a = ParityAutomaton(Alphabet(("a", "b", "c")), 2, 0, (
             T(0, 0, 1, 2), T(0, 1, 1, 2), T(0, 2, 0, 1),
             T(1, 0, 0, 2), T(1, 1, 0, 0), T(1, 2, 0, 1),
         ))
         s, equiv = prepared(a)
         assert s == a and equiv.classes == ((0, 1),)
-        w = LassoWord((1, 0), (0, 1))
-        assert dpa_lasso_run(s, w).dominating_color == 0
-        assert corun_color(s, equiv, w) == natural_color_via_chain(extract_chain(s, equiv), w) == 2
+        chain = extract_chain(s, equiv)
+        for w in (LassoWord((1, 0), (0, 1)), LassoWord((), (0, 1)), LassoWord((2,), (0, 1))):
+            assert dpa_lasso_run(s, w).dominating_color == 0
+            assert corun_color(s, equiv, w) == natural_color_via_chain(chain, w) == 2
+            assert chain_color_oracle(chain, w) == table_corun_color(s, equiv, w) == 2
+
+
+def _period_starts(a, w) -> set[int]:
+    """The states in which the run of ``a`` on ``w`` meets the period start."""
+    q = _run_state(a, w, len(w.prefix))
+    starts = set()
+    for _ in range(a.state_count + 1):
+        starts.add(q)
+        for sym in w.period:
+            q = a.step(q, sym).dst
+    return starts
+
+
+def _kernel_input(seed: int):
+    # mod-m blow-ups (classes of 3-5 mates) of random 4-16-state DPAs, and
+    # random DPAs of 8-60 states
+    rng = random.Random(1500 + seed)
+    colors, letters = rng.randrange(2, 7), rng.randrange(2, 4)
+    if seed % 2:
+        a = blowup(random_dpa(rng.randrange(4, 17), colors, letters, seed), rng.randrange(3, 6), rng)
+    else:
+        a = random_dpa(rng.randrange(8, 61), colors, letters, seed)
+    return (*prepared(a), rng)
+
+
+class TestNaturalColorKernel:
+    """``corun_color`` and ``natural_color_via_chain`` share one walk per
+    mate of each run node; it must equal the breadth-first search over the
+    chain's jumps, the largest co-run color of one lasso run per jump
+    target, the top level that a membership scan accepts, and the largest
+    entry of the co-run table."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_matches_every_oracle(self, seed):
+        s, equiv, rng = _kernel_input(seed)
+        chain = extract_chain(s, equiv)
+        levels = chain.levels
+        several = 0  # words whose run meets the period start in 2+ states
+        for _ in range(10):
+            w = random_lasso(rng, len(s.alphabet), max_len=12)
+            several += len(_period_starts(s, w)) > 1
+            color = corun_color(s, equiv, w)
+            assert color == natural_color_via_chain(chain, w)
+            assert color == chain_color_oracle(chain, w)
+            assert color == max(cr.dominating_color for cr in reference_coruns(s, equiv, w))
+            assert color == table_corun_color(s, equiv, w)
+            assert color == next(i for i in range(len(levels) - 1, -1, -1)
+                                 if gca_lasso_member(levels[i], w))
+        assert several >= 5
 
 
 class TestResolverStep:
@@ -371,12 +431,30 @@ class TestMoveTable:
 
 
 def _wrong_class_calls():
-    """Every entry point that takes one automaton class, called with
-    another: (expected class, given class, call)."""
+    """Every entry point that takes one automaton class, a word or a
+    partition, called with another class: (expected class, given class,
+    call)."""
     s, equiv = prepared(flower_automaton())
-    level0, w = extract_chain(s, equiv).levels[0], WORD_CA
-    dpa, gca, chain = "ParityAutomaton", "CoBuchiAutomaton", "ChainRepresentation"
+    chain = extract_chain(s, equiv)
+    level0, w = chain.levels[0], WORD_CA
+    dpa, gca = "ParityAutomaton", "CoBuchiAutomaton"
+    automaton = f"{dpa} or {gca}"
+    word, pair = "LassoWord", (0, 1)  # a tuple in place of the word
     return {
+        "dpa_lasso_run[w]": (word, "tuple", lambda: dpa_lasso_run(s, pair)),
+        "gca_lasso_member[w]": (word, "tuple", lambda: gca_lasso_member(level0, pair)),
+        "resolve_run[w]": (word, "tuple", lambda: resolve_run(level0, pair)),
+        "corun_color[w]": (word, "tuple", lambda: corun_color(s, equiv, pair)),
+        "coruns[w]": (word, "tuple", lambda: coruns(s, equiv, pair)),
+        "natural_color_via_chain[w]": (word, "tuple", lambda: natural_color_via_chain(chain, pair)),
+        "corun_color[equiv]": ("Partition", "NoneType", lambda: corun_color(s, None, w)),
+        "coruns[equiv]": ("Partition", "NoneType", lambda: coruns(s, None, w)),
+        "scc_decompose": (automaton, "NoneType", lambda: scc_decompose(None)),
+        "emit_native": (automaton, "ChainRepresentation", lambda: emit_native(chain)),
+        "emit_hoa": (automaton, "ChainRepresentation", lambda: emit_hoa(chain)),
+        "emit_dot": (automaton, "ChainRepresentation", lambda: emit_dot(chain)),
+        "validate_dpa": (dpa, gca, lambda: validate_dpa(level0)),
+        "complete_dpa": (dpa, gca, lambda: complete_dpa(level0)),
         "resolve_run": (gca, dpa, lambda: resolve_run(s, w)),
         "gca_lasso_member": (gca, dpa, lambda: gca_lasso_member(s, w)),
         "dpa_lasso_run": (dpa, gca, lambda: dpa_lasso_run(level0, w)),
@@ -386,8 +464,9 @@ def _wrong_class_calls():
         "extract_chain": (dpa, gca, lambda: extract_chain(level0, equiv)),
         "corun_color": (dpa, gca, lambda: corun_color(level0, equiv, w)),
         "coruns": (dpa, gca, lambda: coruns(level0, equiv, w)),
-        "natural_color_via_chain": (chain, dpa, lambda: natural_color_via_chain(s, w)),
-        "chain_stats": (chain, dpa, lambda: chain_stats(s)),
+        "natural_color_via_chain": ("ChainRepresentation", dpa,
+                                    lambda: natural_color_via_chain(s, w)),
+        "chain_stats": ("ChainRepresentation", dpa, lambda: chain_stats(s)),
     }
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import WORD_AA, WORD_CA, WORD_CABB, blowup, random_lasso
+from conftest import WORD_AA, WORD_CA, WORD_CABB, blowup, random_lasso, staircase
 from oracles import (
     all_pairs_partition,
     direct_partition,
@@ -276,18 +276,6 @@ class TestLanguageEquivalence:
             assert dpa_lasso_run(a, witness).accepted != dpa_lasso_run(b, witness).accepted
 
 
-def _staircase(base: ParityAutomaton, copies: int, rng: random.Random) -> ParityAutomaton:
-    # copies of ``base`` in a row of SCCs; about one transition in three hops
-    # to the same target in the next copy, so equivalent states span SCCs
-    n = base.state_count
-    ts = tuple(
-        T(c * n + t.src, t.sym, (c + (c + 1 < copies and rng.randrange(3) == 0)) * n + t.dst, t.color)
-        for c in range(copies)
-        for t in base.transitions
-    )
-    return ParityAutomaton(base.alphabet, copies * n, base.initial, ts)
-
-
 def _color_flip(a: ParityAutomaton, rng: random.Random) -> ParityAutomaton:
     least = min(t.color for t in a.transitions)
     pick = rng.choice([t for t in a.transitions if t.color == least])
@@ -303,7 +291,7 @@ def _medium_dpa(seed: int) -> ParityAutomaton:
         return random_dpa(rng.randrange(24, 81), colors, max(letters, 2), seed)
     base = random_dpa(rng.randrange(6, 21), colors, letters, seed)
     copies = max(rng.randrange(2, 5), -(-20 // base.state_count))  # 20-80 states
-    return (_staircase if kind == 1 else blowup)(base, copies, rng)
+    return (staircase if kind == 1 else blowup)(base, copies, rng)
 
 
 class TestMediumDifferential:
@@ -328,7 +316,7 @@ class TestMediumDifferential:
         # product nodes keep live edges
         rng = random.Random(kind)
         base = random_dpa(25, 5, 2, 31)
-        a = (_staircase if kind == "staircase" else blowup)(base, 5, rng)
+        a = (staircase if kind == "staircase" else blowup)(base, 5, rng)
         assert a.state_count >= 100
         assert state_equivalence(a) == reference_partition(a)
 
@@ -453,7 +441,7 @@ def _battery_dpa(seed: int) -> ParityAutomaton:
         if size == 0:
             return random_dpa(rng.randrange(300, 380), rng.randrange(2, 8), 2, seed)
         base = random_dpa(rng.randrange(50, 76), rng.randrange(2, 8), 2, seed)
-        return (_staircase if size == 1 else blowup)(base, 4, rng)
+        return (staircase if size == 1 else blowup)(base, 4, rng)
     if kind == 3:
         shapes = [(i, j) for i in range(10, 14) for j in range(10, 14)]
         a = _needles(["a" * i + "b" * j for i, j in rng.sample(shapes, rng.randrange(2, 4))])
@@ -462,7 +450,7 @@ def _battery_dpa(seed: int) -> ParityAutomaton:
     base = random_dpa(size, rng.randrange(2, 6), rng.randrange(2, 4), seed)
     if kind == 0:
         return base
-    return (_staircase if kind == 1 else blowup)(base, rng.randrange(2, 5), rng)
+    return (staircase if kind == 1 else blowup)(base, rng.randrange(2, 5), rng)
 
 
 def _refinement_dpa(seed: int) -> ParityAutomaton:
@@ -470,7 +458,7 @@ def _refinement_dpa(seed: int) -> ParityAutomaton:
     rng = random.Random(seed)
     base = random_dpa(rng.randrange(4, 60), rng.randrange(2, 6), rng.randrange(1, 4), seed)
     if seed % 3:
-        base = (_staircase if seed % 3 == 1 else blowup)(base, rng.randrange(2, 4), rng)
+        base = (staircase if seed % 3 == 1 else blowup)(base, rng.randrange(2, 4), rng)
     return base
 
 
@@ -590,7 +578,7 @@ class TestBisimulationQuotient:
         if kind == "blowup":
             a = _blowup_of_50()
         elif kind == "staircase":
-            a = _staircase(random_dpa(100, 6, 2, 3), 20, random.Random("staircase/3"))
+            a = staircase(random_dpa(100, 6, 2, 3), 20, random.Random("staircase/3"))
         else:
             a = _line(300)
         assert a.state_count >= 1000 or kind == "line"
