@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cached_property
-from itertools import chain, compress, pairwise, starmap
-from operator import eq, getitem, itemgetter
+from itertools import chain, compress, count, pairwise, starmap
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 
@@ -315,6 +315,25 @@ class CoBuchiAutomaton(_Frozen, _Rows):
     def successors(self, src: int, sym: int) -> tuple[Transition, ...]:
         return self.row(src, sym)
 
+    def _demotions(self, groups: list[list[int]]):
+        """Per list of row indices in ``groups``, lazily: this automaton with
+        the rows at those indices, and at those of every earlier list, set
+        to color 1 (rejecting), each holding a tuple copy of one row list
+        edited in place.  No check runs again, and none is needed: a row
+        keeps all but its color, and no two rows share an edge (src, sym,
+        dst), so the rows stay sorted, typed, in range and with distinct
+        edges; their colors stay in {1, 2}; and the accepting rows only
+        shrink, so a state still accepts on at most one row per letter."""
+        rows = list(self.transitions)
+        for group in groups:
+            for e in group:
+                s, y, d, _ = rows[e]
+                rows[e] = Transition(s, y, d, 1)
+            b = object.__new__(CoBuchiAutomaton)
+            b._set(alphabet=self.alphabet, state_count=self.state_count, initial=self.initial,
+                   transitions=tuple(rows), gfg_claimed=self.gfg_claimed)
+            yield b
+
     @cached_property
     def flat(self) -> tuple[list[int], list[tuple[int, ...]]]:
         """Flat rows, indexed by state * |Σ| + letter: the target of the
@@ -406,6 +425,12 @@ class ChainRepresentation(_Frozen):
     transition to every other state language-equivalent to the
     deterministic target.  So a level is fixed by (``source``,
     ``partition``, i), and ``levels`` builds them on first access only.
+
+    All levels share their edges and differ only in which deterministic
+    rows accept.  So A_0, where every one of them accepts, is the one level
+    built through the public ``CoBuchiAutomaton`` constructor, with every
+    sort and check; each later level reuses its checked rows, with the rows
+    of smaller source colors demoted to rejecting (``_demotions``).
     """
 
     _fields = ("source", "partition")
@@ -422,16 +447,16 @@ class ChainRepresentation(_Frozen):
         a, mates = self.source, self.partition.mates
         jumps = tuple(Transition(s, y, mate, 1)
                       for s, y, d, _ in a.transitions for mate in mates(d) if mate != d)
-        # the rejecting and the accepting copy of every row: level i takes
-        # copy[c >= i], so the levels share their rows
-        copies = [(Transition(s, y, d, 1), Transition(s, y, d, 2)) for s, y, d, _ in a.transitions]
-        colors = list(map(_COLOR, a.transitions))
-        return tuple(
-            CoBuchiAutomaton(a.alphabet, a.state_count, a.initial,
-                             tuple(map(getitem, copies, map(i.__le__, colors))) + jumps,
-                             gfg_claimed=True)
-            for i in range(a.max_color + 2)
-        )
+        top = CoBuchiAutomaton(a.alphabet, a.state_count, a.initial,
+                               tuple(Transition(s, y, d, 2) for s, y, d, _ in a.transitions) + jumps,
+                               gfg_claimed=True)
+        # A_0's constructor allows one accepting row per state and letter, so
+        # they are the source's rows in its order; level i + 1 demotes color i
+        groups: list[list[int]] = [[] for _ in range(a.max_color + 1)]
+        accepting = compress(count(), map((2).__eq__, map(_COLOR, top.transitions)))
+        for e, c in zip(accepting, map(_COLOR, a.transitions)):
+            groups[c].append(e)
+        return (top, *top._demotions(groups))
 
 
 class ValidationReport(NamedTuple):

@@ -9,6 +9,9 @@ from paritychain import (
     ParityAutomaton,
     Transition,
     normalize_lasso,
+    random_dpa,
+    streamline,
+    structure_dpa,
 )
 
 T = Transition
@@ -79,6 +82,31 @@ def random_lasso(rng: random.Random, letters: int, max_len: int = 6) -> LassoWor
     prefix = tuple(rng.randrange(letters) for _ in range(rng.randrange(0, max_len + 1)))
     period = tuple(rng.randrange(letters) for _ in range(rng.randrange(1, max_len + 1)))
     return normalize_lasso(LassoWord(prefix, period))
+
+
+# Seeds of ``jumpy`` whose 40 ``jumpy_lassos`` hold 2, 3, 3, 1 and 3 words
+# with a natural color above their run's dominating color, found by a search
+# over s < 400: on random DPAs and blow-ups almost no word needs a jump
+JUMPY_SEEDS = (50, 83, 232, 252, 266)
+
+
+def jumpy(s: int) -> ParityAutomaton:
+    """A streamlined random DPA of 2-6 states, 2-4 colors and 2-3 letters,
+    some of whose language-equivalent mates sit on cycles of different
+    least colors, so that a co-run's jump can lift a word's color above
+    the one its run dominates."""
+    return streamline(structure_dpa(random_dpa(2 + s % 5, 2 + (s // 5) % 3, 2 + (s // 15) % 2, s)))
+
+
+def jumpy_lassos(s: int, letters: int) -> list[LassoWord]:
+    """The 40 lassos of ``jumpy(s)``: prefix length 0-4, period length 1-5,
+    drawn from ``random.Random(s)``."""
+    rng = random.Random(s)
+    return [
+        LassoWord(tuple(rng.randrange(letters) for _ in range(rng.randrange(0, 5))),
+                  tuple(rng.randrange(letters) for _ in range(rng.randrange(1, 6))))
+        for _ in range(40)
+    ]
 
 
 def mutated(base: str):

@@ -28,6 +28,9 @@ is one move of that strategy (``colors._advance``) on a ``ResolverState``.
 the full graph.
 ``eval_label_oracle`` evaluates a HOA label formula on one valuation at a
 time, which the parser's valuation sets must reproduce.
+``levels_oracle`` builds every chain level on its own through the public
+constructor, which the levels derived from A_0's checked rows must
+reproduce.
 ``row_scan_*`` answer every row question from a dict of the transitions
 keyed by (state, letter), which the sorted-key row index of the automata
 must reproduce: the bad rows, the step and successors, the first row error
@@ -35,6 +38,7 @@ of the flat rows, and the ``validate_dpa`` and ``complete_dpa`` results.
 """
 
 from collections import deque
+from operator import getitem
 from typing import NamedTuple
 
 from paritychain import (
@@ -446,6 +450,23 @@ def chain_color_oracle(c: ChainRepresentation, w: LassoWord) -> int:
 
     table = [-1] * (n * len(letters))
     return max(_least_on_cycle(step, table, node) for node in _reach([a.initial], succ))
+
+
+def levels_oracle(c: ChainRepresentation) -> tuple[CoBuchiAutomaton, ...]:
+    """Every level of ``c`` sorted and checked by the public constructor on
+    its own: the rows of the source, accepting when of color >= i, and the
+    jumps to the other mates of each target."""
+    a, mates = c.source, c.partition.mates
+    jumps = tuple(Transition(s, y, mate, 1)
+                  for s, y, d, _ in a.transitions for mate in mates(d) if mate != d)
+    copies = [(Transition(s, y, d, 1), Transition(s, y, d, 2)) for s, y, d, _ in a.transitions]
+    colors = [t.color for t in a.transitions]
+    return tuple(
+        CoBuchiAutomaton(a.alphabet, a.state_count, a.initial,
+                         tuple(map(getitem, copies, map(i.__le__, colors))) + jumps,
+                         gfg_claimed=True)
+        for i in range(a.max_color + 2)
+    )
 
 
 def table_corun_color(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> int:

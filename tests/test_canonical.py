@@ -5,8 +5,10 @@ import weakref
 import pytest
 
 from conftest import (
-    FLOWER_STREAMLINED_COLORS, WORD_CA, blowup, flower_automaton, random_lasso, staircase,
+    FLOWER_STREAMLINED_COLORS, JUMPY_SEEDS, WORD_CA, blowup, flower_automaton, jumpy,
+    random_lasso, staircase,
 )
+from oracles import levels_oracle
 from paritychain import (
     Alphabet,
     AutomatonError,
@@ -18,6 +20,7 @@ from paritychain import (
     complete_dpa,
     corun_color,
     dpa_lasso_run,
+    emit_native,
     extract_chain,
     gca_lasso_member,
     is_streamlined,
@@ -29,7 +32,7 @@ from paritychain import (
     structure_dpa,
     structure_dpa_with_map,
 )
-from paritychain import canonical, graphs
+from paritychain import canonical, core, graphs
 
 T = Transition
 
@@ -442,3 +445,70 @@ class TestProductsPassTheConstructor:
             assert b.transitions == tuple(sorted(b.transitions))
             rebuilt = _rebuilt(b)
             assert type(rebuilt) is type(b) and rebuilt == b
+
+
+def _level_input(kind: str, seed: int):
+    """A streamlined DPA of one of the families whose chains the level tests
+    cover: a random DPA, its mod-3 blow-up (classes of 3 mates, so the
+    chain has jumps) or its staircase, the flower, or a ``jumpy`` DPA."""
+    if kind == "flower":
+        return streamline(flower_automaton())
+    if kind == "jumpy":
+        return jumpy(seed)
+    rng = random.Random(1700 + seed)
+    a = random_dpa(rng.randrange(2, 12), rng.randrange(1, 7), rng.randrange(1, 4), seed)
+    if kind == "blowup":
+        a = blowup(a, 3, rng)
+    elif kind == "staircase":
+        a = staircase(a, 3, rng)
+    return streamline(structure_dpa(a))
+
+
+_LEVEL_INPUTS = [("flower", 0)] + [
+    (kind, seed) for kind in ("random", "blowup", "staircase") for seed in range(8)
+] + [("jumpy", s) for s in JUMPY_SEEDS]
+
+
+class TestChainLevels:
+    """Only A_0 passes the constructor; every other level is derived from
+    its checked rows.  Each must equal the level that the constructor
+    builds on its own, and the derivation must keep the work per chain and
+    the lazy row index of each level."""
+
+    @pytest.mark.parametrize("kind, seed", _LEVEL_INPUTS)
+    def test_levels_match_oracle(self, kind, seed):
+        s = _level_input(kind, seed)
+        chain = extract_chain(s, state_equivalence(s))
+        levels, expected = chain.levels, levels_oracle(chain)
+        assert len(levels) == len(expected) == s.max_color + 2
+        if kind in ("blowup", "jumpy"):
+            assert len(levels[0].transitions) > len(s.transitions)  # the chain has jumps
+        for level, oracle in zip(levels, expected):
+            assert type(level) is CoBuchiAutomaton
+            assert level == oracle
+            assert emit_native(level) == emit_native(oracle)
+
+    def test_constructor_checks_once_per_chain(self, monkeypatch):
+        chains = []
+        for kind, seed in _LEVEL_INPUTS:
+            s = _level_input(kind, seed)
+            chains.append(extract_chain(s, state_equivalence(s)))
+        calls = []
+        check = core._check_automaton
+        monkeypatch.setattr(core, "_check_automaton", lambda a: calls.append(a) or check(a))
+        counts = set()
+        for chain in chains:
+            calls.clear()
+            levels = chain.levels
+            assert len(calls) == 1 and calls[0] is levels[0]
+            counts.add(len(levels))
+        assert len(counts) >= 4
+
+    @pytest.mark.parametrize("kind, seed", [("flower", 0), ("blowup", 3), ("jumpy", 83)])
+    def test_levels_keep_their_row_index_lazy(self, kind, seed):
+        s = _level_input(kind, seed)
+        levels = extract_chain(s, state_equivalence(s)).levels
+        for level in levels:
+            emit_native(level)
+        for level in levels:
+            assert "_keys" not in vars(level) and "flat" not in vars(level)

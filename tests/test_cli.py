@@ -253,6 +253,19 @@ class TestPipeline:
             loaded = parse_native((chain_dir / lvl["file"]).read_text())
             assert loaded.gfg_claimed
 
+    def test_chain_with_jumps_matches_golden(self, capsys, tmp_path):
+        # a streamlined mod-3 blow-up of random_dpa(4, 4, 2, 14): a singleton
+        # class and two classes of three mates, 26 jumps on every level
+        golden = Path(__file__).parent / "golden" / "blowup14_chain"
+        out = tmp_path / "chain"
+        assert main(["chain", str(golden.parent / "blowup14.aut"), "--out", str(out)]) == 0
+        capsys.readouterr()
+        names = sorted(p.name for p in golden.iterdir())
+        assert names == ["A_0.aut", "A_1.aut", "A_2.aut", "A_3.aut", "manifest.json"]
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
     def test_streamline_requires_structured(self, capsys, tmp_path):
         from test_canonical import redirect_instance
 

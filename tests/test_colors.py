@@ -6,7 +6,9 @@ import threading
 
 import pytest
 
-from conftest import WORD_CA, WORD_CABB, blowup, flower_automaton, random_lasso
+from conftest import (
+    JUMPY_SEEDS, WORD_CA, WORD_CABB, blowup, flower_automaton, jumpy, jumpy_lassos, random_lasso,
+)
 from oracles import (
     ResolverState,
     chain_color_oracle,
@@ -138,6 +140,15 @@ class TestCorunDifferential:
             )
             assert color == top_down
 
+    @pytest.mark.parametrize("seed", JUMPY_SEEDS)
+    def test_jumpy_coruns_match_reference(self, seed):
+        s = jumpy(seed)
+        equiv = state_equivalence(s)
+        for w in jumpy_lassos(seed, len(s.alphabet)):
+            found = coruns(s, equiv, w)
+            assert found == reference_coruns(s, equiv, w)
+            assert corun_color(s, equiv, w) == max(cr.dominating_color for cr in found)
+
 
 class TestNaturalColorViaChain:
     def test_bounds(self, flower):
@@ -207,19 +218,42 @@ class TestNaturalColorKernel:
     def test_matches_every_oracle(self, seed):
         s, equiv, rng = _kernel_input(seed)
         chain = extract_chain(s, equiv)
-        levels = chain.levels
         several = 0  # words whose run meets the period start in 2+ states
         for _ in range(10):
             w = random_lasso(rng, len(s.alphabet), max_len=12)
             several += len(_period_starts(s, w)) > 1
-            color = corun_color(s, equiv, w)
-            assert color == natural_color_via_chain(chain, w)
-            assert color == chain_color_oracle(chain, w)
-            assert color == max(cr.dominating_color for cr in reference_coruns(s, equiv, w))
-            assert color == table_corun_color(s, equiv, w)
-            assert color == next(i for i in range(len(levels) - 1, -1, -1)
-                                 if gca_lasso_member(levels[i], w))
+            _check_kernel(s, equiv, chain, w)
         assert several >= 5
+
+    @pytest.mark.parametrize("seed", JUMPY_SEEDS)
+    def test_jumpy_matches_every_oracle(self, seed):
+        s = jumpy(seed)
+        equiv = state_equivalence(s)
+        chain = extract_chain(s, equiv)
+        for w in jumpy_lassos(seed, len(s.alphabet)):
+            _check_kernel(s, equiv, chain, w)
+
+    def test_jumpy_family_needs_jumps(self):
+        # words whose natural color exceeds the one their run dominates: only
+        # a jump to a mate reaches the cycle that sets their color
+        lifted = 0
+        for seed in JUMPY_SEEDS:
+            s = jumpy(seed)
+            equiv = state_equivalence(s)
+            lifted += sum(corun_color(s, equiv, w) > dpa_lasso_run(s, w).dominating_color
+                          for w in jumpy_lassos(seed, len(s.alphabet)))
+        assert lifted >= 10
+
+
+def _check_kernel(s, equiv, chain, w):
+    levels = chain.levels
+    color = corun_color(s, equiv, w)
+    assert color == natural_color_via_chain(chain, w)
+    assert color == chain_color_oracle(chain, w)
+    assert color == max(cr.dominating_color for cr in reference_coruns(s, equiv, w))
+    assert color == table_corun_color(s, equiv, w)
+    assert color == next(i for i in range(len(levels) - 1, -1, -1)
+                         if gca_lasso_member(levels[i], w))
 
 
 class TestResolverStep:
@@ -316,6 +350,13 @@ class TestResolverDifferential:
                 for _ in range(5):
                     w = random_lasso(rng, len(s.alphabet), max_len=12)
                     assert resolve_run(level, w) == resolver_oracle(level, w)
+
+    @pytest.mark.parametrize("seed", JUMPY_SEEDS)
+    def test_jumpy_levels_match_oracle(self, seed):
+        s = jumpy(seed)
+        for level in extract_chain(s, state_equivalence(s)).levels:
+            for w in jumpy_lassos(seed, len(s.alphabet)):
+                assert resolve_run(level, w) == resolver_oracle(level, w)
 
     def test_small_suites_match_oracle(self, flower):
         rng = random.Random(31)

@@ -488,7 +488,9 @@ class TestHoaBody:
         )
 
 
-_GOLDENS = ["flower_streamlined.aut", "flower_chain_A5.aut", "universal2.hoa"]
+_GOLDENS = ["flower_streamlined.aut", "flower_chain_A5.aut", "universal2.hoa", "blowup14.aut"] + [
+    f"blowup14_chain/A_{i}.aut" for i in range(4)
+]
 
 
 class TestEmitParseFixpoint:
