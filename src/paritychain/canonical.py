@@ -231,12 +231,10 @@ def extract_chain(a: ParityAutomaton, equiv: Partition) -> ChainRepresentation:
     Levels are defined for every integer up to cmax+1, so absent colors
     simply repeat the next occurring level.
     """
-    _expect(ParityAutomaton, a)
-    if equiv.state_count != a.state_count:
-        raise AutomatonError("partition does not match the automaton's state count")
+    chain = ChainRepresentation(a, equiv)
     if not is_streamlined(a):
         raise PreconditionError("chain extraction requires a streamlined automaton")
-    return ChainRepresentation(a, equiv)
+    return chain
 
 
 class ChainLevelStats(NamedTuple):

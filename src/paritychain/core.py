@@ -431,11 +431,19 @@ class ChainRepresentation(_Frozen):
     built through the public ``CoBuchiAutomaton`` constructor, with every
     sort and check; each later level reuses its checked rows, with the rows
     of smaller source colors demoted to rejecting (``_demotions``).
+
+    The constructor checks the classes of its fields and that the partition
+    covers the source's states; that the source is streamlined is checked
+    by ``extract_chain``.
     """
 
     _fields = ("source", "partition")
 
     def __init__(self, source: ParityAutomaton, partition: Partition):
+        _expect(ParityAutomaton, source)
+        _expect(Partition, partition)
+        if partition.state_count != source.state_count:
+            raise AutomatonError("partition does not match the automaton's state count")
         self._set(source=source, partition=partition)
 
     @property

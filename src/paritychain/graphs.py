@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
+from operator import eq
 from typing import NamedTuple
 
 from .core import (
@@ -303,6 +304,15 @@ class _Product:
         as many rounds as distinct values in c1 and c2.  Inside a bad SCC the live edges are
         exactly its internal edges with c1 >= m1 and c2 >= m2.
 
+        An SCC whose internal live edges all have c1 = c2 is dropped before
+        its minima are taken: each of its cycles has equal minima, of one
+        parity, so it is not bad, and neither is any SCC of its edges in a
+        later round, which are equal-colored too.  The SCCs of a round lie
+        inside those of the round before, so dropping one changes neither
+        the SCCs of the others nor their order: the result is that of the
+        refinement without the drop.  On the diagonal pairs (q, q) of a x a
+        every edge is equal-colored, so they cost one round.
+
         The rounds are those of ``_refine``.  A bad SCC has a live cycle
         through each of its nodes, so its members are the sources of its
         internal live edges.  The result is the all-pairs one restricted to
@@ -313,6 +323,8 @@ class _Product:
         def keep(sccs, leaving):
             kept = []
             for edges in sccs:
+                if all(map(eq, map(c1.__getitem__, edges), map(c2.__getitem__, edges))):
+                    continue
                 m1 = min(c1[e] for e in edges)
                 m2 = min(c2[e] for e in edges)
                 if m1 % 2 == 0 and m2 % 2 == 1:
@@ -614,10 +626,19 @@ def dpa_language_equiv(
     and m2, of different parity.  Only the pairs reachable from the initial
     pair are built (see ``_Product``); the witness is the one the all-pairs
     product gives.
+
+    When every built edge carries one color in a and in b, the two runs
+    read the same color sequence on every word, so the languages are equal
+    with no refinement: the reachable pairs form a bisimulation between a
+    and b.  This decides a DPA against its blow-up, a staircase of it, a
+    renumbered copy or itself; with the colors equal on only some edges,
+    ``bad_sccs`` drops the equal-colored SCCs round by round.
     """
     _expect(ParityAutomaton, a)
     _expect(ParityAutomaton, b)
     product = _Product(a, b, [(a.initial, b.initial)])
+    if product.ca == product.cb:
+        return True, None
     init = product.node_of[a.initial * b.state_count + b.initial]
     for c1, c2 in ((product.ca, product.cb), (product.cb, product.ca)):
         bad = product.bad_sccs(c1, c2)

@@ -12,11 +12,16 @@ search over every jump from every reached (state, word position) node, and
 ``table_corun_color`` the natural color as the largest entry of the co-run
 table at the mates of the run's nodes; the library's one walk per mate must
 reproduce both.
-``full_product_equiv`` and ``all_pairs_partition`` are the library's
-equivalence check and partition on the product of all state pairs, which
+``unpruned_bad_sccs`` is the nested SCC refinement of a pair product that
+drops no SCC for being equal-colored, with its own copy of the round loop;
+the library's pruned ``_Product.bad_sccs`` must return the same list in
+the same order.  ``full_product_equiv`` and ``all_pairs_partition`` are
+the library's equivalence check and partition on the product of all state
+pairs, with that refinement and without the equal-color shortcut, which
 the reachable-pairs product and the pre-split partition must reproduce.
 ``direct_partition`` is the pre-split partition of the automaton itself,
-which the partition of its bisimulation quotient must reproduce, and
+again with the unpruned refinement, which the partition of its
+bisimulation quotient must reproduce, and
 ``moore_bisimulation`` the coarsest bisimulation by naive rounds, which
 Hopcroft's refinement must reproduce.
 ``resolver_oracle_step`` and ``resolver_oracle`` are the GFG resolver
@@ -297,6 +302,42 @@ def reference_partition(a: ParityAutomaton) -> Partition:
     return Partition(tuple(map(tuple, classes)))
 
 
+def unpruned_bad_sccs(product: _Product, c1: list[int], c2: list[int]) -> list:
+    """``product.bad_sccs(c1, c2)`` with every SCC refined until it is bad
+    or has no live edge: each round runs Tarjan on the live edges from
+    their sources, ascending, groups the edges inside an SCC by SCC in
+    the order of their first live edge, and per SCC takes the minima m1
+    and m2 under ``c1`` and ``c2``.  An SCC with m1 even and m2 odd is bad;
+    else its c1 = m1 edges (m1 odd) or c2 = m2 edges (m1 even) are dropped
+    and the rest stay live."""
+    n, k, dst = product.size, product.k, product.dst
+    succ: list[list[int]] = [[] for _ in range(n)]
+    bad = []
+    live = list(range(len(dst)))
+    while live:
+        for e in live:
+            succ[e // k].append(dst[e])
+        sources = sorted({e // k for e in live})
+        comp = _scc_ids(n, succ, sources)
+        for node in sources:
+            succ[node].clear()
+        sccs: dict[int, list[int]] = {}
+        for e in live:
+            if comp[e // k] == comp[dst[e]]:
+                sccs.setdefault(comp[e // k], []).append(e)
+        live = []
+        for edges in sccs.values():
+            m1 = min(c1[e] for e in edges)
+            m2 = min(c2[e] for e in edges)
+            if m1 % 2 == 0 and m2 % 2 == 1:
+                bad.append((sorted({e // k for e in edges}), m1, m2))
+            elif m1 % 2:
+                live += [e for e in edges if c1[e] != m1]
+            else:
+                live += [e for e in edges if c2[e] != m2]
+    return bad
+
+
 def all_pairs_partition(a: ParityAutomaton) -> Partition:
     """Language-equivalence classes from one nested SCC refinement of the
     product of all |Q|^2 pairs: (q, r) is inequivalent iff (q, r) or (r, q)
@@ -305,7 +346,8 @@ def all_pairs_partition(a: ParityAutomaton) -> Partition:
     n = a.state_count
     product = _Product(a, a, [(q, r) for q in range(n) for r in range(n)])
     marked = [False] * product.size
-    todo = [node for nodes, _, _ in product.bad_sccs(product.ca, product.cb) for node in nodes]
+    bad = unpruned_bad_sccs(product, product.ca, product.cb)
+    todo = [node for nodes, _, _ in bad for node in nodes]
     for node in todo:
         marked[node] = True
     pred: list[list[int]] = [[] for _ in range(product.size)]
@@ -340,7 +382,8 @@ def direct_partition(a: ParityAutomaton) -> Partition:
     pred: list[list[int]] = [[] for _ in range(product.size)]
     for e, d in enumerate(product.dst):
         pred[d].append(e // k)
-    bad = [node for nodes, _, _ in product.bad_sccs(product.ca, product.cb) for node in nodes]
+    bad = [node for nodes, _, _ in unpruned_bad_sccs(product, product.ca, product.cb)
+           for node in nodes]
     marked = set(_reach(bad, pred.__getitem__))
     node_of = product.node_of
     classes: list[list[int]] = []
@@ -391,11 +434,11 @@ def reference_equiv(a: ParityAutomaton, b: ParityAutomaton) -> bool:
 def full_product_equiv(a: ParityAutomaton, b: ParityAutomaton) -> tuple:
     """Verdict and witness of ``dpa_language_equiv`` computed on the
     product of all |Qa|*|Qb| pairs, not only those reachable from the
-    initial pair."""
+    initial pair, by ``unpruned_bad_sccs``."""
     product = _Product(a, b, [(q, r) for q in range(a.state_count) for r in range(b.state_count)])
     init = product.node_of[a.initial * b.state_count + b.initial]
     for c1, c2 in ((product.ca, product.cb), (product.cb, product.ca)):
-        bad = product.bad_sccs(c1, c2)
+        bad = unpruned_bad_sccs(product, c1, c2)
         owner = {node: i for i, (nodes, _, _) in enumerate(bad) for node in nodes}
         stem = product.path(init, owner.__contains__)
         if stem is not None:

@@ -12,8 +12,10 @@ from oracles import levels_oracle
 from paritychain import (
     Alphabet,
     AutomatonError,
+    ChainRepresentation,
     CoBuchiAutomaton,
     ParityAutomaton,
+    Partition,
     PreconditionError,
     Transition,
     chain_stats,
@@ -271,6 +273,24 @@ class TestExtractChain:
         )
         with pytest.raises(AutomatonError, match="partition"):
             extract_chain(s, other)
+
+    def test_direct_construction_checks_the_partition(self, flower):
+        # a partition of fewer states used to fail late, on ``levels``, with
+        # a bare KeyError from ``Partition.mates``
+        s = streamline(flower)
+        message = "^partition does not match the automaton's state count$"
+        for build in (ChainRepresentation, extract_chain):
+            with pytest.raises(AutomatonError, match=message):
+                build(s, Partition(((0,),)))
+
+    @pytest.mark.parametrize("build", [ChainRepresentation, extract_chain],
+                             ids=["constructor", "extract_chain"])
+    def test_wrong_classes_rejected(self, flower, build):
+        s = streamline(flower)
+        with pytest.raises(AutomatonError, match="^expected a ParityAutomaton, got a tuple$"):
+            build(s.transitions, state_equivalence(s))
+        with pytest.raises(AutomatonError, match="^expected a Partition, got a tuple$"):
+            build(s, state_equivalence(s).classes)
 
 
 class TestMemo:

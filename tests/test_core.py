@@ -153,7 +153,7 @@ class TestNormalizeLasso:
         with pytest.raises(AutomatonError):
             LassoWord((0,), ())
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
         st.lists(st.integers(0, 2), max_size=8),
         st.lists(st.integers(0, 2), min_size=1, max_size=8),

@@ -2,8 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import WORD_AA, WORD_CA, WORD_CABB, blowup, random_lasso, staircase
+import oracles
+from conftest import (
+    JUMPY_SEEDS, WORD_AA, WORD_CA, WORD_CABB, blowup, jumpy, random_lasso, staircase,
+)
 from oracles import (
     all_pairs_partition,
     direct_partition,
@@ -15,6 +20,7 @@ from oracles import (
     reference_partition,
     states_distinguishable,
     transient_elements,
+    unpruned_bad_sccs,
 )
 from paritychain import (
     Alphabet,
@@ -410,6 +416,149 @@ class TestReachableProduct:
         flipped = ParityAutomaton(a.alphabet, 300, 0, ts)
         assert _Product(a, flipped, [(a.initial, flipped.initial)]).size == 300
         assert dpa_language_equiv(a, flipped) == (False, LassoWord((), (0,)))
+
+
+def _renumbered(a: ParityAutomaton, rng: random.Random) -> ParityAutomaton:
+    """``a`` with its states permuted at random."""
+    perm = list(range(a.state_count))
+    rng.shuffle(perm)
+    ts = tuple(T(perm[t.src], t.sym, perm[t.dst], t.color) for t in a.transitions)
+    return ParityAutomaton(a.alphabet, a.state_count, perm[a.initial], ts)
+
+
+def _in_block_product(a: ParityAutomaton) -> _Product:
+    """The product on the pairs inside the pre-split blocks of ``a`` itself,
+    which ``direct_partition`` refines."""
+    return _Product(a, a, [(q, r) for block in _presplit(a) for q in block for r in block])
+
+
+def _pair_products(x: ParityAutomaton, y: ParityAutomaton) -> list[_Product]:
+    """The x x y products rooted at the initial pair and at every pair."""
+    every = [(q, r) for q in range(x.state_count) for r in range(y.state_count)]
+    return [_Product(x, y, [(x.initial, y.initial)]), _Product(x, y, every)]
+
+
+def _count_tarjan_runs(monkeypatch) -> list[int]:
+    """Count the Tarjan runs of the library and of ``unpruned_bad_sccs``:
+    one per refinement round."""
+    runs = [0]
+    tarjan = graphs._scc_ids
+
+    def counted(*args):
+        runs[0] += 1
+        return tarjan(*args)
+
+    monkeypatch.setattr(graphs, "_scc_ids", counted)
+    monkeypatch.setattr(oracles, "_scc_ids", counted)
+    return runs
+
+
+def _recolored(a: ParityAutomaton, colors: list[int]) -> ParityAutomaton:
+    """``a`` with each color c replaced by ``colors[c]``."""
+    ts = tuple(T(t.src, t.sym, t.dst, colors[t.color]) for t in a.transitions)
+    return ParityAutomaton(a.alphabet, a.state_count, a.initial, ts)
+
+
+class TestEqualColoredPruning:
+    """``bad_sccs`` drops an SCC whose internal live edges all carry equal
+    colors on both sides, and ``dpa_language_equiv`` answers an all
+    equal-colored product with no refinement.  The colors must be equal,
+    not only of equal parity or with equal minima, and the pruned result
+    must be the unpruned one, in the same order."""
+
+    # one letter: a reads colors 1, 2, 1, 2, ... and b reads 3, 2, 3, 2, ...;
+    # every edge has equal parities on both sides, but a's minimum is 1
+    # (odd) and b's is 2 (even)
+    GADGET_A = ParityAutomaton(Alphabet(("a",)), 2, 0, (T(0, 0, 1, 1), T(1, 0, 0, 2)))
+    GADGET_B = ParityAutomaton(Alphabet(("a",)), 2, 0, (T(0, 0, 1, 3), T(1, 0, 0, 2)))
+
+    def test_equal_parities_are_not_equal_colors(self):
+        for x, y in ((self.GADGET_A, self.GADGET_B), (self.GADGET_B, self.GADGET_A)):
+            equal, witness = dpa_language_equiv(x, y)
+            assert (equal, witness.prefix, witness.period) == (False, (), (0,))
+            assert not reference_equiv(x, y)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 7), st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**16),
+           st.lists(st.integers(0, 6), min_size=6, max_size=6))
+    def test_recolored_copy_matches_reference(self, states, colors, letters, seed, colormap):
+        a = random_dpa(states, colors, letters, seed)
+        b = _recolored(a, colormap)
+        for x, y in ((a, b), (b, a)):
+            result = dpa_language_equiv(x, y)
+            assert result[0] == reference_equiv(x, y)
+            assert result == full_product_equiv(x, y)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_copies_are_equivalent(self, seed):
+        rng = random.Random(3100 + seed)
+        a = _moved_initial(random_dpa(rng.randrange(2, 30), rng.randrange(1, 6),
+                                      rng.randrange(1, 4), seed), rng)
+        copies = (a, blowup(a, 2, rng), blowup(a, 3, rng), staircase(a, 3, rng),
+                  _renumbered(a, rng))
+        for b in copies:
+            assert dpa_language_equiv(a, b) == dpa_language_equiv(b, a) == (True, None)
+            assert reference_equiv(a, b)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_pruned_equals_unpruned(self, seed):
+        # pair products rooted at the initial pair and at all pairs, both
+        # orientations, and in-block products of a x a
+        x, y = _equiv_pair(seed)
+        products = _pair_products(x, y) + _pair_products(y, x)
+        a = _medium_dpa(seed % 40)
+        products += _pair_products(a, _color_flip(a, random.Random(seed)))
+        products.append(_in_block_product(a))
+        j = jumpy(JUMPY_SEEDS[seed % len(JUMPY_SEEDS)])
+        products += _pair_products(j, streamline(structure_dpa(_color_flip(j, random.Random(seed)))))
+        products.append(_in_block_product(j))
+        products.append(_in_block_product(blowup(x, 3, random.Random(seed))))
+        if seed < 3:
+            line = _line(40 + 40 * seed)
+            products += _pair_products(line, _color_flip(line, random.Random(seed)))
+            products.append(_in_block_product(line))
+        for product in products:
+            for c1, c2 in ((product.ca, product.cb), (product.cb, product.ca)):
+                assert product.bad_sccs(c1, c2) == unpruned_bad_sccs(product, c1, c2)
+
+    def test_battery_prunes_and_finds_bad_sccs(self, monkeypatch):
+        # the pruned and unpruned lists above are compared where both prune
+        # SCCs and report bad ones
+        runs = _count_tarjan_runs(monkeypatch)
+        pruned = unpruned = bad = 0
+        for seed in range(30):
+            x, y = _equiv_pair(seed)
+            product = _Product(x, y, [(x.initial, y.initial)])
+            runs[0] = 0
+            bad += len(product.bad_sccs(product.ca, product.cb))
+            pruned += runs[0]
+            runs[0] = 0
+            unpruned_bad_sccs(product, product.ca, product.cb)
+            unpruned += runs[0]
+        assert bad >= 10 and pruned < unpruned
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equal_colored_products_run_no_tarjan(self, seed, monkeypatch):
+        rng = random.Random(3200 + seed)
+        a = random_dpa(rng.randrange(10, 40), rng.randrange(2, 6), rng.randrange(1, 4), seed)
+        copies = (blowup(a, 3, rng), staircase(a, 3, rng))
+        flipped = _color_flip(a, rng)
+        runs = _count_tarjan_runs(monkeypatch)
+        for b in copies:
+            assert dpa_language_equiv(a, b) == (True, None)
+        assert runs[0] == 0
+        dpa_language_equiv(a, flipped)
+        assert runs[0] >= 1
+
+    def test_in_block_product_of_a_blowup_runs_fewer_rounds(self, monkeypatch):
+        # the pairs of copies of one base state are equal-colored
+        a = blowup(random_dpa(20, 5, 2, 7), 3, random.Random(7))
+        product = _in_block_product(a)
+        runs = _count_tarjan_runs(monkeypatch)
+        assert product.bad_sccs(product.ca, product.cb) == []
+        pruned, runs[0] = runs[0], 0
+        assert unpruned_bad_sccs(product, product.ca, product.cb) == []
+        assert 1 <= pruned < runs[0]
 
 
 def _needles(patterns: list[str]) -> ParityAutomaton:
