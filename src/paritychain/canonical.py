@@ -15,7 +15,6 @@ from .core import (
     PreconditionError,
     Transition,
     _expect,
-    complete_dpa,
 )
 from .graphs import (
     _PARTITION, _memo, _refine, reachable_states, scc_decompose, state_equivalence,
@@ -73,8 +72,9 @@ def random_dpa(
 
     Successor and color are drawn uniformly per (state, letter), the
     result is pruned to the part reachable from state 0 (order-preserving
-    renumbering) and completed, so it is always a valid complete DPA and
-    byte-identical per seed.
+    renumbering).  Every row is drawn and the pruning keeps every row of a
+    state it keeps, so it is always a valid complete DPA, byte-identical
+    per seed.
     """
     if states < 1 or colors < 1 or letters < 1:
         raise AutomatonError("states, colors, and letters must be positive")
@@ -85,8 +85,7 @@ def random_dpa(
         for q in range(states)
         for sym in range(letters)
     )
-    a, _ = _drop_unreachable(ParityAutomaton(Alphabet(names), states, 0, ts))
-    return complete_dpa(a)
+    return _drop_unreachable(ParityAutomaton(Alphabet(names), states, 0, ts))[0]
 
 
 def structure_dpa_with_map(a: ParityAutomaton) -> tuple[ParityAutomaton, dict[int, int]]:

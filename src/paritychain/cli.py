@@ -59,9 +59,9 @@ def _segment_letters(segment: str, alphabet: Alphabet) -> tuple[int, ...]:
         return ()
     if "," in segment:
         names = segment.split(",")
-    elif segment in alphabet.letters:
+    elif segment in alphabet._index:
         names = [segment]
-    elif all(ch in alphabet.letters for ch in segment):
+    elif all(ch in alphabet._index for ch in segment):
         names = list(segment)
     else:
         raise FormatError(
@@ -82,12 +82,8 @@ def format_lasso(w: LassoWord, alphabet: Alphabet) -> str:
 
 # -- command implementations ---------------------------------------------------
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _load(path: str, *, validate: bool = True):
-    text = _read(path)
+    text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("HOA:"):
         return parse_hoa(text, allow_incomplete=not validate)
     return parse_native(text, validate=validate)
@@ -169,7 +165,7 @@ def cmd_chain(args) -> int:
                 "jump_transitions": level_stats.jump_transitions,
             }
         )
-    manifest = {"source_color_max": chain.source_color_max, "levels": levels}
+    manifest = {"source_color_max": chain.source.max_color, "levels": levels}
     (outdir / "manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
     )
@@ -198,24 +194,16 @@ def cmd_member(args) -> int:
     aut = _load(args.file)
     w = parse_lasso_text(args.lasso, aut.alphabet)
     if isinstance(aut, ParityAutomaton):
-        analysis = dpa_lasso_run(aut, w)
-        verdict = "accept" if analysis.accepted else "reject"
-        _emit_result(
-            args,
-            [f"{verdict} (dominating color {analysis.dominating_color})"],
-            {
-                "lasso": format_lasso(w, aut.alphabet),
-                "verdict": verdict,
-                "dominating_color": analysis.dominating_color,
-            },
-        )
-        return 0 if analysis.accepted else 1
-    accepted = gca_lasso_member(aut, w)
+        run = dpa_lasso_run(aut, w)
+        accepted, extra = run.accepted, {"dominating_color": run.dominating_color}
+    else:
+        accepted, extra = gca_lasso_member(aut, w), {}
     verdict = "accept" if accepted else "reject"
+    shown = "".join(f" (dominating color {color})" for color in extra.values())
     _emit_result(
         args,
-        [verdict],
-        {"lasso": format_lasso(w, aut.alphabet), "verdict": verdict},
+        [verdict + shown],
+        {"lasso": format_lasso(w, aut.alphabet), "verdict": verdict, **extra},
     )
     return 0 if accepted else 1
 

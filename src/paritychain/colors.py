@@ -27,15 +27,20 @@ class CoRun(NamedTuple):
     dominating_color: int
 
 
-def _dominating_colors(a: ParityAutomaton, equiv: Partition, w: LassoWord):
-    """Checks the partition and the word, then returns ``(step, color)`` on
-    the nodes (q, p) = p * |Q| + q of ``a`` on ``w``, 0 <= p < |prefix| +
-    |period|: ``step(node)`` is the next node of the run and the color of
-    the transition to it, and ``color(node)`` is the dominating color of
-    the run from state q on ``w`` read from position p.  The nodes form a
-    functional graph, so one table resolves each node once (see
+def coruns(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> tuple[CoRun, ...]:
+    """All co-runs of ``a`` on ``w`` with jump positions up to
+    |prefix| + |Q|*|period|.
+
+    Beyond that bound the (run state, suffix rotation) pairs repeat, so no
+    further dominating colors can arise.  The jump to the run's own state
+    is included; it reproduces the plain run.  The run steps make the
+    (state, word position) nodes a functional graph, so each node is
+    resolved once, in one table shared by all co-runs (see
     ``graphs._least_on_cycle``).
     """
+    _expect(ParityAutomaton, a)
+    _expect(Partition, equiv)
+    _expect(LassoWord, w)
     if equiv.state_count != a.state_count:
         raise AutomatonError("partition does not match the automaton's state count")
     letters, after = _positions(a, w)
@@ -43,33 +48,17 @@ def _dominating_colors(a: ParityAutomaton, equiv: Partition, w: LassoWord):
     n, k = a.state_count, len(a.alphabet)
     table = [-1] * (n * len(letters))
 
-    def step(node):
+    def step(node):  # node (q, p) is p * |Q| + q
         p, q = divmod(node, n)
         row = q * k + letters[p]
         return after[p] * n + dst[row], col[row]
 
-    return step, lambda node: _least_on_cycle(step, table, node)
-
-
-def coruns(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> tuple[CoRun, ...]:
-    """All co-runs of ``a`` on ``w`` with jump positions up to
-    |prefix| + |Q|*|period|.
-
-    Beyond that bound the (run state, suffix rotation) pairs repeat, so no
-    further dominating colors can arise.  The jump to the run's own state
-    is included; it reproduces the plain run.  Each (jump target, word
-    position) node is resolved once, in one table shared by all co-runs.
-    """
-    _expect(ParityAutomaton, a)
-    _expect(Partition, equiv)
-    _expect(LassoWord, w)
-    step, color = _dominating_colors(a, equiv, w)
-    n, node = a.state_count, a.initial
-    out = []
+    node, out = a.initial, []
     for jump in range(1, len(w.prefix) + n * len(w.period) + 1):
         node = step(node)[0]
         p, q = divmod(node, n)
-        out += [CoRun(jump, target, color(p * n + target)) for target in equiv.mates(q)]
+        out += [CoRun(jump, target, _least_on_cycle(step, table, p * n + target))
+                for target in equiv.mates(q)]
     return tuple(out)
 
 
@@ -163,16 +152,14 @@ def natural_color_via_chain(c: ChainRepresentation, w: LassoWord) -> int:
     return _natural_color(c.source, c.partition, w)
 
 
-def _advance(a: CoBuchiAutomaton, groups, current: int, sym: int):
-    """One move of the strategy on rank groups: the states tracked after a
+def _advance(a: CoBuchiAutomaton, groups, sym: int):
+    """One step of the strategy's rank groups: the states tracked after a
     prefix, grouped by equal tracked position, groups in ascending position
     order, each group ascending, stepped on ``CoBuchiAutomaton.flat``.
 
     A state reached by an accepting transition joins the group of its
     first such predecessor; every other successor joins a fresh group,
-    last, as its position is the new one.  Returns the new groups, the
-    index of the group each came from (``len(groups)``: the fresh one),
-    the strategy's next state and the color of the transition it took.
+    last, as its position is the new one.  Returns the new groups.
     """
     (acc, succ), k = a.flat, len(a.alphabet)
     rank: dict[int, int] = {}  # new tracked state -> index of its group
@@ -190,18 +177,14 @@ def _advance(a: CoBuchiAutomaton, groups, current: int, sym: int):
     if not rank:
         raise AutomatonError("resolver is stuck; the automaton is not complete")
     grouped: list[tuple[int, ...]] = []
-    sources: list[int] = []
+    last = -1
     for j, dst in sorted(zip(rank.values(), rank)):  # by group, then by state
-        if sources and sources[-1] == j:
+        if j == last:
             grouped[-1] += (dst,)
         else:
-            sources.append(j)
+            last = j
             grouped.append((dst,))
-    new_groups = tuple(grouped)
-    nxt = acc[current * k + sym]
-    if nxt >= 0:
-        return new_groups, sources, nxt, 2
-    return new_groups, sources, new_groups[0][0], 1
+    return tuple(grouped)
 
 
 def resolve_run(a: CoBuchiAutomaton, w: LassoWord) -> tuple[bool, tuple[int, ...]]:
@@ -220,8 +203,9 @@ def resolve_run(a: CoBuchiAutomaton, w: LassoWord) -> tuple[bool, tuple[int, ...
     configuration each letter moved it to, a missing move filled by
     ``_advance``.  Every word asked of ``a`` shares it, and it dies with
     ``a``; it holds at most one configuration per transition and is
-    emptied when full.  The strategy's own move is made per step, as
-    ``_advance`` makes it.  A first query on a fresh automaton calls
+    emptied when full.  The strategy's own move is made per step: its
+    accepting transition if it has one, else the least state of the
+    oldest new group.  A first query on a fresh automaton calls
     ``_advance`` at most once per step, as without the table, and fills
     the table as it goes.
     """
@@ -245,7 +229,7 @@ def resolve_run(a: CoBuchiAutomaton, w: LassoWord) -> tuple[bool, tuple[int, ...
         sym = letters[p]
         nxt = entry[sym]
         if nxt is None:
-            nxt = entry[sym] = table.entry(_advance(a, entry[k], current, sym)[0])
+            nxt = entry[sym] = table.entry(_advance(a, entry[k], sym))
         entry = nxt
         dst = acc[current * k + sym]
         if dst >= 0:

@@ -90,10 +90,15 @@ class Alphabet(_Frozen):
     def __len__(self):
         return len(self.letters)
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        """Each letter name's index, built on first lookup."""
+        return {name: i for i, name in enumerate(self.letters)}
+
     def index(self, name: str) -> int:
         try:
-            return self.letters.index(name)
-        except ValueError:
+            return self._index[name]
+        except KeyError:
             raise AutomatonError(f"unknown letter {_clip(name)!r}") from None
 
     def check_letters(self, word) -> None:
@@ -214,13 +219,6 @@ class _Rows:
         ``_bad_rows``)."""
         return _bad_rows(self._keys, self.state_count * len(self.alphabet))
 
-    def bad_rows(self):
-        """(src, sym, count) for every row that does not hold exactly one
-        transition, in row order, lazily."""
-        k = len(self.alphabet)
-        return ((r // k, r % k, count)
-                for first, stop, count in self._bad_runs() for r in range(first, stop))
-
 
 class ParityAutomaton(_Frozen, _Rows):
     """Transition-colored parity automaton, min-even acceptance.
@@ -311,9 +309,6 @@ class CoBuchiAutomaton(_Frozen, _Rows):
                         f"{_clip(self.alphabet.letters[t.sym])!r}"
                     )
                 accepting_rows.add((t.src, t.sym))
-
-    def successors(self, src: int, sym: int) -> tuple[Transition, ...]:
-        return self.row(src, sym)
 
     def _demotions(self, groups: list[list[int]]):
         """Per list of row indices in ``groups``, lazily: this automaton with
@@ -445,10 +440,6 @@ class ChainRepresentation(_Frozen):
         if partition.state_count != source.state_count:
             raise AutomatonError("partition does not match the automaton's state count")
         self._set(source=source, partition=partition)
-
-    @property
-    def source_color_max(self) -> int:
-        return self.source.max_color
 
     @cached_property
     def levels(self) -> tuple[CoBuchiAutomaton, ...]:

@@ -532,14 +532,12 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
 
 
 def _parity_min_even_formula(k: int) -> str:
-    def term(i: int) -> str:
-        if i == k - 1:
-            return f"Inf({i})" if i % 2 == 0 else f"Fin({i})"
-        inner = term(i + 1)
-        joiner = f"Inf({i}) | ({inner})" if i % 2 == 0 else f"Fin({i}) & ({inner})"
-        return joiner
-
-    return term(0)
+    """Inf(0) | (Fin(1) & (Inf(2) | ...)) over sets 0..k-1: every set but
+    the last opens a parenthesis that closes at the end, so the text is
+    built in one pass, in time linear in its length, at any depth."""
+    last = k - 1
+    opens = "".join(f"Inf({i}) | (" if i % 2 == 0 else f"Fin({i}) & (" for i in range(last))
+    return opens + (f"Inf({last})" if last % 2 == 0 else f"Fin({last})") + ")" * last
 
 
 def emit_hoa(a) -> str:

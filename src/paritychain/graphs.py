@@ -185,7 +185,7 @@ def scc_decompose(a) -> SccDecomposition:
     return SccDecomposition(sccs=tuple(map(tuple, sccs)))
 
 
-def dpa_lasso_run(a: ParityAutomaton, w: LassoWord, start: int | None = None) -> RunAnalysis:
+def dpa_lasso_run(a: ParityAutomaton, w: LassoWord) -> RunAnalysis:
     """Simulate the unique run of a complete DPA on an ultimately periodic word.
 
     The run enters its cycle within |prefix| + |Q|*|period| steps; the cycle
@@ -193,10 +193,8 @@ def dpa_lasso_run(a: ParityAutomaton, w: LassoWord, start: int | None = None) ->
     """
     _expect(ParityAutomaton, a)
     _expect(LassoWord, w)
-    if start is not None and not 0 <= start < a.state_count:
-        raise AutomatonError(f"state {start} out of range")
     letters, after = _positions(a, w)
-    q, p = a.initial if start is None else start, 0
+    q, p = a.initial, 0
     states = [q]
     colors: list[int] = []
     seen: dict[tuple[int, int], int] = {}  # (state, word position) -> step

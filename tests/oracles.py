@@ -6,11 +6,12 @@ larger instances, ``reference_partition`` and ``reference_equiv`` decide
 equivalence by flagging one restricted product per ordered color pair of
 different parity, not by the library's nested SCC refinement; they and
 ``streamline_one_scc_per_pass`` share only the library's SCC routine.
-``reference_coruns`` simulates one lasso run per co-run jump target.
+``reference_coruns`` simulates one lasso run per co-run jump target, by
+its own ``step`` loop.
 ``chain_color_oracle`` is the top accepting chain level by a breadth-first
 search over every jump from every reached (state, word position) node, and
-``table_corun_color`` the natural color as the largest entry of the co-run
-table at the mates of the run's nodes; the library's one walk per mate must
+``table_corun_color`` the natural color as the largest dominating color in
+the library's co-run table, ``coruns``; the library's one walk per mate must
 reproduce both.
 ``unpruned_bad_sccs`` is the nested SCC refinement of a pair product that
 drops no SCC for being equal-colored, with its own copy of the round loop;
@@ -27,7 +28,8 @@ Hopcroft's refinement must reproduce.
 ``resolver_oracle_step`` and ``resolver_oracle`` are the GFG resolver
 stepped letter by letter on tracked positions and ``Transition`` rows,
 which the library's rank-group strategy must reproduce; ``gfg_resolver_step``
-is one move of that strategy (``colors._advance``) on a ``ResolverState``.
+is one oracle step that checks the library's step of the rank groups
+(``colors._advance``) against its tracked states.
 ``letter_at``, ``head`` and ``suffix`` read a lasso word letter by letter.
 ``transient_elements`` lists the transitions and states on no cycle of
 the full graph.
@@ -56,9 +58,9 @@ from paritychain import (
     Partition,
     Transition,
     ValidationReport,
-    dpa_lasso_run,
+    coruns,
 )
-from paritychain.colors import _advance, _dominating_colors
+from paritychain.colors import _advance
 from paritychain.core import _MAX_VIOLATIONS, _clip
 from paritychain.formats import _MAX_LABEL_DEPTH, FormatError, _int
 from paritychain.graphs import (
@@ -161,7 +163,7 @@ def gca_member_oracle(a, w: LassoWord) -> bool:
     todo = [start]
     while todo:
         q, p = todo.pop()
-        for t in a.successors(q, letter(p)):
+        for t in a.row(q, letter(p)):
             node = (t.dst, advance(p))
             if node not in reach:
                 reach.add(node)
@@ -170,7 +172,7 @@ def gca_member_oracle(a, w: LassoWord) -> bool:
     def accepting_successors(node):
         q, p = node
         return [
-            (t.dst, advance(p)) for t in a.successors(q, letter(p)) if t.color == 2
+            (t.dst, advance(p)) for t in a.row(q, letter(p)) if t.color == 2
         ]
 
     for anchor in sorted(reach):
@@ -447,10 +449,28 @@ def full_product_equiv(a: ParityAutomaton, b: ParityAutomaton) -> tuple:
     return True, None
 
 
+def _dominating_from(a: ParityAutomaton, q: int, w: LassoWord) -> int:
+    """The dominating color of the run of ``a`` from state ``q`` on ``w``,
+    stepped until a (state, period position) pair repeats."""
+    colors = []
+    for sym in w.prefix:
+        t = a.step(q, sym)
+        q = t.dst
+        colors.append(t.color)
+    seen: dict[tuple[int, int], int] = {}
+    p = 0
+    while (q, p) not in seen:
+        seen[q, p] = len(colors)
+        t = a.step(q, w.period[p])
+        q, p = t.dst, (p + 1) % len(w.period)
+        colors.append(t.color)
+    return min(colors[seen[q, p]:])
+
+
 def reference_coruns(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> tuple:
     """Co-runs with jump positions 1..|prefix| + |Q|*|period|, each jump's
-    dominating color read off a fresh ``dpa_lasso_run`` from the jump
-    target on the remaining word (one run per distinct target and suffix)."""
+    dominating color read off a fresh run from the jump target on the
+    remaining word (one run per distinct target and suffix)."""
     bound = len(w.prefix) + a.state_count * len(w.period)
     run = [a.initial]
     for k in range(bound):
@@ -465,9 +485,7 @@ def reference_coruns(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> tupl
         for target in equiv.mates(run[p]):
             key = (target, suffix_key)
             if key not in cache:
-                cache[key] = dpa_lasso_run(
-                    a, suffix(w, suffix_key), start=target
-                ).dominating_color
+                cache[key] = _dominating_from(a, target, suffix(w, suffix_key))
             out.append(CoRun(p, target, cache[key]))
     return tuple(out)
 
@@ -514,15 +532,8 @@ def levels_oracle(c: ChainRepresentation) -> tuple[CoBuchiAutomaton, ...]:
 
 def table_corun_color(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> int:
     """The natural color as the largest dominating color in the co-run
-    table (``colors._dominating_colors``) at a mate of a run node from
-    position 1 on."""
-    step, color = _dominating_colors(a, equiv, w)
-    n, node = a.state_count, step(a.initial)[0]
-    nodes = set()  # the run's nodes
-    while node not in nodes:
-        nodes.add(node)
-        node = step(node)[0]
-    return max(color(node - node % n + mate) for node in nodes for mate in equiv.mates(node % n))
+    table, ``coruns``: a mate of a run state at every jump position."""
+    return max(cr.dominating_color for cr in coruns(a, equiv, w))
 
 
 class ResolverState(NamedTuple):
@@ -545,12 +556,21 @@ class ResolverState(NamedTuple):
                    tracked=((a.initial, 0),))
 
 
+def _by_position(tracked) -> tuple[tuple[int, ...], ...]:
+    """The tracked states grouped by equal position, groups in ascending
+    position order, each group ascending: the rank groups of ``resolve_run``."""
+    by_pos: dict[int, list[int]] = {}
+    for q, pos in tracked:
+        by_pos.setdefault(pos, []).append(q)
+    return tuple(tuple(sorted(qs)) for _, qs in sorted(by_pos.items()))
+
+
 def gfg_resolver_step(a: CoBuchiAutomaton, s: ResolverState, sym: int) -> ResolverState:
     """One move of the strategy 'follow the run longest through accepting
-    transitions', as ``resolve_run`` makes it: ``colors._advance`` on the
-    rank groups of ``s.tracked``, with the positions read back from the
-    groups.  The letter is checked as ``resolve_run`` checks a word, by
-    ``graphs._positions``."""
+    transitions': ``resolver_oracle_step``, after asserting that
+    ``colors._advance`` steps the rank groups of ``s.tracked`` to those of
+    its tracked states.  The letter is checked as ``resolve_run`` checks a
+    word, by ``graphs._positions``."""
     _positions(a, LassoWord((), (sym,)))
     tracked = dict(s.tracked)
     if (
@@ -559,14 +579,10 @@ def gfg_resolver_step(a: CoBuchiAutomaton, s: ResolverState, sym: int) -> Resolv
         or any(pos > s.position for pos in tracked.values())
     ):
         raise AutomatonError("inconsistent resolver state")
-    by_pos: dict[int, list[int]] = {}
-    for q, pos in tracked.items():
-        by_pos.setdefault(pos, []).append(q)
-    positions = sorted(by_pos) + [s.position + 1]
-    groups = tuple(tuple(sorted(by_pos[pos])) for pos in positions[:-1])
-    groups, sources, current, color = _advance(a, groups, s.current, sym)
-    new_tracked = sorted((q, positions[j]) for group, j in zip(groups, sources) for q in group)
-    return ResolverState(s.position + 1, current, color, tuple(new_tracked))
+    groups = _advance(a, _by_position(s.tracked), sym)
+    nxt = resolver_oracle_step(a, s, sym)
+    assert groups == _by_position(nxt.tracked), (groups, nxt.tracked)
+    return nxt
 
 
 def resolver_oracle_step(a, s: ResolverState, sym: int) -> ResolverState:
@@ -578,16 +594,16 @@ def resolver_oracle_step(a, s: ResolverState, sym: int) -> ResolverState:
         raise AutomatonError("inconsistent resolver state")
     new_tracked: dict[int, int] = {}
     for src, since in tracked.items():
-        for t in a.successors(src, sym):
+        for t in a.row(src, sym):
             if t.color == 2:
                 new_tracked[t.dst] = min(new_tracked.get(t.dst, since), since)
     for src in tracked:
-        for t in a.successors(src, sym):
+        for t in a.row(src, sym):
             if t.dst not in new_tracked:
                 new_tracked[t.dst] = s.position + 1
     if not new_tracked:
         raise AutomatonError("resolver is stuck; the automaton is not complete")
-    accepting = [t for t in a.successors(s.current, sym) if t.color == 2]
+    accepting = [t for t in a.row(s.current, sym) if t.color == 2]
     if accepting:
         nxt, color = accepting[0].dst, 2
     else:
@@ -605,11 +621,7 @@ def resolver_oracle(a, w: LassoWord) -> tuple[bool, tuple[int, ...]]:
     emitted: list[int] = []
     while True:
         if s.position >= u_len:
-            by_pos: dict[int, list[int]] = {}
-            for q, pos in s.tracked:
-                by_pos.setdefault(pos, []).append(q)
-            groups = tuple(tuple(sorted(qs)) for _, qs in sorted(by_pos.items()))
-            key = (s.current, groups, (s.position - u_len) % v_len)
+            key = (s.current, _by_position(s.tracked), (s.position - u_len) % v_len)
             if key in seen:
                 rejects = tuple(p for p in range(seen[key], s.position) if emitted[p] == 1)
                 return not rejects, rejects

@@ -408,7 +408,7 @@ class TestChainView:
         s = streamline(flower)
         chain = extract_chain(s, state_equivalence(s))
         assert "levels" not in vars(chain)
-        assert chain.source_color_max == s.max_color == 5
+        assert chain.source.max_color == s.max_color == 5
         rng = random.Random(8)
         for _ in range(10):
             natural_color_via_chain(chain, random_lasso(rng, 3))

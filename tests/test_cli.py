@@ -1,4 +1,6 @@
 import contextlib
+import importlib
+import importlib.util
 import io
 import json
 import os
@@ -6,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -453,6 +456,24 @@ class TestLassoSyntax:
         assert code == 2 and out == ""
         assert "cannot read 'zz' over alphabet" in err and len(err) < 200
 
+    def test_lookup_is_one_probe_per_letter(self):
+        # 2000 letters over 2^18 names, comma-separated, and over 2^16
+        # one-character names, juxtaposed: a scan of the names per letter
+        # takes seconds, one dict probe per letter a few milliseconds
+        from paritychain import Alphabet
+
+        wide = Alphabet(tuple(f"l{i}" for i in range(2**18)))
+        single = Alphabet(tuple(chr(0x10000 + i) for i in range(2**16)))
+        rng = random.Random(5)
+        picks = [rng.randrange(2**16) for _ in range(2000)]
+        start = time.perf_counter()
+        w = parse_lasso_text(":" + ",".join(wide.letters[-1 - i] for i in picks), wide)
+        v = parse_lasso_text(":" + "".join(single.letters[-1 - i] for i in picks), single)
+        elapsed = time.perf_counter() - start
+        assert w.period == tuple(2**18 - 1 - i for i in picks)
+        assert v.period == tuple(2**16 - 1 - i for i in picks)
+        assert elapsed < 2.0
+
     def test_missing_colon(self, capsys, flower_file):
         code, _, err = run(capsys, "member", flower_file, "--lasso", "ca")
         assert code == 2
@@ -513,3 +534,16 @@ class TestCliFuzz:
                 code = main(argv)
         assert code in (0, 1, 2), argv
         assert len(err.getvalue().encode()) < 1024, argv
+
+
+def test_bench_traced_names_resolve():
+    # bench/tracer.py wraps these library functions by name; a removed or
+    # renamed one would break the traced benchmark runs
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, names in tracer.TRACED.items():
+        module = importlib.import_module(f"paritychain.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"paritychain.{layer}.{name}"

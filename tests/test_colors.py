@@ -158,7 +158,7 @@ class TestNaturalColorViaChain:
         for _ in range(20):
             w = random_lasso(rng, 3)
             level = natural_color_via_chain(chain, w)
-            assert 0 <= level <= chain.source_color_max
+            assert 0 <= level <= chain.source.max_color
             assert not gca_lasso_member(chain.levels[-1], w)
 
     def test_flower_accepted_word_has_even_level(self, flower):

@@ -327,6 +327,16 @@ class TestHoa:
         )
         assert emit_hoa(uni) == (GOLDEN / "universal2.hoa").read_text()
 
+    def test_deep_acceptance_round_trips(self):
+        # the acceptance formula nests one parenthesis per color
+        a = ParityAutomaton(Alphabet(("a", "b")), 1, 0, (T(0, 0, 0, 3000), T(0, 1, 0, 0)))
+        text = emit_hoa(a)
+        assert "acc-name: parity min even 3001\n" in text
+        assert text.count(" | (") + text.count(" & (") == 3000
+        b = parse_hoa(text)
+        assert b.transitions == a.transitions and b.max_color == 3000
+        assert emit_hoa(b) == text
+
     def test_gca_emission_marks_rejecting_edges(self, flower):
         a = ParityAutomaton(
             Alphabet(("a", "b")), 1, 0, (T(0, 0, 0, 0), T(0, 1, 0, 1))

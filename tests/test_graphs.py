@@ -137,7 +137,9 @@ class TestDpaLassoRun:
             assert (a.dominating_color, a.accepted) == (b.dominating_color, b.accepted)
 
     def test_start_override(self, flower):
-        assert dpa_lasso_run(flower, WORD_CA, start=1).accepted
+        # the run from state 1, through the flower re-rooted there
+        rooted = ParityAutomaton(flower.alphabet, flower.state_count, 1, flower.transitions)
+        assert dpa_lasso_run(rooted, WORD_CA).accepted
 
 
 class TestGcaLassoMember:
