@@ -249,7 +249,7 @@ def chain_stats(c: ChainRepresentation) -> tuple[ChainLevelStats, ...]:
     >= i, and every level has one jump per other mate of a target."""
     _expect(ChainRepresentation, c)
     a = c.source
-    jump_count = sum(len(c.partition.mates(d)) - 1 for _, _, d, _ in a.transitions)
+    jump_count = sum(len(c.partition._by_state[d]) - 1 for _, _, d, _ in a.transitions)
     return tuple(
         ChainLevelStats(
             level=i,

@@ -58,70 +58,70 @@ def coruns(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> tuple[CoRun, .
         node = step(node)[0]
         p, q = divmod(node, n)
         out += [CoRun(jump, target, _least_on_cycle(step, table, p * n + target))
-                for target in equiv.mates(q)]
+                for target in equiv._by_state[q]]
     return tuple(out)
 
 
 def _natural_color(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> int:
-    """The largest dominating color of ``a`` on ``w`` from the mates of the
-    run's (state, word position) nodes at positions >= 1, after checking
-    the partition and the word.
+    """The largest dominating color of ``a`` over its co-runs on ``w``,
+    after checking the partition and the word.
 
-    The run steps make the nodes (q, p) = p * |Q| + q a functional graph.
-    The run is walked from position 1 until a node repeats; then a walk
-    starts at each mate of each run node and goes on until it meets a node
-    walked before.  The dominating color of a start is the least color on
-    the cycle its walk ends in, and a walk that meets its own node has
-    closed a new cycle; so the answer is the largest least color of the
-    cycles closed.  Each node is walked once, and each cycle once more.
+    The prefix is stepped without marks; from the period's start on, the
+    run steps make the (state, period position) nodes p * |Q| + q a
+    functional graph.  The run is walked until it closes its cycle, then a
+    walk starts at each mate of the state at each node of that cycle and
+    stops at the first node walked before.  No co-run ends elsewhere, as
+    the partition is a right congruence: a node on a co-run's cycle of
+    length l, met at step t, holds a mate of the run's state at each step
+    t + m*l, on the run's cycle for m large.  Each node is marked 1 + the
+    index of its step in one list of colors, so a walk that meets a mark s
+    of its own closes a cycle of least color ``min(cols[s - 1:])``.
     """
     if equiv.state_count != a.state_count:
         raise AutomatonError("partition does not match the automaton's state count")
-    letters, after = _positions(a, w)
+    a.alphabet.check_letters(w.prefix)
+    a.alphabet.check_letters(w.period)
     dst, col = a.flat
-    n, k = a.state_count, len(a.alphabet)
-    walk_of = [0] * (n * len(letters))  # the walk that met each node first, 0 if none
-    run = []  # the run's nodes (p, q), walk 1
-    p, q = after[0], dst[a.initial * k + letters[0]]
-    node = p * n + q
-    while not walk_of[node]:
-        walk_of[node] = 1
-        run.append((p, q))
-        q, p = dst[q * k + letters[p]], after[p]
+    n, k, q, letters = a.state_count, len(a.alphabet), a.initial, w.period
+    for sym in w.prefix:
+        q = dst[q * k + sym]
+    after = [*range(1, len(letters)), 0]
+    mark = [0] * (n * len(letters))  # 0 for a node not walked yet
+    cols: list[int] = []
+    run = []  # the run's state at each step from the period's start
+    p, node = 0, q
+    while not mark[node]:
+        run.append(q)
+        row = q * k + letters[p]
+        cols.append(col[row])
+        mark[node] = len(cols)
+        q, p = dst[row], after[p]
         node = p * n + q
-    closed = [(p, q)]  # a node on each cycle closed
-    walk = 1
-    for p0, q0 in run:
-        for q in equiv.mates(q0):
-            p, node = p0, p0 * n + q
-            walk += 1
-            while not walk_of[node]:
-                walk_of[node] = walk
-                q, p = dst[q * k + letters[p]], after[p]
+    best = min(cols[mark[node] - 1:])  # the run's cycle, from the node it closes at
+    for t in range(mark[node] - 1, len(run)):
+        p0 = t % len(letters)
+        for q in equiv._by_state[run[t]]:
+            node = p0 * n + q
+            if mark[node]:
+                continue
+            p, start = p0, len(cols)
+            while not mark[node]:
+                row = q * k + letters[p]
+                cols.append(col[row])
+                mark[node] = len(cols)
+                q, p = dst[row], after[p]
                 node = p * n + q
-            if walk_of[node] == walk:
-                closed.append((p, q))
-    best = 0
-    for p0, q0 in closed:
-        row = q0 * k + letters[p0]
-        least = col[row]
-        q, p = dst[row], after[p0]
-        while p != p0 or q != q0:
-            row = q * k + letters[p]
-            least = min(least, col[row])
-            q, p = dst[row], after[p]
-        best = max(best, least)
+            if mark[node] > start:
+                best = max(best, min(cols[mark[node] - 1:]))
     return best
 
 
 def corun_color(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> int:
     """The natural color of ``w`` for L(a): the maximal dominating color
-    over all co-runs of the streamlined automaton ``a``.
-
-    Every co-run jumps at a node of the run from position 1 on, to a mate
-    of the run's state there, and then follows the run steps; so the
-    answer is the largest dominating color from those mates, which one
-    walk of each mate finds (see ``_natural_color``).
+    over all co-runs of the streamlined automaton ``a``, each a jump to a
+    mate of the run's state from position 1 on and then the run steps;
+    read off the walks from the mates on the run's cycle (see
+    ``_natural_color``).
     """
     _expect(ParityAutomaton, a)
     _expect(Partition, equiv)
@@ -138,14 +138,11 @@ def natural_color_via_chain(c: ChainRepresentation, w: LassoWord) -> int:
     Every level has the same edges, the deterministic ones plus the jumps,
     so every level reaches the same (state, word position) nodes.  Level i
     accepts iff one of them lies on a cycle of deterministic edges of color
-    >= i, its only accepting edges (at most one per node).  Those cycles
-    are the ones the deterministic walks of the reachable nodes end in, so
-    the top accepting level is the largest dominating color of a reachable
-    node.  The language partition is a right congruence: a mate of a
-    state steps to a mate of the state's successor.  So the nodes the
-    jumps reach are exactly the mates of the run's nodes, and the answer
-    is the one ``corun_color`` reads (see ``_natural_color``); the start
-    node adds nothing, as it walks into the run's own cycle.
+    >= i, its only accepting edges (at most one per node).  So the top
+    accepting level is the largest dominating color of a node the jumps
+    reach.  Those are the mates of the run's nodes, as the partition is a
+    right congruence, and the answer is the one ``corun_color`` reads (see
+    ``_natural_color``).
     """
     _expect(ChainRepresentation, c)
     _expect(LassoWord, w)

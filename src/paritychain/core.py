@@ -102,13 +102,12 @@ class Alphabet(_Frozen):
             raise AutomatonError(f"unknown letter {_clip(name)!r}") from None
 
     def check_letters(self, word) -> None:
-        """Reject a word (letter indices) with a letter outside the alphabet."""
-        for sym in word:
-            if not 0 <= sym < len(self.letters):
-                raise AutomatonError(
-                    f"letter index {sym} is out of range for an alphabet of "
-                    f"{len(self.letters)} letters"
-                )
+        """Reject a word (letter indices) with a letter outside the alphabet:
+        by column first, then letter by letter to name the first offender."""
+        k = len(self.letters)
+        if word and not (0 <= min(word) and max(word) < k):
+            sym = next(x for x in word if not 0 <= x < k)
+            raise AutomatonError(f"letter index {sym} is out of range for an alphabet of {k} letters")
 
 
 class Transition(NamedTuple):
@@ -410,6 +409,10 @@ class Partition(_Frozen):
         """All states in the same class as ``q``, including ``q``."""
         return self.classes[self.class_of[q]]
 
+    @cached_property
+    def _by_state(self) -> tuple[tuple[int, ...], ...]:  # mates(q) at index q
+        return tuple(map(self.mates, range(self.state_count)))
+
 
 class ChainRepresentation(_Frozen):
     """Chain of co-Buchi automata A_0..A_{cmax+1} over one state space, as a
@@ -443,9 +446,9 @@ class ChainRepresentation(_Frozen):
 
     @cached_property
     def levels(self) -> tuple[CoBuchiAutomaton, ...]:
-        a, mates = self.source, self.partition.mates
+        a, mates = self.source, self.partition._by_state
         jumps = tuple(Transition(s, y, mate, 1)
-                      for s, y, d, _ in a.transitions for mate in mates(d) if mate != d)
+                      for s, y, d, _ in a.transitions for mate in mates[d] if mate != d)
         top = CoBuchiAutomaton(a.alphabet, a.state_count, a.initial,
                                tuple(Transition(s, y, d, 2) for s, y, d, _ in a.transitions) + jumps,
                                gfg_claimed=True)

@@ -3,6 +3,8 @@ import pickle
 import random
 import sys
 import threading
+import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -183,6 +185,25 @@ class TestNaturalColorViaChain:
             assert corun_color(s, equiv, w) == natural_color_via_chain(chain, w) == 2
             assert chain_color_oracle(chain, w) == table_corun_color(s, equiv, w) == 2
 
+    def test_run_enters_its_cycle_after_the_period_start(self):
+        # the jump automaton above with a new initial state 2, in a class of
+        # its own: on (ab)^omega the run starts in state 2, off its cycle,
+        # and then cycles through 1 -b-> 0 of color 0; only a jump on that
+        # cycle, from 1 to 0 before a b, lifts the color, and no walk from a
+        # mate of the run's first state finds it
+        a = ParityAutomaton(Alphabet(("a", "b", "c")), 3, 2, (
+            T(0, 0, 1, 2), T(0, 1, 1, 2), T(0, 2, 0, 1),
+            T(1, 0, 0, 2), T(1, 1, 0, 0), T(1, 2, 0, 1),
+            T(2, 0, 1, 0), T(2, 1, 1, 0), T(2, 2, 2, 0),
+        ))
+        s, equiv = prepared(a)
+        assert s == a and equiv.classes == ((0, 1), (2,))
+        chain = extract_chain(s, equiv)
+        for w in (LassoWord((), (0, 1)), LassoWord((2,), (0, 1))):
+            assert dpa_lasso_run(s, w).dominating_color == 0
+            assert corun_color(s, equiv, w) == natural_color_via_chain(chain, w) == 2
+            assert chain_color_oracle(chain, w) == table_corun_color(s, equiv, w) == 2
+
 
 def _period_starts(a, w) -> set[int]:
     """The states in which the run of ``a`` on ``w`` meets the period start."""
@@ -207,12 +228,55 @@ def _kernel_input(seed: int):
     return (*prepared(a), rng)
 
 
+def _long_prefix_inputs(seed: int):
+    """``jumpy(seed)`` and its mod-2 and mod-3 blow-ups, each with 20
+    lassos of prefix length 0-40 and period length 1-3."""
+    out = []
+    for m in (1, 2, 3):
+        rng = random.Random(seed * 10 + m)
+        s, equiv = prepared(blowup(jumpy(seed), m, rng))
+        k = len(s.alphabet)
+        words = [LassoWord(tuple(rng.randrange(k) for _ in range(rng.randrange(0, 41))),
+                           tuple(rng.randrange(k) for _ in range(rng.randrange(1, 4))))
+                 for _ in range(20)]
+        out.append((s, equiv, words))
+    return out
+
+
+def _cycle_entry(a, w) -> int:
+    """The step at which the run of ``a`` on ``w`` first meets a (state,
+    word position) node of the cycle it ends in."""
+    seen: dict[tuple[int, int], int] = {}
+    q, t, u, v = a.initial, 0, len(w.prefix), len(w.period)
+    while True:
+        node = (q, t if t < u else u + (t - u) % v)
+        if node in seen:
+            return seen[node]
+        seen[node] = t
+        q = a.step(q, letter_at(w, t)).dst
+        t += 1
+
+
+def _word_to(a, target: int) -> tuple[int, ...]:
+    """A shortest word on which the run of ``a`` ends in ``target``."""
+    words, queue = {a.initial: ()}, [a.initial]
+    for q in queue:
+        for sym in range(len(a.alphabet)):
+            d = a.step(q, sym).dst
+            if d not in words:
+                words[d] = words[q] + (sym,)
+                queue.append(d)
+    return words[target]
+
+
 class TestNaturalColorKernel:
-    """``corun_color`` and ``natural_color_via_chain`` share one walk per
-    mate of each run node; it must equal the breadth-first search over the
-    chain's jumps, the largest co-run color of one lasso run per jump
-    target, the top level that a membership scan accepts, and the largest
-    entry of the co-run table."""
+    """``corun_color`` and ``natural_color_via_chain`` step the prefix and
+    walk once from each mate at each node of the run's cycle; that must
+    equal the breadth-first search over the chain's jumps, the
+    largest co-run color of one lasso run per jump target, the top level
+    that a membership scan accepts, and the largest entry of the co-run
+    table, all of which also jump from the prefix, the stem and the rest
+    of the run's cycle."""
 
     @pytest.mark.parametrize("seed", range(16))
     def test_matches_every_oracle(self, seed):
@@ -232,6 +296,62 @@ class TestNaturalColorKernel:
         chain = extract_chain(s, equiv)
         for w in jumpy_lassos(seed, len(s.alphabet)):
             _check_kernel(s, equiv, chain, w)
+
+    @pytest.mark.parametrize("seed", JUMPY_SEEDS)
+    def test_long_prefixes_match_every_oracle(self, seed):
+        for s, equiv, words in _long_prefix_inputs(seed):
+            chain = extract_chain(s, equiv)
+            for w in words:
+                _check_kernel(s, equiv, chain, w)
+
+    def test_long_prefixes_win_before_the_cycle(self):
+        # the battery above keeps testing the walks from the stem that the
+        # kernel leaves out: words whose first co-run of the largest color
+        # jumps before the run enters its cycle, and words among them whose
+        # color no co-run reaches without a jump to another state
+        early = lifted = 0
+        for seed in JUMPY_SEEDS:
+            for s, equiv, words in _long_prefix_inputs(seed):
+                for w in words:
+                    found = reference_coruns(s, equiv, w)
+                    best = max(cr.dominating_color for cr in found)
+                    first = next(cr for cr in found if cr.dominating_color == best)
+                    before = first.jump_position < _cycle_entry(s, w)
+                    early += before
+                    lifted += before and best > dpa_lasso_run(s, w).dominating_color
+        assert early >= 250 and lifted >= 12
+
+    def test_long_prefix_costs_no_table(self):
+        # 160 states in one class; a prefix of 50,000 letters is stepped
+        # without marks, where a table of marks over every word position
+        # would take 64 MB
+        s, equiv = prepared(blowup(jumpy(83), 40, random.Random(83)))
+        assert s.state_count == 160 and len(equiv.classes) == 1
+        chain = extract_chain(s, equiv)
+        k = len(s.alphabet)
+        rng = random.Random(7)
+        prefix = tuple(rng.randrange(k) for _ in range(50_000))
+        corun_color(s, equiv, LassoWord(prefix, (0,)))  # memoize the automaton's checks
+        # A co-run that jumps in the prefix ends in a cycle that a co-run
+        # jumping in the period reaches too, so the natural color depends on
+        # the prefix only through the state the run enters the period in;
+        # a shortest word to that state gives a lasso small enough for the
+        # oracles
+        short = _word_to(s, _run_state(s, LassoWord(prefix, (0,)), len(prefix)))
+        lifted = 0
+        for period in [p for m in (1, 2) for p in product(range(k), repeat=m)]:
+            long, twin = LassoWord(prefix, period), LassoWord(short, period)
+            tracemalloc.start()
+            try:
+                color = corun_color(s, equiv, long)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
+            assert color == natural_color_via_chain(chain, long)
+            assert color == chain_color_oracle(chain, twin)
+            lifted += color > dpa_lasso_run(s, twin).dominating_color
+        assert lifted >= 2
 
     def test_jumpy_family_needs_jumps(self):
         # words whose natural color exceeds the one their run dominates: only
@@ -542,11 +662,19 @@ def _word_calls(word):
     }
 
 
-def _letter_checked_calls():
+def _letter_checked_calls(word=LassoWord((0,), (1, 5))):
+    """``_word_calls`` on ``word``, and the oracle's resolver stepped
+    through its letters, prefix first."""
     s, equiv = prepared(flower_automaton())
     level0 = extract_chain(s, equiv).levels[0]
-    calls = _word_calls(lambda: LassoWord((0,), (1, 5)))
-    calls["gfg_resolver_step"] = lambda: gfg_resolver_step(level0, ResolverState.start(level0), 5)
+    calls = _word_calls(lambda: word)
+
+    def steps():
+        state = ResolverState.start(level0)
+        for sym in word.prefix + word.period:
+            state = gfg_resolver_step(level0, state, sym)
+
+    calls["gfg_resolver_step"] = steps
     return calls
 
 
@@ -556,6 +684,18 @@ def test_out_of_range_letter_rejected(entry):
     # otherwise be expected to accept every word
     with pytest.raises(AutomatonError, match="letter index 5 .* alphabet of 3 letters"):
         _letter_checked_calls()[entry]()
+
+
+@pytest.mark.parametrize("word, first", [
+    (LassoWord((4, 0), (9,)), 4), (LassoWord((0, 9), (1, 4)), 9), (LassoWord((), (1, 6, 5)), 6),
+], ids=["prefix-smaller", "prefix-larger", "period"])
+@pytest.mark.parametrize("entry", sorted(_letter_checked_calls()))
+def test_first_of_two_out_of_range_letters_named(entry, word, first):
+    # the letters are checked by column; the walk that names an offender
+    # must name the first one, in prefix-then-period order
+    message = f"^letter index {first} is out of range for an alphabet of 3 letters$"
+    with pytest.raises(AutomatonError, match=message):
+        _letter_checked_calls(word)[entry]()
 
 
 @pytest.mark.parametrize("letter", [1.0, True, "a", None], ids=["float", "bool", "str", "none"])

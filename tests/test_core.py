@@ -190,6 +190,14 @@ class TestPartition:
         assert p.class_of == {0: 0, 1: 1, 2: 1}
         assert p.mates(2) == (1, 2)
 
+    @pytest.mark.parametrize("q", [-1, 3])
+    def test_mates_of_a_non_state_raise(self, q):
+        # the library's loops read a table by state, where -1 would be the
+        # last state's class
+        p = Partition(classes=((2, 1), (0,)))
+        with pytest.raises(KeyError):
+            p.mates(q)
+
     def test_must_cover_dense_range(self):
         with pytest.raises(AutomatonError):
             Partition(classes=((0,), (2,)))
