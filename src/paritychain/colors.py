@@ -15,7 +15,7 @@ from .core import (
     PreconditionError,
     _expect,
 )
-from .graphs import _least_on_cycle, _memo, _positions
+from .graphs import _least_on_cycle, _memo
 
 
 class CoRun(NamedTuple):
@@ -33,9 +33,10 @@ def coruns(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> tuple[CoRun, .
 
     Beyond that bound the (run state, suffix rotation) pairs repeat, so no
     further dominating colors can arise.  The jump to the run's own state
-    is included; it reproduces the plain run.  The run steps make the
-    (state, word position) nodes a functional graph, so each node is
-    resolved once, in one table shared by all co-runs (see
+    is included; it reproduces the plain run.  Co-runs that jump in the
+    prefix step through it in groups by state, merged when they meet.  The
+    run steps make the (state, period position) nodes a functional graph,
+    so each is resolved once, in one table shared by all co-runs (see
     ``graphs._least_on_cycle``).
     """
     _expect(ParityAutomaton, a)
@@ -43,18 +44,38 @@ def coruns(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> tuple[CoRun, .
     _expect(LassoWord, w)
     if equiv.state_count != a.state_count:
         raise AutomatonError("partition does not match the automaton's state count")
-    letters, after = _positions(a, w)
+    a.alphabet.check_letters(w.prefix, w.period)
     dst, col = a.flat
-    n, k = a.state_count, len(a.alphabet)
+    n, k, u, letters = a.state_count, len(a.alphabet), len(w.prefix), w.period
     table = [-1] * (n * len(letters))
 
-    def step(node):  # node (q, p) is p * |Q| + q
+    def step(node):  # node (q, p) is p * |Q| + q, p a period position
         p, q = divmod(node, n)
         row = q * k + letters[p]
-        return after[p] * n + dst[row], col[row]
+        return (p + 1) % len(letters) * n + dst[row], col[row]
 
-    node, out = a.initial, []
-    for jump in range(1, len(w.prefix) + n * len(w.period) + 1):
+    groups: dict[int, list[int]] = {}  # state -> the indices of the co-runs there
+    q, count = a.initial, 0
+    for sym in w.prefix:
+        moved: dict[int, list[int]] = {}
+        for s, group in groups.items():
+            d = dst[s * k + sym]
+            small, big = sorted((group, moved.get(d, [])), key=len)
+            moved[d] = big
+            big += small
+        groups, q = moved, dst[q * k + sym]
+        for target in equiv._by_state[q]:
+            groups.setdefault(target, []).append(count)
+            count += 1
+    color = [0] * count
+    for s, group in groups.items():
+        while group:  # emptied as its co-runs get their color
+            color[group.pop()] = _least_on_cycle(step, table, s)
+    out, colors, node = [], iter(color), a.initial
+    for jump, sym in enumerate(w.prefix, 1):
+        node = dst[node * k + sym]
+        out += [CoRun(jump, target, next(colors)) for target in equiv._by_state[node]]
+    for jump in range(u + 1, u + n * len(letters) + 1):
         node = step(node)[0]
         p, q = divmod(node, n)
         out += [CoRun(jump, target, _least_on_cycle(step, table, p * n + target))
@@ -79,8 +100,7 @@ def _natural_color(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> int:
     """
     if equiv.state_count != a.state_count:
         raise AutomatonError("partition does not match the automaton's state count")
-    a.alphabet.check_letters(w.prefix)
-    a.alphabet.check_letters(w.period)
+    a.alphabet.check_letters(w.prefix, w.period)
     dst, col = a.flat
     n, k, q, letters = a.state_count, len(a.alphabet), a.initial, w.period
     for sym in w.prefix:
@@ -192,7 +212,8 @@ def resolve_run(a: CoBuchiAutomaton, w: LassoWord) -> tuple[bool, tuple[int, ...
     chain automata the verdict coincides with language membership.  The
     configuration is the strategy's state, its rank groups (see
     ``_advance``: absolute positions grow without bound, and future moves
-    depend on the groups only) and the word position.
+    depend on the groups only) and the period position, as no prefix
+    position repeats.
 
     The groups' step depends on neither the strategy's state nor the word,
     so it is read from a move table memoized on ``a`` (see ``graphs._memo``
@@ -208,21 +229,25 @@ def resolve_run(a: CoBuchiAutomaton, w: LassoWord) -> tuple[bool, tuple[int, ...
     """
     _expect(CoBuchiAutomaton, a)
     _expect(LassoWord, w)
-    letters, after = _positions(a, w)
+    a.alphabet.check_letters(w.prefix, w.period)
     acc, k = a.flat[0], len(a.alphabet)
     table = _memo(a, _MOVES, lambda: _Moves(k, len(a.transitions)))
-    u_len = len(w.prefix)
     current, entry = a.initial, table.entry(((a.initial,),))
+    for sym in w.prefix:
+        if entry[sym] is None:
+            entry[sym] = table.entry(_advance(a, entry[k], sym))
+        entry, dst = entry[sym], acc[current * k + sym]
+        current = dst if dst >= 0 else entry[k][0][0]
+    letters, after, u_len = w.period, [*range(1, len(w.period)), 0], len(w.prefix)
     seen: dict[tuple, int] = {}
-    emitted: list[int] = []  # the color output at each position
-    p = 0  # the index in ``letters`` of the next letter; period positions wrap
+    emitted: list[int] = []  # the color output at each period step
+    p = 0  # the period position of the next letter
     while True:
-        if len(emitted) >= u_len:
-            key = (current, entry[k], p)  # by value: a restart renews the entries
-            if key in seen:
-                rejects = tuple(i for i in range(seen[key], len(emitted)) if emitted[i] == 1)
-                return not rejects, rejects
-            seen[key] = len(emitted)
+        key = (current, entry[k], p)  # by value: a restart renews the entries
+        if key in seen:
+            rejects = tuple(u_len + i for i in range(seen[key], len(emitted)) if emitted[i] == 1)
+            return not rejects, rejects
+        seen[key] = len(emitted)
         sym = letters[p]
         nxt = entry[sym]
         if nxt is None:

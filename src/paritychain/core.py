@@ -101,13 +101,14 @@ class Alphabet(_Frozen):
         except KeyError:
             raise AutomatonError(f"unknown letter {_clip(name)!r}") from None
 
-    def check_letters(self, word) -> None:
-        """Reject a word (letter indices) with a letter outside the alphabet:
+    def check_letters(self, *words) -> None:
+        """Reject words (letter indices) with a letter outside the alphabet:
         by column first, then letter by letter to name the first offender."""
         k = len(self.letters)
-        if word and not (0 <= min(word) and max(word) < k):
-            sym = next(x for x in word if not 0 <= x < k)
-            raise AutomatonError(f"letter index {sym} is out of range for an alphabet of {k} letters")
+        for word in words:
+            if word and not (0 <= min(word) and max(word) < k):
+                sym = next(x for x in word if not 0 <= x < k)
+                raise AutomatonError(f"letter index {sym} is out of range for an alphabet of {k} letters")
 
 
 class Transition(NamedTuple):

@@ -188,48 +188,43 @@ def scc_decompose(a) -> SccDecomposition:
 def dpa_lasso_run(a: ParityAutomaton, w: LassoWord) -> RunAnalysis:
     """Simulate the unique run of a complete DPA on an ultimately periodic word.
 
-    The run enters its cycle within |prefix| + |Q|*|period| steps; the cycle
-    is detected as the first repetition of a (state, word position) node.
+    The prefix is stepped without marks; the cycle is the first repeated
+    (state, period position) node.  On a partial DPA the rows, read from
+    ``flat``, raise the first bad row's error, even one off the run.
     """
     _expect(ParityAutomaton, a)
     _expect(LassoWord, w)
-    letters, after = _positions(a, w)
-    q, p = a.initial, 0
-    states = [q]
-    colors: list[int] = []
-    seen: dict[tuple[int, int], int] = {}  # (state, word position) -> step
-    while (q, p) not in seen:
-        seen[(q, p)] = len(colors)
-        t = a.step(q, letters[p])
-        colors.append(t.color)
-        q, p = t.dst, after[p]
+    a.alphabet.check_letters(w.prefix, w.period)
+    dst, col = a.flat
+    n, k, q, letters = a.state_count, len(a.alphabet), a.initial, w.period
+    states, colors = [], []  # the states from the start, the colors from the period's
+    for sym in w.prefix:
         states.append(q)
-    first = seen[(q, p)]
-    dominating = min(colors[first:])
+        q = dst[q * k + sym]
+    u, p, mark = len(states), 0, [0] * (n * len(letters))  # node -> 1 + its index in states
+    while not mark[p * n + q]:
+        states.append(q)
+        mark[p * n + q] = len(states)
+        row = q * k + letters[p]
+        colors.append(col[row])
+        q, p = dst[row], (p + 1) % len(letters)
+    first = mark[p * n + q] - 1
+    dominating = min(colors[first - u:])
     return RunAnalysis(
         stem_states=tuple(states[:first]),
-        cycle_states=tuple(states[first:-1]),
+        cycle_states=tuple(states[first:]),
         dominating_color=dominating,
         accepted=dominating % 2 == 0,
     )
 
 
-def _positions(a, w: LassoWord) -> tuple[tuple[int, ...], list[int]]:
-    """The letters of ``w`` at its positions 0..|prefix|+|period|-1, checked
-    against the alphabet of ``a``, and ``after[p]``, the position that
-    follows p: the last one wraps to |prefix|, the start of the period."""
-    letters = w.prefix + w.period
-    a.alphabet.check_letters(letters)
-    return letters, [*range(1, len(letters)), len(w.prefix)]
-
-
 def gca_lasso_member(a: CoBuchiAutomaton, w: LassoWord) -> bool:
     """Whether some run of the co-Buchi automaton accepts the lasso word.
 
-    Works on the finite product of automaton states with word positions
-    0..|prefix|+|period|-1 (period positions wrap): the word is accepted
-    iff a cycle of accepting transitions is reachable there, since an
-    accepting run is eventually trapped on such a cycle.  A node has at
+    The prefix is stepped as the set of states its runs reach; from there
+    the word is accepted iff a cycle of accepting transitions is reachable
+    in the finite product of automaton states with period positions, since
+    an accepting run is eventually trapped on such a cycle.  A node has at
     most one accepting edge, so these edges form a functional graph once
     every node without one loops to itself: with weight 1 on the accepting
     edges and 0 on those loops, a node lies on an accepting cycle iff it
@@ -238,21 +233,23 @@ def gca_lasso_member(a: CoBuchiAutomaton, w: LassoWord) -> bool:
     """
     _expect(CoBuchiAutomaton, a)
     _expect(LassoWord, w)
-    letters, after = _positions(a, w)
+    a.alphabet.check_letters(w.prefix, w.period)
     acc_row, succ_row = a.flat
-    n, k = a.state_count, len(a.alphabet)  # node (q, p) is p * n + q
+    n, k, letters, states = a.state_count, len(a.alphabet), w.period, {a.initial}
+    for sym in w.prefix:
+        states = {dst for q in states for dst in succ_row[q * k + sym]}
 
-    def succ(node):
+    def succ(node):  # node (q, p) is p * n + q
         p, q = divmod(node, n)
-        return [after[p] * n + dst for dst in succ_row[q * k + letters[p]]]
+        return [(p + 1) % len(letters) * n + dst for dst in succ_row[q * k + letters[p]]]
 
     def accepting(node):
         p, q = divmod(node, n)
         dst = acc_row[q * k + letters[p]]
-        return (after[p] * n + dst, 1) if dst >= 0 else (node, 0)
+        return ((p + 1) % len(letters) * n + dst, 1) if dst >= 0 else (node, 0)
 
     table = [-1] * (n * len(letters))
-    return any(_least_on_cycle(accepting, table, node) for node in _reach([a.initial], succ))
+    return any(_least_on_cycle(accepting, table, node) for node in _reach(states, succ))
 
 
 class _Product:

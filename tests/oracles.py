@@ -30,7 +30,9 @@ stepped letter by letter on tracked positions and ``Transition`` rows,
 which the library's rank-group strategy must reproduce; ``gfg_resolver_step``
 is one oracle step that checks the library's step of the rank groups
 (``colors._advance``) against its tracked states.
-``letter_at``, ``head`` and ``suffix`` read a lasso word letter by letter.
+``letter_at``, ``head`` and ``suffix`` read a lasso word letter by letter;
+``letter_stream`` lists its letters at every word position, prefix and
+period, each with the position that follows it.
 ``transient_elements`` lists the transitions and states on no cycle of
 the full graph.
 ``eval_label_oracle`` evaluates a HOA label formula on one valuation at a
@@ -64,7 +66,7 @@ from paritychain.colors import _advance
 from paritychain.core import _MAX_VIOLATIONS, _clip
 from paritychain.formats import _MAX_LABEL_DEPTH, FormatError, _int
 from paritychain.graphs import (
-    _Product, _adjacency, _least_on_cycle, _positions, _preimages, _presplit, _reach, _scc_ids,
+    _Product, _adjacency, _least_on_cycle, _preimages, _presplit, _reach, _scc_ids,
     _witness,
 )
 
@@ -74,6 +76,15 @@ def letter_at(w: LassoWord, k: int) -> int:
     if k < len(w.prefix):
         return w.prefix[k]
     return w.period[(k - len(w.prefix)) % len(w.period)]
+
+
+def letter_stream(a, w: LassoWord) -> tuple[tuple[int, ...], list[int]]:
+    """The letters of ``w`` at its positions 0..|prefix|+|period|-1, checked
+    against the alphabet of ``a``, and ``after[p]``, the position that
+    follows p: the last one wraps to |prefix|, the start of the period."""
+    letters = w.prefix + w.period
+    a.alphabet.check_letters(letters)
+    return letters, [*range(1, len(letters)), len(w.prefix)]
 
 
 def head(w: LassoWord, n: int) -> tuple[int, ...]:
@@ -497,7 +508,7 @@ def chain_color_oracle(c: ChainRepresentation, w: LassoWord) -> int:
     mate of every successor of every reached node.  It relies on no
     congruence of the partition; steps are read through ``a.step``."""
     a, equiv = c.source, c.partition
-    letters, after = _positions(a, w)
+    letters, after = letter_stream(a, w)
     n = a.state_count  # node (q, p) is p * n + q
 
     def step(node):
@@ -570,8 +581,8 @@ def gfg_resolver_step(a: CoBuchiAutomaton, s: ResolverState, sym: int) -> Resolv
     transitions': ``resolver_oracle_step``, after asserting that
     ``colors._advance`` steps the rank groups of ``s.tracked`` to those of
     its tracked states.  The letter is checked as ``resolve_run`` checks a
-    word, by ``graphs._positions``."""
-    _positions(a, LassoWord((), (sym,)))
+    word, by ``Alphabet.check_letters``."""
+    letter_stream(a, LassoWord((), (sym,)))
     tracked = dict(s.tracked)
     if (
         s.current not in tracked

@@ -61,6 +61,39 @@ class TestMember:
         assert code == 1
         assert "1" in out
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is a Linux /proc field")
+    def test_long_lasso_costs_no_memory(self, capsys, tmp_path):
+        # a 167-state DPA and its chain level A_1, each asked in a child
+        # process about a lasso with a prefix of 100,000 letters (Linux caps
+        # one argument string at 128 KiB) and about one with a 4-letter
+        # prefix: the peak RSS may differ by under 10 MB.  The child reads
+        # its peak as VmHWM, not ru_maxrss, which keeps the peak of the
+        # process it was forked from across exec
+        dpa = tmp_path / "dpa.aut"
+        dpa.write_text(emit_native(streamline(structure_dpa(random_dpa(200, 4, 2, 5)))))
+        assert main(["chain", str(dpa), "--out", str(tmp_path / "chain")]) == 0
+        capsys.readouterr()
+        src = str(Path(paritychain.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        probe = ("import sys\n"
+                 "from paritychain.cli import main\n"
+                 "main(sys.argv[1:])\n"
+                 "with open('/proc/self/status') as f:\n"
+                 "    print(next(line for line in f if line.startswith('VmHWM:')))")
+        rng = random.Random(5)
+        prefix = "".join(rng.choice("ab") for _ in range(100_000))
+        for path in (dpa, tmp_path / "chain" / "A_1.aut"):
+            peaks = []
+            for lasso in (prefix[:4] + ":abb", prefix + ":abb"):
+                proc = subprocess.run(
+                    [sys.executable, "-c", probe, "member", str(path), "--lasso", lasso],
+                    capture_output=True, text=True, env=env, timeout=120,
+                )
+                assert proc.returncode in (0, 1), proc.stderr
+                peaks.append(int(proc.stdout.split()[-2]))  # kB
+            assert peaks[1] - peaks[0] < 10 * 1024, (path.name, peaks)
+
     def test_empty_period_is_usage_error(self, capsys, flower_file):
         code, _, err = run(capsys, "member", flower_file, "--lasso", "ca:")
         assert code == 2

@@ -3,6 +3,7 @@ import pickle
 import random
 import sys
 import threading
+import time
 import tracemalloc
 from itertools import product
 
@@ -26,6 +27,7 @@ from paritychain import (
     Alphabet,
     AutomatonError,
     CoBuchiAutomaton,
+    CoRun,
     LassoWord,
     ParityAutomaton,
     PreconditionError,
@@ -353,6 +355,60 @@ class TestNaturalColorKernel:
             lifted += color > dpa_lasso_run(s, twin).dominating_color
         assert lifted >= 2
 
+    def test_long_prefix_costs_no_table_in_any_lasso_walk(self):
+        # 167 states, each its own class, so every co-run that jumps in the
+        # prefix is the run and joins the group of the earlier ones; a
+        # prefix of 50,000 letters is stepped without marks, where a table
+        # of marks over every word position would take 70 MB.  The word's
+        # natural color is 2: levels 0-2 accept it, level 3 does not
+        s, equiv = prepared(random_dpa(200, 4, 2, 5))
+        assert s.state_count == len(equiv.classes) == 167
+        chain = extract_chain(s, equiv)
+        rng = random.Random(0)
+        prefix = tuple(rng.randrange(len(s.alphabet)) for _ in range(50_000))
+        stem = [s.initial]  # the run's state at each prefix position
+        for sym in prefix:
+            stem.append(s.step(stem[-1], sym).dst)
+        long, twin = LassoWord(prefix, (1, 1, 0)), LassoWord(_word_to(s, stem.pop()), (1, 1, 0))
+        color = chain_color_oracle(chain, twin)
+        assert color == 2 and len(chain.levels) == 4
+        run, peak, held = _traced(dpa_lasso_run, s, long)
+        assert peak - held < 1_000_000
+        same = dpa_lasso_run(s, twin)
+        assert run.stem_states == tuple(stem) + same.stem_states[len(twin.prefix):]
+        assert run.cycle_states == same.cycle_states
+        assert run.dominating_color == same.dominating_color == color
+        found, peak, held = _traced(coruns, s, equiv, long)
+        assert peak < 1.5 * held
+        cycle, u = run.cycle_states, len(run.stem_states)
+        assert found == tuple(
+            CoRun(j, run.stem_states[j] if j < u else cycle[(j - u) % len(cycle)], color)
+            for j in range(1, len(prefix) + s.state_count * 3 + 1))
+        assert coruns(s, equiv, twin) == reference_coruns(s, equiv, twin)
+        assert table_corun_color(s, equiv, twin) == color
+        for i, level in enumerate(chain.levels):
+            member, peak, _ = _traced(gca_lasso_member, level, long)
+            assert peak < 100_000
+            assert member == (i <= color) == gca_member_oracle(level, twin)
+            resolved, peak, _ = _traced(resolve_run, level, long)
+            assert peak < 100_000
+            assert resolved[0] == member
+            assert resolve_run(level, twin) == resolver_oracle(level, twin)
+
+    def test_prefix_coruns_merge_smaller_into_larger(self):
+        # state 1 joins state 0 on the one letter, so at each prefix
+        # position a co-run jumps to 1 and its group merges into the group
+        # of all earlier co-runs one step later; merging the larger group
+        # into the smaller would copy it at every step, about 100 times
+        # slower on a prefix of 50,000 letters
+        a = ParityAutomaton(Alphabet(("a",)), 2, 0, (T(0, 0, 0, 0), T(1, 0, 0, 0)))
+        equiv = state_equivalence(a)
+        assert equiv.classes == ((0, 1),)
+        start = time.perf_counter()
+        found = coruns(a, equiv, LassoWord((0,) * 50_000, (0,)))
+        assert time.perf_counter() - start < 3.0
+        assert found == tuple(CoRun(j, q, 0) for j in range(1, 50_003) for q in (0, 1))
+
     def test_jumpy_family_needs_jumps(self):
         # words whose natural color exceeds the one their run dominates: only
         # a jump to a mate reaches the cycle that sets their color
@@ -365,12 +421,27 @@ class TestNaturalColorKernel:
         assert lifted >= 10
 
 
+def _traced(f, *args):
+    """``f(*args)`` after one warm call, with the peak and the final size
+    of the memory that tracemalloc traced in it."""
+    f(*args)
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak, held
+
+
 def _check_kernel(s, equiv, chain, w):
     levels = chain.levels
     color = corun_color(s, equiv, w)
     assert color == natural_color_via_chain(chain, w)
     assert color == chain_color_oracle(chain, w)
-    assert color == max(cr.dominating_color for cr in reference_coruns(s, equiv, w))
+    found = reference_coruns(s, equiv, w)
+    assert color == max(cr.dominating_color for cr in found)
+    assert coruns(s, equiv, w) == found
     assert color == table_corun_color(s, equiv, w)
     assert color == next(i for i in range(len(levels) - 1, -1, -1)
                          if gca_lasso_member(levels[i], w))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     head,
+    letter_stream,
     minimal_lasso_brute,
     row_scan_bad_rows,
     row_scan_complete,
@@ -32,7 +33,6 @@ from paritychain import (
     normalize_lasso,
     validate_dpa,
 )
-from paritychain.graphs import _positions
 
 T = Transition
 
@@ -171,9 +171,9 @@ class TestNormalizeLasso:
 
 class TestLassoWord:
     def test_suffix_matches_letter_stream(self):
-        # the letter stream the library reads: _positions' letters, stepped by after
+        # the oracles' letter stream: its letters, stepped by after
         w = LassoWord((0, 1), (2, 0, 1))
-        letters, after = _positions(ParityAutomaton(Alphabet(("a", "b", "c")), 1, 0, ()), w)
+        letters, after = letter_stream(ParityAutomaton(Alphabet(("a", "b", "c")), 1, 0, ()), w)
         stream, p = [], 0
         for _ in range(22):
             stream.append(letters[p])

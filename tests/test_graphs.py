@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +142,17 @@ class TestDpaLassoRun:
         rooted = ParityAutomaton(flower.alphabet, flower.state_count, 1, flower.transitions)
         assert dpa_lasso_run(rooted, WORD_CA).accepted
 
+    def test_partial_dpa_raises_its_first_bad_row(self):
+        # the run loops in state 0 and never reads the missing row of state
+        # 1 on b; the rows are read as ``flat`` reads them, all at once
+        a = ParityAutomaton(Alphabet(("a", "b")), 2, 0,
+                            (T(0, 0, 0, 0), T(0, 1, 0, 0), T(1, 0, 0, 1)))
+        with pytest.raises(AutomatonError) as first:
+            a.step(1, 1)
+        with pytest.raises(AutomatonError) as raised:
+            dpa_lasso_run(a, LassoWord((1,), (0,)))
+        assert str(raised.value) == str(first.value)
+
 
 class TestGcaLassoMember:
     def test_level_zero_universal(self, flower):
@@ -176,6 +188,24 @@ class TestGcaLassoMember:
             for _ in range(10):
                 w = random_lasso(rng, len(a.alphabet), max_len=4)
                 assert gca_lasso_member(level, w) == gca_member_oracle(level, w)
+
+    def test_runs_that_die_in_a_long_prefix(self):
+        # state 1 has no row on b, and b leads every state to 1, so every run
+        # dies on the second b of bb; a prefix of 50,000 letters is stepped
+        # as the set of states its runs reach, without marks
+        a = CoBuchiAutomaton(Alphabet(("a", "b")), 2, 0,
+                             (T(0, 0, 0, 2), T(0, 0, 1, 1), T(0, 1, 1, 1), T(1, 0, 0, 2)))
+        for tail, accepted in (((1, 1), False), ((0, 1), True)):
+            long, twin = LassoWord((0, 1) * 24_999 + tail, (0,)), LassoWord(tail, (0,))
+            gca_lasso_member(a, long)  # memoize the rows
+            tracemalloc.start()
+            try:
+                member = gca_lasso_member(a, long)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 100_000
+            assert member == gca_member_oracle(a, twin) == accepted
 
     @pytest.mark.parametrize("seed", range(8))
     def test_partial_ncw_matches_cycle_probing_oracle(self, seed):
