@@ -17,15 +17,24 @@ from .core import (
     _expect,
 )
 from .graphs import (
-    _PARTITION, _memo, _refine, reachable_states, scc_decompose, state_equivalence,
+    _PARTITION, SccDecomposition, _memo, _refine, reachable_states, scc_decompose,
+    state_equivalence,
 )
 
 
 def is_structured(a: ParityAutomaton) -> tuple[bool, list[str]]:
     """Check the two structuredness conditions: full reachability, and every
-    language-equivalence class contained in a single maximal SCC."""
+    language-equivalence class contained in a single maximal SCC.  Memoized
+    on ``a`` with the SCCs it reads; each call returns a fresh list."""
+    _expect(ParityAutomaton, a)
+    violations = _memo(a, "_violations", lambda: _violations(a))
+    return not violations, list(violations)
+
+
+def _violations(a: ParityAutomaton) -> list[str]:
+    """``is_structured``'s violations, without the memo."""
     violations = []
-    scc_of = scc_decompose(a).scc_of  # the reachable states
+    scc_of = _memo(a, "_sccs", lambda: scc_decompose(a)).scc_of  # the reachable states
     unreachable = sorted(set(range(a.state_count)) - scc_of.keys())
     if unreachable:
         violations.append(f"unreachable states {unreachable}")
@@ -35,27 +44,21 @@ def is_structured(a: ParityAutomaton) -> tuple[bool, list[str]]:
             violations.append(
                 f"equivalence class {cid} {members} spans SCCs {tuple(scc_ids)}"
             )
-    return not violations, violations
+    return violations
 
 
-def _drop_unreachable(a: ParityAutomaton) -> tuple[ParityAutomaton, dict[int, int]]:
-    """``a`` on the states reachable from its initial state, renumbered
-    order-preservingly, with the old -> new id map of those states; ``a``
-    itself when every state is reachable."""
-    keep = sorted(reachable_states(a, a.initial))
+def _drop_unreachable(a: ParityAutomaton, reachable=None) -> tuple[ParityAutomaton, dict]:
+    """``a`` on the states reachable from its initial state (``reachable``,
+    if known), renumbered order-preservingly, with the old -> new id map of
+    those states; ``a`` itself when every state is reachable."""
+    keep = sorted(reachable_states(a, a.initial) if reachable is None else reachable)
     remap = {old: new for new, old in enumerate(keep)}
     if len(keep) == a.state_count:
         return a, remap
     ts = tuple(  # the successors of a reachable state are reachable
         Transition(remap[s], y, remap[d], c) for s, y, d, c in a.transitions if s in remap
     )
-    out = ParityAutomaton(
-        alphabet=a.alphabet,
-        state_count=len(keep),
-        initial=remap[a.initial],
-        transitions=ts,
-    )
-    return out, remap
+    return ParityAutomaton(a.alphabet, len(keep), remap[a.initial], ts), remap
 
 
 def default_letter_names(count: int) -> tuple[str, ...]:
@@ -91,9 +94,9 @@ def random_dpa(
 def structure_dpa_with_map(a: ParityAutomaton) -> tuple[ParityAutomaton, dict[int, int]]:
     """Like ``structure_dpa`` but also returns the id map original -> final
     for surviving states.  Ids are compacted order-preservingly, so an
-    already-structured input maps identically.  The language-equivalence
-    partition is computed once and carried by the result, so asking
-    ``state_equivalence`` for it costs nothing.
+    already-structured input maps identically.  The result carries the
+    language-equivalence partition, computed once, its SCCs and its
+    ``is_structured`` verdict, so asking for them costs nothing.
     """
     # Dropped first, as an unreachable state may lack rows.  Redirects keep
     # every state's language, and states that become unreachable stay
@@ -102,8 +105,9 @@ def structure_dpa_with_map(a: ParityAutomaton) -> tuple[ParityAutomaton, dict[in
     cur, first = _drop_unreachable(a)
     partition = state_equivalence(cur)
     for _ in range((a.state_count + 2) ** 2):
-        scc_of = scc_decompose(cur).scc_of
-        to = list(range(cur.state_count))  # the redirect target of each state
+        sccs = _memo(cur, "_sccs", lambda: scc_decompose(cur))
+        scc_of = sccs.scc_of
+        to: dict[int, int] = {}  # the redirect target of each state that moves
         for cls in partition.classes:
             live = [q for q in cls if q in scc_of]
             if live:
@@ -112,15 +116,18 @@ def structure_dpa_with_map(a: ParityAutomaton) -> tuple[ParityAutomaton, dict[in
                 for q in live:
                     if scc_of[q] != best:
                         to[q] = rep
-        ts = tuple(Transition(s, y, to[d], c) for s, y, d, c in cur.transitions)
-        if to[cur.initial] == cur.initial and ts == cur.transitions:
+        if not to:  # else a live state moves, so a row into it or the initial does
             break
-        cur = ParityAutomaton(cur.alphabet, cur.state_count, to[cur.initial], ts)
+        ts = tuple(Transition(s, y, to.get(d, d), c) for s, y, d, c in cur.transitions)
+        cur = ParityAutomaton(cur.alphabet, cur.state_count, to.get(cur.initial, cur.initial), ts)
     else:
         raise AutomatonError("structuring did not converge")  # pragma: no cover
-    out, last = _drop_unreachable(cur)
+    out, last = _drop_unreachable(cur, scc_of.keys())
     restricted = (tuple(last[q] for q in c if q in last) for c in partition.classes)
     _memo(out, _PARTITION, lambda: Partition(tuple(c for c in restricted if c)))
+    # the renumbering keeps Tarjan's order, so these are ``scc_decompose(out)``
+    _memo(out, "_sccs", lambda: SccDecomposition(tuple(tuple(map(last.__getitem__, c))
+                                                     for c in sccs.sccs)))
     ok, violations = is_structured(out)
     if not ok:  # pragma: no cover - fixpoint implies structured
         raise AutomatonError(f"structuring stalled: {violations}")

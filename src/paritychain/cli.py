@@ -83,7 +83,10 @@ def format_lasso(w: LassoWord, alphabet: Alphabet) -> str:
 # -- command implementations ---------------------------------------------------
 
 def _load(path: str, *, validate: bool = True):
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise FormatError(f"{path}: not UTF-8 text at byte {err.start}") from None
     if text.lstrip().startswith("HOA:"):
         return parse_hoa(text, allow_incomplete=not validate)
     return parse_native(text, validate=validate)

@@ -319,11 +319,11 @@ class CoBuchiAutomaton(_Frozen, _Rows):
         dst), so the rows stay sorted, typed, in range and with distinct
         edges; their colors stay in {1, 2}; and the accepting rows only
         shrink, so a state still accepts on at most one row per letter."""
-        rows = list(self.transitions)
+        rows, new = list(self.transitions), tuple.__new__
         for group in groups:
             for e in group:
                 s, y, d, _ = rows[e]
-                rows[e] = Transition(s, y, d, 1)
+                rows[e] = new(Transition, (s, y, d, 1))
             b = object.__new__(CoBuchiAutomaton)
             b._set(alphabet=self.alphabet, state_count=self.state_count, initial=self.initial,
                    transitions=tuple(rows), gfg_claimed=self.gfg_claimed)
@@ -447,11 +447,11 @@ class ChainRepresentation(_Frozen):
 
     @cached_property
     def levels(self) -> tuple[CoBuchiAutomaton, ...]:
-        a, mates = self.source, self.partition._by_state
-        jumps = tuple(Transition(s, y, mate, 1)
-                      for s, y, d, _ in a.transitions for mate in mates[d] if mate != d)
+        a, mates, new = self.source, self.partition._by_state, tuple.__new__
+        # sorted already: per source row, its target's mates, the target accepting
         top = CoBuchiAutomaton(a.alphabet, a.state_count, a.initial,
-                               tuple(Transition(s, y, d, 2) for s, y, d, _ in a.transitions) + jumps,
+                               tuple(new(Transition, (s, y, m, 1 + (m == d)))
+                                     for s, y, d, _ in a.transitions for m in mates[d]),
                                gfg_claimed=True)
         # A_0's constructor allows one accepting row per state and letter, so
         # they are the source's rows in its order; level i + 1 demotes color i

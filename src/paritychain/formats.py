@@ -125,7 +125,8 @@ def parse_native(text: str, *, validate: bool = True):
 
 
 def emit_native(a) -> str:
-    """Canonical serialization; byte-identical for equal automata."""
+    """Canonical serialization; byte-identical for equal automata.  The rows
+    are one ``%`` of a row template per row over all their fields."""
     _expect(_AUTOMATA, a)
     is_ncw = isinstance(a, CoBuchiAutomaton)
     lines = ["{"]
@@ -136,12 +137,11 @@ def emit_native(a) -> str:
     if is_ncw:
         lines.append(f'  "gfg": {json.dumps(a.gfg_claimed)},')
     lines.append('  "transitions": [')
-    lines.append(",\n".join(
-        '    {"src": %d, "sym": %d, "dst": %d, "col": %d}' % t for t in a.transitions
-    ))
+    row = '    {"src": %d, "sym": %d, "dst": %d, "col": %d}'
+    lines.append(",\n".join([row] * len(a.transitions)) % tuple(chain.from_iterable(a.transitions)))
     lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")  # not ``+ "\n"``, which would copy the whole text once more
+    return "\n".join(lines)
 
 
 # -- HOA v1 subset -----------------------------------------------------------

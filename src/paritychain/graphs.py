@@ -462,11 +462,11 @@ def _preimages(a: ParityAutomaton) -> list[list[list[int]]]:
     return pre
 
 
-def _coarsest(pre: list[list[list[int]]], seeds) -> list[set[int]]:
-    """The coarsest partition of the states closed under successors that
-    separates every state set of ``seeds`` from the other states, by
-    Hopcroft's refinement on the preimage lists ``pre`` (see
-    ``_preimages``).
+def _coarsest(pre: list[list[list[int]]], seeds, enough: int = 0) -> list[set[int]]:
+    """A partition of the states closed under successors that separates
+    every state set of ``seeds`` read from the other states, by Hopcroft's
+    refinement on the preimage lists ``pre`` (see ``_preimages``): the
+    coarsest one when every seed is read.
 
     Each seed splits every block into its states in the set and the rest.
     Then a dequeued splitter B splits every block by "the σ-successor lies
@@ -475,22 +475,27 @@ def _coarsest(pre: list[list[list[int]]], seeds) -> list[set[int]]:
     id, so it stays queued if it was, and otherwise the partition is
     stable under the whole block already.  Each state so joins a queued
     splitter at most log2 |Q| times.  ``seeds`` is read lazily, and no more
-    of it once every block is a singleton.
+    of it once |Σ|·Σ|B|², over the blocks B of two states or more, is at
+    most ``enough``; with the default 0, once every block is a singleton.
     """
-    n = len(pre[0])
+    n, k = len(pre[0]), len(pre)
     blocks: list[set[int]] = [set(range(n))]
     block_of = [0] * n
     work: list[int] = []
+    pairs = n * n if n > 1 else 0  # Σ|B|² over the blocks of two states or more
 
     def split(marked):
         """Split every block into its states in ``marked`` and the rest."""
+        nonlocal pairs
         parts: dict[int, set[int]] = {}
         for r in marked:
             parts.setdefault(block_of[r], set()).add(r)
         for b, part in parts.items():
             if len(part) < len(blocks[b]):  # else every state is marked: no split
                 blocks[b] -= part
-                if len(part) > len(blocks[b]):
+                x, y = len(part), len(blocks[b])
+                pairs -= 2 * x * y + (x == 1) + (y == 1)  # (x + y)² -> x² + y², less singletons
+                if x > y:
                     blocks[b], part = part, blocks[b]
                 for r in part:
                     block_of[r] = len(blocks)
@@ -503,7 +508,7 @@ def _coarsest(pre: list[list[list[int]]], seeds) -> list[set[int]]:
             sources = list(blocks[work.pop()])
             for ps in pre:
                 split([r for q in sources for r in ps[q]])
-        if len(blocks) == n:
+        if k * pairs <= enough:
             break
     return blocks
 
@@ -580,8 +585,8 @@ def _presplit(a: ParityAutomaton, pre) -> list[list[int]]:
     at once, which gives the functional graph q -> δ(q, v) weighted by the
     least color on the way; membership is the parity of the least weight
     on the cycle that q's walk reaches.  The words are the seeds of
-    ``_coarsest``, so they stop once every block is a singleton: on a
-    bisimulation quotient, once the two sides of the sandwich meet.
+    ``_coarsest``, drawn until the in-block product left, exact on any such
+    partition, costs no more than one more word: |Σ|·Σ|B|² ≤ |Q|.
     """
     n, k = a.state_count, len(a.alphabet)
     dst, col = a.flat
@@ -602,7 +607,7 @@ def _presplit(a: ParityAutomaton, pre) -> list[list[int]]:
                     _least_on_cycle(step, dom, q)
             yield [q for q in range(n) if dom[q] % 2]
 
-    return [sorted(block) for block in _coarsest(pre, rejecting_states())]
+    return [sorted(block) for block in _coarsest(pre, rejecting_states(), n)]
 
 
 def dpa_language_equiv(

@@ -40,12 +40,16 @@ time, which the parser's valuation sets must reproduce.
 ``levels_oracle`` builds every chain level on its own through the public
 constructor, which the levels derived from A_0's checked rows must
 reproduce.
+``per_row_native`` is the native serialization formatted row by row,
+which the library's one-template ``emit_native`` must reproduce byte for
+byte.
 ``row_scan_*`` answer every row question from a dict of the transitions
 keyed by (state, letter), which the sorted-key row index of the automata
 must reproduce: the bad rows, the step and successors, the first row error
 of the flat rows, and the ``validate_dpa`` and ``complete_dpa`` results.
 """
 
+import json
 from collections import deque
 from operator import getitem
 from typing import NamedTuple
@@ -789,3 +793,22 @@ def row_scan_complete(a: ParityAutomaton) -> ParityAutomaton:
     extra = [Transition(src, sym, sink, 1) for src, sym in missing]
     extra += [Transition(sink, sym, sink, 1) for sym in range(len(a.alphabet))]
     return ParityAutomaton(a.alphabet, a.state_count + 1, a.initial, a.transitions + tuple(extra))
+
+
+def per_row_native(a) -> str:
+    """The native format of ``a``, each transition formatted on its own."""
+    is_ncw = isinstance(a, CoBuchiAutomaton)
+    lines = ["{"]
+    lines.append(f'  "kind": {json.dumps("ncw" if is_ncw else "dpa")},')
+    lines.append(f'  "alphabet": {json.dumps(list(a.alphabet.letters))},')
+    lines.append(f'  "states": {a.state_count},')
+    lines.append(f'  "initial": {a.initial},')
+    if is_ncw:
+        lines.append(f'  "gfg": {json.dumps(a.gfg_claimed)},')
+    lines.append('  "transitions": [')
+    lines.append(",\n".join(
+        '    {"src": %d, "sym": %d, "dst": %d, "col": %d}' % t for t in a.transitions
+    ))
+    lines.append("  ]")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

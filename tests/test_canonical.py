@@ -365,6 +365,67 @@ class TestCarriedStreamlinedColors:
             assert not is_streamlined(raised) and len(calls) == 3
 
 
+def _count_scc_passes(monkeypatch) -> list:
+    """The automata ``canonical`` asks ``scc_decompose`` about, in order."""
+    calls = []
+    kernel = canonical.scc_decompose
+    monkeypatch.setattr(canonical, "scc_decompose", lambda a: calls.append(a) or kernel(a))
+    return calls
+
+
+class TestCarriedSccs:
+    """``structure_dpa_with_map`` hands the SCCs of its last round and its
+    ``is_structured`` verdict to the automaton it returns, as it hands on
+    the partition: its own final check and ``streamline``'s precondition
+    run no SCC pass."""
+
+    def test_one_scc_pass_when_no_state_moves(self, monkeypatch):
+        calls = _count_scc_passes(monkeypatch)
+        rng = random.Random(13)
+        for a in (flower_automaton(), random_dpa(40, 6, 2, 3), random_dpa(64, 5, 4, 1),
+                  blowup(random_dpa(12, 5, 2, 4), 3, rng)):
+            calls.clear()
+            s = streamline(structure_dpa(a))
+            extract_chain(s, state_equivalence(s))
+            assert s.state_count == a.state_count and calls == [a]
+
+    @pytest.mark.parametrize("build", [redirect_instance, collapse_instance])
+    def test_one_scc_pass_per_round(self, monkeypatch, build):
+        # one round redirects and drops a state, the next finds a fixpoint
+        a = build()
+        calls = _count_scc_passes(monkeypatch)
+        s = streamline(structure_dpa(a))
+        assert len(calls) == 2 and calls[0] is a and s.state_count < a.state_count
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_carried_sccs_are_the_result_s_own(self, seed):
+        # the last round's SCCs, renumbered past the dropped states, are
+        # those a fresh pass finds on the result
+        rng = random.Random(3300 + seed)
+        for i in range(40):
+            a = _idempotence_input(seed * 40 + i)
+            if i % 2:
+                a = staircase(a, rng.randrange(2, 4), rng)
+            out = structure_dpa(a)
+            assert vars(out)["_sccs"] == graphs.scc_decompose(out)
+            assert vars(out)["_violations"] == [] == canonical._violations(_fresh(out))
+
+    def test_memoized_verdict_returns_a_fresh_list(self):
+        a, out = redirect_instance(), structure_dpa(redirect_instance())
+        expected = ["equivalence class 1 (1, 2) spans SCCs (1, 2)"]
+        for b, verdict in ((a, (False, expected)), (out, (True, []))):
+            ok, violations = is_structured(b)
+            assert (ok, violations) == verdict
+            violations.append("mutated")
+            assert is_structured(b) == verdict
+            assert is_structured(b)[1] is not violations
+
+
+def _fresh(a: ParityAutomaton) -> ParityAutomaton:
+    """A value-equal copy of ``a`` that carries no memo."""
+    return ParityAutomaton(a.alphabet, a.state_count, a.initial, a.transitions)
+
+
 class TestChainStats:
     def test_flower_counts(self, flower):
         s = streamline(flower)

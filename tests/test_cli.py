@@ -267,6 +267,28 @@ class TestValidate:
         assert code == 1 and len(out) < 2048
         assert json.loads(out)["violations"][-1] == "... and 99990 more"
 
+    @pytest.mark.parametrize("command", [
+        ["validate"], ["stats"], ["structure"], ["streamline"], ["chain", "--out", "chain"],
+        ["color", "--lasso", ":a"], ["member", "--lasso", ":a"], ["equiv", "FLOWER"],
+        ["equiv", "FLOWER", "BAD"],
+    ], ids=lambda argv: "-".join(x for x in argv if x.isalpha()))
+    @pytest.mark.parametrize("name, data, offset", [
+        ("bad.aut", b'{"kind": \xff\xfe\x00}', 9),
+        ("bad.hoa", b"HOA: v1\nStates: 1\n\xc3(\n", 18),
+    ], ids=["native", "hoa"])
+    def test_non_utf8_file_is_format_error(self, capsys, tmp_path, flower_file,
+                                           command, name, data, offset):
+        # a byte that is not UTF-8 ended in a UnicodeDecodeError traceback
+        path = tmp_path / name
+        path.write_bytes(data)
+        names = {"FLOWER": flower_file, "BAD": str(path), "chain": str(tmp_path / "chain")}
+        argv = [command[0]] + [names.get(x, x) for x in command[1:]]
+        if "BAD" not in command:
+            argv.insert(1, str(path))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: not UTF-8 text at byte {offset}\n"
+
 
 class TestPipeline:
     def test_structure_streamline_chain(self, capsys, tmp_path, flower_file):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import flower_automaton, mutated
-from oracles import eval_label_oracle
+from oracles import eval_label_oracle, per_row_native
 from paritychain import (
     Alphabet,
     CoBuchiAutomaton,
@@ -26,6 +26,7 @@ from paritychain import (
     random_dpa,
     state_equivalence,
     streamline,
+    structure_dpa,
     validate_dpa,
 )
 from paritychain.formats import _LabelParser, _tokenize_hoa, _TokenStream, letter_names
@@ -118,6 +119,38 @@ class TestNative:
         chain = extract_chain(s, state_equivalence(s))
         expected = (GOLDEN / "flower_chain_A5.aut").read_text()
         assert emit_native(chain.levels[5]) == expected
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_row_emitter(self, seed):
+        # DPAs and every level of their chains, A_0 and the demoted ones;
+        # letter names with "%" must not reach the row template
+        rng = random.Random(seed)
+        letters = rng.randrange(1, 4)
+        a = random_dpa(rng.randrange(1, 40), rng.randrange(1, 7), letters, seed,
+                       ("%d", "a%s", "%%")[:letters] if seed % 2 else None)
+        s = streamline(structure_dpa(a))
+        automata = [a, s, *extract_chain(s, state_equivalence(s)).levels]
+        assert any(isinstance(b, CoBuchiAutomaton) for b in automata)
+        for b in automata:
+            assert emit_native(b) == per_row_native(b)
+
+    def test_goldens_match_per_row_emitter(self):
+        paths = sorted((GOLDEN / "blowup14_chain").glob("A_*.aut")) + [
+            GOLDEN / "blowup14.aut", GOLDEN / "flower_streamlined.aut",
+            GOLDEN / "flower_chain_A5.aut"]
+        assert len(paths) == 7
+        for path in paths:
+            text = path.read_text()
+            b = parse_native(text)
+            assert emit_native(b) == per_row_native(b) == text
+
+    def test_no_transitions_match_per_row_emitter(self):
+        alphabet = Alphabet(("a", "b"))
+        for b in (ParityAutomaton(alphabet, 3, 1, ()),
+                  CoBuchiAutomaton(alphabet, 2, 0, (), gfg_claimed=True)):
+            text = emit_native(b)
+            assert text == per_row_native(b)
+            assert '"transitions": [\n\n  ]' in text and parse_native(text, validate=False) == b
 
 
 UNIVERSAL_1AP = """\

@@ -647,6 +647,28 @@ def _presplit(a: ParityAutomaton) -> list[list[int]]:
     return graphs._presplit(a, graphs._preimages(a))
 
 
+def _seed_words_handed(monkeypatch) -> list:
+    """Make ``graphs._seed_words`` hand out iterators, listed in the returned
+    list, so a test can see how many words the pre-split drew of each."""
+    handed = []
+    seed_words = graphs._seed_words
+
+    def handing(k):
+        handed.append(iter(seed_words(k)))
+        return handed[-1]
+
+    monkeypatch.setattr(graphs, "_seed_words", handing)
+    return handed
+
+
+def _cycle(n: int) -> ParityAutomaton:
+    """A one-letter cycle of n states with color 0 on the edge out of state
+    0 and 1 on the others: one language class, no two states bisimilar,
+    and no seed word splits it."""
+    return ParityAutomaton(Alphabet(("a",)), n, 0,
+                           tuple(T(q, 0, (q + 1) % n, int(q > 0)) for q in range(n)))
+
+
 class TestPresplit:
     """``state_equivalence`` refines the product only on the pairs inside
     the blocks of a cheap pre-split; it must equal the all-pairs kernel.
@@ -693,6 +715,41 @@ class TestPresplit:
         # every pre-split block is a singleton, its own class: no pair is built
         assert built == [sum(len(block) ** 2 for block in _presplit(a) if len(block) > 1)] == [0]
         assert classes == tuple((q,) for q in range(1610))
+
+    def test_words_stop_once_the_product_is_cheaper(self, monkeypatch):
+        # canon-mix's random/72/8/2/3: 62 states, none bisimilar, 61 classes.
+        # After the first word the one block of two states is a class, and
+        # |Σ|·2² <= 62, so the other 34 words are not drawn
+        a = random_dpa(72, 8, 2, 3)
+        handed = _seed_words_handed(monkeypatch)
+        blocks = _presplit(a)
+        assert len(handed) == 1 and len(list(handed[0])) == 34
+        assert [block for block in blocks if len(block) > 1] == [[53, 60]]
+        assert len(blocks) == a.state_count - 1
+        assert state_equivalence(a) == all_pairs_partition(a)
+        assert state_equivalence(a).mates(53) == (53, 60)
+
+    @pytest.mark.parametrize("a", [random_dpa(100, 4, 2, 136), _cycle(250)],
+                             ids=["seed-136", "cycle-250"])
+    def test_every_word_drawn_while_the_product_is_dearer(self, monkeypatch, a):
+        # one pre-split block of 78 pairwise inequivalent states, and one
+        # class of 250 states: the product stays dearer than a word
+        handed = _seed_words_handed(monkeypatch)
+        blocks = _presplit(a)
+        assert len(blocks) == 1 and len(handed) == 1
+        assert next(handed[0], None) is None
+        classes = state_equivalence(a).classes
+        assert len(classes) == (78 if a.state_count == 78 else 1)
+
+    @pytest.mark.parametrize("seed", [3, 84, 567])
+    def test_bisimulation_reads_every_seed(self, seed):
+        # the stop is the pre-split's alone.  A bisimulation that stopped
+        # its seeds there too keeps non-bisimilar states in one block on
+        # these, and on seed 567 the quotient then gives a wrong partition
+        a = _refinement_dpa(seed)
+        blocks = graphs._bisimulation(a, graphs._preimages(a))
+        assert {frozenset(block) for block in blocks} == moore_bisimulation(a)
+        assert state_equivalence(a) == all_pairs_partition(a)
 
     def test_incomplete_automaton_rejected(self):
         # rows (1, a) and (2, b) are missing, and state 0 leads to state 2:
