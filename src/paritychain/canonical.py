@@ -17,48 +17,41 @@ from .core import (
     _expect,
 )
 from .graphs import (
-    _PARTITION, SccDecomposition, _memo, _refine, reachable_states, scc_decompose,
-    state_equivalence,
+    _PARTITION, _SCCS, SccDecomposition, _memo, _refine, scc_decompose, state_equivalence,
 )
 
 
 def is_structured(a: ParityAutomaton) -> tuple[bool, list[str]]:
     """Check the two structuredness conditions: full reachability, and every
-    language-equivalence class contained in a single maximal SCC.  Memoized
-    on ``a`` with the SCCs it reads; each call returns a fresh list."""
+    language-equivalence class contained in a single maximal SCC.  It reads
+    the SCCs and partition memoized on ``a``, so a repeated call is O(|Q|)."""
     _expect(ParityAutomaton, a)
-    violations = _memo(a, "_violations", lambda: _violations(a))
-    return not violations, list(violations)
-
-
-def _violations(a: ParityAutomaton) -> list[str]:
-    """``is_structured``'s violations, without the memo."""
-    violations = []
-    scc_of = _memo(a, "_sccs", lambda: scc_decompose(a)).scc_of  # the reachable states
+    scc_of = scc_decompose(a).scc_of  # the reachable states
     unreachable = sorted(set(range(a.state_count)) - scc_of.keys())
-    if unreachable:
-        violations.append(f"unreachable states {unreachable}")
+    violations = [f"unreachable states {unreachable}"] if unreachable else []
     for cid, members in enumerate(state_equivalence(a).classes):
         scc_ids = sorted({scc_of[q] for q in members if q in scc_of})
         if len(scc_ids) > 1:
-            violations.append(
-                f"equivalence class {cid} {members} spans SCCs {tuple(scc_ids)}"
-            )
-    return violations
+            violations.append(f"equivalence class {cid} {members} spans SCCs {tuple(scc_ids)}")
+    return not violations, violations
 
 
-def _drop_unreachable(a: ParityAutomaton, reachable=None) -> tuple[ParityAutomaton, dict]:
-    """``a`` on the states reachable from its initial state (``reachable``,
-    if known), renumbered order-preservingly, with the old -> new id map of
-    those states; ``a`` itself when every state is reachable."""
-    keep = sorted(reachable_states(a, a.initial) if reachable is None else reachable)
-    remap = {old: new for new, old in enumerate(keep)}
-    if len(keep) == a.state_count:
+def _drop_unreachable(a: ParityAutomaton) -> tuple[ParityAutomaton, dict]:
+    """``a`` on the states of its SCCs, renumbered order-preservingly, with
+    the old -> new id map of those states; ``a`` itself when every state is
+    reachable.  The automaton built carries ``a``'s SCCs renumbered, which
+    are its own: the renumbering keeps Tarjan's order."""
+    sccs = scc_decompose(a)
+    remap = {old: new for new, old in enumerate(sorted(sccs.scc_of))}
+    if len(remap) == a.state_count:
         return a, remap
     ts = tuple(  # the successors of a reachable state are reachable
         Transition(remap[s], y, remap[d], c) for s, y, d, c in a.transitions if s in remap
     )
-    return ParityAutomaton(a.alphabet, len(keep), remap[a.initial], ts), remap
+    out = ParityAutomaton(a.alphabet, len(remap), remap[a.initial], ts)
+    _memo(out, _SCCS, lambda: SccDecomposition(tuple(tuple(map(remap.__getitem__, c))
+                                                   for c in sccs.sccs)))
+    return out, remap
 
 
 def default_letter_names(count: int) -> tuple[str, ...]:
@@ -95,18 +88,17 @@ def structure_dpa_with_map(a: ParityAutomaton) -> tuple[ParityAutomaton, dict[in
     """Like ``structure_dpa`` but also returns the id map original -> final
     for surviving states.  Ids are compacted order-preservingly, so an
     already-structured input maps identically.  The result carries the
-    language-equivalence partition, computed once, its SCCs and its
-    ``is_structured`` verdict, so asking for them costs nothing.
+    language-equivalence partition, computed once, and its SCCs, so asking
+    for them costs nothing.
     """
-    # Dropped first, as an unreachable state may lack rows.  Redirects keep
-    # every state's language, and states that become unreachable stay
-    # outside ``scc_of`` until the end: dropping them each round would
-    # renumber the rest order-preservingly, which keeps Tarjan's order.
+    # Dropped first, as an unreachable state may lack rows; the SCCs found
+    # for it are the first round's.  Redirects keep every state's language,
+    # and states that become unreachable stay outside ``scc_of`` until the
+    # last round's SCCs drop them.
     cur, first = _drop_unreachable(a)
     partition = state_equivalence(cur)
     for _ in range((a.state_count + 2) ** 2):
-        sccs = _memo(cur, "_sccs", lambda: scc_decompose(cur))
-        scc_of = sccs.scc_of
+        scc_of = scc_decompose(cur).scc_of
         to: dict[int, int] = {}  # the redirect target of each state that moves
         for cls in partition.classes:
             live = [q for q in cls if q in scc_of]
@@ -122,12 +114,9 @@ def structure_dpa_with_map(a: ParityAutomaton) -> tuple[ParityAutomaton, dict[in
         cur = ParityAutomaton(cur.alphabet, cur.state_count, to.get(cur.initial, cur.initial), ts)
     else:
         raise AutomatonError("structuring did not converge")  # pragma: no cover
-    out, last = _drop_unreachable(cur, scc_of.keys())
+    out, last = _drop_unreachable(cur)
     restricted = (tuple(last[q] for q in c if q in last) for c in partition.classes)
     _memo(out, _PARTITION, lambda: Partition(tuple(c for c in restricted if c)))
-    # the renumbering keeps Tarjan's order, so these are ``scc_decompose(out)``
-    _memo(out, "_sccs", lambda: SccDecomposition(tuple(tuple(map(last.__getitem__, c))
-                                                     for c in sccs.sccs)))
     ok, violations = is_structured(out)
     if not ok:  # pragma: no cover - fixpoint implies structured
         raise AutomatonError(f"structuring stalled: {violations}")
@@ -223,11 +212,7 @@ def streamline(a: ParityAutomaton) -> ParityAutomaton:
 
 def is_streamlined(a: ParityAutomaton) -> bool:
     """Whether streamlining is a no-op, i.e. the colors are already minimal."""
-    colors = _streamlined_colors(a)
-    return _memo(
-        a, "_is_streamlined",
-        lambda: a.flat[1] == colors,
-    )
+    return a.flat[1] == _streamlined_colors(a)
 
 
 def extract_chain(a: ParityAutomaton, equiv: Partition) -> ChainRepresentation:

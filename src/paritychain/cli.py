@@ -154,20 +154,11 @@ def cmd_chain(args) -> int:
     chain = extract_chain(a, state_equivalence(a))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    stats = chain_stats(chain)
     levels = []
-    for level_stats, automaton in zip(stats, chain.levels):
-        filename = f"A_{level_stats.level}.aut"
+    for stats, automaton in zip(chain_stats(chain), chain.levels):
+        filename = f"A_{stats.level}.aut"
         (outdir / filename).write_text(emit_native(automaton), encoding="utf-8")
-        levels.append(
-            {
-                "level": level_stats.level,
-                "file": filename,
-                "states": level_stats.states,
-                "accepting_transitions": level_stats.accepting_transitions,
-                "jump_transitions": level_stats.jump_transitions,
-            }
-        )
+        levels.append({"level": stats.level, "file": filename, **stats._asdict()})
     manifest = {"source_color_max": chain.source.max_color, "levels": levels}
     (outdir / "manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8"

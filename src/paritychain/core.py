@@ -333,13 +333,19 @@ class CoBuchiAutomaton(_Frozen, _Rows):
     def flat(self) -> tuple[list[int], list[tuple[int, ...]]]:
         """Flat rows, indexed by state * |Σ| + letter: the target of the
         accepting transition (-1 if none; there is at most one) and the
-        targets of all transitions.  Callers must not mutate the lists."""
+        targets of all transitions.  Equal successor rows are one tuple
+        object, so a caller may read each distinct row once by ``id`` (on a
+        chain level a row is a whole class).  Callers must not mutate the
+        lists."""
         acc = [-1] * (self.state_count * len(self.alphabet))
         succ: list[tuple[int, ...]] = [()] * len(acc)
         for r, (_, _, d, c) in zip(self._keys, self.transitions):
             succ[r] += (d,)
             if c == 2:
                 acc[r] = d
+        shared: dict = {}
+        for r, t in enumerate(succ):
+            succ[r] = shared.setdefault(t, t)
         return acc, succ
 
 

@@ -66,13 +66,13 @@ def _least_on_cycle(step, table: list[int], node: int) -> int:
     return value
 
 
-def _scc_ids(n: int, succ, roots=None) -> list[int]:
+def _scc_ids(n: int, succ, roots) -> list[int]:
     """Iterative Tarjan over nodes 0..n-1 with successor lists ``succ``.
 
     Returns the component id of every node, -1 for nodes not reached from
-    ``roots`` (default: every node, ascending).  Ids count up in pop order,
-    which is reverse topological order of the condensation, and are
-    deterministic for a fixed root and successor order.
+    ``roots``.  Ids count up in pop order, which is reverse topological
+    order of the condensation, and are deterministic for a fixed root and
+    successor order.
     """
     index = [-1] * n
     low = [0] * n
@@ -80,7 +80,7 @@ def _scc_ids(n: int, succ, roots=None) -> list[int]:
     stack: list[int] = []
     counter = 0
     count = 0
-    for root in range(n) if roots is None else roots:
+    for root in roots:
         if index[root] >= 0:
             continue
         index[root] = low[root] = counter
@@ -173,8 +173,17 @@ def reachable_states(a, origin: int) -> frozenset[int]:
 
 
 def scc_decompose(a) -> SccDecomposition:
-    """Maximal SCCs of the part reachable from the initial state."""
+    """Maximal SCCs of the part reachable from the initial state, memoized
+    on ``a`` as ``state_equivalence`` is (see ``_memo``)."""
     _expect(_AUTOMATA, a)
+    return _memo(a, _SCCS, lambda: _scc_decompose(a))
+
+
+_SCCS = "_sccs"  # the memo key of ``scc_decompose``
+
+
+def _scc_decompose(a) -> SccDecomposition:
+    """``scc_decompose`` without the memo."""
     adj = _adjacency(a)
     comp = _scc_ids(a.state_count, adj, sorted(_reach([a.initial], adj.__getitem__)))
     last = max(comp)
@@ -221,8 +230,10 @@ def dpa_lasso_run(a: ParityAutomaton, w: LassoWord) -> RunAnalysis:
 def gca_lasso_member(a: CoBuchiAutomaton, w: LassoWord) -> bool:
     """Whether some run of the co-Buchi automaton accepts the lasso word.
 
-    The prefix is stepped as the set of states its runs reach; from there
-    the word is accepted iff a cycle of accepting transitions is reachable
+    The prefix is stepped as the set of states its runs reach, reading each
+    distinct row object of ``CoBuchiAutomaton.flat`` once per letter, so on
+    a chain level a letter costs O(|Q|), not |states|·|class|.  From there the
+    word is accepted iff a cycle of accepting transitions is reachable
     in the finite product of automaton states with period positions, since
     an accepting run is eventually trapped on such a cycle.  A node has at
     most one accepting edge, so these edges form a functional graph once
@@ -237,7 +248,8 @@ def gca_lasso_member(a: CoBuchiAutomaton, w: LassoWord) -> bool:
     acc_row, succ_row = a.flat
     n, k, letters, states = a.state_count, len(a.alphabet), w.period, {a.initial}
     for sym in w.prefix:
-        states = {dst for q in states for dst in succ_row[q * k + sym]}
+        rows = {id(t): t for t in (succ_row[q * k + sym] for q in states)}
+        states = set().union(*rows.values())
 
     def succ(node):  # node (q, p) is p * n + q
         p, q = divmod(node, n)

@@ -106,7 +106,7 @@ def suffix(w: LassoWord, p: int) -> LassoWord:
 
 def transient_elements(a) -> tuple[frozenset[Transition], frozenset[int]]:
     """Transitions and states that lie on no cycle of the full graph."""
-    comp = _scc_ids(a.state_count, _adjacency(a))
+    comp = _scc_ids(a.state_count, _adjacency(a), range(a.state_count))
     transient_ts = frozenset(t for t in a.transitions if comp[t.src] != comp[t.dst])
     on_cycle = {t.src for t in a.transitions if comp[t.src] == comp[t.dst]}
     return transient_ts, frozenset(range(a.state_count)) - on_cycle
@@ -217,7 +217,7 @@ def streamline_one_scc_per_pass(a: ParityAutomaton) -> ParityAutomaton:
         succ: list[list[int]] = [[] for _ in range(a.state_count)]
         for t in live:
             succ[t.src].append(t.dst)
-        comp_of = _scc_ids(a.state_count, succ)
+        comp_of = _scc_ids(a.state_count, succ, range(a.state_count))
         transient = {t for t in live if comp_of[t.src] != comp_of[t.dst]}
         for t in transient:
             new_color[(t.src, t.sym)] = counter
@@ -282,7 +282,7 @@ def _flagged_nodes(a: ParityAutomaton, b: ParityAutomaton, ca: int, cb: int) -> 
     succ = [[] for _ in range(size)]
     for s, d, _, _ in restricted:
         succ[s].append(d)
-    comp = _scc_ids(size, succ)
+    comp = _scc_ids(size, succ, range(size))
     inner = [(comp[s], c1, c2) for s, d, c1, c2 in restricted if comp[s] == comp[d]]
     flagged = {c for c, c1, _ in inner if c1 == ca} & {c for c, _, c2 in inner if c2 == cb}
     marked = {node for node in range(size) if comp[node] in flagged}

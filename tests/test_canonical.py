@@ -366,24 +366,25 @@ class TestCarriedStreamlinedColors:
 
 
 def _count_scc_passes(monkeypatch) -> list:
-    """The automata ``canonical`` asks ``scc_decompose`` about, in order."""
+    """The automata whose SCCs are computed, not read from the memo, in order."""
     calls = []
-    kernel = canonical.scc_decompose
-    monkeypatch.setattr(canonical, "scc_decompose", lambda a: calls.append(a) or kernel(a))
+    kernel = graphs._scc_decompose
+    monkeypatch.setattr(graphs, "_scc_decompose", lambda a: calls.append(a) or kernel(a))
     return calls
 
 
 class TestCarriedSccs:
-    """``structure_dpa_with_map`` hands the SCCs of its last round and its
-    ``is_structured`` verdict to the automaton it returns, as it hands on
-    the partition: its own final check and ``streamline``'s precondition
-    run no SCC pass."""
+    """``scc_decompose`` memoizes its result, and ``structure_dpa_with_map``
+    hands the SCCs of its last round to the automaton it returns, as it
+    hands on the partition: its own final check and ``streamline``'s
+    precondition run no SCC pass."""
 
     def test_one_scc_pass_when_no_state_moves(self, monkeypatch):
         calls = _count_scc_passes(monkeypatch)
         rng = random.Random(13)
         for a in (flower_automaton(), random_dpa(40, 6, 2, 3), random_dpa(64, 5, 4, 1),
                   blowup(random_dpa(12, 5, 2, 4), 3, rng)):
+            a = _fresh(a)  # a ``random_dpa`` result carries its SCCs
             calls.clear()
             s = streamline(structure_dpa(a))
             extract_chain(s, state_equivalence(s))
@@ -407,10 +408,29 @@ class TestCarriedSccs:
             if i % 2:
                 a = staircase(a, rng.randrange(2, 4), rng)
             out = structure_dpa(a)
-            assert vars(out)["_sccs"] == graphs.scc_decompose(out)
-            assert vars(out)["_violations"] == [] == canonical._violations(_fresh(out))
+            assert vars(out)["_sccs"] == graphs.scc_decompose(_fresh(out))
+            assert is_structured(out) == (True, []) == is_structured(_fresh(out))
+
+    def test_structuring_walks_no_reachability(self, monkeypatch):
+        # the first round's SCCs are the reachable states, so no separate
+        # reachability pass runs, also when the input has unreachable states;
+        # ``canonical`` can reach ``reachable_states`` only through ``graphs``
+        def walk(*args):
+            raise AssertionError("reachable_states ran")
+
+        assert not hasattr(canonical, "reachable_states")
+        monkeypatch.setattr(graphs, "reachable_states", walk)
+        base = random_dpa(10, 4, 2, 3)
+        moved = ParityAutomaton(base.alphabet, base.state_count, base.transitions[0].dst,
+                                base.transitions)  # 8 of its 10 states are reachable
+        for a in (_fresh(base), moved, redirect_instance(), staircase(base, 3, random.Random(7))):
+            out = structure_dpa(a)
+            assert is_structured(_fresh(out)) == (True, [])
+        assert structure_dpa(moved).state_count < moved.state_count
 
     def test_memoized_verdict_returns_a_fresh_list(self):
+        # the verdict is not memoized: each call rebuilds its list, so a
+        # caller that mutates one changes no later answer
         a, out = redirect_instance(), structure_dpa(redirect_instance())
         expected = ["equivalence class 1 (1, 2) spans SCCs (1, 2)"]
         for b, verdict in ((a, (False, expected)), (out, (True, []))):

@@ -437,6 +437,15 @@ class TestStats:
             "streamlined": False,
         }
 
+    def test_one_scc_pass(self, capsys, monkeypatch):
+        # ``scc_count`` and ``is_structured`` read one SCC pass, and each
+        # pass builds the adjacency once
+        adjacency, calls = paritychain.graphs._adjacency, []
+        monkeypatch.setattr(paritychain.graphs, "_adjacency", lambda a: calls.append(a) or adjacency(a))
+        fig1 = resources.files("paritychain") / "data" / "fig1.aut"
+        code, out, _ = run(capsys, "stats", str(fig1), "--json")
+        assert code == 0 and json.loads(out)["structured"] and len(calls) == 1
+
 
 class TestRandom:
     def test_seeded_generation_is_byte_identical(self, capsys, tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -206,6 +207,28 @@ class TestGcaLassoMember:
                 tracemalloc.stop()
             assert peak < 100_000
             assert member == gca_member_oracle(a, twin) == accepted
+
+    def test_chain_level_reads_each_class_once_per_letter(self):
+        # on a chain level the successors on a letter are a whole class, one
+        # object per distinct row, so a prefix letter costs O(|Q|), not
+        # |states|·|class|: on one class of 160 states a 4000-letter prefix
+        # took seconds when every reached state's row was read
+        s = streamline(structure_dpa(blowup(jumpy(83), 40, random.Random(83))))
+        level = extract_chain(s, state_equivalence(s)).levels[1]
+        succ = level.flat[1]
+        assert len({id(t) for t in succ}) == len(set(succ)) == 1
+        rng, k = random.Random(83), len(s.alphabet)
+        answers, times = [], []
+        for _ in range(8):
+            period = random_lasso(rng, k, max_len=4).period
+            prefix = tuple(rng.randrange(k) for _ in range(4000))
+            start = time.perf_counter()
+            answers.append(gca_lasso_member(level, LassoWord(prefix, period)))
+            times.append(time.perf_counter() - start)
+            # one class: every state is reached after the first letter
+            assert answers[-1] == gca_member_oracle(level, LassoWord(prefix[:1], period))
+        assert set(answers) == {True, False}
+        assert min(times) < 1.0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_partial_ncw_matches_cycle_probing_oracle(self, seed):
