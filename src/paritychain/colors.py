@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import accumulate, groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 from .canonical import is_streamlined
@@ -15,7 +17,7 @@ from .core import (
     PreconditionError,
     _expect,
 )
-from .graphs import _least_on_cycle, _memo
+from .graphs import _least_on_cycle, _memo, state_equivalence
 
 
 class CoRun(NamedTuple):
@@ -29,21 +31,26 @@ class CoRun(NamedTuple):
 
 def coruns(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> tuple[CoRun, ...]:
     """All co-runs of ``a`` on ``w`` with jump positions up to
-    |prefix| + |Q|*|period|.
+    |prefix| + |Q|*|period|, for ``equiv`` = ``state_equivalence(a)``.
 
     Beyond that bound the (run state, suffix rotation) pairs repeat, so no
     further dominating colors can arise.  The jump to the run's own state
-    is included; it reproduces the plain run.  Co-runs that jump in the
-    prefix step through it in groups by state, merged when they meet.  The
-    run steps make the (state, period position) nodes a functional graph,
-    so each is resolved once, in one table shared by all co-runs (see
-    ``graphs._least_on_cycle``).
+    is included; it reproduces the plain run.  A co-run that jumps at
+    prefix position j to a mate t of the run's state enters the period in
+    land_j(t) = land_{j+1}(δ(t, w_j)), land_|prefix| the identity; as ≡ is
+    a right congruence, δ(t, w_j) is a mate of the run's next state, so one
+    backward pass builds each map on the mates of the run's state.  From
+    the period on, the run steps make the (state, period position) nodes a
+    functional graph, so each is resolved once, in one table shared by all
+    co-runs (see ``graphs._least_on_cycle``).
     """
     _expect(ParityAutomaton, a)
     _expect(Partition, equiv)
     _expect(LassoWord, w)
     if equiv.state_count != a.state_count:
         raise AutomatonError("partition does not match the automaton's state count")
+    if equiv != state_equivalence(a):
+        raise AutomatonError("partition is not the automaton's language equivalence")
     a.alphabet.check_letters(w.prefix, w.period)
     dst, col = a.flat
     n, k, u, letters = a.state_count, len(a.alphabet), len(w.prefix), w.period
@@ -54,27 +61,16 @@ def coruns(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> tuple[CoRun, .
         row = q * k + letters[p]
         return (p + 1) % len(letters) * n + dst[row], col[row]
 
-    groups: dict[int, list[int]] = {}  # state -> the indices of the co-runs there
-    q, count = a.initial, 0
-    for sym in w.prefix:
-        moved: dict[int, list[int]] = {}
-        for s, group in groups.items():
-            d = dst[s * k + sym]
-            small, big = sorted((group, moved.get(d, [])), key=len)
-            moved[d] = big
-            big += small
-        groups, q = moved, dst[q * k + sym]
-        for target in equiv._by_state[q]:
-            groups.setdefault(target, []).append(count)
-            count += 1
-    color = [0] * count
-    for s, group in groups.items():
-        while group:  # emptied as its co-runs get their color
-            color[group.pop()] = _least_on_cycle(step, table, s)
-    out, colors, node = [], iter(color), a.initial
-    for jump, sym in enumerate(w.prefix, 1):
-        node = dst[node * k + sym]
-        out += [CoRun(jump, target, next(colors)) for target in equiv._by_state[node]]
+    run = [*accumulate(w.prefix, lambda q, sym: dst[q * k + sym], initial=a.initial)]
+    land = {t: t for t in equiv._by_state[run[u]]}  # land_j, from j = |prefix| down
+    out = []  # the prefix co-runs, last jump first, then reversed
+    for jump in range(u, 0, -1):
+        out += [CoRun(jump, t, _least_on_cycle(step, table, land[t]))
+                for t in reversed(equiv._by_state[run[jump]])]
+        sym = w.prefix[jump - 1]
+        land = {t: land[dst[t * k + sym]] for t in equiv._by_state[run[jump - 1]]}
+    out.reverse()
+    node = run[u]
     for jump in range(u + 1, u + n * len(letters) + 1):
         node = step(node)[0]
         p, q = divmod(node, n)
@@ -193,15 +189,8 @@ def _advance(a: CoBuchiAutomaton, groups, sym: int):
                     rank[dst] = fresh
     if not rank:
         raise AutomatonError("resolver is stuck; the automaton is not complete")
-    grouped: list[tuple[int, ...]] = []
-    last = -1
-    for j, dst in sorted(zip(rank.values(), rank)):  # by group, then by state
-        if j == last:
-            grouped[-1] += (dst,)
-        else:
-            last = j
-            grouped.append((dst,))
-    return tuple(grouped)
+    by_group = groupby(sorted(zip(rank.values(), rank)), itemgetter(0))  # by group, then state
+    return tuple(tuple(map(itemgetter(1), group)) for _, group in by_group)
 
 
 def resolve_run(a: CoBuchiAutomaton, w: LassoWord) -> tuple[bool, tuple[int, ...]]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cached_property
-from itertools import chain, compress, count, pairwise, starmap
+from itertools import chain, compress, count, groupby, pairwise, starmap
 from operator import eq, itemgetter
 from typing import NamedTuple
 
@@ -180,15 +180,14 @@ def _bad_rows(keys: list[int], rows: int):
     e for every e, every row holds one key, and nothing is yielded."""
     if len(keys) == rows and keys == list(range(rows)):
         return
-    ext = [-1, *keys, rows]  # a key before the first row and one after the last
-    after = 0  # the index in ``ext`` after the last repeated key yielded
-    for i in [i for i, (x, y) in enumerate(zip(ext, ext[1:]), 1) if y - x != 1]:
-        x, y = ext[i - 1], ext[i]
-        if x < y:
-            yield x + 1, y, 0
-        elif i >= after:
-            after = bisect_right(ext, y, i)
-            yield y, y + 1, after - i + 1
+    nxt = 0  # the row after the last key read
+    for r, same in groupby(chain(keys, [rows])):  # ``rows`` closes the last gap
+        if nxt < r:
+            yield nxt, r, 0
+        held = len([*same])
+        if held > 1:
+            yield r, r + 1, held
+        nxt = r + 1
 
 
 def _how_many(count: int) -> str:

@@ -275,14 +275,18 @@ _MAX_LABEL_DEPTH = 100
 
 class _LabelParser:
     """Recursive descent over the label formula after an edge's ``[`` on the
-    parser's token stream, valued in sets of AP valuations: ``!`` is the
-    complement, ``&`` the intersection and ``|`` the union.  Methods, not
-    nested functions: mutually recursive closures would leave a reference
-    cycle per label for the cyclic collector."""
+    parser's token stream, valued in int masks of AP valuations (bit v set:
+    v satisfies it), so ``!``, ``&`` and ``|`` cost a word operation per 64
+    valuations; one parser reads a document's labels.  Methods, not nested
+    functions: mutually recursive closures would leave a reference cycle
+    per label for the cyclic collector."""
 
     def __init__(self, stream: _TokenStream, ap_count: int):
-        self.stream, self.ap_count = stream, ap_count
-        self.every = frozenset(range(2**ap_count))
+        self.stream, self.ap_count, size = stream, ap_count, 2**ap_count
+        self.every = (1 << size) - 1
+        # AP j holds on bit j of v: 2^j ones above 2^j zeros, repeated
+        self.literals = [int(("1" * 2**j + "0" * 2**j) * (size >> j + 1), 2)
+                         for j in range(ap_count)]
 
     def label(self) -> frozenset[int]:
         """The valuations satisfying the formula, read through the closing ``]``."""
@@ -290,28 +294,29 @@ class _LabelParser:
         tok = self.stream.take()
         if tok.value != "]":
             raise FormatError(f"trailing {_clip(tok.value)!r} in label", tok.line, tok.column)
-        return result
+        bits = format(result, "b")[::-1]  # bit v at index v
+        return frozenset(v for v, bit in enumerate(bits) if bit == "1")
 
-    def parse_or(self, depth: int) -> frozenset[int]:
+    def parse_or(self, depth: int) -> int:
         value = self.parse_and(depth)
         while self.stream.accept("|"):
-            value = value | self.parse_and(depth)
+            value |= self.parse_and(depth)
         return value
 
-    def parse_and(self, depth: int) -> frozenset[int]:
+    def parse_and(self, depth: int) -> int:
         value = self.parse_atom(depth)
         while self.stream.accept("&"):
-            value = value & self.parse_atom(depth)
+            value &= self.parse_atom(depth)
         return value
 
-    def parse_atom(self, depth: int) -> frozenset[int]:
+    def parse_atom(self, depth: int) -> int:
         tok = self.stream.take()
         if tok.value in ("!", "(") and depth >= _MAX_LABEL_DEPTH:
             raise FormatError(
                 f"label nested deeper than {_MAX_LABEL_DEPTH} levels", tok.line, tok.column
             )
         if tok.value == "!":
-            return self.every - self.parse_atom(depth + 1)
+            return self.every ^ self.parse_atom(depth + 1)
         if tok.value == "(":
             value = self.parse_or(depth + 1)
             closing = self.stream.take()
@@ -321,12 +326,12 @@ class _LabelParser:
         if tok.kind == "ident" and tok.value == "t":
             return self.every
         if tok.kind == "ident" and tok.value == "f":
-            return frozenset()
+            return 0
         if tok.kind == "int":
             index = _int(tok)
             if index >= self.ap_count:
                 raise FormatError(f"AP index {index} out of range", tok.line, tok.column)
-            return frozenset(v for v in self.every if v >> index & 1)
+            return self.literals[index]
         raise FormatError(f"unsupported label element {_clip(tok.value)!r}", tok.line, tok.column)
 
 
@@ -338,7 +343,9 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
     into the set of valuations satisfying it, and the single acceptance-set
     index of each transition is read as its color.  Determinism and
     completeness are enforced; with ``allow_incomplete`` the partial
-    automaton is returned so the caller may apply complete_dpa.
+    automaton is returned so the caller may apply complete_dpa.  Edges are
+    read until they hold more than States x 2^|AP| rows, when some row holds
+    two: it is reported with its count among the rows read.
     """
     stream = _TokenStream(_tokenize_hoa(text))
     first = stream.expect("header", "HOA:")
@@ -434,6 +441,7 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
     except AutomatonError as err:
         raise FormatError(f"AP: {err}") from None
 
+    labels, k = _LabelParser(stream, len(aps)), len(alphabet)
     body: list[tuple[int, int, int, int]] = []  # (state, valuation, dst, color)
     current = None
     declared = set()
@@ -467,7 +475,7 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
         elif tok.kind == "punct" and tok.value == "[":
             if current is None:
                 raise FormatError("edge outside any State:", tok.line, tok.column)
-            label = _LabelParser(stream, len(aps)).label()
+            label = labels.label()
             dst_tok = stream.expect("int")
             dst = _int(dst_tok)
             nxt = stream.peek()
@@ -500,11 +508,12 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
                     dst_tok.column,
                 )
             body += [(current, valuation, dst, color) for valuation in label]
+            if len(body) > states * k:  # so some row holds two: the row check says which
+                break
         else:
             raise FormatError(f"unexpected {_clip(tok.value)!r}", tok.line, tok.column)
 
     body.sort()
-    k = len(alphabet)
     missing, more = [], 0
     for first, stop, count in _bad_rows([q * k + v for q, v, _, _ in body], states * k):
         if count:

@@ -30,6 +30,7 @@ from paritychain import (
     CoRun,
     LassoWord,
     ParityAutomaton,
+    Partition,
     PreconditionError,
     Transition,
     chain_stats,
@@ -152,6 +153,33 @@ class TestCorunDifferential:
             found = coruns(s, equiv, w)
             assert found == reference_coruns(s, equiv, w)
             assert corun_color(s, equiv, w) == max(cr.dominating_color for cr in found)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_blowup_long_prefix_coruns_match_reference(self, seed):
+        # mod-3 and mod-4 blow-ups, so that co-runs jumping in a prefix of
+        # up to 40 letters are landed backwards through classes of 3 or 4
+        rng = random.Random(900 + seed)
+        base = random_dpa(rng.randrange(3, 9), rng.randrange(2, 5), rng.randrange(2, 4), seed)
+        s = streamline(structure_dpa(blowup(base, 3 + seed % 2, rng)))
+        equiv = state_equivalence(s)
+        assert max(map(len, equiv.classes)) >= 3
+        k = len(s.alphabet)
+        for _ in range(8):
+            w = LassoWord(tuple(rng.randrange(k) for _ in range(rng.randrange(20, 41))),
+                          tuple(rng.randrange(k) for _ in range(rng.randrange(1, 6))))
+            assert coruns(s, equiv, w) == reference_coruns(s, equiv, w)
+
+    def test_coruns_reject_a_partition_other_than_the_equivalence(self, flower):
+        # a co-run that jumps in the prefix is landed through the mates of
+        # the run's states, which only the right congruence ≡ makes defined;
+        # a finer or a coarser partition of as many states used to answer
+        s, equiv = prepared(blowup(flower, 2, random.Random(0)))
+        n = s.state_count
+        assert 1 < len(equiv.classes) < n
+        for other in (Partition(tuple((q,) for q in range(n))), Partition((tuple(range(n)),))):
+            with pytest.raises(AutomatonError,
+                               match="^partition is not the automaton's language equivalence$"):
+                coruns(s, other, WORD_CA)
 
 
 class TestNaturalColorViaChain:
@@ -397,10 +425,10 @@ class TestNaturalColorKernel:
 
     def test_prefix_coruns_merge_smaller_into_larger(self):
         # state 1 joins state 0 on the one letter, so at each prefix
-        # position a co-run jumps to 1 and its group merges into the group
-        # of all earlier co-runs one step later; merging the larger group
-        # into the smaller would copy it at every step, about 100 times
-        # slower on a prefix of 50,000 letters
+        # position a co-run jumps to 1 and lands where the run's next state
+        # does: the time must stay linear in the number of co-runs, as
+        # landing every earlier co-run again at each step would take
+        # quadratic time, about 100 times longer on 50,000 letters
         a = ParityAutomaton(Alphabet(("a",)), 2, 0, (T(0, 0, 0, 0), T(1, 0, 0, 0)))
         equiv = state_equivalence(a)
         assert equiv.classes == ((0, 1),)

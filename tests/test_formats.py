@@ -1,5 +1,7 @@
 import json
 import random
+import time
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -268,6 +270,56 @@ class TestInputLimits:
         with pytest.raises(FormatError, match="^nondeterministic: state 0 has 2 transitions") as err:
             parse_hoa(text)
         assert len(str(err.value)) < 200 and "x" * 30 + "..." in str(err.value)
+
+    @pytest.mark.parametrize("edge, count, seconds, megabytes, outcome", [
+        ("[t]", 50, 0.5, 60, "nondeterministic: state 0 has 2 transitions on !a&!b&"),
+        ("[0]", 20, 0.35, 50, "nondeterministic: state 0 has 3 transitions on a&!b&"),
+        ("[0&!0]", 50, 0.25, 25, None),
+    ], ids=["true", "literal", "empty"])
+    def test_short_body_over_many_aps(self, edge, count, seconds, megabytes, outcome):
+        # under 1 KB each, with AP: 16 and one state: a parser per edge used
+        # to rebuild the set of all 65536 valuations, and every edge's
+        # valuations were listed before any row check; the three took 2.5,
+        # 0.7 and 0.85 s and peaked at 679, 142 and 17 MB traced (Python
+        # 3.11, shared 2-vCPU host), against about 0.1, 0.1 and 0.05 s and
+        # 28, 23 and 10 MB now
+        aps = " ".join(f'"{chr(97 + j)}"' for j in range(16))
+        text = UNIVERSAL_1AP.replace('AP: 1 "go"', f"AP: 16 {aps}").replace(
+            "[t] 0 {0}\n", f"{edge} 0 {{0}}\n" * count)
+        assert len(text.encode()) < 1024
+
+        def parse():
+            try:
+                return parse_hoa(text, allow_incomplete=True)
+            except FormatError as err:
+                return str(err)
+
+        found = parse()
+        if outcome is None:
+            assert found.transitions == ()
+        else:
+            assert found.startswith(outcome)
+        assert any(_seconds(parse) < seconds for _ in range(3))
+        tracemalloc.start()
+        try:
+            parse()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < megabytes * 1e6
+
+    def test_body_read_up_to_the_row_cap(self):
+        # two edges fill one row twice, so the body holds more rows than the
+        # automaton has; reading stops there, before the fault after them
+        text = UNIVERSAL_1AP.replace("[t] 0 {0}", "[t] 0 {0}\n[t] 0 {0}\n[t] 0 {7}\n[!")
+        with pytest.raises(FormatError, match="^nondeterministic: state 0 has 2 transitions on !go$"):
+            parse_hoa(text)
+
+
+def _seconds(f) -> float:
+    start = time.perf_counter()
+    f()
+    return time.perf_counter() - start
 
 
 _FLOWER_NATIVE = emit_native(flower_automaton())
