@@ -7,6 +7,7 @@ ultimately periodic word via co-runs.
 
 from .canonical import (
     ChainLevelStats,
+    ChainRepresentation,
     chain_stats,
     extract_chain,
     is_streamlined,
@@ -26,7 +27,6 @@ from .colors import (
 from .core import (
     Alphabet,
     AutomatonError,
-    ChainRepresentation,
     CoBuchiAutomaton,
     LassoWord,
     ParityAutomaton,

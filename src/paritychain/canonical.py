@@ -4,20 +4,26 @@ from __future__ import annotations
 
 import random
 import string
+from functools import cached_property
+from itertools import compress, count
 from typing import NamedTuple
 
 from .core import (
     Alphabet,
     AutomatonError,
-    ChainRepresentation,
+    CoBuchiAutomaton,
     ParityAutomaton,
     Partition,
     PreconditionError,
     Transition,
+    _COLOR,
+    _MAX_ROWS,
     _expect,
+    _Frozen,
 )
 from .graphs import (
-    _PARTITION, _SCCS, SccDecomposition, _memo, _refine, scc_decompose, state_equivalence,
+    _PARTITION, _SCCS, SccDecomposition, _expect_equivalence, _memo, _refine, scc_decompose,
+    state_equivalence,
 )
 
 
@@ -215,6 +221,68 @@ def is_streamlined(a: ParityAutomaton) -> bool:
     return a.flat[1] == _streamlined_colors(a)
 
 
+class ChainRepresentation(_Frozen):
+    """Chain of co-Buchi automata A_0..A_{cmax+1} over one state space, as a
+    view of the streamlined DPA ``source`` and its ``partition``.  The
+    constructor checks the source's class, that ``partition`` is
+    ``state_equivalence(source)`` and that the source is streamlined.
+
+    Level i keeps every transition of ``source``, accepting (color 2) when
+    its color is >= i and rejecting otherwise, and adds a rejecting jump
+    transition to every other state language-equivalent to the
+    deterministic target.  So a level is fixed by (``source``,
+    ``partition``, i), and ``levels`` builds them on first access only.
+    All levels share their edges and differ only in which deterministic
+    rows accept, so A_0, where all of them accept, is the one level built
+    through the public ``CoBuchiAutomaton`` constructor, with every sort and
+    check; each later level reuses its rows, with those of smaller source
+    colors demoted to rejecting.
+    """
+
+    _fields = ("source", "partition")
+
+    def __init__(self, source: ParityAutomaton, partition: Partition):
+        _expect(ParityAutomaton, source)
+        _expect_equivalence(source, partition)
+        if not is_streamlined(source):
+            raise PreconditionError("chain extraction requires a streamlined automaton")
+        self._set(source=source, partition=partition)
+
+    @cached_property
+    def _rows(self) -> int:
+        """The rows of each level: per source row, one to each mate of its target."""
+        return sum(len(self.partition._by_state[d]) for _, _, d, _ in self.source.transitions)
+
+    @cached_property
+    def levels(self) -> tuple[CoBuchiAutomaton, ...]:
+        a, mates, new = self.source, self.partition._by_state, tuple.__new__
+        if self._rows > _MAX_ROWS:
+            raise AutomatonError(f"{self._rows} rows per chain level exceed the limit of {_MAX_ROWS}")
+        # sorted already: per source row, its target's mates, the target accepting
+        top = CoBuchiAutomaton(a.alphabet, a.state_count, a.initial,
+                               tuple(new(Transition, (s, y, m, 1 + (m == d)))
+                                     for s, y, d, _ in a.transitions for m in mates[d]),
+                               gfg_claimed=True)
+        # A_0's constructor allows one accepting row per state and letter, so
+        # they are the source's rows in its order; level i + 1 demotes color i
+        groups: list[list[int]] = [[] for _ in range(a.max_color + 1)]
+        accepting = compress(count(), map((2).__eq__, map(_COLOR, top.transitions)))
+        for e, c in zip(accepting, map(_COLOR, a.transitions)):
+            groups[c].append(e)
+        # Later levels run no check, and need none: a row keeps all but its
+        # color and no two rows share an edge, so they stay sorted, typed, in
+        # range and distinct, colors in {1, 2}, and accepting rows only shrink.
+        rows, levels = list(top.transitions), [top]
+        for group in groups:
+            for e in group:
+                rows[e] = new(Transition, (*rows[e][:3], 1))
+            level = object.__new__(CoBuchiAutomaton)
+            level._set(alphabet=a.alphabet, state_count=a.state_count, initial=a.initial,
+                       transitions=tuple(rows), gfg_claimed=True)
+            levels.append(level)
+        return tuple(levels)
+
+
 def extract_chain(a: ParityAutomaton, equiv: Partition) -> ChainRepresentation:
     """The chain A_0..A_{cmax+1} of co-Buchi automata of a streamlined DPA,
     as a view (see ``ChainRepresentation``): no level is built here.
@@ -222,10 +290,7 @@ def extract_chain(a: ParityAutomaton, equiv: Partition) -> ChainRepresentation:
     Levels are defined for every integer up to cmax+1, so absent colors
     simply repeat the next occurring level.
     """
-    chain = ChainRepresentation(a, equiv)
-    if not is_streamlined(a):
-        raise PreconditionError("chain extraction requires a streamlined automaton")
-    return chain
+    return ChainRepresentation(a, equiv)
 
 
 class ChainLevelStats(NamedTuple):
@@ -241,13 +306,9 @@ def chain_stats(c: ChainRepresentation) -> tuple[ChainLevelStats, ...]:
     >= i, and every level has one jump per other mate of a target."""
     _expect(ChainRepresentation, c)
     a = c.source
-    jump_count = sum(len(c.partition._by_state[d]) - 1 for _, _, d, _ in a.transitions)
     return tuple(
-        ChainLevelStats(
-            level=i,
-            states=a.state_count,
-            accepting_transitions=sum(1 for _, _, _, c in a.transitions if c >= i),
-            jump_transitions=jump_count,
-        )
+        ChainLevelStats(level=i, states=a.state_count,
+                        accepting_transitions=sum(1 for t in a.transitions if t.color >= i),
+                        jump_transitions=c._rows - len(a.transitions))
         for i in range(a.max_color + 2)
     )

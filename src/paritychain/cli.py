@@ -23,11 +23,12 @@ from .core import (
     LassoWord,
     ParityAutomaton,
     PreconditionError,
+    _MAX_ROWS,
     _clip,
     validate_dpa,
 )
 from .formats import (
-    _MAX_APS, _MAX_ROWS, _MAX_STATES, FormatError, emit_native, letter_names, parse_hoa,
+    _MAX_APS, _MAX_STATES, FormatError, emit_native, letter_names, parse_hoa,
     parse_native,
 )
 from .graphs import (

@@ -6,10 +6,9 @@ from itertools import accumulate, groupby
 from operator import itemgetter
 from typing import NamedTuple
 
-from .canonical import is_streamlined
+from .canonical import ChainRepresentation, is_streamlined
 from .core import (
     AutomatonError,
-    ChainRepresentation,
     CoBuchiAutomaton,
     LassoWord,
     ParityAutomaton,
@@ -17,7 +16,7 @@ from .core import (
     PreconditionError,
     _expect,
 )
-from .graphs import _least_on_cycle, _memo, state_equivalence
+from .graphs import _expect_equivalence, _least_on_cycle, _memo
 
 
 class CoRun(NamedTuple):
@@ -45,12 +44,8 @@ def coruns(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> tuple[CoRun, .
     co-runs (see ``graphs._least_on_cycle``).
     """
     _expect(ParityAutomaton, a)
-    _expect(Partition, equiv)
+    _expect_equivalence(a, equiv)
     _expect(LassoWord, w)
-    if equiv.state_count != a.state_count:
-        raise AutomatonError("partition does not match the automaton's state count")
-    if equiv != state_equivalence(a):
-        raise AutomatonError("partition is not the automaton's language equivalence")
     a.alphabet.check_letters(w.prefix, w.period)
     dst, col = a.flat
     n, k, u, letters = a.state_count, len(a.alphabet), len(w.prefix), w.period
@@ -81,7 +76,7 @@ def coruns(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> tuple[CoRun, .
 
 def _natural_color(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> int:
     """The largest dominating color of ``a`` over its co-runs on ``w``,
-    after checking the partition and the word.
+    after checking the word; the callers have checked the partition.
 
     The prefix is stepped without marks; from the period's start on, the
     run steps make the (state, period position) nodes p * |Q| + q a
@@ -94,8 +89,6 @@ def _natural_color(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> int:
     index of its step in one list of colors, so a walk that meets a mark s
     of its own closes a cycle of least color ``min(cols[s - 1:])``.
     """
-    if equiv.state_count != a.state_count:
-        raise AutomatonError("partition does not match the automaton's state count")
     a.alphabet.check_letters(w.prefix, w.period)
     dst, col = a.flat
     n, k, q, letters = a.state_count, len(a.alphabet), a.initial, w.period
@@ -140,7 +133,7 @@ def corun_color(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> int:
     ``_natural_color``).
     """
     _expect(ParityAutomaton, a)
-    _expect(Partition, equiv)
+    _expect_equivalence(a, equiv)
     _expect(LassoWord, w)
     if not is_streamlined(a):
         raise PreconditionError("natural colors are read off streamlined automata")

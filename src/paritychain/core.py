@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cached_property
-from itertools import chain, compress, count, groupby, pairwise, starmap
+from itertools import chain, compress, groupby, pairwise, starmap
 from operator import eq, itemgetter
 from typing import NamedTuple
 
@@ -18,6 +18,7 @@ class PreconditionError(AutomatonError):
 
 
 _MAX_SHOWN = 40  # characters of a name or token quoted in an error message
+_MAX_ROWS = 2**20  # rows of a parsed or generated automaton, or of a chain level
 
 
 def _clip(text: str) -> str:
@@ -309,25 +310,6 @@ class CoBuchiAutomaton(_Frozen, _Rows):
                     )
                 accepting_rows.add((t.src, t.sym))
 
-    def _demotions(self, groups: list[list[int]]):
-        """Per list of row indices in ``groups``, lazily: this automaton with
-        the rows at those indices, and at those of every earlier list, set
-        to color 1 (rejecting), each holding a tuple copy of one row list
-        edited in place.  No check runs again, and none is needed: a row
-        keeps all but its color, and no two rows share an edge (src, sym,
-        dst), so the rows stay sorted, typed, in range and with distinct
-        edges; their colors stay in {1, 2}; and the accepting rows only
-        shrink, so a state still accepts on at most one row per letter."""
-        rows, new = list(self.transitions), tuple.__new__
-        for group in groups:
-            for e in group:
-                s, y, d, _ = rows[e]
-                rows[e] = new(Transition, (s, y, d, 1))
-            b = object.__new__(CoBuchiAutomaton)
-            b._set(alphabet=self.alphabet, state_count=self.state_count, initial=self.initial,
-                   transitions=tuple(rows), gfg_claimed=self.gfg_claimed)
-            yield b
-
     @cached_property
     def flat(self) -> tuple[list[int], list[tuple[int, ...]]]:
         """Flat rows, indexed by state * |Σ| + letter: the target of the
@@ -418,53 +400,6 @@ class Partition(_Frozen):
     @cached_property
     def _by_state(self) -> tuple[tuple[int, ...], ...]:  # mates(q) at index q
         return tuple(map(self.mates, range(self.state_count)))
-
-
-class ChainRepresentation(_Frozen):
-    """Chain of co-Buchi automata A_0..A_{cmax+1} over one state space, as a
-    view of the streamlined DPA ``source`` and its ``partition``.
-
-    Level i keeps every transition of ``source``, accepting (color 2) when
-    its color is >= i and rejecting otherwise, and adds a rejecting jump
-    transition to every other state language-equivalent to the
-    deterministic target.  So a level is fixed by (``source``,
-    ``partition``, i), and ``levels`` builds them on first access only.
-
-    All levels share their edges and differ only in which deterministic
-    rows accept.  So A_0, where every one of them accepts, is the one level
-    built through the public ``CoBuchiAutomaton`` constructor, with every
-    sort and check; each later level reuses its checked rows, with the rows
-    of smaller source colors demoted to rejecting (``_demotions``).
-
-    The constructor checks the classes of its fields and that the partition
-    covers the source's states; that the source is streamlined is checked
-    by ``extract_chain``.
-    """
-
-    _fields = ("source", "partition")
-
-    def __init__(self, source: ParityAutomaton, partition: Partition):
-        _expect(ParityAutomaton, source)
-        _expect(Partition, partition)
-        if partition.state_count != source.state_count:
-            raise AutomatonError("partition does not match the automaton's state count")
-        self._set(source=source, partition=partition)
-
-    @cached_property
-    def levels(self) -> tuple[CoBuchiAutomaton, ...]:
-        a, mates, new = self.source, self.partition._by_state, tuple.__new__
-        # sorted already: per source row, its target's mates, the target accepting
-        top = CoBuchiAutomaton(a.alphabet, a.state_count, a.initial,
-                               tuple(new(Transition, (s, y, m, 1 + (m == d)))
-                                     for s, y, d, _ in a.transitions for m in mates[d]),
-                               gfg_claimed=True)
-        # A_0's constructor allows one accepting row per state and letter, so
-        # they are the source's rows in its order; level i + 1 demotes color i
-        groups: list[list[int]] = [[] for _ in range(a.max_color + 1)]
-        accepting = compress(count(), map((2).__eq__, map(_COLOR, top.transitions)))
-        for e, c in zip(accepting, map(_COLOR, a.transitions)):
-            groups[c].append(e)
-        return (top, *top._demotions(groups))
 
 
 class ValidationReport(NamedTuple):

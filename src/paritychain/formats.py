@@ -14,6 +14,7 @@ from .core import (
     ParityAutomaton,
     Transition,
     _AUTOMATA,
+    _MAX_ROWS,
     _MAX_VIOLATIONS,
     _bad_rows,
     _clip,
@@ -38,7 +39,6 @@ class FormatError(ValueError):
 # (state, letter) row costs a check or a transition.
 _MAX_STATES = 1_000_000
 _MAX_APS = 16
-_MAX_ROWS = 2**20
 
 
 # -- native JSON format ------------------------------------------------------

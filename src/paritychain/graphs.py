@@ -401,6 +401,16 @@ def state_equivalence(a: ParityAutomaton) -> Partition:
     return _memo(a, _PARTITION, lambda: _partition(a))
 
 
+def _expect_equivalence(a: ParityAutomaton, equiv) -> None:
+    """Reject an ``equiv`` other than ``state_equivalence(a)``, which defines
+    co-runs and chain levels; on a pipeline automaton it is the memoized
+    partition itself, so the check is one identity test."""
+    _expect(Partition, equiv)
+    known = state_equivalence(a)
+    if equiv is not known and equiv != known:
+        raise AutomatonError("partition is not the automaton's language equivalence")
+
+
 def _partition(a: ParityAutomaton) -> Partition:
     """``state_equivalence`` without the memo.
 

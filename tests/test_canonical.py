@@ -278,10 +278,19 @@ class TestExtractChain:
         # a partition of fewer states used to fail late, on ``levels``, with
         # a bare KeyError from ``Partition.mates``
         s = streamline(flower)
-        message = "^partition does not match the automaton's state count$"
+        message = "^partition is not the automaton's language equivalence$"
         for build in (ChainRepresentation, extract_chain):
             with pytest.raises(AutomatonError, match=message):
                 build(s, Partition(((0,),)))
+
+    def test_a_huge_color_stops_at_the_constructor(self):
+        # a one-state DPA whose only color is 10**6 streamlines to color 0;
+        # built directly, the chain used to take it, and ``levels`` then
+        # built 10**6 + 2 levels (3.8 s and 268 MB on a shared 2-vCPU host)
+        a = ParityAutomaton(Alphabet(("a",)), 1, 0, (T(0, 0, 0, 10**6),))
+        with pytest.raises(PreconditionError,
+                           match="^chain extraction requires a streamlined automaton$"):
+            ChainRepresentation(a, state_equivalence(a))
 
     @pytest.mark.parametrize("build", [ChainRepresentation, extract_chain],
                              ids=["constructor", "extract_chain"])

@@ -20,9 +20,15 @@ import paritychain
 
 from conftest import flower_automaton, mutated, random_lasso
 from paritychain import (
+    Alphabet,
     LassoWord,
+    ParityAutomaton,
+    Transition,
+    chain_stats,
     corun_color,
     emit_native,
+    extract_chain,
+    natural_color_via_chain,
     parse_native,
     random_dpa,
     state_equivalence,
@@ -30,6 +36,7 @@ from paritychain import (
     structure_dpa,
 )
 from paritychain.cli import format_lasso, main, parse_lasso_text
+from paritychain.core import _MAX_ROWS
 
 
 @pytest.fixture
@@ -323,6 +330,29 @@ class TestPipeline:
         assert sorted(p.name for p in out.iterdir()) == names
         for name in names:
             assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+    def test_chain_over_the_row_limit_stops_at_once(self, capsys, tmp_path):
+        # a one-color two-letter cycle of 3000 states is one class, so every
+        # level would hold 6000 x 3000 rows: ``chain`` used to end in a
+        # MemoryError traceback after 47 s under a 2 GB cap
+        n = 3000
+        a = ParityAutomaton(Alphabet(("a", "b")), n, 0, tuple(
+            Transition(q, y, (q + 1) % n, 0) for q in range(n) for y in (0, 1)))
+        path, out = tmp_path / "cycle.aut", tmp_path / "chain"
+        path.write_text(emit_native(a))
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            code, _, err = run(capsys, "chain", str(path), "--out", str(out))
+            times.append(time.perf_counter() - start)
+            assert code == 2
+            assert err == (f"error: {2 * n * n} rows per chain level exceed the limit of "
+                           f"{_MAX_ROWS}\n")
+            assert not any(out.glob("*"))
+        assert min(times) < 1, times
+        chain = extract_chain(a, state_equivalence(a))  # the view still answers
+        assert chain_stats(chain)[0].jump_transitions == 2 * n * (n - 1)
+        assert natural_color_via_chain(chain, LassoWord((), (0, 1))) == 0
 
     def test_streamline_requires_structured(self, capsys, tmp_path):
         from test_canonical import redirect_instance

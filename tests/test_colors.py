@@ -26,6 +26,7 @@ from oracles import (
 from paritychain import (
     Alphabet,
     AutomatonError,
+    ChainRepresentation,
     CoBuchiAutomaton,
     CoRun,
     LassoWord,
@@ -172,14 +173,25 @@ class TestCorunDifferential:
     def test_coruns_reject_a_partition_other_than_the_equivalence(self, flower):
         # a co-run that jumps in the prefix is landed through the mates of
         # the run's states, which only the right congruence ≡ makes defined;
-        # a finer or a coarser partition of as many states used to answer
+        # a finer or a coarser partition of as many states used to answer,
+        # and ``corun_color`` and the chain (so ``natural_color_via_chain``)
+        # still answered, with wrong colors for merged classes
         s, equiv = prepared(blowup(flower, 2, random.Random(0)))
         n = s.state_count
-        assert 1 < len(equiv.classes) < n
-        for other in (Partition(tuple((q,) for q in range(n))), Partition((tuple(range(n)),))):
-            with pytest.raises(AutomatonError,
-                               match="^partition is not the automaton's language equivalence$"):
-                coruns(s, other, WORD_CA)
+        assert 2 < len(equiv.classes) < n
+        merged = Partition((equiv.classes[0] + equiv.classes[1], *equiv.classes[2:]))
+        entry_points = (
+            lambda other: coruns(s, other, WORD_CA),
+            lambda other: corun_color(s, other, WORD_CA),
+            lambda other: extract_chain(s, other),
+            lambda other: ChainRepresentation(s, other),
+        )
+        for other in (Partition(tuple((q,) for q in range(n))), merged,
+                      Partition((tuple(range(n)),))):
+            for call in entry_points:
+                with pytest.raises(AutomatonError,
+                                   match="^partition is not the automaton's language equivalence$"):
+                    call(other)
 
 
 class TestNaturalColorViaChain:

@@ -360,6 +360,13 @@ _DPA_REPR = ("ParityAutomaton(alphabet=Alphabet(letters=('a', 'b')), state_count
              "transitions=(Transition(src=0, sym=0, dst=1, color=2), "
              "Transition(src=0, sym=1, dst=0, color=0), Transition(src=1, sym=0, dst=0, color=1), "
              "Transition(src=1, sym=1, dst=1, color=3)))")
+# ``streamline(_DPA)``, as a chain needs a streamlined source
+_SLIM = ParityAutomaton(_DPA.alphabet, 2, 0,
+                        (T(0, 0, 1, 1), T(0, 1, 0, 0), T(1, 0, 0, 1), T(1, 1, 1, 1)))
+_SLIM_REPR = ("ParityAutomaton(alphabet=Alphabet(letters=('a', 'b')), state_count=2, initial=0, "
+              "transitions=(Transition(src=0, sym=0, dst=1, color=1), "
+              "Transition(src=0, sym=1, dst=0, color=0), Transition(src=1, sym=0, dst=0, color=1), "
+              "Transition(src=1, sym=1, dst=1, color=1)))")
 _FROZEN = {  # class -> (arguments, the repr the frozen dataclass printed)
     Alphabet: ((("a", "b"),), "Alphabet(letters=('a', 'b'))"),
     ParityAutomaton: ((_DPA.alphabet, 2, 0, _DPA.transitions), _DPA_REPR),
@@ -371,8 +378,8 @@ _FROZEN = {  # class -> (arguments, the repr the frozen dataclass printed)
     LassoWord: (([0], (1, 0)), "LassoWord(prefix=(0,), period=(1, 0))"),
     Partition: ((((2, 1), (0,)),), "Partition(classes=((0,), (1, 2)))"),
     ChainRepresentation: (
-        (_DPA, Partition(((0,), (1,)))),
-        f"ChainRepresentation(source={_DPA_REPR}, partition=Partition(classes=((0,), (1,))))"),
+        (_SLIM, Partition(((0,), (1,)))),
+        f"ChainRepresentation(source={_SLIM_REPR}, partition=Partition(classes=((0,), (1,))))"),
     SccDecomposition: ((((0,), (1, 2)),), "SccDecomposition(sccs=((0,), (1, 2)))"),
 }
 
