@@ -18,6 +18,7 @@ from .core import (
     Transition,
     _COLOR,
     _MAX_ROWS,
+    _MAX_STATES,
     _expect,
     _Frozen,
 )
@@ -76,18 +77,28 @@ def random_dpa(
     result is pruned to the part reachable from state 0 (order-preserving
     renumbering).  Every row is drawn and the pruning keeps every row of a
     state it keeps, so it is always a valid complete DPA, byte-identical
-    per seed.
+    per seed.  The sizes and names are checked before a row is drawn,
+    against the limits of the parsers.
     """
+    if not all(type(x) is int for x in (states, colors, letters)):
+        raise AutomatonError("states, colors, and letters must be ints")
     if states < 1 or colors < 1 or letters < 1:
         raise AutomatonError("states, colors, and letters must be positive")
-    names = default_letter_names(letters) if letter_names is None else letter_names
+    if states > _MAX_STATES:
+        raise AutomatonError(f"{states} states exceed the limit of {_MAX_STATES}")
+    if states * letters > _MAX_ROWS:
+        raise AutomatonError(
+            f"{states} states x {letters} letters exceed the limit of {_MAX_ROWS} rows")
+    alphabet = Alphabet(default_letter_names(letters) if letter_names is None else letter_names)
+    if len(alphabet) != letters:
+        raise AutomatonError(f"{len(alphabet)} letter names for {letters} letters")
     rng = random.Random(seed)
     ts = tuple(
         Transition(q, sym, rng.randrange(states), rng.randrange(colors))
         for q in range(states)
         for sym in range(letters)
     )
-    return _drop_unreachable(ParityAutomaton(Alphabet(names), states, 0, ts))[0]
+    return _drop_unreachable(ParityAutomaton(alphabet, states, 0, ts))[0]
 
 
 def structure_dpa_with_map(a: ParityAutomaton) -> tuple[ParityAutomaton, dict[int, int]]:

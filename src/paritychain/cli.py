@@ -24,12 +24,12 @@ from .core import (
     ParityAutomaton,
     PreconditionError,
     _MAX_ROWS,
+    _MAX_STATES,
     _clip,
     validate_dpa,
 )
 from .formats import (
-    _MAX_APS, _MAX_STATES, FormatError, emit_native, letter_names, parse_hoa,
-    parse_native,
+    _MAX_APS, FormatError, emit_native, letter_names, parse_hoa, parse_native,
 )
 from .graphs import (
     dpa_language_equiv,
@@ -153,10 +153,11 @@ def cmd_streamline(args) -> int:
 def cmd_chain(args) -> int:
     a = _load_dpa(args.file)
     chain = extract_chain(a, state_equivalence(a))
+    built = chain.levels  # checks the row limit before the directory is made
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     levels = []
-    for stats, automaton in zip(chain_stats(chain), chain.levels):
+    for stats, automaton in zip(chain_stats(chain), built):
         filename = f"A_{stats.level}.aut"
         (outdir / filename).write_text(emit_native(automaton), encoding="utf-8")
         levels.append({"level": stats.level, "file": filename, **stats._asdict()})

@@ -80,14 +80,15 @@ def _natural_color(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> int:
 
     The prefix is stepped without marks; from the period's start on, the
     run steps make the (state, period position) nodes p * |Q| + q a
-    functional graph.  The run is walked until it closes its cycle, then a
-    walk starts at each mate of the state at each node of that cycle and
+    functional graph.  The run is walked until it closes its cycle at a
+    node (p, q), then a walk starts at each mate of q at position p and
     stops at the first node walked before.  No co-run ends elsewhere, as
-    the partition is a right congruence: a node on a co-run's cycle of
-    length l, met at step t, holds a mate of the run's state at each step
-    t + m*l, on the run's cycle for m large.  Each node is marked 1 + the
-    index of its step in one list of colors, so a walk that meets a mark s
-    of its own closes a cycle of least color ``min(cols[s - 1:])``.
+    the partition is a right congruence: a co-run that jumps at position j
+    follows the run's classes from j on, so at any later step T that meets
+    (p, q) on the run's cycle it sits on a mate of q at position p, on its
+    own cycle for T large.  Each node is marked 1 + the index of its step
+    in one list of colors, so a walk that meets a mark s of its own closes
+    a cycle of least color ``min(cols[s - 1:])``.
     """
     a.alphabet.check_letters(w.prefix, w.period)
     dst, col = a.flat
@@ -97,31 +98,28 @@ def _natural_color(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> int:
     after = [*range(1, len(letters)), 0]
     mark = [0] * (n * len(letters))  # 0 for a node not walked yet
     cols: list[int] = []
-    run = []  # the run's state at each step from the period's start
     p, node = 0, q
     while not mark[node]:
-        run.append(q)
         row = q * k + letters[p]
         cols.append(col[row])
         mark[node] = len(cols)
         q, p = dst[row], after[p]
         node = p * n + q
-    best = min(cols[mark[node] - 1:])  # the run's cycle, from the node it closes at
-    for t in range(mark[node] - 1, len(run)):
-        p0 = t % len(letters)
-        for q in equiv._by_state[run[t]]:
-            node = p0 * n + q
-            if mark[node]:
-                continue
-            p, start = p0, len(cols)
-            while not mark[node]:
-                row = q * k + letters[p]
-                cols.append(col[row])
-                mark[node] = len(cols)
-                q, p = dst[row], after[p]
-                node = p * n + q
-            if mark[node] > start:
-                best = max(best, min(cols[mark[node] - 1:]))
+    best = min(cols[mark[node] - 1:])  # the run's cycle, from the node (p, q) it closes at
+    p0 = p
+    for q in equiv._by_state[q]:
+        node = p0 * n + q
+        if mark[node]:
+            continue
+        p, start = p0, len(cols)
+        while not mark[node]:
+            row = q * k + letters[p]
+            cols.append(col[row])
+            mark[node] = len(cols)
+            q, p = dst[row], after[p]
+            node = p * n + q
+        if mark[node] > start:
+            best = max(best, min(cols[mark[node] - 1:]))
     return best
 
 
@@ -129,8 +127,8 @@ def corun_color(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> int:
     """The natural color of ``w`` for L(a): the maximal dominating color
     over all co-runs of the streamlined automaton ``a``, each a jump to a
     mate of the run's state from position 1 on and then the run steps;
-    read off the walks from the mates on the run's cycle (see
-    ``_natural_color``).
+    read off the walks from the mates of the run's state at one node of
+    its cycle, which reach every co-run's cycle (see ``_natural_color``).
     """
     _expect(ParityAutomaton, a)
     _expect_equivalence(a, equiv)
@@ -150,8 +148,8 @@ def natural_color_via_chain(c: ChainRepresentation, w: LassoWord) -> int:
     >= i, its only accepting edges (at most one per node).  So the top
     accepting level is the largest dominating color of a node the jumps
     reach.  Those are the mates of the run's nodes, as the partition is a
-    right congruence, and the answer is the one ``corun_color`` reads (see
-    ``_natural_color``).
+    right congruence, and the answer is the one ``corun_color`` reads from
+    one node of the run's cycle (see ``_natural_color``).
     """
     _expect(ChainRepresentation, c)
     _expect(LassoWord, w)

@@ -18,6 +18,7 @@ class PreconditionError(AutomatonError):
 
 
 _MAX_SHOWN = 40  # characters of a name or token quoted in an error message
+_MAX_STATES = 1_000_000  # states of a parsed or generated automaton
 _MAX_ROWS = 2**20  # rows of a parsed or generated automaton, or of a chain level
 
 
@@ -80,7 +81,10 @@ class Alphabet(_Frozen):
     _fields = ("letters",)
 
     def __init__(self, letters: tuple[str, ...]):
-        self._set(letters=tuple(letters))
+        try:
+            self._set(letters=tuple(letters))
+        except TypeError:
+            raise AutomatonError("alphabet must be a sequence of letter names") from None
         if not self.letters:
             raise AutomatonError("alphabet must be non-empty")
         if any(not isinstance(name, str) or not name for name in self.letters):
@@ -131,12 +135,14 @@ def _check_automaton(a) -> None:
     """Sort the transitions of ``a``, so equal automata compare equal, and
     check every state, letter and color against its range.
 
-    The state count, the initial state and every field of every row must be
-    ints (``type(x) is int``), and every row a ``Transition``, so ``bool``,
-    ``float`` and plain tuples are rejected.  The row checks run by column,
+    The alphabet must be an ``Alphabet``, the state count, the initial
+    state and every field of every row ints (``type(x) is int``), and every
+    row a ``Transition``, so ``bool``, ``float`` and plain tuples are
+    rejected.  The row checks run by column,
     with builtins: the sorted sources need only their first and last entry
     tested.  Only when a column check fails are the rows walked one by one,
     to name the first offender in sorted order."""
+    _expect(Alphabet, a.alphabet)
     for name in ("state_count", "initial"):
         x = getattr(a, name)
         if type(x) is not int:
@@ -145,7 +151,10 @@ def _check_automaton(a) -> None:
         raise AutomatonError("automaton needs at least one state")
     if not 0 <= a.initial < a.state_count:
         raise AutomatonError("initial state out of range")
-    ts = tuple(a.transitions)
+    try:
+        ts = tuple(a.transitions)
+    except TypeError:
+        raise AutomatonError("transitions must be a sequence of Transitions") from None
     if not set(map(type, ts)) <= {Transition}:
         i, t = next((i, t) for i, t in enumerate(ts) if type(t) is not Transition)
         raise AutomatonError(f"transition {i} is not a Transition: {_clip(repr(t))}")
@@ -285,6 +294,8 @@ class CoBuchiAutomaton(_Frozen, _Rows):
         self._set(alphabet=alphabet, state_count=state_count, initial=initial,
                   transitions=transitions, gfg_claimed=gfg_claimed)
         _check_automaton(self)
+        if type(gfg_claimed) is not bool:
+            raise AutomatonError(f"gfg_claimed is not a bool: {_clip(repr(gfg_claimed))}")
         # By column: the rows are sorted, so a repeated edge, or a second
         # accepting row on one letter, sits next to its twin.  The rows are
         # walked only to name the first offender.
@@ -339,7 +350,10 @@ class LassoWord(_Frozen):
     _fields = ("prefix", "period")
 
     def __init__(self, prefix: tuple[int, ...], period: tuple[int, ...]):
-        self._set(prefix=tuple(prefix), period=tuple(period))
+        try:
+            self._set(prefix=tuple(prefix), period=tuple(period))
+        except TypeError:
+            raise AutomatonError("lasso prefix and period must be sequences of letters") from None
         if not self.period:
             raise AutomatonError("lasso period must be non-empty")
         for x in self.prefix + self.period:
@@ -379,10 +393,16 @@ class Partition(_Frozen):
     _fields = ("classes",)
 
     def __init__(self, classes: tuple[tuple[int, ...], ...]):
-        classes = [tuple(sorted(c)) for c in classes]
-        members = sorted(q for c in classes for q in c)
-        if not members or members != list(range(len(members))) or not all(classes):
-            raise AutomatonError("classes must partition a dense state range 0..n-1")
+        message = "classes must partition a dense state range 0..n-1"
+        try:
+            classes = [tuple(sorted(c)) for c in classes]
+            members = sorted(q for c in classes for q in c)
+        except TypeError:  # no classes, a class, or states that do not compare
+            raise AutomatonError(message) from None
+        # ints only: a float or a bool would pass the range test
+        if (not members or not set(map(type, members)) <= {int}
+                or members != list(range(len(members))) or not all(classes)):
+            raise AutomatonError(message)
         self._set(classes=tuple(sorted(classes, key=lambda c: c[0])))
 
     @cached_property

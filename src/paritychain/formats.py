@@ -15,6 +15,7 @@ from .core import (
     Transition,
     _AUTOMATA,
     _MAX_ROWS,
+    _MAX_STATES,
     _MAX_VIOLATIONS,
     _bad_rows,
     _clip,
@@ -36,8 +37,8 @@ class FormatError(ValueError):
 
 # Stated input limits, checked before anything is allocated per state or per
 # letter: the letters of a HOA alphabet are all 2^|AP| valuations, and every
-# (state, letter) row costs a check or a transition.
-_MAX_STATES = 1_000_000
+# (state, letter) row costs a check or a transition.  ``_MAX_STATES`` and
+# ``_MAX_ROWS`` come from ``core``.
 _MAX_APS = 16
 
 
@@ -85,6 +86,8 @@ def parse_native(text: str, *, validate: bool = True):
         )
     initial = _require(obj, "initial", int, "document")
     raw_ts = _require(obj, "transitions", list, "document")
+    if kind == "ncw" and len(raw_ts) > _MAX_ROWS:  # as no chain level holds more
+        raise FormatError(f"document: {len(raw_ts)} transitions exceed the limit of {_MAX_ROWS}")
     try:  # by column; the items are walked one by one only to name an offender
         transitions = [Transition(t["src"], t["sym"], t["dst"], t["col"]) for t in raw_ts]
     except (KeyError, TypeError):

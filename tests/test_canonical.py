@@ -68,6 +68,27 @@ def collapse_instance():
     )
 
 
+class TestRandomDpa:
+    @pytest.mark.parametrize("args, message", [
+        ((3_000_000, 2, 2, 0), "3000000 states exceed the limit of 1000000"),
+        ((600_000, 2, 2, 0), "600000 states x 2 letters exceed the limit of 1048576 rows"),
+        ((1, 2, 2**20 + 1, 0), "1 states x 1048577 letters exceed the limit of 1048576 rows"),
+        ((3, 2, 30, 0, ("a",)), "1 letter names for 30 letters"),
+        ((3.0, 2, 2, 0), "states, colors, and letters must be ints"),
+        ((3, 2, True, 0), "states, colors, and letters must be ints"),
+        ((3, 0, 2, 0), "states, colors, and letters must be positive"),
+    ], ids=["states", "rows", "letters", "names", "float", "bool", "no-colors"])
+    def test_sizes_checked_before_a_row_is_drawn(self, args, message):
+        # 3 000 000 states ended in a MemoryError after 20 s under a 1 GB cap
+        with pytest.raises(AutomatonError) as err:
+            random_dpa(*args)
+        assert str(err.value) == message
+
+    def test_default_letter_names(self):
+        assert random_dpa(2, 2, 3, 0).alphabet.letters == ("a", "b", "c")
+        assert random_dpa(1, 2, 27, 0).alphabet.letters == tuple(f"l{i}" for i in range(27))
+
+
 class TestIsStructured:
     def test_single_state(self):
         a = ParityAutomaton(Alphabet(("a",)), 1, 0, (T(0, 0, 0, 0),))

@@ -313,7 +313,7 @@ def _word_to(a, target: int) -> tuple[int, ...]:
 
 class TestNaturalColorKernel:
     """``corun_color`` and ``natural_color_via_chain`` step the prefix and
-    walk once from each mate at each node of the run's cycle; that must
+    walk once from each mate at one node of the run's cycle; that must
     equal the breadth-first search over the chain's jumps, the
     largest co-run color of one lasso run per jump target, the top level
     that a membership scan accepts, and the largest entry of the co-run
@@ -362,6 +362,26 @@ class TestNaturalColorKernel:
                     early += before
                     lifted += before and best > dpa_lasso_run(s, w).dominating_color
         assert early >= 250 and lifted >= 12
+
+    def test_one_class_cycle_costs_one_pass(self):
+        # the one-color two-letter cycle of 3000 states (``a`` steps q to
+        # q + 1, ``b`` to 0) is one class, and on ``a`` the run's cycle holds
+        # every state: walks from the mates at each of its nodes made
+        # 3000 x 3000 mark tests, 0.30-0.52 s a query
+        n = 3000
+        a = ParityAutomaton(Alphabet(("a", "b")), n, 0, tuple(
+            T(q, y, (q + 1) % n if y == 0 else 0, 0) for q in range(n) for y in (0, 1)))
+        equiv = state_equivalence(a)
+        chain = extract_chain(a, equiv)
+        assert len(equiv.classes) == 1
+        w = LassoWord((), (0,))
+        for color, args in ((corun_color, (a, equiv, w)), (natural_color_via_chain, (chain, w))):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                assert color(*args) == 0
+                times.append(time.perf_counter() - start)
+            assert min(times) < 0.1, (color.__name__, times)
 
     def test_long_prefix_costs_no_table(self):
         # 160 states in one class; a prefix of 50,000 letters is stepped

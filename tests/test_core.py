@@ -345,13 +345,58 @@ class TestIllTypedRows:
         (True, 0, "state_count is not an int: True"),
         (2, 0.0, "initial is not an int: 0.0"),
         (2, False, "initial is not an int: False"),
-    ], ids=["float-states", "bool-states", "float-initial", "bool-initial"])
+        (0, 0, "automaton needs at least one state"),
+        (2, 2, "initial state out of range"),
+    ], ids=["float-states", "bool-states", "float-initial", "bool-initial", "no-states",
+            "initial-range"])
     def test_state_count_and_initial(self, cls, state_count, initial, message):
         # a float state count used to be emitted as "states": 2.0, which
         # parse_native rejects, and initial=False as "initial": False
         with pytest.raises(AutomatonError) as err:
             cls(self.LETTERS, state_count, initial, (T(0, 0, 1, 1), T(1, 0, 0, 1)))
         assert str(err.value) == message
+
+
+class TestIllTypedRecords:
+    """A record built from a value of the wrong type is an ``AutomatonError``
+    at once: not a ``TypeError``, and not a record that fails later."""
+
+    DENSE = "classes must partition a dense state range 0..n-1"
+
+    @pytest.mark.parametrize("build, message", [
+        # accepted, and emitted as "gfg": "yes", which parse_native refuses
+        (lambda: CoBuchiAutomaton(Alphabet(("a",)), 1, 0, (), gfg_claimed="yes"),
+         "gfg_claimed is not a bool: 'yes'"),
+        (lambda: CoBuchiAutomaton(Alphabet(("a",)), 1, 0, (), gfg_claimed=1),
+         "gfg_claimed is not a bool: 1"),
+        # accepted, and its ``flat`` raised TypeError
+        (lambda: ParityAutomaton(None, 1, 0, ()), "expected a Alphabet, got a NoneType"),
+        (lambda: ParityAutomaton(("a",), 1, 0, ()), "expected a Alphabet, got a tuple"),
+        # the rest raised TypeError
+        (lambda: CoBuchiAutomaton(Alphabet(("a",)), 1, 0, None),
+         "transitions must be a sequence of Transitions"),
+        (lambda: LassoWord(None, (0,)), "lasso prefix and period must be sequences of letters"),
+        (lambda: LassoWord((), 0), "lasso prefix and period must be sequences of letters"),
+        (lambda: Partition(None), DENSE),
+        (lambda: Partition((0, 1)), DENSE),
+        (lambda: Partition(((0, "a"),)), DENSE),
+        # a float or a bool equals an int, so these passed the range test
+        (lambda: Partition(((0, 1.0),)), DENSE),
+        (lambda: Partition(((False,),)), DENSE),
+        (lambda: Alphabet(None), "alphabet must be a sequence of letter names"),
+    ], ids=["gfg-str", "gfg-int", "alphabet-none", "alphabet-tuple", "transitions-none",
+            "prefix-none", "period-int", "partition-none", "partition-of-ints",
+            "partition-str", "partition-float", "partition-bool", "letters-none"])
+    def test_rejected(self, build, message):
+        with pytest.raises(AutomatonError) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_max_color_needs_a_transition(self):
+        a = ParityAutomaton(Alphabet(("a",)), 1, 0, ())
+        assert a.colors == ()
+        with pytest.raises(AutomatonError, match="no transitions, hence no colors"):
+            a.max_color
 
 
 _DPA = ParityAutomaton(Alphabet(("a", "b")), 2, 0,

@@ -112,6 +112,18 @@ class TestNative:
             parse_native(text)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"kind": "nba"}, 'field "kind" must be "dpa" or "ncw", got \'nba\''),
+        ({"alphabet": ["a", 1]}, "alphabet must be a list of strings"),
+        ({"kind": "ncw", "gfg": "yes"}, 'field "gfg" must be a boolean'),
+    ], ids=["kind", "alphabet", "gfg"])
+    def test_document_field_errors(self, fields, message):
+        doc = {"kind": "dpa", "alphabet": ["a"], "states": 1, "initial": 0,
+               "transitions": [{"src": 0, "sym": 0, "dst": 0, "col": 1}], **fields}
+        with pytest.raises(FormatError) as err:
+            parse_native(json.dumps(doc))
+        assert str(err.value) == message
+
     def test_streamlined_golden_bytes(self, flower):
         expected = (GOLDEN / "flower_streamlined.aut").read_text()
         assert emit_native(streamline(flower)) == expected
@@ -204,6 +216,19 @@ class TestInputLimits:
         else:
             with pytest.raises(FormatError, match="2 letters exceed the limit of 1048576 rows"):
                 parse_native(doc, validate=False)
+
+    # 2^20 transitions are read; one more is refused before any is built,
+    # as a chain level of more rows is never built
+    @pytest.mark.parametrize("count", [2**20, 2**20 + 1])
+    def test_native_ncw_transition_count(self, count):
+        doc = json.dumps({"kind": "ncw", "alphabet": ["a"], "states": 1, "initial": 0,
+                          "transitions": [0] * count})
+        with pytest.raises(FormatError) as err:
+            parse_native(doc)
+        if count <= 2**20:
+            assert str(err.value) == "transition 0 must be an object"
+        else:
+            assert str(err.value) == f"document: {count} transitions exceed the limit of 1048576"
 
     # past Python's 4300-digit int-string limit, which raises a plain ValueError
     def test_long_hoa_integer(self):
@@ -381,6 +406,17 @@ class TestHoa:
         )
         assert letter_names(aps) == expected
 
+    @pytest.mark.parametrize("old, new, letters", [
+        ('AP: 1 "go"\n', "", ("t",)),
+        ("State: 0", 'State: 0 "zero"', ("!go", "go")),
+    ], ids=["no-ap-header", "state-name"])
+    def test_optional_items(self, old, new, letters):
+        # no ``AP:`` is an alphabet of one valuation; a state name is skipped
+        assert old in UNIVERSAL_1AP
+        a = parse_hoa(UNIVERSAL_1AP.replace(old, new))
+        assert a.alphabet.letters == letters
+        assert a.transitions == tuple(T(0, y, 0, 0) for y in range(len(letters)))
+
     def test_min_odd_rejected(self):
         text = UNIVERSAL_1AP.replace("min even", "min odd")
         with pytest.raises(FormatError, match="unsupported acceptance"):
@@ -511,11 +547,14 @@ class TestHoaRejections:
         ("[t]", "[0 &]", "unsupported label element ']'", 9),
         ("[t]", "[0 0]", "trailing '0' in label", 9),
         ("[t]", "[f]", "incomplete rows: [(0, '!go'), (0, 'go')]", None),
+        ("States: 1", "States: 1 1", "States: takes one integer", 2),
+        ("Start: 0", "Start: 1", "initial state out of range", None),
     ], ids=[
         "version", "no-body", "ap-count", "acceptance-count", "state-label",
         "state-twice", "state-range", "state-acceptance", "edge-outside-state",
         "universal", "set-not-int", "two-sets", "set-range", "ap-index",
         "unclosed-paren", "label-ends", "label-trailing", "false-label",
+        "states-two-ints", "start-range",
     ])
     def test_rejection(self, old, new, message, line):
         assert old in UNIVERSAL_1AP
