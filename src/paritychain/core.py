@@ -103,8 +103,9 @@ class Alphabet(_Frozen):
     def index(self, name: str) -> int:
         try:
             return self._index[name]
-        except KeyError:
-            raise AutomatonError(f"unknown letter {_clip(name)!r}") from None
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            shown = repr(_clip(name)) if type(name) is str else _clip(repr(name))
+            raise AutomatonError(f"unknown letter {shown}") from None
 
     def check_letters(self, *words) -> None:
         """Reject words (letter indices) with a letter outside the alphabet:
@@ -370,6 +371,7 @@ def normalize_lasso(w: LassoWord) -> LassoWord:
     word with minimal period length and, for that period length, minimal
     prefix length; the function is idempotent.
     """
+    _expect(LassoWord, w)
     period = list(w.period)
     n = len(period)
     for d in range(1, n + 1):

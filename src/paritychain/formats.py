@@ -68,6 +68,10 @@ def parse_native(text: str, *, validate: bool = True):
         raise FormatError("integer literal too long") from None
     except RecursionError:
         raise FormatError("document nested too deeply") from None
+    except TypeError:  # neither a str nor bytes
+        raise FormatError(
+            f"document must be a str or bytes, got a {_clip(type(text).__name__)}"
+        ) from None
     if not isinstance(obj, dict):
         raise FormatError("top-level value must be an object")
     kind = obj.get("kind")
@@ -350,6 +354,8 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
     read until they hold more than States x 2^|AP| rows, when some row holds
     two: it is reported with its count among the rows read.
     """
+    if not isinstance(text, str):
+        raise FormatError(f"document must be a str, got a {_clip(type(text).__name__)}")
     stream = _TokenStream(_tokenize_hoa(text))
     first = stream.expect("header", "HOA:")
     version = stream.take()

@@ -16,6 +16,7 @@ from .core import (
     Transition,
     _AUTOMATA,
     _Frozen,
+    _clip,
     _expect,
     normalize_lasso,
 )
@@ -167,8 +168,9 @@ class RunAnalysis(NamedTuple):
 
 def reachable_states(a, origin: int) -> frozenset[int]:
     """Forward-reachable state set from ``origin``, inclusive."""
-    if not 0 <= origin < a.state_count:
-        raise AutomatonError(f"state {origin} out of range")
+    _expect(_AUTOMATA, a)
+    if type(origin) is not int or not 0 <= origin < a.state_count:
+        raise AutomatonError(f"state {_clip(repr(origin))} out of range")
     return frozenset(_reach([origin], _adjacency(a).__getitem__))
 
 
@@ -276,6 +278,13 @@ class _Product:
     carries the colors ``ca[e]`` (of a) and ``cb[e]`` (of b).  Both automata
     are read through ``ParityAutomaton.flat``, so an incomplete automaton
     raises even when its missing row is unreachable.
+
+    Everything is built by letter columns: each automaton's targets and
+    colors on one letter are sliced out once, the reachable pairs are found
+    breadth first with each letter mapping the whole frontier at once, and
+    the edges of one letter, e = node * |Σ| + sym for every node, are filled
+    by one slice assignment.  The visited set is dropped before the edge
+    lists are built, so it does not add to the peak.
     """
 
     def __init__(self, a: ParityAutomaton, b: ParityAutomaton, roots):
@@ -285,17 +294,22 @@ class _Product:
         nb = b.state_count
         dst_a, col_a = a.flat
         dst_b, col_b = b.flat
-
-        def succ(pair):
-            ra, rb = pair // nb * k, pair % nb * k
-            return [dst_a[ra + sym] * nb + dst_b[rb + sym] for sym in range(k)]
-
-        pairs = sorted(_reach((qa * nb + qb for qa, qb in roots), succ))
+        columns = [(dst_a[s::k], dst_b[s::k]) for s in range(k)]
+        frontier = seen = {qa * nb + qb for qa, qb in roots}
+        while frontier:
+            frontier = {da[p // nb] * nb + db[p % nb] for da, db in columns for p in frontier}
+            frontier -= seen
+            seen |= frontier
+        pairs = sorted(seen)
+        del frontier, seen
         self.node_of = node_of = {pair: i for i, pair in enumerate(pairs)}
-        self.size = len(pairs)
-        self.dst = [node_of[nxt] for pair in pairs for nxt in succ(pair)]
-        self.ca = [col_a[pair // nb * k + sym] for pair in pairs for sym in range(k)]
-        self.cb = [col_b[pair % nb * k + sym] for pair in pairs for sym in range(k)]
+        self.size = n = len(pairs)
+        self.dst, self.ca, self.cb = [0] * (n * k), [0] * (n * k), [0] * (n * k)
+        for s, (da, db) in enumerate(columns):
+            ca, cb = col_a[s::k], col_b[s::k]
+            self.dst[s::k] = [node_of[da[p // nb] * nb + db[p % nb]] for p in pairs]
+            self.ca[s::k] = [ca[p // nb] for p in pairs]
+            self.cb[s::k] = [cb[p % nb] for p in pairs]
 
     def bad_sccs(self, c1: list[int], c2: list[int]) -> list[tuple[list[int], int, int]]:
         """Node sets of the product SCCs holding a cycle whose minima under
@@ -664,6 +678,8 @@ def dpa_language_equiv(
     init = product.node_of[a.initial * b.state_count + b.initial]
     for c1, c2 in ((product.ca, product.cb), (product.cb, product.ca)):
         bad = product.bad_sccs(c1, c2)
+        if not bad:  # no SCC for a stem to reach
+            continue
         owner = {node: i for i, (nodes, _, _) in enumerate(bad) for node in nodes}
         stem = product.path(init, owner.__contains__)
         if stem is not None:

@@ -13,6 +13,10 @@ search over every jump from every reached (state, word position) node, and
 ``table_corun_color`` the natural color as the largest dominating color in
 the library's co-run table, ``coruns``; the library's one walk per mate must
 reproduce both.
+``pairwise_product`` builds the synchronous pair product one pair at a
+time, by a breadth-first search with a successor list per pair, which the
+library's ``_Product``, built by letter columns, must reproduce field for
+field.
 ``unpruned_bad_sccs`` is the nested SCC refinement of a pair product that
 drops no SCC for being equal-colored, with its own copy of the round loop;
 the library's pruned ``_Product.bad_sccs`` must return the same list in
@@ -317,6 +321,27 @@ def reference_partition(a: ParityAutomaton) -> Partition:
         else:
             classes.append([q])
     return Partition(tuple(map(tuple, classes)))
+
+
+def pairwise_product(a: ParityAutomaton, b: ParityAutomaton, roots) -> tuple:
+    """``(node_of, dst, ca, cb)`` of ``_Product(a, b, roots)``, built pair by
+    pair: the pairs reachable from ``roots``, numbered in ascending order of
+    the pair id qa * |Qb| + qb, and edge e = node * |Σ| + sym with its
+    target node and the colors of a and b."""
+    k, nb = len(a.alphabet), b.state_count
+    dst_a, col_a = a.flat
+    dst_b, col_b = b.flat
+
+    def succ(pair):
+        ra, rb = pair // nb * k, pair % nb * k
+        return [dst_a[ra + sym] * nb + dst_b[rb + sym] for sym in range(k)]
+
+    pairs = sorted(_reach((qa * nb + qb for qa, qb in roots), succ))
+    node_of = {pair: i for i, pair in enumerate(pairs)}
+    dst = [node_of[nxt] for pair in pairs for nxt in succ(pair)]
+    ca = [col_a[pair // nb * k + sym] for pair in pairs for sym in range(k)]
+    cb = [col_b[pair % nb * k + sym] for pair in pairs for sym in range(k)]
+    return node_of, dst, ca, cb
 
 
 def unpruned_bad_sccs(product: _Product, c1: list[int], c2: list[int]) -> list:

@@ -31,6 +31,7 @@ from paritychain import (
     complete_dpa,
     dpa_lasso_run,
     normalize_lasso,
+    reachable_states,
     validate_dpa,
 )
 
@@ -384,9 +385,22 @@ class TestIllTypedRecords:
         (lambda: Partition(((0, 1.0),)), DENSE),
         (lambda: Partition(((False,),)), DENSE),
         (lambda: Alphabet(None), "alphabet must be a sequence of letter names"),
+        # the error path itself raised TypeError on an int; the lookup on
+        # an unhashable name
+        (lambda: Alphabet(("a",)).index(0), "unknown letter 0"),
+        (lambda: Alphabet(("a",)).index(["a"]), "unknown letter ['a']"),
+        # these raised AttributeError or TypeError, and a float passed the range test
+        (lambda: reachable_states("x", 0),
+         "expected a ParityAutomaton or CoBuchiAutomaton, got a str"),
+        (lambda: reachable_states(_DPA, "0"), "state '0' out of range"),
+        (lambda: reachable_states(_DPA, None), "state None out of range"),
+        (lambda: reachable_states(_DPA, 1.0), "state 1.0 out of range"),
+        (lambda: normalize_lasso("x"), "expected a LassoWord, got a str"),
     ], ids=["gfg-str", "gfg-int", "alphabet-none", "alphabet-tuple", "transitions-none",
             "prefix-none", "period-int", "partition-none", "partition-of-ints",
-            "partition-str", "partition-float", "partition-bool", "letters-none"])
+            "partition-str", "partition-float", "partition-bool", "letters-none",
+            "index-int", "index-list", "reach-str", "reach-origin-str", "reach-origin-none",
+            "reach-origin-float", "lasso-str"])
     def test_rejected(self, build, message):
         with pytest.raises(AutomatonError) as err:
             build()

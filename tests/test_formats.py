@@ -124,6 +124,17 @@ class TestNative:
             parse_native(json.dumps(doc))
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_native, None, "document must be a str or bytes, got a NoneType"),
+        (parse_native, 123, "document must be a str or bytes, got a int"),
+        (parse_hoa, b"HOA: v1", "document must be a str, got a bytes"),
+    ], ids=["native-none", "native-int", "hoa-bytes"])
+    def test_document_not_text(self, parse, text, message):
+        # each raised TypeError
+        with pytest.raises(FormatError) as err:
+            parse(text)
+        assert str(err.value) == message
+
     def test_streamlined_golden_bytes(self, flower):
         expected = (GOLDEN / "flower_streamlined.aut").read_text()
         assert emit_native(streamline(flower)) == expected

@@ -18,6 +18,7 @@ from oracles import (
     gca_member_oracle,
     letter_at,
     moore_bisimulation,
+    pairwise_product,
     reference_equiv,
     reference_partition,
     states_distinguishable,
@@ -471,6 +472,136 @@ class TestReachableProduct:
         flipped = ParityAutomaton(a.alphabet, 300, 0, ts)
         assert _Product(a, flipped, [(a.initial, flipped.initial)]).size == 300
         assert dpa_language_equiv(a, flipped) == (False, LassoWord((), (0,)))
+
+
+def _check_columns(x: ParityAutomaton, y: ParityAutomaton, roots) -> _Product:
+    """``_Product(x, y, roots)``, after checking each of its fields against
+    the pair-by-pair construction."""
+    product = _Product(x, y, roots)
+    node_of, dst, ca, cb = pairwise_product(x, y, roots)
+    assert list(product.node_of.items()) == list(node_of.items())
+    assert (product.dst, product.ca, product.cb) == (dst, ca, cb)
+    assert (product.k, product.size) == (len(x.alphabet), len(node_of))
+    return product
+
+
+class TestColumnProduct:
+    """``_Product`` finds its pairs and fills its edge lists one letter
+    column at a time; every field must be that of ``pairwise_product``,
+    which builds one successor list per pair."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_rooted_at_the_initial_pair_and_at_every_pair(self, seed):
+        # random, flipped and blown-up partners (``_equiv_pair``), and a
+        # staircase of each first automaton
+        x, y = _equiv_pair(seed)
+        z = staircase(x, 3, random.Random(seed))
+        for p, q in ((x, y), (y, x), (x, z), (z, x)):
+            every = [(i, j) for i in range(p.state_count) for j in range(q.state_count)]
+            _check_columns(p, q, [(p.initial, q.initial)])
+            _check_columns(p, q, every)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_in_block_roots(self, seed):
+        # the roots ``_in_block_classes`` gives the product
+        sizes = []
+        for a in (_battery_dpa(seed), _refinement_dpa(seed), jumpy(JUMPY_SEEDS[seed % len(JUMPY_SEEDS)])):
+            roots = [(q, r) for block in _presplit(a) if len(block) > 1
+                     for q in block for r in block]
+            sizes.append(_check_columns(a, a, roots).size)
+        assert any(sizes)
+
+    def test_duplicate_and_empty_roots(self):
+        a = random_dpa(12, 4, 2, 5)
+        b = _color_flip(a, random.Random(5))
+        once = _check_columns(a, b, [(3, 4), (0, 0)])
+        twice = _check_columns(a, b, [(3, 4), (0, 0), (3, 4), (0, 0), (0, 0)])
+        assert (twice.node_of, twice.dst) == (once.node_of, once.dst)
+        empty = _check_columns(a, b, [])
+        assert (empty.size, empty.node_of, empty.dst, empty.ca, empty.cb) == (0, {}, [], [], [])
+
+    def test_line_against_its_flip(self):
+        a = _line(300)
+        flipped = _color_flip(a, random.Random(300))
+        assert _check_columns(a, flipped, [(a.initial, flipped.initial)]).size == 300
+        assert _check_columns(flipped, a, [(0, 0), (299, 0), (150, 151)]).size > 300
+
+    @pytest.mark.parametrize("letters", [1, 4])
+    def test_one_and_four_letters(self, letters):
+        for seed in range(6):
+            rng = random.Random(seed)
+            a = _moved_initial(random_dpa(rng.randrange(2, 20), 4, letters, seed), rng)
+            for b in (_color_flip(a, rng), blowup(a, 2, rng),
+                      random_dpa(rng.randrange(2, 20), 4, letters, 100 + seed)):
+                _check_columns(a, b, [(a.initial, b.initial)])
+                _check_columns(b, a, [(q, r) for q in range(b.state_count)
+                                      for r in range(a.state_count)])
+
+    def test_coprime_cycles_cost(self):
+        # one-letter cycles of 300 and 301 states reach all 90 300 pairs.
+        # Building them by columns takes about 0.2 s and peaks at about
+        # 15 MB; keeping the visited set through the fill, or a quotient
+        # list per letter, each peaks over 16 MB
+        a, b = _cycle(300), _cycle(301)
+        a.flat, b.flat  # memoize the rows
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            _Product(a, b, [(0, 0)])
+            times.append(time.perf_counter() - start)
+        tracemalloc.start()
+        try:
+            product = _Product(a, b, [(0, 0)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert product.size == 300 * 301
+        assert peak <= 16_000_000
+        assert min(times) < 0.5
+
+
+def _count_paths(monkeypatch) -> list[int]:
+    """Count the calls of ``_Product.path``: stem searches and the three
+    legs of each witness cycle."""
+    calls = [0]
+    path = _Product.path
+
+    def counted(self, *args):
+        calls[0] += 1
+        return path(self, *args)
+
+    monkeypatch.setattr(_Product, "path", counted)
+    return calls
+
+
+class TestStemSearch:
+    """``dpa_language_equiv`` searches a stem only in an orientation that has
+    a bad SCC; with none, no stem can exist."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_canonical_form_searches_no_stem(self, seed, monkeypatch):
+        # equal languages, different colors: both orientations refine to the
+        # end and find no bad SCC
+        a = random_dpa(30, 5, 2, seed)
+        b = streamline(structure_dpa(a))
+        product = _Product(a, b, [(a.initial, b.initial)])
+        assert product.ca != product.cb
+        calls = _count_paths(monkeypatch)
+        assert dpa_language_equiv(a, b) == (True, None)
+        assert calls[0] == 0
+
+    def test_flip_keeps_its_witness(self, monkeypatch):
+        # one stem search and three cycle legs in the orientation with a bad
+        # SCC, and no search in the other
+        a = random_dpa(20, 5, 2, 36)
+        b = _color_flip(a, random.Random(36))
+        witness = LassoWord((0, 0), (0, 1, 1, 1, 0, 0, 1, 0, 0, 0, 1))
+        calls = _count_paths(monkeypatch)
+        for x, y in ((a, b), (b, a)):
+            calls[0] = 0
+            assert dpa_language_equiv(x, y) == (False, witness)
+            assert calls[0] == 4
+            assert full_product_equiv(x, y) == (False, witness)
 
 
 def _renumbered(a: ParityAutomaton, rng: random.Random) -> ParityAutomaton:
