@@ -23,8 +23,8 @@ from .core import (
     _Frozen,
 )
 from .graphs import (
-    _PARTITION, _SCCS, SccDecomposition, _expect_equivalence, _memo, _refine, scc_decompose,
-    state_equivalence,
+    _PARTITION, _SCCS, SccDecomposition, _edge_groups, _expect_equivalence, _memo, _refine,
+    scc_decompose, state_equivalence,
 )
 
 
@@ -171,7 +171,15 @@ def _recolor(a: ParityAutomaton) -> list[int]:
     """``_streamlined_colors`` without the memo.  A structured automaton is
     complete and deterministic, as its partition read every row, so its
     sorted transition e leaves state e // |Σ|: the passes are the rounds of
-    ``_refine`` on transition indices, and a live one keeps its old color."""
+    ``_refine`` on transition indices, and a live one keeps its old color.
+
+    The first pass starts from ``scc_decompose(a)``, which ``is_structured``
+    has just read (structuring hands it on), not from a Tarjan pass of its
+    own: that check requires every state to be reachable, so those are the
+    SCCs of all transitions.  An SCC whose least color's parity differs
+    from the counter's waits, and is carried to the next pass as it is
+    (see ``_refine``); the order of the SCCs in a pass does not matter, as
+    each recolors only its own edges."""
     ok, violations = is_structured(a)
     if not ok:
         raise PreconditionError("automaton is not structured: " + "; ".join(violations))
@@ -187,19 +195,20 @@ def _recolor(a: ParityAutomaton) -> list[int]:
         for edges in sccs:
             least = min(color[e] for e in edges)
             if least % 2 != i % 2:
-                kept += edges
+                kept.append(edges)  # carried: it waits, still an SCC
                 continue
             lowered = True
+            kept.append([e for e in edges if color[e] != least])
             for e in edges:
                 if color[e] == least:
                     color[e] = i
-                else:
-                    kept.append(e)
         if not lowered:
             i += 1
         return kept
 
-    _refine(a.state_count, len(a.alphabet), a.flat[0], range(len(color)), keep)
+    k, dst = len(a.alphabet), a.flat[0]
+    first = _edge_groups(scc_decompose(a).scc_of, range(len(color)), k, dst)
+    _refine(a.state_count, k, dst, *first, keep)
     return color
 
 
@@ -217,7 +226,9 @@ def streamline(a: ParityAutomaton) -> ParityAutomaton:
     keeps its language, and the result carries ``a``'s partition: asking
     ``state_equivalence`` for it costs nothing.  Streamlining is idempotent,
     so the result also carries its own colors as its streamlined colors,
-    and ``is_streamlined`` on it runs no pass.
+    and ``is_streamlined`` on it runs no pass.  The scan starts from the
+    SCCs memoized on ``a``, and an SCC that waits for the counter is not
+    decomposed again (see ``_recolor``).
     """
     colors = _streamlined_colors(a)
     ts = tuple(Transition(s, y, d, c) for (s, y, d, _), c in zip(a.transitions, colors))

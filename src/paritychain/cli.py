@@ -23,8 +23,6 @@ from .core import (
     LassoWord,
     ParityAutomaton,
     PreconditionError,
-    _MAX_ROWS,
-    _MAX_STATES,
     _clip,
     validate_dpa,
 )
@@ -235,14 +233,11 @@ def cmd_stats(args) -> int:
 
 
 def cmd_random(args) -> int:
-    # checked before anything is allocated per state or per letter
+    # checked before the 2^aps letter names are built; ``random_dpa`` checks
+    # the other sizes before it draws a row
     if args.aps is not None and not 0 <= args.aps <= _MAX_APS:
         raise AutomatonError(f"--aps must be between 0 and {_MAX_APS}")
-    if args.states > _MAX_STATES:
-        raise AutomatonError(f"--states must be at most {_MAX_STATES}")
     count = 2 ** args.aps if args.aps is not None else args.letters
-    if args.states > 0 and args.states * count > _MAX_ROWS:
-        raise AutomatonError(f"--states x letters must be at most {_MAX_ROWS}")
     names = None
     if args.aps is not None:
         names = letter_names([f"p{j}" for j in range(args.aps)])

@@ -28,6 +28,15 @@ def _clip(text: str) -> str:
     return text if len(text) <= _MAX_SHOWN else text[:_MAX_SHOWN] + "..."
 
 
+def _shown(x) -> str:
+    """``repr(x)`` for an error message, clipped (see ``_clip``).  An int
+    too long to show is named by its size instead: it is never converted
+    to text, which takes time and raises past Python's 4300-digit limit."""
+    if isinstance(x, int) and x.bit_length() > 3 * _MAX_SHOWN:
+        return f"<{'negative ' * (x < 0)}int of {x.bit_length()} bits>"
+    return _clip(repr(x))
+
+
 def _expect(cls: type | tuple[type, ...], x) -> None:
     """Reject an argument ``x`` that is not a ``cls`` (or not one of a tuple
     of classes) before any of it is read, so the wrong class fails at the
@@ -104,7 +113,7 @@ class Alphabet(_Frozen):
         try:
             return self._index[name]
         except (KeyError, TypeError):  # TypeError: an unhashable name
-            shown = repr(_clip(name)) if type(name) is str else _clip(repr(name))
+            shown = repr(_clip(name)) if type(name) is str else _shown(name)
             raise AutomatonError(f"unknown letter {shown}") from None
 
     def check_letters(self, *words) -> None:
@@ -114,7 +123,8 @@ class Alphabet(_Frozen):
         for word in words:
             if word and not (0 <= min(word) and max(word) < k):
                 sym = next(x for x in word if not 0 <= x < k)
-                raise AutomatonError(f"letter index {sym} is out of range for an alphabet of {k} letters")
+                raise AutomatonError(
+                    f"letter index {_shown(sym)} is out of range for an alphabet of {k} letters")
 
 
 class Transition(NamedTuple):
@@ -219,7 +229,7 @@ class _Rows:
         """The transitions from ``src`` on letter ``sym``."""
         k = len(self.alphabet)
         if not (0 <= src < self.state_count and 0 <= sym < k):
-            raise AutomatonError(f"row {_clip(repr((src, sym)))} is out of range: "
+            raise AutomatonError(f"row ({_shown(src)}, {_shown(sym)}) is out of range: "
                                  f"{self.state_count} states, {k} letters")
         r, keys = src * k + sym, self._keys
         return self.transitions[bisect_left(keys, r):bisect_right(keys, r)]
@@ -359,7 +369,7 @@ class LassoWord(_Frozen):
             raise AutomatonError("lasso period must be non-empty")
         for x in self.prefix + self.period:
             if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-                raise AutomatonError(f"letters must be non-negative ints, got {_clip(repr(x))}")
+                raise AutomatonError(f"letters must be non-negative ints, got {_shown(x)}")
 
 
 def normalize_lasso(w: LassoWord) -> LassoWord:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from functools import cached_property
 from operator import eq
 from typing import NamedTuple
@@ -16,8 +16,8 @@ from .core import (
     Transition,
     _AUTOMATA,
     _Frozen,
-    _clip,
     _expect,
+    _shown,
     normalize_lasso,
 )
 
@@ -116,32 +116,56 @@ def _scc_ids(n: int, succ, roots) -> list[int]:
     return comp
 
 
-def _refine(n: int, k: int, dst: list[int], live, keep) -> None:
-    """Nested SCC refinement of the graph on nodes 0..n-1 whose edge e runs
-    from node e // k to ``dst[e]``, starting from the edges ``live``.
+def _edge_groups(comp, edges, k: int, dst: list[int]) -> tuple[list[list[int]], list[int]]:
+    """Split ``edges`` by the component map ``comp`` (node -> component):
+    the edges inside a component, grouped by component in the order of
+    their first edge, and the edges between components, in their order.
+    Edge e runs from node e // k to ``dst[e]``."""
+    groups: defaultdict[int, list[int]] = defaultdict(list)
+    leaving = []
+    for e in edges:
+        c = comp[e // k]
+        if c == comp[dst[e]]:
+            groups[c].append(e)
+        else:
+            leaving.append(e)
+    return list(groups.values()), leaving
 
-    Each round runs Tarjan on the live edges from their sources, ascending,
-    groups the live edges inside an SCC by SCC and calls ``keep(sccs,
-    leaving)`` with those groups and the live edges between SCCs.  The
-    edges it returns stay live; rounds repeat until none is.
+
+def _refine(n: int, k: int, dst: list[int], sccs: list[list[int]], leaving: list[int],
+            keep) -> None:
+    """Nested SCC refinement of the graph on nodes 0..n-1 whose edge e runs
+    from node e // k to ``dst[e]``, starting from a decomposition of its
+    live edges: ``sccs``, the live edges inside each SCC, one list per SCC,
+    and ``leaving``, the live edges between SCCs (see ``_edge_groups``).
+
+    Each round calls ``keep(sccs, leaving)``, which returns the edges that
+    stay live as a list of groups, each a part of one group it was passed
+    (it must change none of them); rounds repeat while an edge is live.  A
+    group returned as the very list it was passed is still an SCC with
+    exactly these internal edges: the SCCs of a round are node-disjoint and
+    the edges between them are no longer live, so no live cycle leaves the
+    group's nodes, and all its edges still are live.  Such a group is
+    carried to the next round as it is.  The other groups are decomposed by
+    one Tarjan run over their live edges from their sources, ascending; the
+    next round's SCCs are the carried groups, then the SCCs found, in the
+    order of their first edge.
     """
     succ: list[list[int]] = [[] for _ in range(n)]
-    while live:
-        for e in live:
-            succ[e // k].append(dst[e])
-        sources = sorted({e // k for e in live})
-        comp = _scc_ids(n, succ, sources)
-        for node in sources:  # so ``succ`` is empty again
-            succ[node].clear()
-        sccs: dict[int, list[int]] = {}
-        leaving = []
-        for e in live:
-            c = comp[e // k]
-            if c == comp[dst[e]]:
-                sccs.setdefault(c, []).append(e)
-            else:
-                leaving.append(e)
-        live = keep(list(sccs.values()), leaving)
+    while sccs or leaving:
+        passed = set(map(id, sccs))
+        kept = keep(sccs, leaving)
+        split = [e for group in kept if id(group) not in passed for e in group]
+        sccs, leaving = [group for group in kept if id(group) in passed], []
+        if split:
+            for e in split:
+                succ[e // k].append(dst[e])
+            sources = sorted({e // k for e in split})
+            comp = _scc_ids(n, succ, sources)
+            for node in sources:  # so ``succ`` is empty again
+                succ[node].clear()
+            found, leaving = _edge_groups(comp, split, k, dst)
+            sccs += found
 
 
 class SccDecomposition(_Frozen):
@@ -170,7 +194,7 @@ def reachable_states(a, origin: int) -> frozenset[int]:
     """Forward-reachable state set from ``origin``, inclusive."""
     _expect(_AUTOMATA, a)
     if type(origin) is not int or not 0 <= origin < a.state_count:
-        raise AutomatonError(f"state {_clip(repr(origin))} out of range")
+        raise AutomatonError(f"state {_shown(origin)} out of range")
     return frozenset(_reach([origin], _adjacency(a).__getitem__))
 
 
@@ -334,10 +358,16 @@ class _Product:
         refinement without the drop.  On the diagonal pairs (q, q) of a x a
         every edge is equal-colored, so they cost one round.
 
-        The rounds are those of ``_refine``.  A bad SCC has a live cycle
-        through each of its nodes, so its members are the sources of its
-        internal live edges.  The result is the all-pairs one restricted to
-        the built pairs, as they are closed under edges.
+        The rounds are those of ``_refine``.  The first, the SCCs of all
+        edges, does not depend on the colors, so it is computed once per
+        product (see ``_first_round``), and both orientations of
+        ``dpa_language_equiv`` share it.  Every SCC kept loses its edges of
+        color m1 or m2, so none is carried as it is (see ``_refine``), and
+        the SCCs of each round are in the order of their first live edge,
+        as one Tarjan run over all live edges groups them.  A bad SCC has a
+        live cycle through each of its nodes, so its members are the
+        sources of its internal live edges.  The result is the all-pairs one
+        restricted to the built pairs, as they are closed under edges.
         """
         bad = []
 
@@ -346,18 +376,27 @@ class _Product:
             for edges in sccs:
                 if all(map(eq, map(c1.__getitem__, edges), map(c2.__getitem__, edges))):
                     continue
-                m1 = min(c1[e] for e in edges)
-                m2 = min(c2[e] for e in edges)
+                m1 = min(map(c1.__getitem__, edges))
+                m2 = min(map(c2.__getitem__, edges))
                 if m1 % 2 == 0 and m2 % 2 == 1:
                     bad.append((sorted({e // self.k for e in edges}), m1, m2))
                 elif m1 % 2:
-                    kept += [e for e in edges if c1[e] != m1]
+                    kept.append([e for e in edges if c1[e] != m1])
                 else:
-                    kept += [e for e in edges if c2[e] != m2]
+                    kept.append([e for e in edges if c2[e] != m2])
             return kept
 
-        _refine(self.size, self.k, self.dst, range(len(self.dst)), keep)
+        _refine(self.size, self.k, self.dst, *self._first_round, keep)
         return bad
+
+    @cached_property
+    def _first_round(self) -> tuple[list[list[int]], list[int]]:
+        """The SCCs of all edges, as ``_refine`` takes them: computed on the
+        first call of ``bad_sccs`` and shared by the later ones, whose first
+        round is the same whatever the colors."""
+        k, dst = self.k, self.dst
+        succ = [dst[node * k:node * k + k] for node in range(self.size)]
+        return _edge_groups(_scc_ids(self.size, succ, range(self.size)), range(len(dst)), k, dst)
 
     def path(self, start: int, goal, usable=None) -> list[int] | None:
         """Edges of a shortest path from ``start`` to the first node that
@@ -668,7 +707,9 @@ def dpa_language_equiv(
     with no refinement: the reachable pairs form a bisimulation between a
     and b.  This decides a DPA against its blow-up, a staircase of it, a
     renumbered copy or itself; with the colors equal on only some edges,
-    ``bad_sccs`` drops the equal-colored SCCs round by round.
+    ``bad_sccs`` drops the equal-colored SCCs round by round.  When both
+    orientations refine, as on a DPA against its canonical form, they start
+    from one first round of SCCs, found by one Tarjan run.
     """
     _expect(ParityAutomaton, a)
     _expect(ParityAutomaton, b)

@@ -458,6 +458,27 @@ class TestCarriedSccs:
             assert is_structured(_fresh(out)) == (True, [])
         assert structure_dpa(moved).state_count < moved.state_count
 
+    def test_streamlining_starts_from_the_carried_sccs(self, monkeypatch):
+        # one state per SCC, with least colors 3, 2 and 0: at counter 0 the
+        # last two lower their least edges while state 0 waits, state 2
+        # keeps its 1-colored loop, and at counter 1 both loops drop.  The
+        # first round is the structured automaton's SCCs, and a waiting SCC
+        # is carried, so the one Tarjan run is over state 2's loop
+        from oracles import streamline_one_scc_per_pass
+
+        a = ParityAutomaton(Alphabet(("a", "b")), 3, 0, (
+            T(0, 0, 0, 3), T(0, 1, 1, 4), T(1, 0, 1, 2), T(1, 1, 2, 2),
+            T(2, 0, 2, 1), T(2, 1, 2, 0)))
+        s = structure_dpa(a)
+        passes = _count_scc_passes(monkeypatch)
+        runs = []
+        tarjan = graphs._scc_ids
+        monkeypatch.setattr(graphs, "_scc_ids", lambda *args: runs.append(args) or tarjan(*args))
+        out = streamline(s)
+        assert passes == [] and len(runs) == 1 and sorted(runs[0][2]) == [2]
+        assert [t.color for t in out.transitions] == [1, 0, 0, 0, 1, 0]
+        assert out == streamline_one_scc_per_pass(s)
+
     def test_memoized_verdict_returns_a_fresh_list(self):
         # the verdict is not memoized: each call rebuilds its list, so a
         # caller that mutates one changes no later answer

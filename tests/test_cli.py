@@ -519,8 +519,9 @@ class TestRandom:
     @pytest.mark.parametrize("size, message", [
         (["--aps", "-1"], "--aps must be between 0 and 16"),
         (["--aps", "17"], "--aps must be between 0 and 16"),
-        (["--letters", "1", "--states", "1000001"], "--states must be at most 1000000"),
-        (["--letters", "524289"], "--states x letters must be at most 1048576"),
+        (["--letters", "1", "--states", "1000001"],
+         "1000001 states exceed the limit of 1000000"),
+        (["--letters", "524289"], "2 states x 524289 letters exceed the limit of 1048576 rows"),
     ], ids=["aps-negative", "aps-above-limit", "states-above-limit", "rows-above-limit"])
     def test_sizes_rejected_before_generation(self, capsys, size, message):
         code, out, err = run(capsys, "random", "--states", "2", "--colors", "1", *size)

@@ -396,11 +396,20 @@ class TestIllTypedRecords:
         (lambda: reachable_states(_DPA, None), "state None out of range"),
         (lambda: reachable_states(_DPA, 1.0), "state 1.0 out of range"),
         (lambda: normalize_lasso("x"), "expected a LassoWord, got a str"),
+        # these raised ValueError: an int past Python's 4300-digit limit on
+        # conversion to text was converted for the message
+        (lambda: reachable_states(_DPA, 10**5000), "state <int of 16610 bits> out of range"),
+        (lambda: Alphabet(("a",)).index(10**5000), "unknown letter <int of 16610 bits>"),
+        (lambda: LassoWord((), (-10**5000,)),
+         "letters must be non-negative ints, got <negative int of 16610 bits>"),
+        (lambda: dpa_lasso_run(_DPA, LassoWord((), (10**5000,))),
+         "letter index <int of 16610 bits> is out of range for an alphabet of 2 letters"),
     ], ids=["gfg-str", "gfg-int", "alphabet-none", "alphabet-tuple", "transitions-none",
             "prefix-none", "period-int", "partition-none", "partition-of-ints",
             "partition-str", "partition-float", "partition-bool", "letters-none",
             "index-int", "index-list", "reach-str", "reach-origin-str", "reach-origin-none",
-            "reach-origin-float", "lasso-str"])
+            "reach-origin-float", "lasso-str", "reach-origin-huge", "index-huge",
+            "lasso-letter-huge", "run-letter-huge"])
     def test_rejected(self, build, message):
         with pytest.raises(AutomatonError) as err:
             build()
@@ -519,9 +528,11 @@ class TestRowRange:
     NCW = CoBuchiAutomaton(Alphabet(("a", "b")), 2, 0,
                            (T(0, 0, 1, 2), T(0, 1, 0, 1), T(1, 0, 1, 1), T(1, 1, 0, 2)))
 
-    @pytest.mark.parametrize("src, sym", [(0, 2), (0, -1), (-1, 0), (2, 0), (10**300, 0)],
+    @pytest.mark.parametrize("src, sym", [(0, 2), (0, -1), (-1, 0), (2, 0), (10**300, 0),
+                                          (10**5000, 0), (0, -10**5000)],
                              ids=["letter-k", "letter-negative", "state-negative", "state-n",
-                                  "state-huge"])
+                                  "state-huge", "state-past-digit-limit",
+                                  "letter-past-digit-limit"])
     def test_rejected(self, src, sym):
         for call in (self.DPA.step, self.DPA.row, self.NCW.row):
             with pytest.raises(AutomatonError, match="out of range") as err:

@@ -747,6 +747,32 @@ class TestEqualColoredPruning:
         assert 1 <= pruned < runs[0]
 
 
+class TestSharedFirstRound:
+    """Both orientations of ``bad_sccs`` on one product start from its first
+    round, found by one Tarjan run: the SCCs of all edges, whatever the
+    colors."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_tarjan_run_fewer_than_two_products(self, seed, monkeypatch):
+        # equal languages, different colors: both orientations refine to the end
+        a = random_dpa(30, 5, 2, seed)
+        b = streamline(structure_dpa(a))
+        runs = _count_tarjan_runs(monkeypatch)
+        fresh = []
+        for swap in (False, True):
+            product = _Product(a, b, [(a.initial, b.initial)])
+            fresh.append(product.bad_sccs(*((product.cb, product.ca) if swap
+                                            else (product.ca, product.cb))))
+        separate, runs[0] = runs[0], 0
+        shared = _Product(a, b, [(a.initial, b.initial)])
+        assert [shared.bad_sccs(shared.ca, shared.cb),
+                shared.bad_sccs(shared.cb, shared.ca)] == fresh
+        assert separate >= 3 and runs[0] == separate - 1
+        runs[0] = 0
+        assert dpa_language_equiv(a, b) == (True, None)
+        assert runs[0] == separate - 1
+
+
 def _needles(patterns: list[str]) -> ParityAutomaton:
     """Disjoint union of one matcher over {a, b} per pattern w: state i has
     read the longest prefix w[:i] that ends the input, and an edge completing
