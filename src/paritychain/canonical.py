@@ -18,9 +18,10 @@ from .core import (
     Transition,
     _COLOR,
     _MAX_ROWS,
-    _MAX_STATES,
+    _check_size,
     _expect,
     _Frozen,
+    _shown,
 )
 from .graphs import (
     _PARTITION, _SCCS, SccDecomposition, _edge_groups, _expect_equivalence, _memo, _refine,
@@ -77,18 +78,16 @@ def random_dpa(
     result is pruned to the part reachable from state 0 (order-preserving
     renumbering).  Every row is drawn and the pruning keeps every row of a
     state it keeps, so it is always a valid complete DPA, byte-identical
-    per seed.  The sizes and names are checked before a row is drawn,
-    against the limits of the parsers.
+    per seed.  The sizes (see ``core._check_size``), the names and the seed
+    are checked before a row is drawn.
     """
     if not all(type(x) is int for x in (states, colors, letters)):
         raise AutomatonError("states, colors, and letters must be ints")
     if states < 1 or colors < 1 or letters < 1:
         raise AutomatonError("states, colors, and letters must be positive")
-    if states > _MAX_STATES:
-        raise AutomatonError(f"{states} states exceed the limit of {_MAX_STATES}")
-    if states * letters > _MAX_ROWS:
-        raise AutomatonError(
-            f"{states} states x {letters} letters exceed the limit of {_MAX_ROWS} rows")
+    _check_size(states, letters)
+    if type(seed) is not int:
+        raise AutomatonError(f"seed is not an int: {_shown(seed)}")
     alphabet = Alphabet(default_letter_names(letters) if letter_names is None else letter_names)
     if len(alphabet) != letters:
         raise AutomatonError(f"{len(alphabet)} letter names for {letters} letters")
@@ -161,6 +160,7 @@ def _streamlined_colors(a: ParityAutomaton) -> list[int]:
     checks of ``is_streamlined`` cost one pass per automaton; an
     unstructured ``a`` raises on every call.  Callers must not mutate the
     list."""
+    _expect(ParityAutomaton, a)
     return _memo(a, _STREAMLINED, lambda: _recolor(a))
 
 
@@ -240,7 +240,7 @@ def streamline(a: ParityAutomaton) -> ParityAutomaton:
 
 def is_streamlined(a: ParityAutomaton) -> bool:
     """Whether streamlining is a no-op, i.e. the colors are already minimal."""
-    return a.flat[1] == _streamlined_colors(a)
+    return _streamlined_colors(a) == a.flat[1]
 
 
 class ChainRepresentation(_Frozen):

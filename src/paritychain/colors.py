@@ -127,8 +127,7 @@ def corun_color(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> int:
     """The natural color of ``w`` for L(a): the maximal dominating color
     over all co-runs of the streamlined automaton ``a``, each a jump to a
     mate of the run's state from position 1 on and then the run steps;
-    read off the walks from the mates of the run's state at one node of
-    its cycle, which reach every co-run's cycle (see ``_natural_color``).
+    read off one node of the run's cycle (see ``_natural_color``).
     """
     _expect(ParityAutomaton, a)
     _expect_equivalence(a, equiv)
@@ -147,9 +146,8 @@ def natural_color_via_chain(c: ChainRepresentation, w: LassoWord) -> int:
     accepts iff one of them lies on a cycle of deterministic edges of color
     >= i, its only accepting edges (at most one per node).  So the top
     accepting level is the largest dominating color of a node the jumps
-    reach.  Those are the mates of the run's nodes, as the partition is a
-    right congruence, and the answer is the one ``corun_color`` reads from
-    one node of the run's cycle (see ``_natural_color``).
+    reach, which is the color ``corun_color`` reads off one node of the
+    run's cycle (see ``_natural_color``).
     """
     _expect(ChainRepresentation, c)
     _expect(LassoWord, w)

@@ -18,8 +18,10 @@ class PreconditionError(AutomatonError):
 
 
 _MAX_SHOWN = 40  # characters of a name or token quoted in an error message
-_MAX_STATES = 1_000_000  # states of a parsed or generated automaton
-_MAX_ROWS = 2**20  # rows of a parsed or generated automaton, or of a chain level
+_MAX_STATES = 1_000_000  # states of an automaton
+_MAX_ROWS = 2**20  # (state, letter) rows of an automaton, or rows of a chain level
+_MAX_COLOR = 2**20  # the largest color, as ``emit_hoa`` writes one acceptance set per color
+_MAX_VIOLATIONS = 10  # bad rows listed in one report
 
 
 def _clip(text: str) -> str:
@@ -29,12 +31,27 @@ def _clip(text: str) -> str:
 
 
 def _shown(x) -> str:
-    """``repr(x)`` for an error message, clipped (see ``_clip``).  An int
-    too long to show is named by its size instead: it is never converted
-    to text, which takes time and raises past Python's 4300-digit limit."""
+    """``repr(x)`` for an error message, clipped (see ``_clip``); never raises.
+    An int too long to show, also in a ``Transition``, is named by its size:
+    it is never converted to text, which costs time and fails past 4300 digits."""
     if isinstance(x, int) and x.bit_length() > 3 * _MAX_SHOWN:
         return f"<{'negative ' * (x < 0)}int of {x.bit_length()} bits>"
-    return _clip(repr(x))
+    if type(x) is Transition:
+        return f"Transition({', '.join(f'{f}={_shown(v)}' for f, v in zip(x._fields, x))})"
+    try:
+        return _clip(repr(x))
+    except (ValueError, RecursionError):  # a long int inside x, or x nested too deeply
+        return f"<a {_clip(type(x).__name__)}>"
+
+
+def _check_size(states: int, letters: int) -> None:
+    """Refuse more than ``_MAX_STATES`` states or more than ``_MAX_ROWS``
+    (state, letter) rows, before anything is built per state or per row."""
+    if states > _MAX_STATES:
+        raise AutomatonError(f"{_shown(states)} states exceed the limit of {_MAX_STATES}")
+    if states * letters > _MAX_ROWS:
+        raise AutomatonError(f"{_shown(states)} states x {_shown(letters)} letters exceed "
+                             f"the limit of {_MAX_ROWS} rows")
 
 
 def _expect(cls: type | tuple[type, ...], x) -> None:
@@ -113,8 +130,7 @@ class Alphabet(_Frozen):
         try:
             return self._index[name]
         except (KeyError, TypeError):  # TypeError: an unhashable name
-            shown = repr(_clip(name)) if type(name) is str else _shown(name)
-            raise AutomatonError(f"unknown letter {shown}") from None
+            raise AutomatonError(f"unknown letter {_shown(name)}") from None
 
     def check_letters(self, *words) -> None:
         """Reject words (letter indices) with a letter outside the alphabet:
@@ -143,8 +159,8 @@ _ROW, _EDGE = itemgetter(0, 1), itemgetter(0, 1, 2)
 
 
 def _check_automaton(a) -> None:
-    """Sort the transitions of ``a``, so equal automata compare equal, and
-    check every state, letter and color against its range.
+    """Check the size of ``a`` (see ``_check_size``), sort its transitions,
+    so equal automata compare equal, and check every field's range.
 
     The alphabet must be an ``Alphabet``, the state count, the initial
     state and every field of every row ints (``type(x) is int``), and every
@@ -157,9 +173,10 @@ def _check_automaton(a) -> None:
     for name in ("state_count", "initial"):
         x = getattr(a, name)
         if type(x) is not int:
-            raise AutomatonError(f"{name} is not an int: {_clip(repr(x))}")
+            raise AutomatonError(f"{name} is not an int: {_shown(x)}")
     if a.state_count < 1:
         raise AutomatonError("automaton needs at least one state")
+    _check_size(a.state_count, len(a.alphabet))
     if not 0 <= a.initial < a.state_count:
         raise AutomatonError("initial state out of range")
     try:
@@ -168,11 +185,11 @@ def _check_automaton(a) -> None:
         raise AutomatonError("transitions must be a sequence of Transitions") from None
     if not set(map(type, ts)) <= {Transition}:
         i, t = next((i, t) for i, t in enumerate(ts) if type(t) is not Transition)
-        raise AutomatonError(f"transition {i} is not a Transition: {_clip(repr(t))}")
+        raise AutomatonError(f"transition {i} is not a Transition: {_shown(t)}")
     if not set(map(type, chain.from_iterable(ts))) <= {int}:
         i, name, x = next((i, name, x) for i, t in enumerate(ts)
                           for name, x in zip(Transition._fields, t) if type(x) is not int)
-        raise AutomatonError(f"transition {i} has a {name} that is not an int: {_clip(repr(x))}")
+        raise AutomatonError(f"transition {i} has a {name} that is not an int: {_shown(x)}")
     ts = tuple(sorted(ts))
     object.__setattr__(a, "transitions", ts)
     if not ts:
@@ -181,15 +198,15 @@ def _check_automaton(a) -> None:
     if (0 <= ts[0].src and ts[-1].src < n
             and 0 <= min(map(_DST, ts)) and max(map(_DST, ts)) < n
             and 0 <= min(map(_SYM, ts)) and max(map(_SYM, ts)) < k
-            and min(map(_COLOR, ts)) >= 0):
+            and 0 <= min(map(_COLOR, ts)) and max(map(_COLOR, ts)) <= _MAX_COLOR):
         return
     for t in ts:
         if not 0 <= t.src < n or not 0 <= t.dst < n:
-            raise AutomatonError(f"transition {t} has a state index out of range")
+            raise AutomatonError(f"transition {_shown(t)} has a state index out of range")
         if not 0 <= t.sym < k:
-            raise AutomatonError(f"transition {t} has a letter index out of range")
-        if t.color < 0:
-            raise AutomatonError(f"transition {t} has a negative color")
+            raise AutomatonError(f"transition {_shown(t)} has a letter index out of range")
+        if not 0 <= t.color <= _MAX_COLOR:
+            raise AutomatonError(f"transition {_shown(t)} has a color out of range 0..{_MAX_COLOR}")
 
 
 def _bad_rows(keys: list[int], rows: int):
@@ -211,8 +228,33 @@ def _bad_rows(keys: list[int], rows: int):
         nxt = r + 1
 
 
-def _how_many(count: int) -> str:
-    return f"{count} transitions" if count else "no transition"
+def _bad_row(alphabet: Alphabet, r: int, count: int) -> str:
+    """The one text of bad row r = state * |Σ| + letter, holding ``count`` transitions."""
+    state, sym = divmod(r, len(alphabet))
+    held = f"{count} transitions" if count else "no transition"
+    return f"(state {state}, letter {_clip(alphabet.letters[sym])!r}) has {held}"
+
+
+def _row_report(alphabet: Alphabet, runs) -> list[str]:
+    """The texts of the rows in ``runs`` of bad rows (see ``_bad_rows``), in
+    row order: at most ``_MAX_VIOLATIONS``, then how many more there are."""
+    texts, more = [], 0
+    for first, stop, count in runs:
+        shown = min(stop, first + _MAX_VIOLATIONS - len(texts))
+        texts += [_bad_row(alphabet, r, count) for r in range(first, shown)]
+        more += stop - shown
+    if more:
+        texts.append(f"... and {more} more")
+    return texts
+
+
+def _missing_rows(alphabet: Alphabet, runs) -> list[tuple[int, int, int]]:
+    """Refuse the first row of ``runs`` that holds two transitions or more; else list ``runs``."""
+    runs = list(runs)
+    for first, _, count in runs:
+        if count:
+            raise AutomatonError("nondeterministic: " + _bad_row(alphabet, first, count))
+    return runs
 
 
 class _Rows:
@@ -262,8 +304,7 @@ class ParityAutomaton(_Frozen, _Rows):
         """The unique transition from ``src`` on letter ``sym``."""
         ts = self.row(src, sym)
         if len(ts) != 1:
-            letter = _clip(self.alphabet.letters[sym])
-            raise AutomatonError(f"state {src} on letter {letter!r}: {_how_many(len(ts))}")
+            raise AutomatonError(_bad_row(self.alphabet, src * len(self.alphabet) + sym, len(ts)))
         return ts[0]
 
     @cached_property
@@ -306,7 +347,7 @@ class CoBuchiAutomaton(_Frozen, _Rows):
                   transitions=transitions, gfg_claimed=gfg_claimed)
         _check_automaton(self)
         if type(gfg_claimed) is not bool:
-            raise AutomatonError(f"gfg_claimed is not a bool: {_clip(repr(gfg_claimed))}")
+            raise AutomatonError(f"gfg_claimed is not a bool: {_shown(gfg_claimed)}")
         # By column: the rows are sorted, so a repeated edge, or a second
         # accepting row on one letter, sits next to its twin.  The rows are
         # walked only to name the first offender.
@@ -319,10 +360,10 @@ class CoBuchiAutomaton(_Frozen, _Rows):
         accepting_rows = set()
         for t in ts:
             if t.color not in (1, 2):
-                raise AutomatonError(f"co-Buchi colors must be 1 or 2, got {t.color}")
+                raise AutomatonError(f"co-Buchi colors must be 1 or 2, got {_shown(t.color)}")
             edge = (t.src, t.sym, t.dst)
             if edge in seen_edges:
-                raise AutomatonError(f"duplicate transition {edge}")
+                raise AutomatonError(f"duplicate transition {_shown(edge)}")
             seen_edges.add(edge)
             if t.color == 2:
                 if (t.src, t.sym) in accepting_rows:
@@ -442,46 +483,28 @@ class ValidationReport(NamedTuple):
         return self.ok
 
 
-_MAX_VIOLATIONS = 10
-
-
 def validate_dpa(a: ParityAutomaton) -> ValidationReport:
-    """Check determinism and completeness; report the first offending rows,
-    at most ``_MAX_VIOLATIONS`` of them, then how many more there are."""
+    """Check determinism and completeness; report the bad rows (see ``_row_report``)."""
     _expect(ParityAutomaton, a)
-    k = len(a.alphabet)
-    violations, more = [], 0
-    for first, stop, count in a._bad_runs():
-        shown = min(stop, first + _MAX_VIOLATIONS - len(violations))
-        violations += [
-            f"(state {r // k}, letter {_clip(a.alphabet.letters[r % k])!r}) has {_how_many(count)}"
-            for r in range(first, shown)
-        ]
-        more += stop - shown
-    if more:
-        violations.append(f"... and {more} more")
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    violations = tuple(_row_report(a.alphabet, a._bad_runs()))
+    return ValidationReport(ok=not violations, violations=violations)
 
 
 def complete_dpa(a: ParityAutomaton) -> ParityAutomaton:
     """Complete a deterministic but possibly partial automaton.
 
     Missing (state, letter) rows are routed to one fresh rejecting sink
-    (color 1 self-loops), so words that previously had no run are
-    rejected; complete inputs are returned unchanged.
+    (color 1 self-loops, within the row limit), so words that had no run
+    are rejected; complete inputs are returned unchanged.
     """
     _expect(ParityAutomaton, a)
     k, sink = len(a.alphabet), a.state_count
-    extra = []
-    for first, stop, count in a._bad_runs():
-        if count:
-            raise AutomatonError(
-                f"not deterministic: (state {first // k}, letter "
-                f"{_clip(a.alphabet.letters[first % k])!r}) has {count} transitions"
-            )
-        extra += [Transition(r // k, r % k, sink, 1) for r in range(first, stop)]
-    if not extra:
+    missing = _missing_rows(a.alphabet, a._bad_runs())
+    if not missing:
         return a
+    _check_size(sink + 1, k)  # before the sink's rows are built
+    extra = [Transition(r // k, r % k, sink, 1) for first, stop, _ in missing
+             for r in range(first, stop)]
     extra += [Transition(sink, sym, sink, 1) for sym in range(k)]
     return ParityAutomaton(
         alphabet=a.alphabet,

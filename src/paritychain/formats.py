@@ -15,11 +15,13 @@ from .core import (
     Transition,
     _AUTOMATA,
     _MAX_ROWS,
-    _MAX_STATES,
-    _MAX_VIOLATIONS,
     _bad_rows,
+    _check_size,
     _clip,
     _expect,
+    _missing_rows,
+    _row_report,
+    _shown,
     validate_dpa,
 )
 
@@ -28,18 +30,15 @@ class FormatError(ValueError):
     """Malformed or unsupported document; carries a position when known."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        if line is not None:
-            message = f"line {line}, column {column}: {message}"
+        if line is not None:  # each value shown, so that none can fail to convert
+            shown = message if isinstance(message, str) else _shown(message)
+            message = f"line {_shown(line)}, column {_shown(column)}: {shown}"
         super().__init__(message)
         self.line = line
         self.column = column
 
 
-# Stated input limits, checked before anything is allocated per state or per
-# letter: the letters of a HOA alphabet are all 2^|AP| valuations, and every
-# (state, letter) row costs a check or a transition.  ``_MAX_STATES`` and
-# ``_MAX_ROWS`` come from ``core``.
-_MAX_APS = 16
+_MAX_APS = 16  # the letters of a HOA alphabet are all 2^|AP| valuations
 
 
 # -- native JSON format ------------------------------------------------------
@@ -76,18 +75,9 @@ def parse_native(text: str, *, validate: bool = True):
         raise FormatError("top-level value must be an object")
     kind = obj.get("kind")
     if kind not in ("dpa", "ncw"):
-        raise FormatError(f'field "kind" must be "dpa" or "ncw", got {kind!r}')
+        raise FormatError(f'field "kind" must be "dpa" or "ncw", got {_shown(kind)}')
     letters = _require(obj, "alphabet", list, "document")
-    if not all(isinstance(x, str) for x in letters):
-        raise FormatError("alphabet must be a list of strings")
     states = _require(obj, "states", int, "document")
-    if states > _MAX_STATES:
-        raise FormatError(f"document: {states} states exceed the limit of {_MAX_STATES}")
-    if states * len(letters) > _MAX_ROWS:
-        raise FormatError(
-            f"document: {states} states x {len(letters)} letters exceed the limit of "
-            f"{_MAX_ROWS} rows"
-        )
     initial = _require(obj, "initial", int, "document")
     raw_ts = _require(obj, "transitions", list, "document")
     if kind == "ncw" and len(raw_ts) > _MAX_ROWS:  # as no chain level holds more
@@ -104,20 +94,20 @@ def parse_native(text: str, *, validate: bool = True):
             where = f"transition {idx}"
             for key in ("src", "sym", "dst", "col"):
                 _require(item, key, int, where)
-    try:
+    try:  # the constructors check the letter names and the sizes
         if kind == "ncw":
             gfg = obj.get("gfg", False)
             if not isinstance(gfg, bool):
                 raise FormatError('field "gfg" must be a boolean')
             return CoBuchiAutomaton(
-                alphabet=Alphabet(tuple(letters)),
+                alphabet=Alphabet(letters),
                 state_count=states,
                 initial=initial,
                 transitions=tuple(transitions),
                 gfg_claimed=gfg,
             )
         automaton = ParityAutomaton(
-            alphabet=Alphabet(tuple(letters)),
+            alphabet=Alphabet(letters),
             state_count=states,
             initial=initial,
             transitions=tuple(transitions),
@@ -337,7 +327,7 @@ class _LabelParser:
         if tok.kind == "int":
             index = _int(tok)
             if index >= self.ap_count:
-                raise FormatError(f"AP index {index} out of range", tok.line, tok.column)
+                raise FormatError(f"AP index {_shown(index)} out of range", tok.line, tok.column)
             return self.literals[index]
         raise FormatError(f"unsupported label element {_clip(tok.value)!r}", tok.line, tok.column)
 
@@ -389,10 +379,6 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
             if len(args) != 1 or args[0].kind != "int":
                 raise FormatError("States: takes one integer", tok.line, tok.column)
             states = _int(args[0])
-            if states > _MAX_STATES:
-                raise FormatError(
-                    f"States: {states} exceeds the limit of {_MAX_STATES}", tok.line, tok.column
-                )
         elif name == "Start":
             if start is not None or len(args) != 1 or args[0].kind != "int":
                 raise FormatError(
@@ -405,7 +391,7 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
             count = _int(args[0])
             if count > _MAX_APS:
                 raise FormatError(
-                    f"AP: {count} propositions exceed the limit of {_MAX_APS}",
+                    f"AP: {_shown(count)} propositions exceed the limit of {_MAX_APS}",
                     tok.line,
                     tok.column,
                 )
@@ -433,7 +419,7 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
     color_count = _int(acc_name[3])
     if acc_sets is not None and acc_sets != color_count:
         raise FormatError(
-            f"Acceptance: declares {acc_sets} sets but acc-name: says {color_count}"
+            f"Acceptance: declares {_shown(acc_sets)} sets but acc-name: says {_shown(color_count)}"
         )
     if states is None:
         raise FormatError("missing States: header")
@@ -441,10 +427,10 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
         raise FormatError("missing Start: header")
     if aps is None:
         aps = []
-    if states * 2 ** len(aps) > _MAX_ROWS:
-        raise FormatError(
-            f"States: {states} x 2^{len(aps)} valuations exceed the limit of {_MAX_ROWS} rows"
-        )
+    try:
+        _check_size(states, 2 ** len(aps))
+    except AutomatonError as err:
+        raise FormatError(f"States: {err}") from None
     try:  # an empty AP name makes an empty letter name
         alphabet = Alphabet(letter_names(aps))
     except AutomatonError as err:
@@ -466,11 +452,11 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
             current = _int(state_tok)
             if current in declared:
                 raise FormatError(
-                    f"state {current} declared twice", state_tok.line, state_tok.column
+                    f"state {_shown(current)} declared twice", state_tok.line, state_tok.column
                 )
             if not 0 <= current < states:
                 raise FormatError(
-                    f"state {current} out of range", state_tok.line, state_tok.column
+                    f"state {_shown(current)} out of range", state_tok.line, state_tok.column
                 )
             declared.add(current)
             nxt = stream.peek()
@@ -511,8 +497,8 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
             color = sets[0]
             if color >= color_count:
                 raise FormatError(
-                    f"acceptance set {color} out of range (parity min even "
-                    f"{color_count})",
+                    f"acceptance set {_shown(color)} out of range (parity min even "
+                    f"{_shown(color_count)})",
                     dst_tok.line,
                     dst_tok.column,
                 )
@@ -523,22 +509,11 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
             raise FormatError(f"unexpected {_clip(tok.value)!r}", tok.line, tok.column)
 
     body.sort()
-    missing, more = [], 0
-    for first, stop, count in _bad_rows([q * k + v for q, v, _, _ in body], states * k):
-        if count:
-            raise FormatError(
-                f"nondeterministic: state {first // k} has {count} transitions "
-                f"on {_clip(alphabet.letters[first % k])}"
-            )
-        shown = min(stop, first + _MAX_VIOLATIONS - len(missing))
-        missing += [(r // k, _clip(alphabet.letters[r % k])) for r in range(first, shown)]
-        more += stop - shown
-    if missing and not allow_incomplete:
-        raise FormatError(
-            f"incomplete rows: {missing}{f' ... and {more} more' if more else ''}; "
-            "parse with allow_incomplete=True and apply complete_dpa"
-        )
-    try:
+    try:  # the rows first: their faults are reported before range faults
+        missing = _missing_rows(alphabet, _bad_rows([q * k + v for q, v, _, _ in body], states * k))
+        if missing and not allow_incomplete:
+            raise FormatError(f"incomplete rows: {'; '.join(_row_report(alphabet, missing))}; "
+                              "parse with allow_incomplete=True and apply complete_dpa")
         return ParityAutomaton(
             alphabet=alphabet,
             state_count=states,

@@ -764,7 +764,7 @@ def row_scan_step(a: ParityAutomaton, src: int, sym: int) -> Transition:
     if len(ts) != 1:
         letter = _clip(a.alphabet.letters[sym])
         kind = "no transition" if not ts else f"{len(ts)} transitions"
-        raise AutomatonError(f"state {src} on letter {letter!r}: {kind}")
+        raise AutomatonError(f"(state {src}, letter {letter!r}) has {kind}")
     return ts[0]
 
 
@@ -803,7 +803,7 @@ def row_scan_complete(a: ParityAutomaton) -> ParityAutomaton:
     for (src, sym), ts in rows.items():
         if len(ts) > 1:
             raise AutomatonError(
-                f"not deterministic: (state {src}, letter "
+                f"nondeterministic: (state {src}, letter "
                 f"{_clip(a.alphabet.letters[sym])!r}) has {len(ts)} transitions"
             )
     missing = [

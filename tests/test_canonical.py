@@ -77,7 +77,12 @@ class TestRandomDpa:
         ((3.0, 2, 2, 0), "states, colors, and letters must be ints"),
         ((3, 2, True, 0), "states, colors, and letters must be ints"),
         ((3, 0, 2, 0), "states, colors, and letters must be positive"),
-    ], ids=["states", "rows", "letters", "names", "float", "bool", "no-colors"])
+        # these raised ValueError: the message converted the whole int
+        ((10**5000, 2, 2, 0), "<int of 16610 bits> states exceed the limit of 1000000"),
+        ((2, 2, 10**5000, 0),
+         "2 states x <int of 16610 bits> letters exceed the limit of 1048576 rows"),
+    ], ids=["states", "rows", "letters", "names", "float", "bool", "no-colors", "states-huge",
+            "letters-huge"])
     def test_sizes_checked_before_a_row_is_drawn(self, args, message):
         # 3 000 000 states ended in a MemoryError after 20 s under a 1 GB cap
         with pytest.raises(AutomatonError) as err:

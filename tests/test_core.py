@@ -1,6 +1,9 @@
 import copy
+import inspect
 import pickle
 import random
+import time
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings
@@ -18,11 +21,13 @@ from oracles import (
     row_scan_validate,
     suffix,
 )
+import paritychain
 from paritychain import (
     Alphabet,
     AutomatonError,
     ChainRepresentation,
     CoBuchiAutomaton,
+    FormatError,
     LassoWord,
     ParityAutomaton,
     Partition,
@@ -30,10 +35,19 @@ from paritychain import (
     Transition,
     complete_dpa,
     dpa_lasso_run,
+    emit_hoa,
+    emit_native,
+    is_streamlined,
     normalize_lasso,
+    parse_hoa,
+    parse_native,
+    random_dpa,
     reachable_states,
+    state_equivalence,
+    streamline,
     validate_dpa,
 )
+from paritychain.core import _MAX_STATES
 
 T = Transition
 
@@ -128,7 +142,7 @@ class TestCompleteDpa:
             flower.initial,
             flower.transitions + (T(1, 0, 2, 2),),
         )
-        with pytest.raises(AutomatonError, match="not deterministic"):
+        with pytest.raises(AutomatonError, match="nondeterministic"):
             complete_dpa(doubled)
 
     def test_output_always_validates(self):
@@ -270,7 +284,7 @@ class TestColumnChecks:
         (T(-1, 0, 0, 1), STATE), (T(2, 0, 0, 1), STATE),
         (T(1, 0, -1, 1), STATE), (T(0, 0, 2, 1), STATE),
         (T(1, -1, 0, 1), LETTER), (T(0, 2, 1, 1), LETTER),
-        (T(1, 0, 0, -1), "has a negative color"),
+        (T(1, 0, 0, -1), "has a color out of range 0..1048576"),
     ], ids=["src-negative", "src-n", "dst-negative", "dst-n", "sym-negative", "sym-k",
             "color-negative"])
     def test_one_fault(self, cls, row, problem):
@@ -284,7 +298,7 @@ class TestColumnChecks:
         with pytest.raises(AutomatonError) as err:
             cls(self.LETTERS, 2, 0, (late,) + self.ROWS + (early,))
         assert str(err.value) == "transition Transition(src=0, sym=1, dst=0, color=-1) " \
-                                 "has a negative color"
+                                 "has a color out of range 0..1048576"
         with pytest.raises(AutomatonError) as err:
             cls(self.LETTERS, 2, 0, (T(0, 5, 0, 1), T(0, 1, 9, 1)))
         assert str(err.value) == "transition Transition(src=0, sym=1, dst=9, color=1) " \
@@ -404,12 +418,37 @@ class TestIllTypedRecords:
          "letters must be non-negative ints, got <negative int of 16610 bits>"),
         (lambda: dpa_lasso_run(_DPA, LassoWord((), (10**5000,))),
          "letter index <int of 16610 bits> is out of range for an alphabet of 2 letters"),
+        # these raised ValueError too: the message held the whole Transition
+        (lambda: ParityAutomaton(Alphabet(("a",)), 1, 0, (T(10**5000, 0, 0, 1),)),
+         "transition Transition(src=<int of 16610 bits>, sym=0, dst=0, color=1) "
+         "has a state index out of range"),
+        (lambda: CoBuchiAutomaton(Alphabet(("a",)), 1, 0, (T(0, -10**5000, 0, 1),)),
+         "transition Transition(src=0, sym=<negative int of 16610 bits>, dst=0, color=1) "
+         "has a letter index out of range"),
+        (lambda: ParityAutomaton(Alphabet(("a",)), 1, 0, (T(0, 0, -10**5000, 1),)),
+         "transition Transition(src=0, sym=0, dst=<negative int of 16610 bits>, color=1) "
+         "has a state index out of range"),
+        (lambda: CoBuchiAutomaton(Alphabet(("a",)), 1, 0, (T(0, 0, 0, 10**5000),)),
+         "transition Transition(src=0, sym=0, dst=0, color=<int of 16610 bits>) "
+         "has a color out of range 0..1048576"),
+        (lambda: ParityAutomaton(Alphabet(("a",)), 1, 0, (T(0, 0, 0, -10**5000),)),
+         "transition Transition(src=0, sym=0, dst=0, color=<negative int of 16610 bits>) "
+         "has a color out of range 0..1048576"),
+        # these raised AttributeError or TypeError before any check
+        (lambda: is_streamlined(None), "expected a ParityAutomaton, got a NoneType"),
+        (lambda: is_streamlined("x"), "expected a ParityAutomaton, got a str"),
+        (lambda: streamline(None), "expected a ParityAutomaton, got a NoneType"),
+        (lambda: streamline(3), "expected a ParityAutomaton, got a int"),
+        (lambda: random_dpa(2, 2, 2, [1]), "seed is not an int: [1]"),
     ], ids=["gfg-str", "gfg-int", "alphabet-none", "alphabet-tuple", "transitions-none",
             "prefix-none", "period-int", "partition-none", "partition-of-ints",
             "partition-str", "partition-float", "partition-bool", "letters-none",
             "index-int", "index-list", "reach-str", "reach-origin-str", "reach-origin-none",
             "reach-origin-float", "lasso-str", "reach-origin-huge", "index-huge",
-            "lasso-letter-huge", "run-letter-huge"])
+            "lasso-letter-huge", "run-letter-huge", "src-huge", "sym-huge-negative",
+            "dst-huge-negative", "ncw-color-huge", "color-huge-negative",
+            "streamlined-none", "streamlined-str", "streamline-none", "streamline-int",
+            "seed-list"])
     def test_rejected(self, build, message):
         with pytest.raises(AutomatonError) as err:
             build()
@@ -511,7 +550,7 @@ class TestLongLetterNames:
 
     def test_complete_dpa_and_index(self):
         a = ParityAutomaton(self.alphabet(), 1, 0, (T(0, 0, 0, 0), T(0, 0, 0, 1)))
-        with pytest.raises(AutomatonError, match="not deterministic") as err:
+        with pytest.raises(AutomatonError, match="nondeterministic") as err:
             complete_dpa(a)
         self.assert_short(str(err.value))
         with pytest.raises(AutomatonError, match="unknown letter") as err:
@@ -644,3 +683,119 @@ class TestRowScanOracle:
             for q in range(a.state_count):
                 for sym in range(len(a.alphabet)):
                     assert a.row(q, sym) == row_scan_successors(a, q, sym), seed
+
+
+def _hostile_pool() -> list:
+    """Twenty arguments no public name should answer with a raw error:
+    wrong types, ints past Python's 4300-digit limit, and small valid
+    records of the wrong kind.  No valid large size, so no call builds a
+    large automaton."""
+    slim = ParityAutomaton(Alphabet(("a",)), 1, 0, (T(0, 0, 0, 1),))
+    level = ChainRepresentation(slim, Partition(((0,),))).levels[0]
+    return [None, True, False, 0, -1, 2.5, float("nan"), 10**5000, -10**5000, "x", "", b"x",
+            (), [0], {"kind": "dpa"}, T(0, 0, 0, 0), LassoWord((), (0,)), level,
+            Partition(((0,),)), ParityAutomaton(Alphabet(("a",)), 1, 0, ())]
+
+
+class TestApiFuzz:
+    """Every public name, called with every one and every two arguments of
+    one pool of hostile values that its signature takes, returns or raises
+    ``AutomatonError`` or ``FormatError``."""
+
+    def test_public_names(self):
+        pool = _hostile_pool()
+        calls, findings = 0, []
+        for name in paritychain.__all__:
+            f = getattr(paritychain, name)
+            try:
+                bind = inspect.signature(f).bind
+            except ValueError:  # an exception class, which takes any arguments
+                bind = lambda *args: None
+            for picks in chain(((i,) for i in range(len(pool))),
+                               product(range(len(pool)), repeat=2)):
+                args = [pool[i] for i in picks]
+                try:
+                    bind(*args)
+                except TypeError:  # not a call ``f`` takes
+                    continue
+                calls += 1
+                try:
+                    f(*args)
+                except (AutomatonError, FormatError):
+                    pass
+                except Exception as err:  # noqa: BLE001 - a finding, named by pool index
+                    findings.append(f"{name} on pool items {picks}: {type(err).__name__}")
+        assert findings == []
+        assert calls > 5000
+
+
+def _refusal(build) -> str:
+    """The text of the ``AutomatonError`` or ``FormatError`` ``build()`` raises."""
+    try:
+        build()
+    except (AutomatonError, FormatError) as err:
+        return str(err)
+    raise AssertionError("not refused")
+
+
+class TestSizeLimits:
+    """Every automaton, however it was built, is refused past the limits
+    of ``core._check_size`` before a row is read."""
+
+    @pytest.mark.parametrize("cls", [ParityAutomaton, CoBuchiAutomaton])
+    @pytest.mark.parametrize("letters, states, message", [
+        (("a",), _MAX_STATES + 1, "1000001 states exceed the limit of 1000000"),
+        (("a", "b"), 2**19 + 1, "524289 states x 2 letters exceed the limit of 1048576 rows"),
+        (("a",), 10**5000, "<int of 16610 bits> states exceed the limit of 1000000"),
+    ], ids=["states", "rows", "huge"])
+    def test_refused_at_once(self, cls, letters, states, message):
+        alphabet = Alphabet(letters)
+
+        def build():
+            return _refusal(lambda: cls(alphabet, states, 0, ()))
+
+        assert build() == message
+        assert min(_seconds(build) for _ in range(3)) < 1e-3
+
+    def test_complete_dpa_at_the_row_limit(self):
+        # the sink's rows would make one state more than the limit allows
+        full = ParityAutomaton(Alphabet(("a", "b")), 2**19, 0, ())
+        assert _refusal(lambda: complete_dpa(full)) == \
+            "524289 states x 2 letters exceed the limit of 1048576 rows"
+
+
+def _seconds(f) -> float:
+    start = time.perf_counter()
+    f()
+    return time.perf_counter() - start
+
+
+class TestOneBadRowText:
+    """A missing and a doubled row get one text from every reader of rows:
+    the report, the completion, ``step``, ``flat`` and both parsers."""
+
+    LETTERS = Alphabet(("!go", "go"))
+    ROWS = (T(0, 0, 1, 0), T(0, 1, 0, 1), T(1, 0, 1, 1), T(1, 1, 0, 0))
+    MISSING = "(state 1, letter '!go') has no transition"
+    DOUBLED = "(state 0, letter 'go') has 2 transitions"
+
+    def test_missing_row(self):
+        a = ParityAutomaton(self.LETTERS, 2, 0, self.ROWS[:2] + self.ROWS[3:])
+        assert validate_dpa(a).violations == (self.MISSING,)
+        assert _refusal(lambda: a.step(1, 0)) == self.MISSING
+        assert _refusal(lambda: state_equivalence(a)) == self.MISSING  # through ``flat``
+        assert _refusal(lambda: parse_native(emit_native(a))) == \
+            "invalid automaton: " + self.MISSING
+        assert _refusal(lambda: parse_hoa(emit_hoa(a))) == \
+            f"incomplete rows: {self.MISSING}; parse with allow_incomplete=True and apply " \
+            "complete_dpa"
+
+    def test_doubled_row(self):
+        a = ParityAutomaton(self.LETTERS, 2, 0, self.ROWS + (T(0, 1, 1, 1),))
+        assert validate_dpa(a).violations == (self.DOUBLED,)
+        assert _refusal(lambda: complete_dpa(a)) == "nondeterministic: " + self.DOUBLED
+        assert _refusal(lambda: a.step(0, 1)) == self.DOUBLED
+        assert _refusal(lambda: state_equivalence(a)) == self.DOUBLED
+        assert _refusal(lambda: parse_native(emit_native(a))) == \
+            "invalid automaton: " + self.DOUBLED
+        assert _refusal(lambda: parse_hoa(emit_hoa(a))) == "nondeterministic: " + self.DOUBLED

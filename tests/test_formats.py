@@ -13,6 +13,7 @@ from conftest import flower_automaton, mutated
 from oracles import eval_label_oracle, per_row_native
 from paritychain import (
     Alphabet,
+    AutomatonError,
     CoBuchiAutomaton,
     FormatError,
     ParityAutomaton,
@@ -31,6 +32,7 @@ from paritychain import (
     structure_dpa,
     validate_dpa,
 )
+from paritychain.core import _MAX_COLOR
 from paritychain.formats import _LabelParser, _tokenize_hoa, _TokenStream, letter_names
 
 T = Transition
@@ -79,6 +81,15 @@ class TestNative:
         )
         assert emit_native(shuffled) == emit_native(flower)
 
+    def test_every_color_written_is_read(self):
+        # a color over the limit, 10**5000 say, which ``%d`` cannot write and
+        # the JSON reader cannot read, is refused when the automaton is built
+        top = ParityAutomaton(Alphabet(("a",)), 1, 0, (T(0, 0, 0, _MAX_COLOR),))
+        assert parse_native(emit_native(top)) == top
+        for color in (_MAX_COLOR + 1, 10**5000):
+            with pytest.raises(AutomatonError, match="has a color out of range 0..1048576$"):
+                ParityAutomaton(Alphabet(("a",)), 1, 0, (T(0, 0, 0, color),))
+
     def test_semantic_error_mentions_offender(self, flower):
         partial = ParityAutomaton(
             flower.alphabet,
@@ -114,9 +125,11 @@ class TestNative:
 
     @pytest.mark.parametrize("fields, message", [
         ({"kind": "nba"}, 'field "kind" must be "dpa" or "ncw", got \'nba\''),
-        ({"alphabet": ["a", 1]}, "alphabet must be a list of strings"),
+        # the whole value was quoted, a 1 MB message
+        ({"kind": "x" * 10**6}, 'field "kind" must be "dpa" or "ncw", got \'' + "x" * 39 + "..."),
+        ({"alphabet": ["a", 1]}, "letter names must be non-empty strings"),
         ({"kind": "ncw", "gfg": "yes"}, 'field "gfg" must be a boolean'),
-    ], ids=["kind", "alphabet", "gfg"])
+    ], ids=["kind", "kind-long", "alphabet", "gfg"])
     def test_document_field_errors(self, fields, message):
         doc = {"kind": "dpa", "alphabet": ["a"], "states": 1, "initial": 0,
                "transitions": [{"src": 0, "sym": 0, "dst": 0, "col": 1}], **fields}
@@ -200,7 +213,7 @@ class TestInputLimits:
             parse_hoa(UNIVERSAL_1AP.replace('AP: 1 "go"', f"AP: 64 {names}"))
 
     def test_hoa_state_count(self):
-        with pytest.raises(FormatError, match="States: 10+ exceeds the limit of 1000000"):
+        with pytest.raises(FormatError, match="States: 10+ states exceed the limit of 1000000"):
             parse_hoa(UNIVERSAL_1AP.replace("States: 1", f"States: {10**9}"))
 
     @pytest.mark.parametrize("kind", ["dpa", "ncw"])
@@ -216,7 +229,7 @@ class TestInputLimits:
             parse_hoa(UNIVERSAL_1AP.replace("States: 1", f"States: {states}"))
         message = str(err.value)
         assert message.startswith("States: ") == refused
-        assert ("x 2^1 valuations exceed the limit of 1048576 rows" in message) == refused
+        assert ("states x 2 letters exceed the limit of 1048576 rows" in message) == refused
 
     @pytest.mark.parametrize("states", [2**19, 2**19 + 1])
     def test_native_row_count(self, states):
@@ -248,6 +261,21 @@ class TestInputLimits:
         with pytest.raises(FormatError, match="integer literal of 5000 digits"):
             parse_hoa(UNIVERSAL_1AP.replace("[t] 0", "[t] " + "1" * 5000))
 
+    # under that limit an integer is read, and a message names it by its size
+    @pytest.mark.parametrize("old, new, message", [
+        ("State: 0", "State: " + "9" * 4000, "state <int of 13288 bits> out of range"),
+        ("{0}\n", "{" + "9" * 4000 + "}\n", "acceptance set <int of 13288 bits> out of range"),
+        ("[t]", "[" + "9" * 4000 + "]", "AP index <int of 13288 bits> out of range"),
+        ("Acceptance: 1", "Acceptance: " + "9" * 4000,
+         "Acceptance: declares <int of 13288 bits> sets but acc-name: says 1"),
+        ('AP: 1 "go"', "AP: " + "9" * 4000,
+         "AP: <int of 13288 bits> propositions exceed the limit of 16"),
+    ], ids=["state", "set", "ap-index", "acceptance", "ap-count"])
+    def test_long_hoa_integer_named_by_size(self, old, new, message):
+        with pytest.raises(FormatError, match=message) as err:
+            parse_hoa(UNIVERSAL_1AP.replace(old, new))
+        assert len(str(err.value)) < 200
+
     @pytest.mark.parametrize("kind", ["dpa", "ncw"])
     def test_long_native_integer(self, kind):
         doc = json.dumps({"kind": kind, "alphabet": ["a"], "states": 1, "initial": 0,
@@ -265,11 +293,11 @@ class TestInputLimits:
         names = " ".join(f'"p{j}"' for j in range(10))
         text = UNIVERSAL_1AP.replace("States: 1", "States: 1000")
         text = text.replace('AP: 1 "go"', f"AP: 10 {names}")
-        with pytest.raises(FormatError, match=r"incomplete rows: \[\(1, '!p0&!p1&") as err:
+        with pytest.raises(FormatError, match=r"incomplete rows: \(state 1, letter '!p0&!p1&") as err:
             parse_hoa(text)
         message = str(err.value)
         assert len(message) < 1024
-        assert message.count("(1, ") == 10 and "... and 1022966 more;" in message
+        assert message.count("(state 1, ") == 10 and "; ... and 1022966 more;" in message
         assert len(parse_hoa(text, allow_incomplete=True).transitions) == 1024
 
     def test_few_missing_rows_listed_in_full(self):
@@ -277,7 +305,9 @@ class TestInputLimits:
         with pytest.raises(FormatError) as err:
             parse_hoa(text)
         assert str(err.value) == (
-            "incomplete rows: [(1, '!go'), (1, 'go'), (2, '!go'), (2, 'go')]; "
+            "incomplete rows: (state 1, letter '!go') has no transition; "
+            "(state 1, letter 'go') has no transition; (state 2, letter '!go') has no transition; "
+            "(state 2, letter 'go') has no transition; "
             "parse with allow_incomplete=True and apply complete_dpa"
         )
 
@@ -285,7 +315,8 @@ class TestInputLimits:
         text = UNIVERSAL_1AP.replace("States: 1", "States: 3").replace(
             "[t] 0 {0}", "[t] 0 {0}\nState: 2\n[0] 0 {0}\n[t] 1 {0}"
         )
-        with pytest.raises(FormatError, match="^nondeterministic: state 2 has 2 transitions on go$"):
+        with pytest.raises(FormatError,
+                           match=r"^nondeterministic: \(state 2, letter 'go'\) has 2 transitions$"):
             parse_hoa(text)
 
     @pytest.mark.parametrize("old, new, message", [
@@ -303,13 +334,15 @@ class TestInputLimits:
         text = UNIVERSAL_1AP.replace('"go"', '"' + "x" * 10**6 + '"').replace(
             "[t] 0 {0}", "[t] 0 {0}\n[0] 0 {0}"
         )
-        with pytest.raises(FormatError, match="^nondeterministic: state 0 has 2 transitions") as err:
+        with pytest.raises(FormatError, match=r"^nondeterministic: \(state 0, letter 'x") as err:
             parse_hoa(text)
         assert len(str(err.value)) < 200 and "x" * 30 + "..." in str(err.value)
 
     @pytest.mark.parametrize("edge, count, seconds, megabytes, outcome", [
-        ("[t]", 50, 0.5, 60, "nondeterministic: state 0 has 2 transitions on !a&!b&"),
-        ("[0]", 20, 0.35, 50, "nondeterministic: state 0 has 3 transitions on a&!b&"),
+        ("[t]", 50, 0.5, 60, "nondeterministic: (state 0, letter "
+         "'!a&!b&!c&!d&!e&!f&!g&!h&!i&!j&!k&!l&!m&!...') has 2 transitions"),
+        ("[0]", 20, 0.35, 50, "nondeterministic: (state 0, letter "
+         "'a&!b&!c&!d&!e&!f&!g&!h&!i&!j&!k&!l&!m&!n...') has 3 transitions"),
         ("[0&!0]", 50, 0.25, 25, None),
     ], ids=["true", "literal", "empty"])
     def test_short_body_over_many_aps(self, edge, count, seconds, megabytes, outcome):
@@ -348,7 +381,8 @@ class TestInputLimits:
         # two edges fill one row twice, so the body holds more rows than the
         # automaton has; reading stops there, before the fault after them
         text = UNIVERSAL_1AP.replace("[t] 0 {0}", "[t] 0 {0}\n[t] 0 {0}\n[t] 0 {7}\n[!")
-        with pytest.raises(FormatError, match="^nondeterministic: state 0 has 2 transitions on !go$"):
+        with pytest.raises(FormatError,
+                           match=r"^nondeterministic: \(state 0, letter '!go'\) has 2 transitions$"):
             parse_hoa(text)
 
 
@@ -557,7 +591,8 @@ class TestHoaRejections:
         ("[t]", "[(t]", "expected ')'", 9),
         ("[t]", "[0 &]", "unsupported label element ']'", 9),
         ("[t]", "[0 0]", "trailing '0' in label", 9),
-        ("[t]", "[f]", "incomplete rows: [(0, '!go'), (0, 'go')]", None),
+        ("[t]", "[f]", "incomplete rows: (state 0, letter '!go') has no transition; "
+         "(state 0, letter 'go') has no transition", None),
         ("States: 1", "States: 1 1", "States: takes one integer", 2),
         ("Start: 0", "Start: 1", "initial state out of range", None),
     ], ids=[
@@ -576,12 +611,12 @@ class TestHoaRejections:
 
     @pytest.mark.parametrize("edits, message", [
         ([("States: 1", "States: 2"), ("[t] 0 {0}", "[t] 0 {0}\nState: 1\n[0] 7 {0}")],
-         "incomplete rows: [(1, '!go')]; parse with allow_incomplete=True and apply "
-         "complete_dpa"),
+         "incomplete rows: (state 1, letter '!go') has no transition; parse with "
+         "allow_incomplete=True and apply complete_dpa"),
         ([("Start: 0", "Start: 7"), ("[t] 0 {0}", "[t] 0 {0}\n[0] 0 {0}")],
-         "nondeterministic: state 0 has 2 transitions on go"),
+         "nondeterministic: (state 0, letter 'go') has 2 transitions"),
         ([("[t] 0 {0}", "[t] 0 {0}\n[0] 9 {0}")],
-         "nondeterministic: state 0 has 2 transitions on go"),
+         "nondeterministic: (state 0, letter 'go') has 2 transitions"),
     ], ids=["target-range-and-missing-row", "start-range-and-doubled-row",
             "target-range-and-doubled-row"])
     def test_row_fault_reported_before_range_fault(self, edits, message):
