@@ -258,7 +258,8 @@ class ChainRepresentation(_Frozen):
     rows accept, so A_0, where all of them accept, is the one level built
     through the public ``CoBuchiAutomaton`` constructor, with every sort and
     check; each later level reuses its rows, with those of smaller source
-    colors demoted to rejecting.
+    colors demoted to rejecting.  The levels share one ``_LevelRows``, so
+    ``emit_native`` renders their rows once per chain.
     """
 
     _fields = ("source", "partition")
@@ -287,22 +288,47 @@ class ChainRepresentation(_Frozen):
                                gfg_claimed=True)
         # A_0's constructor allows one accepting row per state and letter, so
         # they are the source's rows in its order; level i + 1 demotes color i
+        accepting = list(compress(count(), map((2).__eq__, map(_COLOR, top.transitions))))
         groups: list[list[int]] = [[] for _ in range(a.max_color + 1)]
-        accepting = compress(count(), map((2).__eq__, map(_COLOR, top.transitions)))
-        for e, c in zip(accepting, map(_COLOR, a.transitions)):
-            groups[c].append(e)
+        for k, c in enumerate(map(_COLOR, a.transitions)):
+            groups[c].append(k)
         # Later levels run no check, and need none: a row keeps all but its
         # color and no two rows share an edge, so they stay sorted, typed, in
         # range and distinct, colors in {1, 2}, and accepting rows only shrink.
         rows, levels = list(top.transitions), [top]
         for group in groups:
-            for e in group:
+            for e in map(accepting.__getitem__, group):
                 rows[e] = new(Transition, (*rows[e][:3], 1))
             level = object.__new__(CoBuchiAutomaton)
             level._set(alphabet=a.alphabet, state_count=a.state_count, initial=a.initial,
                        transitions=tuple(rows), gfg_claimed=True)
             levels.append(level)
+        shared = _LevelRows(top.transitions, groups)
+        for i, level in enumerate(levels):
+            vars(level)[_LEVEL_ROWS] = shared, i
         return tuple(levels)
+
+
+class _LevelRows:
+    """What the levels of one chain share; level i keeps (this record, i)
+    in its memo ``_LEVEL_ROWS``.  ``rows`` are A_0's rows, and ``groups[c]``
+    lists the source's rows of color c by index: the k-th source row is
+    A_0's k-th deterministic row, open in the template, which level c + 1
+    and later ones reject.  ``template``, filled by ``formats.emit_native``
+    on first use, is A_0's rows text cut at the color of each of those rows.
+    The record refers to no level and not to the chain, so no reference
+    cycle keeps a level alive until the cyclic collector runs."""
+
+    __slots__ = ("rows", "groups", "template")
+
+    def __init__(self, rows: tuple[Transition, ...], groups: list[list[int]]):
+        self.rows, self.groups, self.template = rows, groups, None
+
+    def __reduce__(self):  # a copy renders its template again, as a copied ``_Moves`` starts cold
+        return _LevelRows, (self.rows, self.groups)
+
+
+_LEVEL_ROWS = "_level_rows"  # the memo key of a chain level's ``_LevelRows`` and index
 
 
 def extract_chain(a: ParityAutomaton, equiv: Partition) -> ChainRepresentation:

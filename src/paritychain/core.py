@@ -31,16 +31,17 @@ def _clip(text: str) -> str:
 
 
 def _shown(x) -> str:
-    """``repr(x)`` for an error message, clipped (see ``_clip``); never raises.
-    An int too long to show, also in a ``Transition``, is named by its size:
-    it is never converted to text, which costs time and fails past 4300 digits."""
+    """``repr(x)`` for an error message, clipped (see ``_clip``); never raises,
+    so a value whose ``repr`` fails is named by its class.  An int too long
+    to show, also in a ``Transition``, is named by its size: it is never
+    converted to text, which costs time and fails past 4300 digits."""
     if isinstance(x, int) and x.bit_length() > 3 * _MAX_SHOWN:
         return f"<{'negative ' * (x < 0)}int of {x.bit_length()} bits>"
     if type(x) is Transition:
         return f"Transition({', '.join(f'{f}={_shown(v)}' for f, v in zip(x._fields, x))})"
     try:
         return _clip(repr(x))
-    except (ValueError, RecursionError):  # a long int inside x, or x nested too deeply
+    except Exception:  # noqa: BLE001 - a long int inside x, x nested too deeply, or a raising repr
         return f"<a {_clip(type(x).__name__)}>"
 
 

@@ -7,6 +7,7 @@ import re
 from itertools import chain
 from typing import NamedTuple
 
+from .canonical import _LEVEL_ROWS, _LevelRows
 from .core import (
     Alphabet,
     AutomatonError,
@@ -121,9 +122,40 @@ def parse_native(text: str, *, validate: bool = True):
     return automaton
 
 
+_ROW = '    {"src": %d, "sym": %d, "dst": %d, "col": %d}'
+_ACCEPTING, _REJECTING = '"col": 2}', '"col": 1}'  # the ends of a deterministic row
+
+
+def _rows_text(ts: tuple[Transition, ...]) -> str:
+    """The rows of the native format: one ``%`` over all their fields."""
+    return ",\n".join([_ROW] * len(ts)) % tuple(chain.from_iterable(ts))
+
+
+def _level_rows(shared: _LevelRows, i: int) -> list[str]:
+    """The pieces of the rows text of chain level i, whose chain's levels
+    share ``shared``.  The first call for any level of the chain renders
+    A_0's rows once and keeps them as ``shared.template``: the text cut at
+    the end of each deterministic row (``_ACCEPTING``, which only those rows
+    end with in A_0), with the ends in the odd places.  Level i fills the
+    template with its colors: the rows of ``shared.groups[c]``, c < i, end
+    in ``_REJECTING``.  Threads that race here render equal templates."""
+    if shared.template is None:
+        cut = _rows_text(shared.rows).split(_ACCEPTING)
+        template = [_ACCEPTING] * (2 * len(cut) - 1)
+        template[::2] = cut
+        shared.template = template
+    pieces = shared.template.copy()
+    for group in shared.groups[:i]:
+        for k in group:
+            pieces[2 * k + 1] = _REJECTING
+    return pieces
+
+
 def emit_native(a) -> str:
     """Canonical serialization; byte-identical for equal automata.  The rows
-    are one ``%`` of a row template per row over all their fields."""
+    are one ``%`` of a row template per row over all their fields; a chain
+    level's are its chain's template filled with its colors (see
+    ``_level_rows``)."""
     _expect(_AUTOMATA, a)
     is_ncw = isinstance(a, CoBuchiAutomaton)
     lines = ["{"]
@@ -133,12 +165,10 @@ def emit_native(a) -> str:
     lines.append(f'  "initial": {a.initial},')
     if is_ncw:
         lines.append(f'  "gfg": {json.dumps(a.gfg_claimed)},')
-    lines.append('  "transitions": [')
-    row = '    {"src": %d, "sym": %d, "dst": %d, "col": %d}'
-    lines.append(",\n".join([row] * len(a.transitions)) % tuple(chain.from_iterable(a.transitions)))
-    lines.append("  ]")
-    lines.append("}\n")  # not ``+ "\n"``, which would copy the whole text once more
-    return "\n".join(lines)
+    lines.append('  "transitions": [\n')
+    level = getattr(a, _LEVEL_ROWS, None)
+    rows = [_rows_text(a.transitions)] if level is None else _level_rows(*level)
+    return "".join(["\n".join(lines), *rows, "\n  ]\n}\n"])  # one copy of the rows
 
 
 # -- HOA v1 subset -----------------------------------------------------------

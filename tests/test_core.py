@@ -685,48 +685,106 @@ class TestRowScanOracle:
                     assert a.row(q, sym) == row_scan_successors(a, q, sym), seed
 
 
+class _RaisingRepr:
+    """A value whose ``repr`` raises, as a buggy user class might."""
+
+    def __repr__(self):
+        raise RuntimeError("no repr")
+
+
 def _hostile_pool() -> list:
-    """Twenty arguments no public name should answer with a raw error:
-    wrong types, ints past Python's 4300-digit limit, and small valid
-    records of the wrong kind.  No valid large size, so no call builds a
-    large automaton."""
+    """Twenty-four arguments no public name should answer with a raw error:
+    wrong types, ints past Python's 4300-digit limit, a value whose
+    ``repr`` raises, and small valid values and records, some of the wrong
+    kind.  No valid large size, so no call builds a large automaton."""
     slim = ParityAutomaton(Alphabet(("a",)), 1, 0, (T(0, 0, 0, 1),))
     level = ChainRepresentation(slim, Partition(((0,),))).levels[0]
-    return [None, True, False, 0, -1, 2.5, float("nan"), 10**5000, -10**5000, "x", "", b"x",
+    return [None, True, False, 0, 1, -1, 2.5, float("nan"), 10**5000, -10**5000, "x", "", b"x",
             (), [0], {"kind": "dpa"}, T(0, 0, 0, 0), LassoWord((), (0,)), level,
-            Partition(((0,),)), ParityAutomaton(Alphabet(("a",)), 1, 0, ())]
+            Partition(((0,),)), Alphabet(("a",)), slim,
+            ParityAutomaton(Alphabet(("a",)), 1, 0, ()), _RaisingRepr()]
+
+
+def _outcomes(f, calls) -> tuple[int, list[str]]:
+    """Call ``f`` with each argument list of ``calls`` that its signature
+    takes.  Return how many it took, and the findings: each call that
+    raised neither ``AutomatonError`` nor ``FormatError``, by pool index."""
+    try:
+        bind = inspect.signature(f).bind
+    except ValueError:  # an exception class, which takes any arguments
+        bind = lambda *args: None
+    pool = _hostile_pool()
+    taken, findings = 0, []
+    for picks in calls:
+        args = [pool[i] for i in picks]
+        try:
+            bind(*args)
+        except TypeError:  # not a call ``f`` takes
+            continue
+        taken += 1
+        try:
+            f(*args)
+        except (AutomatonError, FormatError):
+            pass
+        except Exception as err:  # noqa: BLE001 - a finding, named by pool index
+            findings.append(f"{f.__name__} on pool items {picks}: {type(err).__name__}")
+    return taken, findings
 
 
 class TestApiFuzz:
     """Every public name, called with every one and every two arguments of
     one pool of hostile values that its signature takes, returns or raises
-    ``AutomatonError`` or ``FormatError``."""
+    ``AutomatonError`` or ``FormatError``; so do the names that take three
+    or four arguments, on a fixed sample of such calls."""
 
     def test_public_names(self):
-        pool = _hostile_pool()
-        calls, findings = 0, []
+        n = len(_hostile_pool())
+        calls = [*((i,) for i in range(n)), *product(range(n), repeat=2)]
+        taken, findings = 0, []
         for name in paritychain.__all__:
-            f = getattr(paritychain, name)
-            try:
-                bind = inspect.signature(f).bind
-            except ValueError:  # an exception class, which takes any arguments
-                bind = lambda *args: None
-            for picks in chain(((i,) for i in range(len(pool))),
-                               product(range(len(pool)), repeat=2)):
-                args = [pool[i] for i in picks]
-                try:
-                    bind(*args)
-                except TypeError:  # not a call ``f`` takes
-                    continue
-                calls += 1
-                try:
-                    f(*args)
-                except (AutomatonError, FormatError):
-                    pass
-                except Exception as err:  # noqa: BLE001 - a finding, named by pool index
-                    findings.append(f"{name} on pool items {picks}: {type(err).__name__}")
+            count, found = _outcomes(getattr(paritychain, name), calls)
+            taken += count
+            findings += found
         assert findings == []
-        assert calls > 5000
+        assert taken > 5000
+
+    @pytest.mark.parametrize("name", ["ParityAutomaton", "random_dpa", "corun_color"])
+    def test_three_and_four_arguments(self, name):
+        # all 24^3 argument lists and 20 000 of the 24^4, the same on every run
+        n = len(_hostile_pool())
+        calls = [*product(range(n), repeat=3)]
+        for code in random.Random(4).sample(range(n**4), 20_000):
+            calls.append(tuple(code // n**j % n for j in range(4)))
+        taken, findings = _outcomes(getattr(paritychain, name), calls)
+        assert findings == []
+        assert taken >= n**3
+
+
+class TestRaisingRepr:
+    """A value whose ``repr`` raises is named by its class in an error
+    message (``core._shown``); each of these calls let the ``repr``'s
+    ``RuntimeError`` escape."""
+
+    ONE = Alphabet(("a",))
+    LOOP = ParityAutomaton(ONE, 1, 0, (T(0, 0, 0, 0),))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda x: random_dpa(2, 2, 2, x), "seed is not an int: <a _RaisingRepr>"),
+        (lambda x: ParityAutomaton(TestRaisingRepr.ONE, x, 0, ()),
+         "state_count is not an int: <a _RaisingRepr>"),
+        (lambda x: ParityAutomaton(TestRaisingRepr.ONE, 1, 0, (T(0, 0, x, 0),)),
+         "transition 0 has a dst that is not an int: <a _RaisingRepr>"),
+        (lambda x: CoBuchiAutomaton(TestRaisingRepr.ONE, 1, 0, (), x),
+         "gfg_claimed is not a bool: <a _RaisingRepr>"),
+        (lambda x: TestRaisingRepr.ONE.index(x), "unknown letter <a _RaisingRepr>"),
+        (lambda x: LassoWord((x,), (0,)),
+         "letters must be non-negative ints, got <a _RaisingRepr>"),
+        (lambda x: reachable_states(TestRaisingRepr.LOOP, x),
+         "state <a _RaisingRepr> out of range"),
+    ], ids=["random_dpa", "state_count", "transition", "gfg_claimed", "index", "lasso",
+            "reachable_states"])
+    def test_named_by_class(self, call, message):
+        assert _refusal(lambda: call(_RaisingRepr())) == message
 
 
 def _refusal(build) -> str:
