@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import re
 from itertools import chain
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .canonical import _LEVEL_ROWS, _LevelRows
 from .core import (
@@ -16,6 +16,7 @@ from .core import (
     Transition,
     _AUTOMATA,
     _MAX_ROWS,
+    _MAX_SHOWN,
     _bad_rows,
     _check_size,
     _clip,
@@ -179,6 +180,10 @@ class _Token(NamedTuple):
     line: int
     column: int
 
+    def error(self, message: str) -> FormatError:
+        """A ``FormatError`` positioned at this token."""
+        return FormatError(message, self.line, self.column)
+
 
 _HOA_TOKEN = re.compile(
     r"""(?P<ws>\s+)
@@ -189,66 +194,57 @@ _HOA_TOKEN = re.compile(
       | (?P<ident>[a-zA-Z_][\w.-]*)
       | (?P<int>\d+)
       | (?P<punct>[\[\]{}()!&|])
+      | (?P<stray>.)
     """,
     re.VERBOSE | re.DOTALL,
 )
 
 
-def _tokenize_hoa(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        match = _HOA_TOKEN.match(text, pos)
-        if match is None:
-            raise FormatError(
-                f"unexpected character {text[pos]!r}",
-                line=line,
-                column=pos - line_start + 1,
-            )
-        kind = match.lastgroup
-        value = match.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, value, line, pos - line_start + 1))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + value.rindex("\n") + 1
-        pos = match.end()
-    return tokens
+def _tokenize_hoa(text: str) -> Iterator[_Token]:
+    """The tokens of ``text`` one at a time, without whitespace and comments;
+    a character that starts no token is an error when it is reached."""
+    line, line_start = 1, 0
+    for match in _HOA_TOKEN.finditer(text):
+        kind, value = match.lastgroup, match.group()
+        if kind != "ws" and kind != "comment":
+            tok = _Token(kind, value, line, match.start() - line_start + 1)
+            if kind == "stray":
+                raise tok.error(f"unexpected character {value!r}")
+            yield tok
+        if "\n" in value:
+            line += value.count("\n")
+            line_start = match.start() + value.rindex("\n") + 1
 
 
 class _TokenStream:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
+    """A token iterator with one token of lookahead, ``next`` (None at the end)."""
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def __init__(self, tokens: Iterable[_Token]):
+        self.tokens = iter(tokens)
+        self.next = next(self.tokens, None)
 
     def take(self) -> _Token:
-        tok = self.peek()
+        tok = self.next
         if tok is None:
             raise FormatError("unexpected end of document")
-        self.pos += 1
+        self.next = next(self.tokens, None)
         return tok
+
+    def at(self, value: str) -> bool:
+        """Whether the next token is ``value``."""
+        return self.next is not None and self.next.value == value
 
     def accept(self, value: str) -> bool:
         """Take the next token if it is ``value``; whether it was."""
-        tok = self.peek()
-        if tok is None or tok.value != value:
+        if not self.at(value):
             return False
-        self.pos += 1
+        self.take()
         return True
 
     def expect(self, kind: str, value: str | None = None) -> _Token:
         tok = self.take()
         if tok.kind != kind or (value is not None and tok.value != value):
-            want = value if value is not None else kind
-            raise FormatError(
-                f"expected {want}, got {_clip(tok.value)!r}", tok.line, tok.column
-            )
+            raise tok.error(f"expected {value or kind}, got {_clip(tok.value)!r}")
         return tok
 
 
@@ -256,17 +252,22 @@ def _int(tok: _Token) -> int:
     """The value of an integer token; a digit run past Python's int-string
     conversion limit is a ``FormatError``, not a ``ValueError``."""
     if tok.kind != "int":
-        raise FormatError(f"expected an integer, got {_clip(tok.value)!r}", tok.line, tok.column)
+        raise tok.error(f"expected an integer, got {_clip(tok.value)!r}")
     try:
         return int(tok.value)
     except ValueError:
-        raise FormatError(
-            f"integer literal of {len(tok.value)} digits is too long", tok.line, tok.column
-        ) from None
+        raise tok.error(f"integer literal of {len(tok.value)} digits is too long") from None
 
 
 def _unquote(raw: str) -> str:
     return re.sub(r"\\(.)", r"\1", raw[1:-1])
+
+
+def _escaped(name: str) -> str:
+    """``name`` for a double-quoted HOA or DOT string: only ``\\`` and ``"``
+    are escaped, by a backslash, as ``_unquote`` reads any escape as the
+    character after the backslash."""
+    return name.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def letter_names(aps: list[str]) -> tuple[str, ...]:
@@ -320,7 +321,7 @@ class _LabelParser:
         result = self.parse_or(0)
         tok = self.stream.take()
         if tok.value != "]":
-            raise FormatError(f"trailing {_clip(tok.value)!r} in label", tok.line, tok.column)
+            raise tok.error(f"trailing {_clip(tok.value)!r} in label")
         bits = format(result, "b")[::-1]  # bit v at index v
         return frozenset(v for v, bit in enumerate(bits) if bit == "1")
 
@@ -339,27 +340,148 @@ class _LabelParser:
     def parse_atom(self, depth: int) -> int:
         tok = self.stream.take()
         if tok.value in ("!", "(") and depth >= _MAX_LABEL_DEPTH:
-            raise FormatError(
-                f"label nested deeper than {_MAX_LABEL_DEPTH} levels", tok.line, tok.column
-            )
+            raise tok.error(f"label nested deeper than {_MAX_LABEL_DEPTH} levels")
         if tok.value == "!":
             return self.every ^ self.parse_atom(depth + 1)
         if tok.value == "(":
             value = self.parse_or(depth + 1)
             closing = self.stream.take()
             if closing.value != ")":
-                raise FormatError("expected ')'", closing.line, closing.column)
+                raise closing.error("expected ')'")
             return value
-        if tok.kind == "ident" and tok.value == "t":
+        if tok.value == "t":
             return self.every
-        if tok.kind == "ident" and tok.value == "f":
+        if tok.value == "f":
             return 0
         if tok.kind == "int":
             index = _int(tok)
             if index >= self.ap_count:
-                raise FormatError(f"AP index {_shown(index)} out of range", tok.line, tok.column)
+                raise tok.error(f"AP index {_shown(index)} out of range")
             return self.literals[index]
-        raise FormatError(f"unsupported label element {_clip(tok.value)!r}", tok.line, tok.column)
+        raise tok.error(f"unsupported label element {_clip(tok.value)!r}")
+
+
+# Argument tokens kept per header item; the rest, such as an ``Acceptance:``
+# formula, are read and dropped.  More than an ``AP:`` may have, and more
+# than ``_clip`` keeps characters of the joined ``acc-name:`` arguments, so
+# every check and message is the same as with all of them.
+_HEADER_ARGS = _MAX_SHOWN + 1
+
+
+def _read_header(stream: _TokenStream) -> tuple[int, int, list[str], int]:
+    """The header items through ``--BODY--``: the state count, the initial
+    state, the AP names and the color count of ``acc-name:``."""
+    first = stream.expect("header", "HOA:")
+    if stream.take().value != "v1":
+        raise first.error("only HOA v1 is supported")
+    states = start = acc_sets = None
+    aps: list[str] = []
+    acc_name: list[_Token] = []
+    while not stream.accept("--BODY--"):
+        if stream.next is None:
+            raise FormatError("missing --BODY--")
+        tok = stream.take()
+        if tok.kind == "marker":
+            raise tok.error(f"unexpected {_clip(tok.value)}")
+        if tok.kind != "header":
+            raise tok.error(f"expected a header item, got {_clip(tok.value)!r}")
+        args = []
+        while stream.next is not None and stream.next.kind not in ("header", "marker"):
+            arg = stream.take()
+            if len(args) < _HEADER_ARGS:
+                args.append(arg)
+        name = tok.value[:-1]
+        if name == "States":
+            if len(args) != 1 or args[0].kind != "int":
+                raise tok.error("States: takes one integer")
+            states = _int(args[0])
+        elif name == "Start":
+            if start is not None or len(args) != 1 or args[0].kind != "int":
+                raise tok.error("only a single initial state is supported")
+            start = _int(args[0])
+        elif name == "AP":
+            if not args or args[0].kind != "int":
+                raise tok.error("AP: takes a count and names")
+            count = _int(args[0])
+            if count > _MAX_APS:
+                raise tok.error(f"AP: {_shown(count)} propositions exceed the limit of {_MAX_APS}")
+            if len(args) != count + 1 or any(t.kind != "string" for t in args[1:]):
+                raise tok.error(f"AP: expects {count} quoted names")
+            aps = [_unquote(t.value) for t in args[1:]]
+        elif name == "acc-name":
+            acc_name = args
+        elif name == "Acceptance":
+            if not args or args[0].kind != "int":
+                raise tok.error("Acceptance: takes a set count and a formula")
+            acc_sets = _int(args[0])
+        # all other headers (properties:, name:, tool:, x-*...) are ignored
+
+    names = [t.value for t in acc_name]
+    if len(names) != 4 or names[:3] != ["parity", "min", "even"]:
+        raise FormatError("unsupported acceptance: need acc-name: parity min even <k>, got "
+                          + (_clip(" ".join(names)) or "none"))
+    color_count = _int(acc_name[3])
+    if acc_sets is not None and acc_sets != color_count:
+        raise FormatError(f"Acceptance: declares {_shown(acc_sets)} sets but acc-name: says "
+                          f"{_shown(color_count)}")
+    if states is None:
+        raise FormatError("missing States: header")
+    if start is None:
+        raise FormatError("missing Start: header")
+    return states, start, aps, color_count
+
+
+def _read_body(stream: _TokenStream, states: int, ap_count: int,
+               color_count: int) -> list[tuple[int, int, int, int]]:
+    """The edges through ``--END--``, as (state, valuation, dst, color) rows;
+    reading stops early once they hold more than ``states`` x 2^``ap_count``
+    rows, when some row holds two."""
+    labels, k = _LabelParser(stream, ap_count), 2**ap_count
+    body: list[tuple[int, int, int, int]] = []
+    current = None
+    declared = set()
+    while (tok := stream.take()).value != "--END--":
+        if tok.value == "State:":
+            if stream.at("["):
+                raise stream.next.error("state labels are not supported")
+            state_tok = stream.expect("int")
+            current = _int(state_tok)
+            if current in declared:
+                raise state_tok.error(f"state {_shown(current)} declared twice")
+            if not 0 <= current < states:
+                raise state_tok.error(f"state {_shown(current)} out of range")
+            declared.add(current)
+            if stream.next is not None and stream.next.kind == "string":
+                stream.take()  # state name, ignored
+            if stream.at("{"):
+                raise stream.next.error("state-based acceptance is not supported")
+        elif tok.value == "[":
+            if current is None:
+                raise tok.error("edge outside any State:")
+            label = labels.label()
+            dst_tok = stream.expect("int")
+            dst = _int(dst_tok)
+            if stream.at("&"):
+                raise stream.next.error("universal branching is not supported")
+            sets = []
+            if stream.accept("{"):
+                while (nxt := stream.take()).value != "}":
+                    if nxt.kind != "int":
+                        raise nxt.error(f"expected acceptance set index, got {_clip(nxt.value)!r}")
+                    sets.append(_int(nxt))
+            if len(sets) != 1:
+                raise dst_tok.error(
+                    "each transition must carry exactly one acceptance set (its color)")
+            color = sets[0]
+            if color >= color_count:
+                raise dst_tok.error(f"acceptance set {_shown(color)} out of range "
+                                    f"(parity min even {_shown(color_count)})")
+            body += [(current, valuation, dst, color) for valuation in label]
+            if len(body) > states * k:  # so some row holds two: the row check says which
+                break
+        else:
+            raise tok.error(f"unexpected {_clip(tok.value)!r}")
+    return body
 
 
 def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
@@ -372,91 +494,13 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
     completeness are enforced; with ``allow_incomplete`` the partial
     automaton is returned so the caller may apply complete_dpa.  Edges are
     read until they hold more than States x 2^|AP| rows, when some row holds
-    two: it is reported with its count among the rows read.
+    two: it is reported with its count among the rows read.  The document
+    is read in one pass of one token at a time, to its end.
     """
     if not isinstance(text, str):
         raise FormatError(f"document must be a str, got a {_clip(type(text).__name__)}")
     stream = _TokenStream(_tokenize_hoa(text))
-    first = stream.expect("header", "HOA:")
-    version = stream.take()
-    if version.value != "v1":
-        raise FormatError("only HOA v1 is supported", first.line, first.column)
-
-    states = None
-    start = None
-    aps: list[str] | None = None
-    acc_name: list[_Token] = []
-    acc_sets = None
-    while True:
-        tok = stream.peek()
-        if tok is None:
-            raise FormatError("missing --BODY--")
-        if tok.kind == "marker":
-            if tok.value != "--BODY--":
-                raise FormatError(f"unexpected {_clip(tok.value)}", tok.line, tok.column)
-            stream.take()
-            break
-        if tok.kind != "header":
-            raise FormatError(
-                f"expected a header item, got {_clip(tok.value)!r}", tok.line, tok.column
-            )
-        stream.take()
-        args = []
-        while (nxt := stream.peek()) is not None and nxt.kind not in ("header", "marker"):
-            args.append(stream.take())
-        name = tok.value[:-1]
-        if name == "States":
-            if len(args) != 1 or args[0].kind != "int":
-                raise FormatError("States: takes one integer", tok.line, tok.column)
-            states = _int(args[0])
-        elif name == "Start":
-            if start is not None or len(args) != 1 or args[0].kind != "int":
-                raise FormatError(
-                    "only a single initial state is supported", tok.line, tok.column
-                )
-            start = _int(args[0])
-        elif name == "AP":
-            if not args or args[0].kind != "int":
-                raise FormatError("AP: takes a count and names", tok.line, tok.column)
-            count = _int(args[0])
-            if count > _MAX_APS:
-                raise FormatError(
-                    f"AP: {_shown(count)} propositions exceed the limit of {_MAX_APS}",
-                    tok.line,
-                    tok.column,
-                )
-            if len(args) != count + 1 or any(t.kind != "string" for t in args[1:]):
-                raise FormatError(
-                    f"AP: expects {count} quoted names", tok.line, tok.column
-                )
-            aps = [_unquote(t.value) for t in args[1:]]
-        elif name == "acc-name":
-            acc_name = args
-        elif name == "Acceptance":
-            if not args or args[0].kind != "int":
-                raise FormatError(
-                    "Acceptance: takes a set count and a formula", tok.line, tok.column
-                )
-            acc_sets = _int(args[0])
-        # all other headers (properties:, name:, tool:, x-*...) are ignored
-
-    names = [t.value for t in acc_name]
-    if len(names) != 4 or names[:3] != ["parity", "min", "even"]:
-        raise FormatError(
-            "unsupported acceptance: need acc-name: parity min even <k>, got "
-            + (_clip(" ".join(names)) or "none")
-        )
-    color_count = _int(acc_name[3])
-    if acc_sets is not None and acc_sets != color_count:
-        raise FormatError(
-            f"Acceptance: declares {_shown(acc_sets)} sets but acc-name: says {_shown(color_count)}"
-        )
-    if states is None:
-        raise FormatError("missing States: header")
-    if start is None:
-        raise FormatError("missing Start: header")
-    if aps is None:
-        aps = []
+    states, start, aps, color_count = _read_header(stream)
     try:
         _check_size(states, 2 ** len(aps))
     except AutomatonError as err:
@@ -465,91 +509,17 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
         alphabet = Alphabet(letter_names(aps))
     except AutomatonError as err:
         raise FormatError(f"AP: {err}") from None
-
-    labels, k = _LabelParser(stream, len(aps)), len(alphabet)
-    body: list[tuple[int, int, int, int]] = []  # (state, valuation, dst, color)
-    current = None
-    declared = set()
-    while True:
-        tok = stream.take()
-        if tok.kind == "marker" and tok.value == "--END--":
-            break
-        if tok.kind == "header" and tok.value == "State:":
-            nxt = stream.peek()
-            if nxt is not None and nxt.value == "[":
-                raise FormatError("state labels are not supported", nxt.line, nxt.column)
-            state_tok = stream.expect("int")
-            current = _int(state_tok)
-            if current in declared:
-                raise FormatError(
-                    f"state {_shown(current)} declared twice", state_tok.line, state_tok.column
-                )
-            if not 0 <= current < states:
-                raise FormatError(
-                    f"state {_shown(current)} out of range", state_tok.line, state_tok.column
-                )
-            declared.add(current)
-            nxt = stream.peek()
-            if nxt is not None and nxt.kind == "string":
-                stream.take()  # state name, ignored
-            nxt = stream.peek()
-            if nxt is not None and nxt.value == "{":
-                raise FormatError(
-                    "state-based acceptance is not supported", nxt.line, nxt.column
-                )
-        elif tok.kind == "punct" and tok.value == "[":
-            if current is None:
-                raise FormatError("edge outside any State:", tok.line, tok.column)
-            label = labels.label()
-            dst_tok = stream.expect("int")
-            dst = _int(dst_tok)
-            nxt = stream.peek()
-            if nxt is not None and nxt.value == "&":
-                raise FormatError(
-                    "universal branching is not supported", nxt.line, nxt.column
-                )
-            sets = []
-            if stream.accept("{"):
-                while (nxt := stream.take()).value != "}":
-                    if nxt.kind != "int":
-                        raise FormatError(
-                            f"expected acceptance set index, got {_clip(nxt.value)!r}",
-                            nxt.line,
-                            nxt.column,
-                        )
-                    sets.append(_int(nxt))
-            if len(sets) != 1:
-                raise FormatError(
-                    "each transition must carry exactly one acceptance set (its color)",
-                    dst_tok.line,
-                    dst_tok.column,
-                )
-            color = sets[0]
-            if color >= color_count:
-                raise FormatError(
-                    f"acceptance set {_shown(color)} out of range (parity min even "
-                    f"{_shown(color_count)})",
-                    dst_tok.line,
-                    dst_tok.column,
-                )
-            body += [(current, valuation, dst, color) for valuation in label]
-            if len(body) > states * k:  # so some row holds two: the row check says which
-                break
-        else:
-            raise FormatError(f"unexpected {_clip(tok.value)!r}", tok.line, tok.column)
-
+    body = _read_body(stream, states, len(aps), color_count)
+    for _ in stream.tokens:  # what follows is tokenized too: a stray character is refused
+        pass
     body.sort()
+    k = len(alphabet)
     try:  # the rows first: their faults are reported before range faults
         missing = _missing_rows(alphabet, _bad_rows([q * k + v for q, v, _, _ in body], states * k))
         if missing and not allow_incomplete:
             raise FormatError(f"incomplete rows: {'; '.join(_row_report(alphabet, missing))}; "
                               "parse with allow_incomplete=True and apply complete_dpa")
-        return ParityAutomaton(
-            alphabet=alphabet,
-            state_count=states,
-            initial=start,
-            transitions=tuple(map(Transition._make, body)),
-        )
+        return ParityAutomaton(alphabet, states, start, tuple(map(Transition._make, body)))
     except AutomatonError as err:
         raise FormatError(str(err)) from None
 
@@ -583,7 +553,7 @@ def emit_hoa(a) -> str:
         aps = [f"p{j}" for j in range(ap_count)]
     is_ncw = isinstance(a, CoBuchiAutomaton)
     lines = ["HOA: v1", f"States: {a.state_count}", f"Start: {a.initial}"]
-    lines.append(" ".join(["AP:", str(ap_count)] + [json.dumps(ap) for ap in aps]))
+    lines.append(" ".join(["AP:", str(ap_count)] + [f'"{_escaped(ap)}"' for ap in aps]))
     if is_ncw:
         lines.append("acc-name: co-Buchi")
         lines.append("Acceptance: 1 Fin(0)")
@@ -625,7 +595,7 @@ def emit_dot(a) -> str:
         lines.append(f"  s{q};")
     lines.append(f"  init -> s{a.initial};")
     for s, y, d, c in a.transitions:
-        name = a.alphabet.letters[y].replace("\\", "\\\\").replace('"', '\\"')
+        name = _escaped(a.alphabet.letters[y])
         style = ", style=bold" if is_ncw and c == 2 else ""
         lines.append(f'  s{s} -> s{d} [label="{name}/{c}"{style}];')
     lines.append("}")

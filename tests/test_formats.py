@@ -483,6 +483,17 @@ class TestHoa:
         )
         assert dpa_language_equiv(relabeled, b)[0]
 
+    def test_ap_names_round_trip(self):
+        # names were written as JSON strings, but the reader takes a backslash
+        # and the character after it as that character: "é" came back as
+        # "u00e9" and a tab as "t"
+        names = letter_names(["é", "a\tb", 'say "hi"', "back\\slash"])
+        a = random_dpa(3, 2, 16, 5, letter_names=names)
+        text = emit_hoa(a)
+        assert 'AP: 4 "é" "a\tb" "say \\"hi\\"" "back\\\\slash"\n' in text
+        assert parse_hoa(text) == a
+        assert emit_hoa(parse_hoa(text)) == text
+
     def test_three_letter_alphabet_refused(self, flower):
         with pytest.raises(FormatError, match="native"):
             emit_hoa(flower)
@@ -569,6 +580,31 @@ State: 0
         assert by_letter == {"!x&!y": 1, "x&!y": 0, "!x&y": 0, "x&y": 0}
 
 
+class TestHoaCost:
+    """``parse_hoa`` reads one token at a time and keeps a few arguments per
+    header item, so an ``Acceptance:`` formula, about six tokens per color,
+    is read but never held."""
+
+    @pytest.mark.parametrize("make, megabytes", [
+        (lambda: ParityAutomaton(Alphabet(("a", "b")), 1, 0, (T(0, 0, 0, 2**16 - 1),
+                                                               T(0, 1, 0, 0))), 1),
+        (lambda: random_dpa(300, 5, 16, 4), 2),
+    ], ids=["color-2^16", "random-300-states"])
+    def test_traced_peak(self, make, megabytes):
+        # 972 KB and 98 KB; with every token in one list the traced peaks were
+        # 65.7 and 7.8 MB, against 0.01 and 0.8 MB read lazily (Python 3.11)
+        a = make()
+        text = emit_hoa(a)
+        tracemalloc.start()
+        try:
+            b = parse_hoa(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert b.transitions == a.transitions and emit_hoa(b) == text
+        assert peak < megabytes * 1e6
+
+
 class TestHoaRejections:
     """Every ``parse_hoa`` rejection of a one-edit ``UNIVERSAL_1AP``: the
     message and the line it is reported at (None: no position)."""
@@ -595,12 +631,16 @@ class TestHoaRejections:
          "(state 0, letter 'go') has no transition", None),
         ("States: 1", "States: 1 1", "States: takes one integer", 2),
         ("Start: 0", "Start: 1", "initial state out of range", None),
+        ("Start: 0", "Start: 0 @", "unexpected character '@'", 3),
+        ("[t] 0 {0}", "[t] 0 @ {0}", "unexpected character '@'", 9),
+        ("--END--\n", "--END--\n@\n", "unexpected character '@'", 11),
     ], ids=[
         "version", "no-body", "ap-count", "acceptance-count", "state-label",
         "state-twice", "state-range", "state-acceptance", "edge-outside-state",
         "universal", "set-not-int", "two-sets", "set-range", "ap-index",
         "unclosed-paren", "label-ends", "label-trailing", "false-label",
-        "states-two-ints", "start-range",
+        "states-two-ints", "start-range", "stray-in-header", "stray-in-body",
+        "stray-after-end",
     ])
     def test_rejection(self, old, new, message, line):
         assert old in UNIVERSAL_1AP
@@ -723,14 +763,14 @@ class TestLabelDifferential:
             return f"error: {err}"
 
     def _check(self, label, aps):
-        tokens = _tokenize_hoa(label + "]")
+        tokens = list(_tokenize_hoa(label + "]"))
         stream = _TokenStream(tokens)
         mine = self._outcome(lambda: _LabelParser(stream, aps).label())
         theirs = self._outcome(lambda: frozenset(
             v for v in range(2**aps) if eval_label_oracle(tokens[:-1], v, aps)))
         assert mine == theirs, label
         if not isinstance(mine, str):
-            assert stream.pos == len(tokens)  # read through the closing bracket
+            assert stream.next is None  # read through the closing bracket
 
     @pytest.mark.parametrize("aps", range(5))
     def test_random_labels(self, aps):
