@@ -50,46 +50,5 @@ from .graphs import (
     state_equivalence,
 )
 
-__all__ = [
-    "Alphabet",
-    "AutomatonError",
-    "ChainLevelStats",
-    "ChainRepresentation",
-    "CoBuchiAutomaton",
-    "CoRun",
-    "FormatError",
-    "LassoWord",
-    "ParityAutomaton",
-    "Partition",
-    "PreconditionError",
-    "RunAnalysis",
-    "SccDecomposition",
-    "Transition",
-    "ValidationReport",
-    "chain_stats",
-    "complete_dpa",
-    "corun_color",
-    "coruns",
-    "dpa_language_equiv",
-    "dpa_lasso_run",
-    "emit_dot",
-    "emit_hoa",
-    "emit_native",
-    "extract_chain",
-    "gca_lasso_member",
-    "is_streamlined",
-    "is_structured",
-    "natural_color_via_chain",
-    "normalize_lasso",
-    "parse_hoa",
-    "parse_native",
-    "random_dpa",
-    "reachable_states",
-    "resolve_run",
-    "scc_decompose",
-    "state_equivalence",
-    "streamline",
-    "structure_dpa",
-    "structure_dpa_with_map",
-    "validate_dpa",
-]
+__all__ = sorted(name for name, value in globals().items()
+                 if getattr(value, "__module__", "").startswith(__name__ + "."))

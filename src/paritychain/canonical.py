@@ -47,8 +47,9 @@ def is_structured(a: ParityAutomaton) -> tuple[bool, list[str]]:
 def _drop_unreachable(a: ParityAutomaton) -> tuple[ParityAutomaton, dict]:
     """``a`` on the states of its SCCs, renumbered order-preservingly, with
     the old -> new id map of those states; ``a`` itself when every state is
-    reachable.  The automaton built carries ``a``'s SCCs renumbered, which
-    are its own: the renumbering keeps Tarjan's order."""
+    reachable.  The automaton built is handed ``a``'s SCCs renumbered (see
+    ``graphs._memo``), which are its own: the renumbering keeps Tarjan's
+    order."""
     sccs = scc_decompose(a)
     remap = {old: new for new, old in enumerate(sorted(sccs.scc_of))}
     if len(remap) == a.state_count:
@@ -103,14 +104,12 @@ def random_dpa(
 def structure_dpa_with_map(a: ParityAutomaton) -> tuple[ParityAutomaton, dict[int, int]]:
     """Like ``structure_dpa`` but also returns the id map original -> final
     for surviving states.  Ids are compacted order-preservingly, so an
-    already-structured input maps identically.  The result carries the
-    language-equivalence partition, computed once, and its SCCs, so asking
-    for them costs nothing.
+    already-structured input maps identically.  The result carries its
+    partition and SCCs (see ``graphs._memo``).
     """
     # Dropped first, as an unreachable state may lack rows; the SCCs found
-    # for it are the first round's.  Redirects keep every state's language,
-    # and states that become unreachable stay outside ``scc_of`` until the
-    # last round's SCCs drop them.
+    # for it are the first round's.  States that become unreachable stay
+    # outside ``scc_of`` until the last round's SCCs drop them.
     cur, first = _drop_unreachable(a)
     partition = state_equivalence(cur)
     for _ in range((a.state_count + 2) ** 2):
@@ -155,11 +154,9 @@ def structure_dpa(a: ParityAutomaton) -> ParityAutomaton:
 
 
 def _streamlined_colors(a: ParityAutomaton) -> list[int]:
-    """The colors of ``streamline``, aligned with ``a.transitions``; see
-    there.  Memoized on ``a`` (see ``graphs._memo``), so the precondition
-    checks of ``is_streamlined`` cost one pass per automaton; an
-    unstructured ``a`` raises on every call.  Callers must not mutate the
-    list."""
+    """The colors of ``streamline``, aligned with ``a.transitions``,
+    memoized on ``a`` (see ``graphs._memo``); an unstructured ``a`` raises
+    on every call.  Callers must not mutate the list."""
     _expect(ParityAutomaton, a)
     return _memo(a, _STREAMLINED, lambda: _recolor(a))
 
@@ -174,12 +171,11 @@ def _recolor(a: ParityAutomaton) -> list[int]:
     ``_refine`` on transition indices, and a live one keeps its old color.
 
     The first pass starts from ``scc_decompose(a)``, which ``is_structured``
-    has just read (structuring hands it on), not from a Tarjan pass of its
-    own: that check requires every state to be reachable, so those are the
-    SCCs of all transitions.  An SCC whose least color's parity differs
-    from the counter's waits, and is carried to the next pass as it is
-    (see ``_refine``); the order of the SCCs in a pass does not matter, as
-    each recolors only its own edges."""
+    has just read, not from a Tarjan pass of its own: that check requires
+    every state to be reachable, so those are the SCCs of all transitions.
+    An SCC whose least color's parity differs from the counter's waits:
+    ``keep`` carries it (see ``_refine``).  The order of the SCCs in a pass
+    does not matter, as each recolors only its own edges."""
     ok, violations = is_structured(a)
     if not ok:
         raise PreconditionError("automaton is not structured: " + "; ".join(violations))
@@ -190,21 +186,19 @@ def _recolor(a: ParityAutomaton) -> list[int]:
         nonlocal i
         for e in leaving:
             color[e] = i
-        kept = []
-        lowered = False
+        waiting, split = [], []
         for edges in sccs:
             least = min(color[e] for e in edges)
             if least % 2 != i % 2:
-                kept.append(edges)  # carried: it waits, still an SCC
+                waiting.append(edges)
                 continue
-            lowered = True
-            kept.append([e for e in edges if color[e] != least])
+            split += [e for e in edges if color[e] != least]
             for e in edges:
                 if color[e] == least:
                     color[e] = i
-        if not lowered:
+        if len(waiting) == len(sccs):  # nothing lowered
             i += 1
-        return kept
+        return waiting, split
 
     k, dst = len(a.alphabet), a.flat[0]
     first = _edge_groups(scc_decompose(a).scc_of, range(len(color)), k, dst)
@@ -222,13 +216,9 @@ def streamline(a: ParityAutomaton) -> ParityAutomaton:
     recolored to i and removed, which restarts the scan without
     incrementing; otherwise i increments.  Colors only ever decrease, the
     edge structure is untouched, and the automaton's language (in fact the
-    dominating color's parity on every run) is preserved.  So every state
-    keeps its language, and the result carries ``a``'s partition: asking
-    ``state_equivalence`` for it costs nothing.  Streamlining is idempotent,
-    so the result also carries its own colors as its streamlined colors,
-    and ``is_streamlined`` on it runs no pass.  The scan starts from the
-    SCCs memoized on ``a``, and an SCC that waits for the counter is not
-    decomposed again (see ``_recolor``).
+    dominating color's parity on every run) is preserved, so every state
+    keeps its language.  The passes are those of ``_recolor``, and the
+    result carries its partition and colors (see ``graphs._memo``).
     """
     colors = _streamlined_colors(a)
     ts = tuple(Transition(s, y, d, c) for (s, y, d, _), c in zip(a.transitions, colors))
@@ -265,7 +255,6 @@ class ChainRepresentation(_Frozen):
     _fields = ("source", "partition")
 
     def __init__(self, source: ParityAutomaton, partition: Partition):
-        _expect(ParityAutomaton, source)
         _expect_equivalence(source, partition)
         if not is_streamlined(source):
             raise PreconditionError("chain extraction requires a streamlined automaton")
@@ -312,10 +301,9 @@ class ChainRepresentation(_Frozen):
 class _LevelRows:
     """What the levels of one chain share; level i keeps (this record, i)
     in its memo ``_LEVEL_ROWS``.  ``rows`` are A_0's rows, and ``groups[c]``
-    lists the source's rows of color c by index: the k-th source row is
-    A_0's k-th deterministic row, open in the template, which level c + 1
-    and later ones reject.  ``template``, filled by ``formats.emit_native``
-    on first use, is A_0's rows text cut at the color of each of those rows.
+    lists the source's rows of color c by index, which level c + 1 and
+    later ones reject (see ``ChainRepresentation.levels``); ``template`` is
+    filled by ``formats._level_rows``.
     The record refers to no level and not to the chain, so no reference
     cycle keeps a level alive until the cyclic collector runs."""
 

@@ -253,43 +253,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help_text):
+    def command(name, func, help_text, files=("file",), out=None, lasso=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="machine-readable output")
+        for file in files:
+            p.add_argument(file)
+        if out == "file":
+            p.add_argument("--out", help="output file (default: stdout)")
+        elif out == "directory":
+            p.add_argument("--out", required=True, help="output directory")
+        if lasso:
+            p.add_argument("--lasso", required=True, help="word as prefix:period, e.g. :ca")
         p.set_defaults(func=func)
         return p
 
-    p = command("validate", cmd_validate, "check automaton invariants")
-    p.add_argument("file")
+    command("validate", cmd_validate, "check automaton invariants")
+    command("structure", cmd_structure, "make the automaton structured", out="file")
+    command("streamline", cmd_streamline, "minimize colors of a structured DPA", out="file")
+    command("chain", cmd_chain, "write the co-Buchi chain of a streamlined DPA", out="directory")
+    command("color", cmd_color, "natural color of a lasso word (streamlined DPA)", lasso=True)
+    command("member", cmd_member, "membership of a lasso word", lasso=True)
+    command("equiv", cmd_equiv, "language equivalence of two DPAs", files=("file_a", "file_b"))
+    command("stats", cmd_stats, "basic figures for an automaton file")
 
-    p = command("structure", cmd_structure, "make the automaton structured")
-    p.add_argument("file")
-    p.add_argument("--out", help="output file (default: stdout)")
-
-    p = command("streamline", cmd_streamline, "minimize colors of a structured DPA")
-    p.add_argument("file")
-    p.add_argument("--out", help="output file (default: stdout)")
-
-    p = command("chain", cmd_chain, "write the co-Buchi chain of a streamlined DPA")
-    p.add_argument("file")
-    p.add_argument("--out", required=True, help="output directory")
-
-    p = command("color", cmd_color, "natural color of a lasso word (streamlined DPA)")
-    p.add_argument("file")
-    p.add_argument("--lasso", required=True, help="word as prefix:period, e.g. :ca")
-
-    p = command("member", cmd_member, "membership of a lasso word")
-    p.add_argument("file")
-    p.add_argument("--lasso", required=True, help="word as prefix:period, e.g. :ca")
-
-    p = command("equiv", cmd_equiv, "language equivalence of two DPAs")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-
-    p = command("stats", cmd_stats, "basic figures for an automaton file")
-    p.add_argument("file")
-
-    p = command("random", cmd_random, "generate a seeded random complete DPA")
+    p = command("random", cmd_random, "generate a seeded random complete DPA", files=())
     p.add_argument("--states", type=int, required=True)
     p.add_argument("--colors", type=int, required=True)
     group = p.add_mutually_exclusive_group(required=True)

@@ -37,13 +37,13 @@ def coruns(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> tuple[CoRun, .
     is included; it reproduces the plain run.  A co-run that jumps at
     prefix position j to a mate t of the run's state enters the period in
     land_j(t) = land_{j+1}(δ(t, w_j)), land_|prefix| the identity; as ≡ is
-    a right congruence, δ(t, w_j) is a mate of the run's next state, so one
-    backward pass builds each map on the mates of the run's state.  From
-    the period on, the run steps make the (state, period position) nodes a
-    functional graph, so each is resolved once, in one table shared by all
-    co-runs (see ``graphs._least_on_cycle``).
+    a right congruence (see ``graphs._in_block_classes``), δ(t, w_j) is a
+    mate of the run's next state, so one backward pass builds each map on
+    the mates of the run's state.  From the period on, the run steps make
+    the (state, period position) nodes a functional graph, so each is
+    resolved once, in one table shared by all co-runs (see
+    ``graphs._least_on_cycle``).
     """
-    _expect(ParityAutomaton, a)
     _expect_equivalence(a, equiv)
     _expect(LassoWord, w)
     a.alphabet.check_letters(w.prefix, w.period)
@@ -83,12 +83,13 @@ def _natural_color(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> int:
     functional graph.  The run is walked until it closes its cycle at a
     node (p, q), then a walk starts at each mate of q at position p and
     stops at the first node walked before.  No co-run ends elsewhere, as
-    the partition is a right congruence: a co-run that jumps at position j
-    follows the run's classes from j on, so at any later step T that meets
-    (p, q) on the run's cycle it sits on a mate of q at position p, on its
-    own cycle for T large.  Each node is marked 1 + the index of its step
-    in one list of colors, so a walk that meets a mark s of its own closes
-    a cycle of least color ``min(cols[s - 1:])``.
+    ≡ is a right congruence (see ``graphs._in_block_classes``): a co-run
+    that jumps at position j follows the run's classes from j on, so at
+    any later step T that meets (p, q) on the run's cycle it sits on a
+    mate of q at position p, on its own cycle for T large.  Each node is
+    marked 1 + the index of its step in one list of colors, so a walk that
+    meets a mark s of its own closes a cycle of least color
+    ``min(cols[s - 1:])``.
     """
     a.alphabet.check_letters(w.prefix, w.period)
     dst, col = a.flat
@@ -125,11 +126,9 @@ def _natural_color(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> int:
 
 def corun_color(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> int:
     """The natural color of ``w`` for L(a): the maximal dominating color
-    over all co-runs of the streamlined automaton ``a``, each a jump to a
-    mate of the run's state from position 1 on and then the run steps;
+    over all co-runs (see ``CoRun``) of the streamlined automaton ``a``,
     read off one node of the run's cycle (see ``_natural_color``).
     """
-    _expect(ParityAutomaton, a)
     _expect_equivalence(a, equiv)
     _expect(LassoWord, w)
     if not is_streamlined(a):
@@ -195,15 +194,11 @@ def resolve_run(a: CoBuchiAutomaton, w: LassoWord) -> tuple[bool, tuple[int, ...
 
     The groups' step depends on neither the strategy's state nor the word,
     so it is read from a move table memoized on ``a`` (see ``graphs._memo``
-    and ``_Moves``): each rank-group configuration met, once, with the
-    configuration each letter moved it to, a missing move filled by
-    ``_advance``.  Every word asked of ``a`` shares it, and it dies with
-    ``a``; it holds at most one configuration per transition and is
-    emptied when full.  The strategy's own move is made per step: its
-    accepting transition if it has one, else the least state of the
-    oldest new group.  A first query on a fresh automaton calls
-    ``_advance`` at most once per step, as without the table, and fills
-    the table as it goes.
+    and ``_Moves``), shared by every word asked of ``a``; a missing move is
+    filled by ``_advance``, so a first query on a fresh automaton calls it
+    at most once per step, as without the table.  The strategy's own move
+    is made per step: its accepting transition if it has one, else the
+    least state of the oldest new group.
     """
     _expect(CoBuchiAutomaton, a)
     _expect(LassoWord, w)
@@ -253,12 +248,9 @@ class _Moves(dict):
 
     It holds at most ``size`` configurations (one if ``size`` is 0): a new
     one empties a full table first.  A word still holding an entry from
-    before that follows its links, which stay right.  ``setdefault`` keeps
-    the first of two racing writers, so threads sharing a table can at
-    worst compute a move twice, and racing misses can each add one
-    configuration past the bound until the next miss empties the table.
-    A copy (pickle, deepcopy) starts empty, as the links can nest deeper
-    than either recurses.
+    before that follows its links, which stay right.  A copy (pickle,
+    deepcopy) starts empty, as the links can nest deeper than either
+    recurses.
     """
 
     def __init__(self, k: int, size: int):

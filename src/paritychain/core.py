@@ -130,7 +130,7 @@ class Alphabet(_Frozen):
     def index(self, name: str) -> int:
         try:
             return self._index[name]
-        except (KeyError, TypeError):  # TypeError: an unhashable name
+        except Exception:  # noqa: BLE001 - also an unhashable name, or a raising __hash__ or __eq__
             raise AutomatonError(f"unknown letter {_shown(name)}") from None
 
     def check_letters(self, *words) -> None:
@@ -271,6 +271,8 @@ class _Rows:
     def row(self, src: int, sym: int) -> tuple[Transition, ...]:
         """The transitions from ``src`` on letter ``sym``."""
         k = len(self.alphabet)
+        if type(src) is not int or type(sym) is not int:
+            raise AutomatonError(f"row ({_shown(src)}, {_shown(sym)}) is not a pair of ints")
         if not (0 <= src < self.state_count and 0 <= sym < k):
             raise AutomatonError(f"row ({_shown(src)}, {_shown(sym)}) is out of range: "
                                  f"{self.state_count} states, {k} letters")
@@ -290,7 +292,6 @@ class ParityAutomaton(_Frozen, _Rows):
     list and performs only index-range checks, so partial automata can be
     represented; determinism and completeness are checked by
     ``validate_dpa`` (and required by the run-level operations).
-    Transitions are kept sorted, so equal automata compare equal.
     """
 
     _fields = ("alphabet", "state_count", "initial", "transitions")

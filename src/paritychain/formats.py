@@ -96,27 +96,15 @@ def parse_native(text: str, *, validate: bool = True):
             where = f"transition {idx}"
             for key in ("src", "sym", "dst", "col"):
                 _require(item, key, int, where)
+    gfg = obj.get("gfg", False)
+    if kind == "ncw" and not isinstance(gfg, bool):
+        raise FormatError('field "gfg" must be a boolean')
+    cls, extra = (CoBuchiAutomaton, (gfg,)) if kind == "ncw" else (ParityAutomaton, ())
     try:  # the constructors check the letter names and the sizes
-        if kind == "ncw":
-            gfg = obj.get("gfg", False)
-            if not isinstance(gfg, bool):
-                raise FormatError('field "gfg" must be a boolean')
-            return CoBuchiAutomaton(
-                alphabet=Alphabet(letters),
-                state_count=states,
-                initial=initial,
-                transitions=tuple(transitions),
-                gfg_claimed=gfg,
-            )
-        automaton = ParityAutomaton(
-            alphabet=Alphabet(letters),
-            state_count=states,
-            initial=initial,
-            transitions=tuple(transitions),
-        )
+        automaton = cls(Alphabet(letters), states, initial, tuple(transitions), *extra)
     except AutomatonError as err:
         raise FormatError(str(err)) from None
-    if validate:
+    if kind == "dpa" and validate:
         report = validate_dpa(automaton)
         if not report.ok:
             raise FormatError("invalid automaton: " + "; ".join(report.violations))
@@ -139,7 +127,7 @@ def _level_rows(shared: _LevelRows, i: int) -> list[str]:
     the end of each deterministic row (``_ACCEPTING``, which only those rows
     end with in A_0), with the ends in the odd places.  Level i fills the
     template with its colors: the rows of ``shared.groups[c]``, c < i, end
-    in ``_REJECTING``.  Threads that race here render equal templates."""
+    in ``_REJECTING``."""
     if shared.template is None:
         cut = _rows_text(shared.rows).split(_ACCEPTING)
         template = [_ACCEPTING] * (2 * len(cut) - 1)
@@ -154,9 +142,7 @@ def _level_rows(shared: _LevelRows, i: int) -> list[str]:
 
 def emit_native(a) -> str:
     """Canonical serialization; byte-identical for equal automata.  The rows
-    are one ``%`` of a row template per row over all their fields; a chain
-    level's are its chain's template filled with its colors (see
-    ``_level_rows``)."""
+    are those of ``_rows_text``, or of ``_level_rows`` on a chain level."""
     _expect(_AUTOMATA, a)
     is_ncw = isinstance(a, CoBuchiAutomaton)
     lines = ["{"]
@@ -290,7 +276,7 @@ def _recover_aps(alphabet: Alphabet) -> list[str] | None:
         return [] if alphabet.letters[0] == "t" else None
     ap_count = size.bit_length() - 1
     parts = alphabet.letters[0].split("&")
-    if len(parts) != ap_count or not all(p.startswith("!") and len(p) > 1 for p in parts):
+    if len(parts) != ap_count or not all(p.startswith("!") for p in parts):
         return None
     aps = [p[1:] for p in parts]
     return aps if alphabet.letters == letter_names(aps) else None
@@ -408,6 +394,9 @@ def _read_header(stream: _TokenStream) -> tuple[int, int, list[str], int]:
             if len(args) != count + 1 or any(t.kind != "string" for t in args[1:]):
                 raise tok.error(f"AP: expects {count} quoted names")
             aps = [_unquote(t.value) for t in args[1:]]
+            for ap, t in zip(aps, args[1:]):  # letter names join the APs by "&"
+                if "&" in ap:
+                    raise t.error(f"AP name {_clip(ap)!r} contains '&'")
         elif name == "acc-name":
             acc_name = args
         elif name == "Acceptance":
@@ -492,10 +481,10 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
     into the set of valuations satisfying it, and the single acceptance-set
     index of each transition is read as its color.  Determinism and
     completeness are enforced; with ``allow_incomplete`` the partial
-    automaton is returned so the caller may apply complete_dpa.  Edges are
-    read until they hold more than States x 2^|AP| rows, when some row holds
-    two: it is reported with its count among the rows read.  The document
-    is read in one pass of one token at a time, to its end.
+    automaton is returned so the caller may apply complete_dpa; a doubled
+    row is reported with its count among the rows read (see
+    ``_read_body``).  The document is read in one pass of one token at a
+    time, to its end.
     """
     if not isinstance(text, str):
         raise FormatError(f"document must be a str, got a {_clip(type(text).__name__)}")

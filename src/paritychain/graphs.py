@@ -139,24 +139,19 @@ def _refine(n: int, k: int, dst: list[int], sccs: list[list[int]], leaving: list
     live edges: ``sccs``, the live edges inside each SCC, one list per SCC,
     and ``leaving``, the live edges between SCCs (see ``_edge_groups``).
 
-    Each round calls ``keep(sccs, leaving)``, which returns the edges that
-    stay live as a list of groups, each a part of one group it was passed
-    (it must change none of them); rounds repeat while an edge is live.  A
-    group returned as the very list it was passed is still an SCC with
-    exactly these internal edges: the SCCs of a round are node-disjoint and
-    the edges between them are no longer live, so no live cycle leaves the
-    group's nodes, and all its edges still are live.  Such a group is
-    carried to the next round as it is.  The other groups are decomposed by
-    one Tarjan run over their live edges from their sources, ascending; the
-    next round's SCCs are the carried groups, then the SCCs found, in the
-    order of their first edge.
+    Each round calls ``keep(sccs, leaving)``, which returns ``(carried,
+    split)``; rounds repeat while an edge is live.  ``carried`` are SCCs it
+    was passed with all their edges: the SCCs of a round are node-disjoint
+    and the edges between them are no longer live, so each is still an SCC
+    and goes to the next round with no Tarjan run.  ``split`` are the other
+    live edges, which one Tarjan run from their sources, ascending,
+    decomposes.  The next round's SCCs are the carried ones, then those
+    found, in the order of their first edge in ``split``.
     """
     succ: list[list[int]] = [[] for _ in range(n)]
     while sccs or leaving:
-        passed = set(map(id, sccs))
-        kept = keep(sccs, leaving)
-        split = [e for group in kept if id(group) not in passed for e in group]
-        sccs, leaving = [group for group in kept if id(group) in passed], []
+        sccs, split = keep(sccs, leaving)
+        leaving = []
         if split:
             for e in split:
                 succ[e // k].append(dst[e])
@@ -200,7 +195,7 @@ def reachable_states(a, origin: int) -> frozenset[int]:
 
 def scc_decompose(a) -> SccDecomposition:
     """Maximal SCCs of the part reachable from the initial state, memoized
-    on ``a`` as ``state_equivalence`` is (see ``_memo``)."""
+    on ``a`` (see ``_memo``)."""
     _expect(_AUTOMATA, a)
     return _memo(a, _SCCS, lambda: _scc_decompose(a))
 
@@ -224,8 +219,7 @@ def dpa_lasso_run(a: ParityAutomaton, w: LassoWord) -> RunAnalysis:
     """Simulate the unique run of a complete DPA on an ultimately periodic word.
 
     The prefix is stepped without marks; the cycle is the first repeated
-    (state, period position) node.  On a partial DPA the rows, read from
-    ``flat``, raise the first bad row's error, even one off the run.
+    (state, period position) node.  Rows are read from ``flat``.
     """
     _expect(ParityAutomaton, a)
     _expect(LassoWord, w)
@@ -256,17 +250,16 @@ def dpa_lasso_run(a: ParityAutomaton, w: LassoWord) -> RunAnalysis:
 def gca_lasso_member(a: CoBuchiAutomaton, w: LassoWord) -> bool:
     """Whether some run of the co-Buchi automaton accepts the lasso word.
 
-    The prefix is stepped as the set of states its runs reach, reading each
-    distinct row object of ``CoBuchiAutomaton.flat`` once per letter, so on
-    a chain level a letter costs O(|Q|), not |states|·|class|.  From there the
-    word is accepted iff a cycle of accepting transitions is reachable
-    in the finite product of automaton states with period positions, since
-    an accepting run is eventually trapped on such a cycle.  A node has at
-    most one accepting edge, so these edges form a functional graph once
-    every node without one loops to itself: with weight 1 on the accepting
-    edges and 0 on those loops, a node lies on an accepting cycle iff it
-    lies on a cycle of least weight 1, and such a cycle is reachable iff
-    some reachable node walks into one.
+    The prefix is stepped as the set of states its runs reach, each
+    distinct row read once per letter (see ``CoBuchiAutomaton.flat``).
+    From there the word is accepted iff a cycle of accepting transitions
+    is reachable in the finite product of automaton states with period
+    positions, since an accepting run is eventually trapped on such a
+    cycle.  A node has at most one accepting edge, so these edges form a
+    functional graph once every node without one loops to itself: with
+    weight 1 on the accepting edges and 0 on those loops, a node lies on
+    an accepting cycle iff it lies on a cycle of least weight 1, and such
+    a cycle is reachable iff some reachable node walks into one.
     """
     _expect(CoBuchiAutomaton, a)
     _expect(LassoWord, w)
@@ -299,9 +292,7 @@ class _Product:
     choices, sorted node lists and letter-ascending searches pick the same
     pairs and letters as on the all-pairs product, which is the product
     rooted at every pair.  Edge e = node * |Σ| + sym leads to ``dst[e]`` and
-    carries the colors ``ca[e]`` (of a) and ``cb[e]`` (of b).  Both automata
-    are read through ``ParityAutomaton.flat``, so an incomplete automaton
-    raises even when its missing row is unreachable.
+    carries the colors ``ca[e]`` (of a) and ``cb[e]`` (of b).
 
     Everything is built by letter columns: each automaton's targets and
     colors on one letter are sliced out once, the reachable pairs are found
@@ -358,21 +349,17 @@ class _Product:
         refinement without the drop.  On the diagonal pairs (q, q) of a x a
         every edge is equal-colored, so they cost one round.
 
-        The rounds are those of ``_refine``.  The first, the SCCs of all
-        edges, does not depend on the colors, so it is computed once per
-        product (see ``_first_round``), and both orientations of
-        ``dpa_language_equiv`` share it.  Every SCC kept loses its edges of
-        color m1 or m2, so none is carried as it is (see ``_refine``), and
-        the SCCs of each round are in the order of their first live edge,
-        as one Tarjan run over all live edges groups them.  A bad SCC has a
-        live cycle through each of its nodes, so its members are the
-        sources of its internal live edges.  The result is the all-pairs one
-        restricted to the built pairs, as they are closed under edges.
+        The rounds are those of ``_refine``, from ``_first_round``; ``keep``
+        carries no SCC, so one Tarjan run decomposes all live edges.  A bad
+        SCC has a live cycle through each of its nodes, so its members are
+        the sources of its internal live edges.  The result is the
+        all-pairs one restricted to the built pairs, as they are closed
+        under edges.
         """
         bad = []
 
         def keep(sccs, leaving):
-            kept = []
+            split = []
             for edges in sccs:
                 if all(map(eq, map(c1.__getitem__, edges), map(c2.__getitem__, edges))):
                     continue
@@ -381,19 +368,19 @@ class _Product:
                 if m1 % 2 == 0 and m2 % 2 == 1:
                     bad.append((sorted({e // self.k for e in edges}), m1, m2))
                 elif m1 % 2:
-                    kept.append([e for e in edges if c1[e] != m1])
+                    split += [e for e in edges if c1[e] != m1]
                 else:
-                    kept.append([e for e in edges if c2[e] != m2])
-            return kept
+                    split += [e for e in edges if c2[e] != m2]
+            return [], split
 
         _refine(self.size, self.k, self.dst, *self._first_round, keep)
         return bad
 
     @cached_property
     def _first_round(self) -> tuple[list[list[int]], list[int]]:
-        """The SCCs of all edges, as ``_refine`` takes them: computed on the
-        first call of ``bad_sccs`` and shared by the later ones, whose first
-        round is the same whatever the colors."""
+        """The SCCs of all edges, as ``_refine`` takes them: the first round
+        of every ``bad_sccs`` call, whatever the colors, so it is computed
+        once and both orientations of ``dpa_language_equiv`` share it."""
         k, dst = self.k, self.dst
         succ = [dst[node * k:node * k + k] for node in range(self.size)]
         return _edge_groups(_scc_ids(self.size, succ, range(self.size)), range(len(dst)), k, dst)
@@ -426,6 +413,13 @@ def _memo(a, key: str, compute):
     The value is kept in ``a.__dict__``, as ``cached_property`` keeps
     ``ParityAutomaton.flat``: it lives exactly as long as ``a`` and is never
     shared with a value-equal copy.  Nothing is kept when ``compute`` raises.
+
+    An automaton the pipeline builds from ``a`` is handed what it shares
+    with ``a``, so one canonicalization computes each fact once:
+    ``structure_dpa_with_map`` hands on the SCCs and the partition, as
+    redirects keep every state's language, and ``streamline`` the
+    partition and, as streamlining is idempotent, its own colors as its
+    streamlined colors.
     """
     memo = vars(a)
     if key not in memo:
@@ -439,16 +433,13 @@ _PARTITION = "_partition"  # the memo key of ``state_equivalence``
 def state_equivalence(a: ParityAutomaton) -> Partition:
     """Partition the states of a complete DPA by language equivalence ≡.
 
-    Two cheap partitions sandwich ≡: the coarsest bisimulation is finer
-    (see ``_bisimulation``), and a pre-split by membership of a few
-    periodic words is coarser (see ``_presplit``); both are closed under
-    successors.  ``_partition`` quotients by the first, pre-splits the
-    quotient and runs the pair product only inside the pre-split's blocks,
-    so its cost grows with the number of bisimulation classes and the
-    sizes of the blocks, not with |Q|².  The result is memoized on ``a``
-    itself (see ``_memo``), and ``structure_dpa_with_map`` and
-    ``streamline`` hand it forward to the automata they build, whose states
-    keep their languages, so one canonicalization computes it once.
+    Two cheap partitions sandwich ≡: the coarsest bisimulation (see
+    ``_bisimulation``) and a pre-split by membership of a few periodic
+    words (see ``_presplit``).  ``_partition`` quotients by the first,
+    pre-splits the quotient and runs the pair product only inside the
+    pre-split's blocks, so its cost grows with the number of bisimulation
+    classes and the sizes of the blocks, not with |Q|².  The result is
+    memoized on ``a`` and handed forward (see ``_memo``).
     """
     _expect(ParityAutomaton, a)
     return _memo(a, _PARTITION, lambda: _partition(a))
@@ -458,6 +449,7 @@ def _expect_equivalence(a: ParityAutomaton, equiv) -> None:
     """Reject an ``equiv`` other than ``state_equivalence(a)``, which defines
     co-runs and chain levels; on a pipeline automaton it is the memoized
     partition itself, so the check is one identity test."""
+    _expect(ParityAutomaton, a)
     _expect(Partition, equiv)
     known = state_equivalence(a)
     if equiv is not known and equiv != known:
@@ -467,14 +459,13 @@ def _expect_equivalence(a: ParityAutomaton, equiv) -> None:
 def _partition(a: ParityAutomaton) -> Partition:
     """``state_equivalence`` without the memo.
 
-    Bisimilar states read the same color sequence on every word, so they
-    are language equivalent, and the quotient by the bisimulation (see
-    ``_quotient``) keeps every state's language: its ≡ classes, each
-    lifted to the union of its bisimulation blocks, are those of ``a``.
-    When every block is a singleton the quotient is ``a`` itself, and the
-    pre-split reuses the preimage lists of the bisimulation.  ``a.flat``
-    is read first, so an incomplete or nondeterministic automaton raises
-    the ``step`` error of its first bad row.
+    Bisimilar states are language equivalent (see ``_bisimulation``), so
+    the quotient by the bisimulation (see ``_quotient``) keeps every
+    state's language: its ≡ classes, each lifted to the union of its
+    bisimulation blocks, are those of ``a``.  When every block is a
+    singleton the quotient is ``a`` itself, and the pre-split reuses the
+    preimage lists of the bisimulation.  ``a.flat`` is read first (see
+    ``ParityAutomaton.flat``).
     """
     pre = _preimages(a)
     bisimilar = _bisimulation(a, pre)
@@ -487,8 +478,7 @@ def _partition(a: ParityAutomaton) -> Partition:
 
 
 def _in_block_classes(a: ParityAutomaton, blocks: list[list[int]]) -> list[list[int]]:
-    """The ≡ classes of ``a``, from ``blocks``: a partition coarser than ≡
-    and closed under successors.
+    """The ≡ classes of ``a``, from ``blocks``, its pre-split (see ``_presplit``).
 
     With transition-based acceptance the first color of a run does not
     matter, so ≡ is a right congruence: q ≡ r implies δ(q, σ) ≡ δ(r, σ).
@@ -526,8 +516,7 @@ def _in_block_classes(a: ParityAutomaton, blocks: list[list[int]]) -> list[list[
 
 
 def _preimages(a: ParityAutomaton) -> list[list[list[int]]]:
-    """``pre[s][q]``: the states whose s-successor is q, ascending.  Reads
-    ``ParityAutomaton.flat``, so an incomplete automaton raises."""
+    """``pre[s][q]``: the states whose s-successor is q, ascending, from ``a.flat``."""
     n, k = a.state_count, len(a.alphabet)
     dst = a.flat[0]
     pre: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(k)]
@@ -650,18 +639,18 @@ def _seed_words(k: int) -> list[tuple[int, ...]]:
 
 def _presplit(a: ParityAutomaton, pre) -> list[list[int]]:
     """Blocks, each ascending, of the coarse side of the sandwich of
-    ``state_equivalence``: a partition of the states of ``a`` that is
-    coarser than language equivalence ≡ and closed under successors.
-    ``pre`` are the preimage lists of ``a`` (see ``_preimages``).
+    ``state_equivalence``; ``pre`` are the preimage lists of ``a`` (see
+    ``_preimages``).
 
     It is the coarsest partition closed under successors that separates
     states by membership of v^ω for every ``_seed_words`` period v, a
-    language property, so ≡ refines it.  All states run through one period
-    at once, which gives the functional graph q -> δ(q, v) weighted by the
-    least color on the way; membership is the parity of the least weight
-    on the cycle that q's walk reaches.  The words are the seeds of
-    ``_coarsest``, drawn until the in-block product left, exact on any such
-    partition, costs no more than one more word: |Σ|·Σ|B|² ≤ |Q|.
+    language property, so it is coarser than language equivalence ≡.  All
+    states run through one period at once, which gives the functional
+    graph q -> δ(q, v) weighted by the least color on the way; membership
+    is the parity of the least weight on the cycle that q's walk reaches.
+    The words are the seeds of ``_coarsest``, drawn until the in-block
+    product left, exact on any such partition, costs no more than one more
+    word: |Σ|·Σ|B|² ≤ |Q|.
     """
     n, k = a.state_count, len(a.alphabet)
     dst, col = a.flat
@@ -692,24 +681,16 @@ def dpa_language_equiv(
 
     The languages differ iff the a x b product reaches a bad SCC of the
     nested refinement (see ``_Product.bad_sccs``) with a's colors first, or
-    one with b's colors first.  The witness stem is a shortest product path
-    from the initial pair to the nearest bad SCC (breadth first, letters
-    ascending; a's-colors-first SCCs are tried first), and its period is a
-    cycle inside that SCC through its lowest-numbered edge realizing m1
-    and its lowest-numbered edge realizing m2.  Every edge of the cycle has
-    colors >= (m1, m2), so the two runs' dominating colors are exactly m1
-    and m2, of different parity.  Only the pairs reachable from the initial
-    pair are built (see ``_Product``); the witness is the one the all-pairs
-    product gives.
+    one with b's colors first.  The witness (see ``_witness``) enters the
+    nearest bad SCC by a shortest product path from the initial pair
+    (breadth first, letters ascending; a's-colors-first SCCs are tried
+    first).  Only the pairs reachable from the initial pair are built; the
+    witness is the one the all-pairs product gives (see ``_Product``).
 
-    When every built edge carries one color in a and in b, the two runs
-    read the same color sequence on every word, so the languages are equal
-    with no refinement: the reachable pairs form a bisimulation between a
-    and b.  This decides a DPA against its blow-up, a staircase of it, a
-    renumbered copy or itself; with the colors equal on only some edges,
-    ``bad_sccs`` drops the equal-colored SCCs round by round.  When both
-    orientations refine, as on a DPA against its canonical form, they start
-    from one first round of SCCs, found by one Tarjan run.
+    When every built edge carries one color in a and in b, the reachable
+    pairs form a bisimulation between a and b, so the languages are equal
+    with no refinement (see ``_bisimulation``).  This decides a DPA
+    against its blow-up, a staircase of it, a renumbered copy or itself.
     """
     _expect(ParityAutomaton, a)
     _expect(ParityAutomaton, b)
@@ -731,7 +712,9 @@ def dpa_language_equiv(
 
 def _witness(product: _Product, stem, anchor, scc, c1, c2) -> LassoWord:
     """Lasso along ``stem`` into ``scc``, then around a cycle from ``anchor``
-    through the SCC's lowest-numbered m1-edge and m2-edge."""
+    through the SCC's lowest-numbered m1-edge and m2-edge.  Every edge of
+    the cycle has colors >= (m1, m2), so the two runs' dominating colors
+    are exactly m1 and m2, of different parity."""
     nodes, m1, m2 = scc
     inside = set(nodes)
     k, dst = product.k, product.dst

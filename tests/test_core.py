@@ -1,9 +1,11 @@
+import ast
 import copy
 import inspect
 import pickle
 import random
 import time
 from itertools import chain, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -440,6 +442,15 @@ class TestIllTypedRecords:
         (lambda: streamline(None), "expected a ParityAutomaton, got a NoneType"),
         (lambda: streamline(3), "expected a ParityAutomaton, got a int"),
         (lambda: random_dpa(2, 2, 2, [1]), "seed is not an int: [1]"),
+        # these raised TypeError, or answered a float or bool as a state or
+        # letter; the last let its argument's RuntimeError escape
+        (lambda: _DPA.row("x", 0), "row ('x', 0) is not a pair of ints"),
+        (lambda: _DPA.row(None, 0), "row (None, 0) is not a pair of ints"),
+        (lambda: CoBuchiAutomaton(Alphabet(("a",)), 1, 0, ()).row("x", 0),
+         "row ('x', 0) is not a pair of ints"),
+        (lambda: _DPA.step(0.0, 0), "row (0.0, 0) is not a pair of ints"),
+        (lambda: _DPA.step(0, True), "row (0, True) is not a pair of ints"),
+        (lambda: Alphabet(("a",)).index(_RaisingHash()), "unknown letter _RaisingHash()"),
     ], ids=["gfg-str", "gfg-int", "alphabet-none", "alphabet-tuple", "transitions-none",
             "prefix-none", "period-int", "partition-none", "partition-of-ints",
             "partition-str", "partition-float", "partition-bool", "letters-none",
@@ -448,7 +459,8 @@ class TestIllTypedRecords:
             "lasso-letter-huge", "run-letter-huge", "src-huge", "sym-huge-negative",
             "dst-huge-negative", "ncw-color-huge", "color-huge-negative",
             "streamlined-none", "streamlined-str", "streamline-none", "streamline-int",
-            "seed-list"])
+            "seed-list", "row-str", "row-none", "ncw-row-str", "step-float", "step-bool",
+            "index-raising-hash"])
     def test_rejected(self, build, message):
         with pytest.raises(AutomatonError) as err:
             build()
@@ -692,17 +704,32 @@ class _RaisingRepr:
         raise RuntimeError("no repr")
 
 
+class _RaisingHash:
+    """A value whose ``__eq__`` and ``__hash__`` raise, so neither a dict
+    nor a set can look it up."""
+
+    def __eq__(self, other):
+        raise RuntimeError("no eq")
+
+    def __hash__(self):
+        raise RuntimeError("no hash")
+
+    def __repr__(self):
+        return "_RaisingHash()"
+
+
 def _hostile_pool() -> list:
-    """Twenty-four arguments no public name should answer with a raw error:
+    """Twenty-five arguments no public name should answer with a raw error:
     wrong types, ints past Python's 4300-digit limit, a value whose
-    ``repr`` raises, and small valid values and records, some of the wrong
-    kind.  No valid large size, so no call builds a large automaton."""
+    ``repr`` raises, one whose ``__eq__`` and ``__hash__`` raise, and small
+    valid values and records, some of the wrong kind.  No valid large
+    size, so no call builds a large automaton."""
     slim = ParityAutomaton(Alphabet(("a",)), 1, 0, (T(0, 0, 0, 1),))
     level = ChainRepresentation(slim, Partition(((0,),))).levels[0]
     return [None, True, False, 0, 1, -1, 2.5, float("nan"), 10**5000, -10**5000, "x", "", b"x",
             (), [0], {"kind": "dpa"}, T(0, 0, 0, 0), LassoWord((), (0,)), level,
             Partition(((0,),)), Alphabet(("a",)), slim,
-            ParityAutomaton(Alphabet(("a",)), 1, 0, ()), _RaisingRepr()]
+            ParityAutomaton(Alphabet(("a",)), 1, 0, ()), _RaisingRepr(), _RaisingHash()]
 
 
 def _outcomes(f, calls) -> tuple[int, list[str]]:
@@ -735,7 +762,8 @@ class TestApiFuzz:
     """Every public name, called with every one and every two arguments of
     one pool of hostile values that its signature takes, returns or raises
     ``AutomatonError`` or ``FormatError``; so do the names that take three
-    or four arguments, on a fixed sample of such calls."""
+    or four arguments, on a fixed sample of such calls, and the public
+    methods ``row``, ``step`` and ``index`` of the pool's records."""
 
     def test_public_names(self):
         n = len(_hostile_pool())
@@ -748,9 +776,23 @@ class TestApiFuzz:
         assert findings == []
         assert taken > 5000
 
+    @pytest.mark.parametrize("method", ["row", "step", "index"])
+    def test_public_methods(self, method):
+        n = len(_hostile_pool())
+        calls = [*((i,) for i in range(n)), *product(range(n), repeat=2)]
+        records = (Alphabet, ParityAutomaton, CoBuchiAutomaton)
+        taken, findings = 0, []
+        for owner in _hostile_pool():
+            if isinstance(owner, records) and hasattr(owner, method):
+                count, found = _outcomes(getattr(owner, method), calls)
+                taken += count
+                findings += found
+        assert findings == []
+        assert taken >= n
+
     @pytest.mark.parametrize("name", ["ParityAutomaton", "random_dpa", "corun_color"])
     def test_three_and_four_arguments(self, name):
-        # all 24^3 argument lists and 20 000 of the 24^4, the same on every run
+        # all n^3 argument lists and 20 000 of the n^4, the same on every run
         n = len(_hostile_pool())
         calls = [*product(range(n), repeat=3)]
         for code in random.Random(4).sample(range(n**4), 20_000):
@@ -758,6 +800,23 @@ class TestApiFuzz:
         taken, findings = _outcomes(getattr(paritychain, name), calls)
         assert findings == []
         assert taken >= n**3
+
+
+class TestDerivedAll:
+    """``paritychain.__all__`` is derived from the package's imports, so it
+    is checked against the names its ``from .x import`` statements bind,
+    read from the source."""
+
+    def test_all_is_the_imported_names(self):
+        tree = ast.parse(Path(paritychain.__file__).read_text(encoding="utf-8"))
+        imported = [alias.asname or alias.name for node in tree.body
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    for alias in node.names]
+        assert len(set(imported)) == len(imported)
+        assert paritychain.__all__ == sorted(imported)
+        namespace: dict = {}
+        exec("from paritychain import *", namespace)
+        assert namespace.keys() - {"__builtins__"} == set(imported)
 
 
 class TestRaisingRepr:

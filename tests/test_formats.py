@@ -580,6 +580,41 @@ State: 0
         assert by_letter == {"!x&!y": 1, "x&!y": 0, "!x&y": 0, "x&y": 0}
 
 
+# Documents ``parse_hoa`` accepts, with 0 to 3 APs, and their AP counts;
+# the round-trip property replaces their ``AP:`` line
+_ROUND_TRIP_DOCS = (
+    (UNIVERSAL_1AP, 1), (UNIVERSAL_1AP.replace('AP: 1 "go"\n', ""), 0), (_FLOWER_HOA, 1),
+    (emit_hoa(random_dpa(4, 3, 4, 2)), 2), (emit_hoa(random_dpa(3, 2, 8, 1)), 3),
+)
+# AP names of quotes, backslashes, tabs, non-ASCII characters, "!"
+# prefixes and "&" (refused), short enough to draw duplicates
+_AP_NAMES = st.text(st.sampled_from(["a", "!", '"', "\\", "\t", "é", "&"]), max_size=3)
+
+
+class TestHoaRoundTrip:
+    """Every document ``parse_hoa`` accepts reads back from ``emit_hoa`` as
+    the same automaton, letter names included.  An AP name with ``&``, with
+    which letter names join APs, is refused, and so is a lone empty AP
+    name, as it names a letter by the empty string."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from(_ROUND_TRIP_DOCS).flatmap(lambda item: st.tuples(
+        st.just(item[0]), st.lists(_AP_NAMES, min_size=item[1], max_size=item[1]))))
+    def test_parse_emit_parse(self, case):
+        doc, names = case
+        quoted = "".join(' "' + n.replace("\\", "\\\\").replace('"', '\\"') + '"' for n in names)
+        text = "\n".join(f"AP: {len(names)}{quoted}" if line.startswith("AP: ") else line
+                         for line in doc.split("\n"))
+        try:
+            a = parse_hoa(text)
+        except FormatError as err:
+            assert any("&" in n for n in names) or names == [""], err
+            return
+        assert not any("&" in n for n in names)
+        b = parse_hoa(emit_hoa(a))
+        assert b == a and b.alphabet.letters == a.alphabet.letters
+
+
 class TestHoaCost:
     """``parse_hoa`` reads one token at a time and keeps a few arguments per
     header item, so an ``Acceptance:`` formula, about six tokens per color,
@@ -634,13 +669,14 @@ class TestHoaRejections:
         ("Start: 0", "Start: 0 @", "unexpected character '@'", 3),
         ("[t] 0 {0}", "[t] 0 @ {0}", "unexpected character '@'", 9),
         ("--END--\n", "--END--\n@\n", "unexpected character '@'", 11),
+        ('"go"', '"a&b"', "AP name 'a&b' contains '&'", 4),
     ], ids=[
         "version", "no-body", "ap-count", "acceptance-count", "state-label",
         "state-twice", "state-range", "state-acceptance", "edge-outside-state",
         "universal", "set-not-int", "two-sets", "set-range", "ap-index",
         "unclosed-paren", "label-ends", "label-trailing", "false-label",
         "states-two-ints", "start-range", "stray-in-header", "stray-in-body",
-        "stray-after-end",
+        "stray-after-end", "ap-name-and",
     ])
     def test_rejection(self, old, new, message, line):
         assert old in UNIVERSAL_1AP
