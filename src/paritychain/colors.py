@@ -78,49 +78,56 @@ def _natural_color(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> int:
     """The largest dominating color of ``a`` over its co-runs on ``w``,
     after checking the word; the callers have checked the partition.
 
-    The prefix is stepped without marks; from the period's start on, the
-    run steps make the (state, period position) nodes p * |Q| + q a
-    functional graph.  The run is walked until it closes its cycle at a
-    node (p, q), then a walk starts at each mate of q at position p and
-    stops at the first node walked before.  No co-run ends elsewhere, as
-    ≡ is a right congruence (see ``graphs._in_block_classes``): a co-run
-    that jumps at position j follows the run's classes from j on, so at
-    any later step T that meets (p, q) on the run's cycle it sits on a
-    mate of q at position p, on its own cycle for T large.  Each node is
-    marked 1 + the index of its step in one list of colors, so a walk that
-    meets a mark s of its own closes a cycle of least color
-    ``min(cols[s - 1:])``.
+    From the period's start on, a run is read a period at a time: the
+    period map q -> (δ(q, v), the least color read on the way) makes the
+    states a functional graph, and a run's dominating color is the least
+    color on the cycle of the map that its state at the period's start
+    walks into.  Every lasso walk may look for its cycle at period starts
+    alone: a cycle of (state, period position) nodes holds a node at
+    position 0, so it is found there, and it is as long as the walk from
+    that node back to it.  Its first node lies less than |v| steps before
+    the first period start on it, as the period start |v| steps earlier
+    is off the cycle, or the walk would have closed there first;
+    ``graphs.dpa_lasso_run`` and ``resolve_run`` step back to it.
+
+    The prefix is stepped without marks; the run is then walked by the
+    period map until it closes its cycle at a state q, and a walk starts
+    at each mate of q and stops at the first state walked before.  No
+    co-run ends elsewhere, as ≡ is a right congruence (see
+    ``graphs._in_block_classes``): a co-run that jumps at position j
+    follows the run's classes from j on, so at every later period start
+    at which the run is in q it sits on a mate of q, on its own cycle of
+    the map from some such start on.  Each state is marked 1 + the index
+    of its step in one list of least colors, so a walk that meets a mark
+    s of its own closes a cycle of least color ``min(cols[s - 1:])``.
     """
     a.alphabet.check_letters(w.prefix, w.period)
     dst, col = a.flat
-    n, k, q, letters = a.state_count, len(a.alphabet), a.initial, w.period
+    k, q, letters = len(a.alphabet), a.initial, w.period
     for sym in w.prefix:
         q = dst[q * k + sym]
-    after = [*range(1, len(letters)), 0]
-    mark = [0] * (n * len(letters))  # 0 for a node not walked yet
+    mark = [0] * a.state_count  # 0 for a state not walked yet
     cols: list[int] = []
-    p, node = 0, q
-    while not mark[node]:
-        row = q * k + letters[p]
-        cols.append(col[row])
-        mark[node] = len(cols)
-        q, p = dst[row], after[p]
-        node = p * n + q
-    best = min(cols[mark[node] - 1:])  # the run's cycle, from the node (p, q) it closes at
-    p0 = p
-    for q in equiv._by_state[q]:
-        node = p0 * n + q
-        if mark[node]:
-            continue
-        p, start = p0, len(cols)
-        while not mark[node]:
-            row = q * k + letters[p]
-            cols.append(col[row])
-            mark[node] = len(cols)
-            q, p = dst[row], after[p]
-            node = p * n + q
-        if mark[node] > start:
-            best = max(best, min(cols[mark[node] - 1:]))
+
+    def walk(q: int) -> int:  # to the first state walked before
+        while not mark[q]:
+            start, least = q, col[q * k + letters[0]]
+            for sym in letters:
+                row = q * k + sym
+                if col[row] < least:
+                    least = col[row]
+                q = dst[row]
+            cols.append(least)
+            mark[start] = len(cols)
+        return q
+
+    q = walk(q)
+    best = min(cols[mark[q] - 1:])  # the run's cycle
+    for t in equiv._by_state[q]:
+        start = len(cols)
+        t = walk(t)
+        if mark[t] > start:
+            best = max(best, min(cols[mark[t] - 1:]))
     return best
 
 
@@ -190,7 +197,9 @@ def resolve_run(a: CoBuchiAutomaton, w: LassoWord) -> tuple[bool, tuple[int, ...
     configuration is the strategy's state, its rank groups (see
     ``_advance``: absolute positions grow without bound, and future moves
     depend on the groups only) and the period position, as no prefix
-    position repeats.
+    position repeats.  A repeat is looked for at period starts only, and
+    the first step of the cycle is stepped back to from there (see
+    ``_natural_color``), over one (row, groups entry) record per step.
 
     The groups' step depends on neither the strategy's state nor the word,
     so it is read from a move table memoized on ``a`` (see ``graphs._memo``
@@ -211,29 +220,32 @@ def resolve_run(a: CoBuchiAutomaton, w: LassoWord) -> tuple[bool, tuple[int, ...
             entry[sym] = table.entry(_advance(a, entry[k], sym))
         entry, dst = entry[sym], acc[current * k + sym]
         current = dst if dst >= 0 else entry[k][0][0]
-    letters, after, u_len = w.period, [*range(1, len(w.period)), 0], len(w.prefix)
-    seen: dict[tuple, int] = {}
-    emitted: list[int] = []  # the color output at each period step
-    p = 0  # the period position of the next letter
+    letters, u_len = w.period, len(w.prefix)
+    seen: dict[tuple, int] = {}  # (state, groups) at a period start -> its step
+    rows: list[int] = []  # the strategy's row at each period step
+    entries: list[list] = []  # and the entry of its groups
     while True:
-        key = (current, entry[k], p)  # by value: a restart renews the entries
+        key = (current, entry[k])  # by value: a restart renews the entries
         if key in seen:
-            rejects = tuple(u_len + i for i in range(seen[key], len(emitted)) if emitted[i] == 1)
-            return not rejects, rejects
-        seen[key] = len(emitted)
-        sym = letters[p]
-        nxt = entry[sym]
-        if nxt is None:
-            nxt = entry[sym] = table.entry(_advance(a, entry[k], sym))
-        entry = nxt
-        dst = acc[current * k + sym]
-        if dst >= 0:
-            current = dst
-            emitted.append(2)
-        else:
-            current = entry[k][0][0]
-            emitted.append(1)
-        p = after[p]
+            break
+        seen[key] = len(rows)
+        for sym in letters:
+            row = current * k + sym
+            rows.append(row)
+            entries.append(entry)
+            nxt = entry[sym]
+            if nxt is None:
+                nxt = entry[sym] = table.entry(_advance(a, entry[k], sym))
+            entry = nxt
+            dst = acc[row]
+            current = dst if dst >= 0 else entry[k][0][0]
+    first = seen[key]  # the first period start on the cycle
+    size = len(rows) - first
+    while first and (rows[first - 1] == rows[first - 1 + size]  # one letter: equal states
+                     and entries[first - 1][k] == entries[first - 1 + size][k]):
+        first -= 1
+    rejects = tuple(u_len + i for i in range(first, first + size) if acc[rows[i]] < 0)
+    return not rejects, rejects
 
 
 _MOVES = "_moves"  # the memo key of the move table of ``resolve_run``

@@ -421,10 +421,11 @@ def _read_header(stream: _TokenStream) -> tuple[int, int, list[str], int]:
 
 
 def _read_body(stream: _TokenStream, states: int, ap_count: int,
-               color_count: int) -> list[tuple[int, int, int, int]]:
-    """The edges through ``--END--``, as (state, valuation, dst, color) rows;
-    reading stops early once they hold more than ``states`` x 2^``ap_count``
-    rows, when some row holds two."""
+               color_count: int) -> tuple[list[tuple[int, int, int, int]], bool]:
+    """The edges through ``--END--``, as (state, valuation, dst, color)
+    rows, and whether they were read to the end: reading stops at an edge
+    that starts once they hold more than ``states`` x 2^``ap_count`` rows,
+    when some row holds two."""
     labels, k = _LabelParser(stream, ap_count), 2**ap_count
     body: list[tuple[int, int, int, int]] = []
     current = None
@@ -445,6 +446,8 @@ def _read_body(stream: _TokenStream, states: int, ap_count: int,
             if stream.at("{"):
                 raise stream.next.error("state-based acceptance is not supported")
         elif tok.value == "[":
+            if len(body) > states * k:  # so some row holds two: the row check says which
+                return body, False
             if current is None:
                 raise tok.error("edge outside any State:")
             label = labels.label()
@@ -466,11 +469,9 @@ def _read_body(stream: _TokenStream, states: int, ap_count: int,
                 raise dst_tok.error(f"acceptance set {_shown(color)} out of range "
                                     f"(parity min even {_shown(color_count)})")
             body += [(current, valuation, dst, color) for valuation in label]
-            if len(body) > states * k:  # so some row holds two: the row check says which
-                break
         else:
             raise tok.error(f"unexpected {_clip(tok.value)!r}")
-    return body
+    return body, True
 
 
 def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
@@ -480,11 +481,14 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
     conjunction of (negated) AP names; each label formula is parsed once
     into the set of valuations satisfying it, and the single acceptance-set
     index of each transition is read as its color.  Determinism and
-    completeness are enforced; with ``allow_incomplete`` the partial
-    automaton is returned so the caller may apply complete_dpa; a doubled
-    row is reported with its count among the rows read (see
-    ``_read_body``).  The document is read in one pass of one token at a
-    time, to its end.
+    completeness are enforced; with ``allow_incomplete`` the rows are
+    returned as read, missing or doubled, as ``parse_native`` returns them
+    with ``validate=False``, for ``validate_dpa`` to list and
+    ``complete_dpa`` to complete or refuse.  A body whose edges go on
+    after they hold more rows than the automaton has is not read to its
+    end (see ``_read_body``) and is refused in either mode, its doubled
+    row reported with its count among the rows read.  The document is
+    read in one pass of one token at a time, to its end.
     """
     if not isinstance(text, str):
         raise FormatError(f"document must be a str, got a {_clip(type(text).__name__)}")
@@ -498,16 +502,18 @@ def parse_hoa(text: str, *, allow_incomplete: bool = False) -> ParityAutomaton:
         alphabet = Alphabet(letter_names(aps))
     except AutomatonError as err:
         raise FormatError(f"AP: {err}") from None
-    body = _read_body(stream, states, len(aps), color_count)
+    body, whole = _read_body(stream, states, len(aps), color_count)
     for _ in stream.tokens:  # what follows is tokenized too: a stray character is refused
         pass
     body.sort()
     k = len(alphabet)
     try:  # the rows first: their faults are reported before range faults
-        missing = _missing_rows(alphabet, _bad_rows([q * k + v for q, v, _, _ in body], states * k))
-        if missing and not allow_incomplete:
-            raise FormatError(f"incomplete rows: {'; '.join(_row_report(alphabet, missing))}; "
-                              "parse with allow_incomplete=True and apply complete_dpa")
+        if not (allow_incomplete and whole):  # a body cut short holds a doubled row
+            keys = [q * k + v for q, v, _, _ in body]
+            missing = _missing_rows(alphabet, _bad_rows(keys, states * k))
+            if missing:
+                raise FormatError(f"incomplete rows: {'; '.join(_row_report(alphabet, missing))}; "
+                                  "parse with allow_incomplete=True and apply complete_dpa")
         return ParityAutomaton(alphabet, states, start, tuple(map(Transition._make, body)))
     except AutomatonError as err:
         raise FormatError(str(err)) from None

@@ -218,30 +218,35 @@ def _scc_decompose(a) -> SccDecomposition:
 def dpa_lasso_run(a: ParityAutomaton, w: LassoWord) -> RunAnalysis:
     """Simulate the unique run of a complete DPA on an ultimately periodic word.
 
-    The prefix is stepped without marks; the cycle is the first repeated
-    (state, period position) node.  Rows are read from ``flat``.
+    The prefix is stepped without marks; from the period on, only the
+    states at period starts are marked, and the cycle's first (state,
+    period position) node is stepped back to from the first of them that
+    repeats (see ``colors._natural_color``).  Rows are read from ``flat``.
     """
     _expect(ParityAutomaton, a)
     _expect(LassoWord, w)
     a.alphabet.check_letters(w.prefix, w.period)
     dst, col = a.flat
-    n, k, q, letters = a.state_count, len(a.alphabet), a.initial, w.period
-    states, colors = [], []  # the states from the start, the colors from the period's
+    k, q, letters = len(a.alphabet), a.initial, w.period
+    states = []  # the run's state before each step
     for sym in w.prefix:
         states.append(q)
         q = dst[q * k + sym]
-    u, p, mark = len(states), 0, [0] * (n * len(letters))  # node -> 1 + its index in states
-    while not mark[p * n + q]:
-        states.append(q)
-        mark[p * n + q] = len(states)
-        row = q * k + letters[p]
-        colors.append(col[row])
-        q, p = dst[row], (p + 1) % len(letters)
-    first = mark[p * n + q] - 1
-    dominating = min(colors[first - u:])
+    u, mark = len(states), [0] * a.state_count  # a period start -> 1 + its index in states
+    while not mark[q]:
+        mark[q] = len(states) + 1
+        for sym in letters:
+            states.append(q)
+            q = dst[q * k + sym]
+    first = mark[q] - 1  # the first period start on the cycle
+    size = len(states) - first
+    while first > u and states[first - 1] == states[first - 1 + size]:
+        first -= 1
+    dominating = min(col[states[i] * k + letters[(i - u) % len(letters)]]
+                     for i in range(first, first + size))
     return RunAnalysis(
         stem_states=tuple(states[:first]),
-        cycle_states=tuple(states[first:]),
+        cycle_states=tuple(states[first:first + size]),
         dominating_color=dominating,
         accepted=dominating % 2 == 0,
     )

@@ -1,8 +1,11 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import paritychain
 from paritychain import (
     Alphabet,
     LassoWord,
@@ -15,6 +18,21 @@ from paritychain import (
 )
 
 T = Transition
+
+
+def pytest_sessionstart(session):
+    """Stop when the first ``PYTHONPATH`` entry holds a ``paritychain``
+    other than the one imported: pyproject's ``pythonpath = ["src"]`` puts
+    the root directory's own ``src`` ahead of ``PYTHONPATH``, so a run from
+    one checkout with another checkout's ``src`` first on ``PYTHONPATH``
+    would test the wrong sources without a word."""
+    first = os.environ.get("PYTHONPATH", "").split(os.pathsep)[0]
+    named = Path(first, "paritychain").resolve()
+    imported = Path(paritychain.__file__).resolve().parent
+    if first and named.is_dir() and named != imported:
+        pytest.exit(f"PYTHONPATH names {named} first, but the tests import {imported}; "
+                    "run pytest from the checkout whose sources it should test",
+                    returncode=pytest.ExitCode.USAGE_ERROR)
 
 
 def flower_automaton() -> ParityAutomaton:
@@ -82,6 +100,12 @@ def random_lasso(rng: random.Random, letters: int, max_len: int = 6) -> LassoWor
     prefix = tuple(rng.randrange(letters) for _ in range(rng.randrange(0, max_len + 1)))
     period = tuple(rng.randrange(letters) for _ in range(rng.randrange(1, max_len + 1)))
     return normalize_lasso(LassoWord(prefix, period))
+
+
+def raw_lasso(rng: random.Random, letters: int) -> LassoWord:
+    """A lasso of prefix length 0-4 and period length 1-6, neither shortened."""
+    return LassoWord(tuple(rng.randrange(letters) for _ in range(rng.randrange(0, 5))),
+                     tuple(rng.randrange(letters) for _ in range(rng.randrange(1, 7))))
 
 
 # Seeds of ``jumpy`` whose 40 ``jumpy_lassos`` hold 2, 3, 3, 1 and 3 words

@@ -34,6 +34,9 @@ stepped letter by letter on tracked positions and ``Transition`` rows,
 which the library's rank-group strategy must reproduce; ``gfg_resolver_step``
 is one oracle step that checks the library's step of the rank groups
 (``colors._advance``) against its tracked states.
+``lasso_run_oracle`` is the run of a DPA on a lasso word by one dict of
+its (state, word position) nodes, which the library's run, marked at
+period starts only, must reproduce field for field.
 ``letter_at``, ``head`` and ``suffix`` read a lasso word letter by letter;
 ``letter_stream`` lists its letters at every word position, prefix and
 period, each with the position that follows it.
@@ -66,6 +69,7 @@ from paritychain import (
     LassoWord,
     ParityAutomaton,
     Partition,
+    RunAnalysis,
     Transition,
     ValidationReport,
     coruns,
@@ -93,6 +97,29 @@ def letter_stream(a, w: LassoWord) -> tuple[tuple[int, ...], list[int]]:
     letters = w.prefix + w.period
     a.alphabet.check_letters(letters)
     return letters, [*range(1, len(letters)), len(w.prefix)]
+
+
+def lasso_run_oracle(a: ParityAutomaton, w: LassoWord) -> RunAnalysis:
+    """``dpa_lasso_run`` by ``step``: walk the (state, word position)
+    nodes, period positions folded, until one repeats; the cycle starts at
+    its first visit."""
+    seen: dict[tuple[int, int], int] = {}
+    states, colors = [], []
+    q, u, v = a.initial, len(w.prefix), len(w.period)
+    while True:
+        t = len(states)
+        node = (q, t if t < u else u + (t - u) % v)
+        if node in seen:
+            break
+        seen[node] = t
+        step = a.step(q, letter_at(w, t))
+        states.append(q)
+        colors.append(step.color)
+        q = step.dst
+    first = seen[node]
+    dominating = min(colors[first:])
+    return RunAnalysis(tuple(states[:first]), tuple(states[first:]), dominating,
+                       dominating % 2 == 0)
 
 
 def head(w: LassoWord, n: int) -> tuple[int, ...]:

@@ -27,6 +27,7 @@ from paritychain import (
     Transition,
     chain_stats,
     corun_color,
+    emit_hoa,
     emit_native,
     extract_chain,
     natural_color_via_chain,
@@ -266,15 +267,41 @@ class TestValidate:
         assert "expected an integer" in err and len(err.encode()) < 200
 
     def test_long_ap_name_is_short_format_error(self, capsys, tmp_path):
+        # a doubled row is listed, as a native file's is; a body that goes
+        # on past more rows than the automaton has is not read to its end
+        # and is refused.  Either way the AP name is clipped
         path = tmp_path / "long-ap.hoa"
-        path.write_text(
+        text = (
             "HOA: v1\nStates: 1\nStart: 0\nAP: 1 \"" + "x" * 10**6 + "\"\n"
             "acc-name: parity min even 1\nAcceptance: 1 Inf(0)\n--BODY--\n"
             "State: 0\n[t] 0 {0}\n[0] 0 {0}\n--END--\n"
         )
+        path.write_text(text)
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1 and err == ""
+        assert "has 2 transitions" in out and len(out.encode()) < 200
+        path.write_text(text.replace("--END--", "[0] 0 {0}\n--END--"))
         code, out, err = run(capsys, "validate", str(path))
         assert code == 2 and out == ""
         assert "nondeterministic" in err and len(err.encode()) < 200
+
+    def test_doubled_row_listed_in_both_formats(self, capsys, tmp_path):
+        # one automaton with one row doubled, written as a native file and
+        # as a HOA file: both are listed with exit 1 (the HOA file was
+        # refused with exit 2), and the commands that need a DPA refuse both
+        rows = (Transition(0, 0, 1, 0), Transition(0, 1, 0, 1), Transition(1, 0, 1, 1),
+                Transition(1, 1, 0, 0), Transition(0, 1, 1, 1))
+        a = ParityAutomaton(Alphabet(("!go", "go")), 2, 0, rows)
+        doubled = "(state 0, letter 'go') has 2 transitions"
+        for name, text in (("doubled.aut", emit_native(a)), ("doubled.hoa", emit_hoa(a))):
+            path = tmp_path / name
+            path.write_text(text)
+            code, out, err = run(capsys, "validate", str(path))
+            assert (code, out, err) == (1, f"invalid:\n  {doubled}\n", "")
+            code, out, _ = run(capsys, "validate", str(path), "--json")
+            assert code == 1 and json.loads(out) == {"ok": False, "violations": [doubled]}
+            code, out, err = run(capsys, "stats", str(path))
+            assert code == 2 and out == "" and doubled in err
 
     def test_violation_list_is_capped(self, capsys, tmp_path):
         path = tmp_path / "empty.aut"

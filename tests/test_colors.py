@@ -11,12 +11,15 @@ import pytest
 
 from conftest import (
     JUMPY_SEEDS, WORD_CA, WORD_CABB, blowup, flower_automaton, jumpy, jumpy_lassos, random_lasso,
+    raw_lasso,
 )
 from oracles import (
     ResolverState,
+    _by_position,
     chain_color_oracle,
     gca_member_oracle,
     gfg_resolver_step,
+    lasso_run_oracle,
     letter_at,
     reference_coruns,
     resolver_oracle,
@@ -54,6 +57,7 @@ from paritychain import (
     structure_dpa,
     validate_dpa,
 )
+from paritychain.colors import _MOVES, _Moves
 
 T = Transition
 
@@ -455,6 +459,43 @@ class TestNaturalColorKernel:
             assert resolved[0] == member
             assert resolve_run(level, twin) == resolver_oracle(level, twin)
 
+    def test_long_period_costs_no_table(self):
+        # the 160 states in one class above, with periods of 20,000 letters
+        # or more, each a short word v repeated: a mark per (state, period
+        # position) node peaked at 27 MB traced in ``dpa_lasso_run`` and at
+        # 56-113 MB in the color walks (Python 3.11), a mark per state at
+        # period starts takes 160 entries.  The same prefix with period v
+        # is the same infinite word, small enough for the oracles; v is
+        # repeated a multiple of the times the run's cycle takes, so the
+        # long run goes round that cycle whole
+        s, equiv = prepared(blowup(jumpy(83), 40, random.Random(83)))
+        chain = extract_chain(s, equiv)
+        prefix, lifted = (2, 0, 1), 0
+        for v in ((1,), (2,), (1, 2)):
+            twin = LassoWord(prefix, v)
+            same = lasso_run_oracle(s, twin)
+            color = chain_color_oracle(chain, twin)
+            # the short word also fills the memos the long one reads
+            assert dpa_lasso_run(s, twin) == same
+            assert corun_color(s, equiv, twin) == natural_color_via_chain(chain, twin) == color
+            turns = len(same.cycle_states) // len(v)
+            reps = turns * -(-20_000 // (len(v) * turns))
+            long = LassoWord(prefix, v * reps)
+            run = same._replace(cycle_states=same.cycle_states * (reps // turns))
+            for f, args, expected in ((corun_color, (s, equiv, long), color),
+                                      (natural_color_via_chain, (chain, long), color),
+                                      (dpa_lasso_run, (s, long), run)):
+                tracemalloc.start()
+                try:
+                    out = f(*args)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 1_000_000, (f.__name__, v, peak)
+                assert out == expected
+            lifted += color > same.dominating_color
+        assert lifted
+
     def test_prefix_coruns_merge_smaller_into_larger(self):
         # state 1 joins state 0 on the one letter, so at each prefix
         # position a co-run jumps to 1 and lands where the run's next state
@@ -720,6 +761,66 @@ class TestMoveTable:
         assert sorted(table) == [((0,),), ((1,),)]
         assert table[((0,),)][0] is table[((1,),)] and table[((1,),)][:2] == [None, None]
         assert resolve_run(a, LassoWord((), (1,))) == resolver_oracle(a, LassoWord((), (1,)))
+
+
+def _cycle_start(a, w: LassoWord) -> int:
+    """The period position at which the oracle's resolver on ``w`` first
+    meets a configuration of the cycle it ends in."""
+    s, seen = ResolverState.start(a), {}
+    u, v = len(w.prefix), len(w.period)
+    while True:
+        if s.position >= u:
+            key = (s.current, _by_position(s.tracked), (s.position - u) % v)
+            if key in seen:
+                return (seen[key] - u) % v
+            seen[key] = s.position
+        s = resolver_oracle_step(a, s, letter_at(w, s.position))
+
+
+class TestResolverPeriodStarts:
+    """``resolve_run`` looks for a repeated configuration at period starts
+    only and steps back from there to the first step of the cycle; its
+    rejecting positions must be the per-letter oracle's wherever in the
+    period the cycle starts."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rejects_match_oracle(self, seed):
+        inputs, rng = _resolver_inputs(seed)
+        inside = 0
+        for s, equiv in inputs:
+            for level in extract_chain(s, equiv).levels:
+                for _ in range(8):
+                    w = raw_lasso(rng, len(s.alphabet))
+                    assert resolve_run(level, w) == resolver_oracle(level, w)
+                    inside += _cycle_start(level, w) > 0
+        assert inside >= 60
+
+    @pytest.mark.parametrize("seed", JUMPY_SEEDS)
+    def test_one_letter_periods_and_empty_prefixes(self, seed):
+        s = jumpy(seed)
+        k, lassos = len(s.alphabet), jumpy_lassos(seed, len(s.alphabet))
+        words = [LassoWord(w.prefix, (sym,)) for w in lassos[:10] for sym in range(k)]
+        words += [LassoWord((), w.period) for w in lassos]
+        for level in extract_chain(s, state_equivalence(s)).levels:
+            for w in words:
+                assert resolve_run(level, w) == resolver_oracle(level, w)
+
+    def test_one_entry_table_matches_oracle(self):
+        # a move table of one configuration is emptied at every new one, so
+        # equal groups come back in new entries: the step back compares
+        # the groups, not the entries
+        rng = random.Random(12)
+        automata = [_config_rich()] + [level for seed in JUMPY_SEEDS[:3] for level in
+                                       extract_chain(jumpy(seed), state_equivalence(jumpy(seed))).levels]
+        inside = 0
+        for a in automata:
+            vars(a)[_MOVES] = _Moves(len(a.alphabet), 1)  # in place of the table of ``_memo``
+            for _ in range(20):
+                w = raw_lasso(rng, len(a.alphabet))
+                assert resolve_run(a, w) == resolver_oracle(a, w)
+                assert len(_moves(a)) == 1
+                inside += _cycle_start(a, w) > 0
+        assert inside >= 60
 
 
 def _wrong_class_calls():

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 import tracemalloc
 from importlib import resources
@@ -384,6 +385,24 @@ class TestInputLimits:
         with pytest.raises(FormatError,
                            match=r"^nondeterministic: \(state 0, letter '!go'\) has 2 transitions$"):
             parse_hoa(text)
+
+    def test_doubled_row_returned_as_read(self):
+        # with allow_incomplete, as parse_native with validate=False: a
+        # doubled row is kept for validate_dpa to list and complete_dpa to
+        # refuse; a body cut short is refused in either mode
+        a = ParityAutomaton(Alphabet(("!go", "go")), 2, 0, (
+            T(0, 0, 1, 0), T(0, 1, 0, 1), T(0, 1, 1, 1), T(1, 0, 1, 1), T(1, 1, 0, 0)))
+        doubled = "(state 0, letter 'go') has 2 transitions"
+        lenient = parse_hoa(emit_hoa(a), allow_incomplete=True)
+        assert lenient == parse_native(emit_native(a), validate=False) == a
+        assert validate_dpa(lenient).violations == (doubled,)
+        refusal = f"^{re.escape('nondeterministic: ' + doubled)}$"
+        with pytest.raises(AutomatonError, match=refusal):
+            complete_dpa(lenient)
+        longer = emit_hoa(a).replace("--END--", "[0] 0 {0}\n--END--")
+        for text, allow_incomplete in ((emit_hoa(a), False), (longer, True)):
+            with pytest.raises(FormatError, match=refusal):
+                parse_hoa(text, allow_incomplete=allow_incomplete)
 
 
 def _seconds(f) -> float:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import (
-    JUMPY_SEEDS, WORD_AA, WORD_CA, WORD_CABB, blowup, jumpy, random_lasso, staircase,
+    JUMPY_SEEDS, WORD_AA, WORD_CA, WORD_CABB, blowup, jumpy, random_lasso, raw_lasso,
+    staircase,
 )
 from oracles import (
     all_pairs_partition,
@@ -138,6 +139,23 @@ class TestDpaLassoRun:
             a = dpa_lasso_run(flower, raw)
             b = dpa_lasso_run(flower, normalize_lasso(raw))
             assert (a.dominating_color, a.accepted) == (b.dominating_color, b.accepted)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_node_walk_oracle(self, seed):
+        # raw lassos, neither prefix nor period shortened, on random DPAs
+        # and mod-4 blow-ups: the run is marked at period starts only and
+        # steps back to the first node of its cycle, which often lies
+        # inside the period
+        rng = random.Random(70 + seed)
+        inside = 0
+        for a in (random_dpa(rng.randrange(1, 40), 4, rng.randrange(1, 4), seed),
+                  blowup(random_dpa(8, 3, 2, seed), 4, rng)):
+            for _ in range(30):
+                w = raw_lasso(rng, len(a.alphabet))
+                run = dpa_lasso_run(a, w)
+                assert run == oracles.lasso_run_oracle(a, w)
+                inside += (len(run.stem_states) - len(w.prefix)) % len(w.period) != 0
+        assert inside >= 15
 
     def test_start_override(self, flower):
         # the run from state 1, through the flower re-rooted there
