@@ -15,6 +15,7 @@ from .core import (
     Partition,
     PreconditionError,
     _expect,
+    _expect_lasso,
 )
 from .graphs import _expect_equivalence, _least_on_cycle, _memo
 
@@ -45,8 +46,7 @@ def coruns(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> tuple[CoRun, .
     ``graphs._least_on_cycle``).
     """
     _expect_equivalence(a, equiv)
-    _expect(LassoWord, w)
-    a.alphabet.check_letters(w.prefix, w.period)
+    _expect_lasso(ParityAutomaton, a, w)
     dst, col = a.flat
     n, k, u, letters = a.state_count, len(a.alphabet), len(w.prefix), w.period
     table = [-1] * (n * len(letters))
@@ -101,7 +101,7 @@ def _natural_color(a: ParityAutomaton, equiv: Partition, w: LassoWord) -> int:
     of its step in one list of least colors, so a walk that meets a mark
     s of its own closes a cycle of least color ``min(cols[s - 1:])``.
     """
-    a.alphabet.check_letters(w.prefix, w.period)
+    _expect_lasso(ParityAutomaton, a, w)
     dst, col = a.flat
     k, q, letters = len(a.alphabet), a.initial, w.period
     for sym in w.prefix:
@@ -156,7 +156,6 @@ def natural_color_via_chain(c: ChainRepresentation, w: LassoWord) -> int:
     run's cycle (see ``_natural_color``).
     """
     _expect(ChainRepresentation, c)
-    _expect(LassoWord, w)
     return _natural_color(c.source, c.partition, w)
 
 
@@ -209,9 +208,7 @@ def resolve_run(a: CoBuchiAutomaton, w: LassoWord) -> tuple[bool, tuple[int, ...
     is made per step: its accepting transition if it has one, else the
     least state of the oldest new group.
     """
-    _expect(CoBuchiAutomaton, a)
-    _expect(LassoWord, w)
-    a.alphabet.check_letters(w.prefix, w.period)
+    _expect_lasso(CoBuchiAutomaton, a, w)
     acc, k = a.flat[0], len(a.alphabet)
     table = _memo(a, _MOVES, lambda: _Moves(k, len(a.transitions)))
     current, entry = a.initial, table.entry(((a.initial,),))

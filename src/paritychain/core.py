@@ -133,16 +133,6 @@ class Alphabet(_Frozen):
         except Exception:  # noqa: BLE001 - also an unhashable name, or a raising __hash__ or __eq__
             raise AutomatonError(f"unknown letter {_shown(name)}") from None
 
-    def check_letters(self, *words) -> None:
-        """Reject words (letter indices) with a letter outside the alphabet:
-        by column first, then letter by letter to name the first offender."""
-        k = len(self.letters)
-        for word in words:
-            if word and not (0 <= min(word) and max(word) < k):
-                sym = next(x for x in word if not 0 <= x < k)
-                raise AutomatonError(
-                    f"letter index {_shown(sym)} is out of range for an alphabet of {k} letters")
-
 
 class Transition(NamedTuple):
     """One row (src, sym, dst, color); a tuple, so it orders, hashes and
@@ -383,9 +373,11 @@ class CoBuchiAutomaton(_Frozen, _Rows):
         object, so a caller may read each distinct row once by ``id`` (on a
         chain level a row is a whole class).  Callers must not mutate the
         lists."""
-        acc = [-1] * (self.state_count * len(self.alphabet))
+        k = len(self.alphabet)
+        acc = [-1] * (self.state_count * k)
         succ: list[tuple[int, ...]] = [()] * len(acc)
-        for r, (_, _, d, c) in zip(self._keys, self.transitions):
+        for s, y, d, c in self.transitions:
+            r = s * k + y
             succ[r] += (d,)
             if c == 2:
                 acc[r] = d
@@ -413,6 +405,20 @@ class LassoWord(_Frozen):
         for x in self.prefix + self.period:
             if not isinstance(x, int) or isinstance(x, bool) or x < 0:
                 raise AutomatonError(f"letters must be non-negative ints, got {_shown(x)}")
+
+
+def _expect_lasso(cls: type | tuple[type, ...], a, w) -> None:
+    """Refuse a query of ``a``, a ``cls``, on the lasso ``w``: the wrong
+    class (see ``_expect``), then a letter outside the alphabet of ``a``,
+    the first in prefix-then-period order named.  Letters are non-negative
+    ints (see ``LassoWord``), so only the largest is read."""
+    _expect(cls, a)
+    _expect(LassoWord, w)
+    k = len(a.alphabet)
+    if max(w.prefix, default=0) >= k or max(w.period) >= k:
+        sym = next(x for x in chain(w.prefix, w.period) if x >= k)
+        raise AutomatonError(
+            f"letter index {_shown(sym)} is out of range for an alphabet of {k} letters")
 
 
 def normalize_lasso(w: LassoWord) -> LassoWord:
@@ -470,11 +476,13 @@ class Partition(_Frozen):
 
     def mates(self, q: int) -> tuple[int, ...]:
         """All states in the same class as ``q``, including ``q``."""
-        return self.classes[self.class_of[q]]
+        if type(q) is not int or not 0 <= q < self.state_count:
+            raise AutomatonError(f"state {_shown(q)} out of range")
+        return self._by_state[q]
 
     @cached_property
     def _by_state(self) -> tuple[tuple[int, ...], ...]:  # mates(q) at index q
-        return tuple(map(self.mates, range(self.state_count)))
+        return tuple(self.classes[self.class_of[q]] for q in range(self.state_count))
 
 
 class ValidationReport(NamedTuple):

@@ -17,6 +17,7 @@ from .core import (
     _AUTOMATA,
     _Frozen,
     _expect,
+    _expect_lasso,
     _shown,
     normalize_lasso,
 )
@@ -223,9 +224,7 @@ def dpa_lasso_run(a: ParityAutomaton, w: LassoWord) -> RunAnalysis:
     period position) node is stepped back to from the first of them that
     repeats (see ``colors._natural_color``).  Rows are read from ``flat``.
     """
-    _expect(ParityAutomaton, a)
-    _expect(LassoWord, w)
-    a.alphabet.check_letters(w.prefix, w.period)
+    _expect_lasso(ParityAutomaton, a, w)
     dst, col = a.flat
     k, q, letters = len(a.alphabet), a.initial, w.period
     states = []  # the run's state before each step
@@ -255,37 +254,38 @@ def dpa_lasso_run(a: ParityAutomaton, w: LassoWord) -> RunAnalysis:
 def gca_lasso_member(a: CoBuchiAutomaton, w: LassoWord) -> bool:
     """Whether some run of the co-Buchi automaton accepts the lasso word.
 
-    The prefix is stepped as the set of states its runs reach, each
-    distinct row read once per letter (see ``CoBuchiAutomaton.flat``).
-    From there the word is accepted iff a cycle of accepting transitions
-    is reachable in the finite product of automaton states with period
-    positions, since an accepting run is eventually trapped on such a
-    cycle.  A node has at most one accepting edge, so these edges form a
-    functional graph once every node without one loops to itself: with
-    weight 1 on the accepting edges and 0 on those loops, a node lies on
-    an accepting cycle iff it lies on a cycle of least weight 1, and such
-    a cycle is reachable iff some reachable node walks into one.
+    The set of states the runs reach is stepped through the prefix, each
+    distinct row read once per letter (see ``CoBuchiAutomaton.flat``),
+    then a period at a time, the new states only, until none turns up at
+    a period start.  An accepting run is eventually trapped on a cycle of
+    accepting transitions, found at a period start (see
+    ``colors._natural_color``).  A row has at most one, so the map q ->
+    (the end of the accepting path from q through the period, 1), or
+    (q, 0) where a row on the way has none, makes the states a functional
+    graph: the word is accepted iff a reached state walks into a cycle of
+    least weight 1 (see ``_least_on_cycle``), one table entry per state.
     """
-    _expect(CoBuchiAutomaton, a)
-    _expect(LassoWord, w)
-    a.alphabet.check_letters(w.prefix, w.period)
-    acc_row, succ_row = a.flat
-    n, k, letters, states = a.state_count, len(a.alphabet), w.period, {a.initial}
-    for sym in w.prefix:
-        rows = {id(t): t for t in (succ_row[q * k + sym] for q in states)}
-        states = set().union(*rows.values())
+    _expect_lasso(CoBuchiAutomaton, a, w)
+    (acc_row, succ_row), k = a.flat, len(a.alphabet)
+    states, word, reached = {a.initial}, w.prefix, set()
+    while states:  # stepped through the prefix, then the new states through the period
+        for sym in word:
+            rows = {id(t): t for t in (succ_row[q * k + sym] for q in states)}
+            states = set().union(*rows.values())
+        states -= reached
+        reached |= states
+        word = w.period
 
-    def succ(node):  # node (q, p) is p * n + q
-        p, q = divmod(node, n)
-        return [(p + 1) % len(letters) * n + dst for dst in succ_row[q * k + letters[p]]]
+    def accepting(q):
+        start = q
+        for sym in w.period:
+            q = acc_row[q * k + sym]
+            if q < 0:
+                return start, 0
+        return q, 1
 
-    def accepting(node):
-        p, q = divmod(node, n)
-        dst = acc_row[q * k + letters[p]]
-        return ((p + 1) % len(letters) * n + dst, 1) if dst >= 0 else (node, 0)
-
-    table = [-1] * (n * len(letters))
-    return any(_least_on_cycle(accepting, table, node) for node in _reach(states, succ))
+    table = [-1] * a.state_count
+    return any(_least_on_cycle(accepting, table, q) for q in reached)
 
 
 class _Product:

@@ -75,7 +75,7 @@ from paritychain import (
     coruns,
 )
 from paritychain.colors import _advance
-from paritychain.core import _MAX_VIOLATIONS, _clip
+from paritychain.core import _AUTOMATA, _MAX_VIOLATIONS, _clip, _expect_lasso
 from paritychain.formats import _MAX_LABEL_DEPTH, FormatError, _int
 from paritychain.graphs import (
     _Product, _adjacency, _least_on_cycle, _preimages, _presplit, _reach, _scc_ids,
@@ -94,8 +94,8 @@ def letter_stream(a, w: LassoWord) -> tuple[tuple[int, ...], list[int]]:
     """The letters of ``w`` at its positions 0..|prefix|+|period|-1, checked
     against the alphabet of ``a``, and ``after[p]``, the position that
     follows p: the last one wraps to |prefix|, the start of the period."""
+    _expect_lasso(_AUTOMATA, a, w)
     letters = w.prefix + w.period
-    a.alphabet.check_letters(letters)
     return letters, [*range(1, len(letters)), len(w.prefix)]
 
 
@@ -637,7 +637,7 @@ def gfg_resolver_step(a: CoBuchiAutomaton, s: ResolverState, sym: int) -> Resolv
     transitions': ``resolver_oracle_step``, after asserting that
     ``colors._advance`` steps the rank groups of ``s.tracked`` to those of
     its tracked states.  The letter is checked as ``resolve_run`` checks a
-    word, by ``Alphabet.check_letters``."""
+    word, by ``core._expect_lasso``."""
     letter_stream(a, LassoWord((), (sym,)))
     tracked = dict(s.tracked)
     if (

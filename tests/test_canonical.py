@@ -673,6 +673,13 @@ class TestChainLevels:
             emit_native(level)
         for level in levels:
             assert "_keys" not in vars(level) and "flat" not in vars(level)
+        for level in levels:  # ``flat`` indexes each row by its own (src, sym)
+            succ = level.flat[1]
+            assert "_keys" not in vars(level)
+            t = level.transitions[-1]
+            assert level.row(t.src, t.sym) == tuple(
+                r for r in level.transitions if (r.src, r.sym) == (t.src, t.sym))
+            assert t.dst in succ[t.src * len(level.alphabet) + t.sym]
 
     @pytest.mark.parametrize("kind, seed", _LEVEL_INPUTS)
     def test_emission_matches_rebuilt_levels(self, kind, seed):

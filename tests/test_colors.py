@@ -920,7 +920,8 @@ def test_out_of_range_letter_rejected(entry):
 
 @pytest.mark.parametrize("word, first", [
     (LassoWord((4, 0), (9,)), 4), (LassoWord((0, 9), (1, 4)), 9), (LassoWord((), (1, 6, 5)), 6),
-], ids=["prefix-smaller", "prefix-larger", "period"])
+    (LassoWord((2, 3), (2,)), 3), (LassoWord((2,), (0, 3)), 3),
+], ids=["prefix-smaller", "prefix-larger", "period", "prefix-at-size", "period-at-size"])
 @pytest.mark.parametrize("entry", sorted(_letter_checked_calls()))
 def test_first_of_two_out_of_range_letters_named(entry, word, first):
     # the letters are checked by column; the walk that names an offender

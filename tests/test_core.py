@@ -3,6 +3,7 @@ import copy
 import inspect
 import pickle
 import random
+import re
 import time
 from itertools import chain, product
 from pathlib import Path
@@ -207,12 +208,12 @@ class TestPartition:
         assert p.class_of == {0: 0, 1: 1, 2: 1}
         assert p.mates(2) == (1, 2)
 
-    @pytest.mark.parametrize("q", [-1, 3])
+    @pytest.mark.parametrize("q", [-1, 3, True, 1.0, "x", [0]])
     def test_mates_of_a_non_state_raise(self, q):
         # the library's loops read a table by state, where -1 would be the
-        # last state's class
+        # last state's class; True and 1.0 would pass as state 1
         p = Partition(classes=((2, 1), (0,)))
-        with pytest.raises(KeyError):
+        with pytest.raises(AutomatonError, match=rf"^state {re.escape(repr(q))} out of range$"):
             p.mates(q)
 
     def test_must_cover_dense_range(self):
@@ -758,12 +759,19 @@ def _outcomes(f, calls) -> tuple[int, list[str]]:
     return taken, findings
 
 
+# the records of the hostile pool, and every public method (not property) of them
+_RECORDS = (Alphabet, ParityAutomaton, CoBuchiAutomaton, Partition, LassoWord)
+_PUBLIC_METHODS = sorted({name for cls in _RECORDS
+                          for name, _ in inspect.getmembers(cls, inspect.isfunction)
+                          if not name.startswith("_")})
+
+
 class TestApiFuzz:
     """Every public name, called with every one and every two arguments of
     one pool of hostile values that its signature takes, returns or raises
     ``AutomatonError`` or ``FormatError``; so do the names that take three
-    or four arguments, on a fixed sample of such calls, and the public
-    methods ``row``, ``step`` and ``index`` of the pool's records."""
+    or four arguments, on a fixed sample of such calls, and every public
+    method of the pool's records."""
 
     def test_public_names(self):
         n = len(_hostile_pool())
@@ -776,14 +784,13 @@ class TestApiFuzz:
         assert findings == []
         assert taken > 5000
 
-    @pytest.mark.parametrize("method", ["row", "step", "index"])
+    @pytest.mark.parametrize("method", _PUBLIC_METHODS)
     def test_public_methods(self, method):
         n = len(_hostile_pool())
         calls = [*((i,) for i in range(n)), *product(range(n), repeat=2)]
-        records = (Alphabet, ParityAutomaton, CoBuchiAutomaton)
         taken, findings = 0, []
         for owner in _hostile_pool():
-            if isinstance(owner, records) and hasattr(owner, method):
+            if isinstance(owner, _RECORDS) and hasattr(owner, method):
                 count, found = _outcomes(getattr(owner, method), calls)
                 taken += count
                 findings += found

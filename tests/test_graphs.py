@@ -249,6 +249,32 @@ class TestGcaLassoMember:
         assert set(answers) == {True, False}
         assert min(times) < 1.0
 
+    def test_long_period_costs_no_table(self):
+        # the one class of 160 states above, with the period (1, 2) repeated
+        # 1000 times: a mark per (state, period position) node took 7.9 s
+        # and peaked at 40 MB traced on level 0 (Python 3.11); a period
+        # start is marked per state.  The same prefix with period (1, 2) is
+        # the same infinite word, small enough for the oracle
+        s = streamline(structure_dpa(blowup(jumpy(83), 40, random.Random(83))))
+        levels = extract_chain(s, state_equivalence(s)).levels
+        twin = LassoWord((2, 0, 1), (1, 2))
+        long = LassoWord(twin.prefix, twin.period * 1000)
+        answers = []
+        for level in levels:
+            answers.append(gca_member_oracle(level, twin))
+            gca_lasso_member(level, twin)  # memoize the rows
+            start = time.perf_counter()
+            assert gca_lasso_member(level, long) == answers[-1]
+            took = time.perf_counter() - start
+            tracemalloc.start()
+            try:
+                gca_lasso_member(level, long)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert took < 0.5 and peak < 1_000_000, (took, peak)
+        assert set(answers) == {True, False}
+
     @pytest.mark.parametrize("seed", range(8))
     def test_partial_ncw_matches_cycle_probing_oracle(self, seed):
         # rows without a transition, rows with rejecting edges only, and a
